@@ -25,7 +25,7 @@ s = pl.parse_structure(TEXT)
 print("parsed a", s.m, "x", s.n, "structure; base =", s.base_members())
 
 print("\nTraces read a row off the matrix:")
-for a in s.x_elements:
+for a in range(s.m):
     print(f"  trace({a}) = {s.trace(a, [0, 1])}")
 
 p = pl.PhiType({0: 1, 1: 1})

@@ -18,6 +18,7 @@ from .delta import (
 )
 from .errors import (
     ArityMismatchError,
+    InvariantError,
     LiteralClashError,
     NotWitnessedError,
     PhilabError,

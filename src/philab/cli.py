@@ -4,9 +4,9 @@ Commands: id, types, isolate, config, define, embed, gen, verify.  JSON is
 the machine format (`--format json`, keys sorted, byte-identical for
 identical inputs and flags); text renders the same data, never more.
 
-Exit codes: 0 success, 1 invariant violation (verify), 2 structure parse
-error, 3 resource guard, 4 bad command spec (malformed literals, generator
-spec, or suite name).
+Exit codes: 0 success, 1 invariant violation (a failed verify suite or
+certificate check), 2 structure parse error, 3 resource guard, 4 bad command
+spec (malformed literals, numbers, generator spec, or suite name).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from typing import Optional
 
 from .delta import ALL
 from .errors import (
+    InvariantError,
     LiteralClashError,
     PhilabError,
     ResourceLimitError,
@@ -126,7 +127,7 @@ def parse_over(struct: BipartiteStructure, over: str) -> tuple[int, ...]:
     if over == "B":
         return struct.base_members()
     if over == "ALL":
-        return struct.y_parameters
+        return tuple(range(struct.n))
     try:
         return tuple(int(t) for t in over.split(",") if t)
     except ValueError:
@@ -142,7 +143,8 @@ def parse_lits(spec: str) -> PhiType:
         name, _, sign = token.partition("=")
         if sign not in ("0", "1"):
             raise CliSpecError(f"bad literal {token!r}, expected <param>=0|1")
-        name = name.lstrip("by")
+        if name[:1] in ("b", "y"):
+            name = name[1:]
         try:
             pairs.append((int(name), int(sign)))
         except ValueError:
@@ -197,6 +199,8 @@ def literals_json(p: PhiType) -> list[list[int]]:
 
 def cmd_id(args) -> int:
     struct = load_structure(args)
+    if args.cap != "full" and not args.cap.isdecimal():
+        raise CliSpecError(f"--cap must be `full` or an integer >= 0, not {args.cap!r}")
     cap = struct.n if args.cap == "full" else int(args.cap)
     report = independence_dimension(struct, cap)
     payload = {
@@ -353,10 +357,13 @@ def _meta_jsonable(value):
 
 
 def _expand_seeds(spec: str) -> list[int]:
-    if ".." in spec:
-        lo, hi = spec.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in spec.split(",") if s]
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..")
+            return list(range(int(lo), int(hi) + 1))
+        return [int(s) for s in spec.split(",") if s]
+    except ValueError:
+        raise CliSpecError(f"bad --seeds spec {spec!r}, expected LO..HI or A,B") from None
 
 
 def verify_structures(args) -> list[tuple[str, BipartiteStructure]]:
@@ -373,8 +380,9 @@ def verify_structures(args) -> list[tuple[str, BipartiteStructure]]:
                 for seed in seeds
             ]
         elif args.gen.startswith("random:"):
-            _, family, _, x_size, y_size = args.gen.split(":")
-            specs = [f"random:{family}:{seed}:{x_size}:{y_size}" for seed in seeds]
+            # a malformed spec fails in parse_generator_spec with exit 4
+            parts = args.gen.split(":")
+            specs = [":".join(parts[:2] + [str(seed)] + parts[3:]) for seed in seeds]
         else:
             raise CliSpecError("--seeds only applies to random generators")
         return [(spec, parse_generator_spec(spec)) for spec in specs]
@@ -487,6 +495,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except InvariantError as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
     except PhilabError as exc:
         # bad literals, unknown elements/parameters, violated preconditions
         print(f"bad spec: {exc}", file=sys.stderr)

@@ -15,15 +15,17 @@ condition lives on infinite types; here the whole table is a finite object,
 so k=ALL (one base parameter realizing the entire table) is the faithful
 finite reading, and finite k (every k-entry sub-table matched by some base
 parameter, possibly a different one each time) is exposed as an
-experimentation knob.
+experimentation knob.  Finite k is decided as a minimum cover (see
+finitely_satisfiable_in), never by enumerating k-entry sub-tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import product
 from typing import Iterable, Optional
 
+from .cover import least_cover
 from .errors import ArityMismatchError, ResourceLimitError
 from .structure import BipartiteStructure
 
@@ -50,12 +52,6 @@ class DeltaFamily:
     def __post_init__(self):
         if self.arity < 0:
             raise ValueError("arity must be >= 0")
-
-    @classmethod
-    def for_structure(cls, struct: BipartiteStructure) -> "DeltaFamily":
-        from .vc import independence_dimension
-
-        return cls(independence_dimension(struct).id_value)
 
 
 @dataclass
@@ -206,6 +202,14 @@ def finitely_satisfiable_in(
     k-entry subset of dt's table (equivalently every smaller one) is matched
     by some base parameter on those entries.  An empty base set satisfies
     nothing: there is no witness parameter.
+
+    Finite k is a minimum-cover question.  Give each entry the set of base
+    parameters whose table disagrees with dt there; an entry subset is
+    unmatched iff those sets cover the whole base.  So k holds iff no cover
+    has at most min(k, |table|) entries.  One disagreeing entry per base
+    parameter already covers, so for k >= |base| the answer is the ALL
+    answer.  The cover search raises ResourceLimitError past its default
+    candidate limit.
     """
     family = DeltaFamily(dt.arity)
     base = tuple(sorted(set(base)))
@@ -213,27 +217,17 @@ def finitely_satisfiable_in(
         struct.check_parameter(b)
     if not base:
         return False
-    if isinstance(k, _AllSentinel):
+    if not isinstance(k, _AllSentinel) and k < 1:
+        raise ValueError("k must be >= 1 or ALL")
+    if isinstance(k, _AllSentinel) or k >= len(base):
         return any(
             cached_delta_type(struct, family, b, dt.domain, limit).same_table(dt)
             for b in base
         )
-    if k < 1:
-        raise ValueError("k must be >= 1 or ALL")
-    entries = list(dt.table.items())
-    size = min(k, len(entries))
-    if size == 0:
-        return True  # empty table, nonempty base: any parameter matches
-    # matching every subset of size `size` covers all smaller subsets too
-    for chunk in combinations(entries, size):
-        hit = False
-        for b in base:
-            if all(
-                delta_eval(struct, family, b, *entry) == value
-                for entry, value in chunk
-            ):
-                hit = True
-                break
-        if not hit:
-            return False
-    return True
+    tables = [cached_delta_type(struct, family, b, dt.domain, limit) for b in base]
+    disagree = [
+        sum(1 << j for j, other in enumerate(tables) if other.table[entry] != value)
+        for entry, value in dt.table.items()
+    ]
+    size = min(k, len(disagree))
+    return least_cover(disagree, (1 << len(base)) - 1, size) is None

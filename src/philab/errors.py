@@ -41,6 +41,10 @@ class PreconditionError(PhilabError):
     """A documented operation precondition does not hold."""
 
 
+class InvariantError(PhilabError):
+    """A certificate failed its own soundness check: a bug, not bad input."""
+
+
 class NotWitnessedError(PhilabError):
     """No literal set eliminates every base parameter; the finite structure
     lacks the separating witnesses a saturated extension would provide."""

@@ -26,12 +26,16 @@ the trace algebra is the whole definable closure available here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, product
+from operator import or_
 from typing import Optional
 
+from .cover import DEFAULT_COVER_LIMIT, greedy_cover, least_cover
 from .delta import ALL, DEFAULT_TABLE_LIMIT, DeltaFamily, _AllSentinel, delta_eval
 from .errors import (
     ArityMismatchError,
+    InvariantError,
     LiteralClashError,
     NotWitnessedError,
     PreconditionError,
@@ -42,7 +46,6 @@ from .structure import BipartiteStructure, PhiType
 from .vc import cached_dimension
 
 SATURATION_DEFICIT = "saturation-deficit"
-DEFAULT_COVER_ENUM_LIMIT = 1 << 16
 Q_SAMPLE_DOM_LIMIT = 14
 Q_PAIR_LIMIT = 2
 Q_THETA_LIMIT = 12
@@ -80,20 +83,20 @@ def find_isolating_subtype(
     """
     if not struct.is_consistent(p):
         raise PreconditionError("type must be consistent")
-    target_mask = struct.type_mask(p)
+    # a subset keeps p's realizer set iff its literals jointly exclude every
+    # non-realizer of p: literal i covers the non-realizers violating it
+    need = ((1 << struct.m) - 1) ^ struct.type_mask(p)
+    excluded = [~struct.literal_mask(b, sign) for b, sign in p.items]
     size_cap = len(p) if isinstance(budget, _AllSentinel) else min(budget, len(p))
+    chosen = least_cover(excluded, need, size_cap, limit=None)
+    if chosen is not None:
+        return IsolationCertificate(p, _pick(p, chosen), True, "exhaustive")
+    return IsolationCertificate(p, _pick(p, greedy_cover(excluded, need)), False, "greedy")
 
-    for size in range(size_cap + 1):
-        for subset in combinations(p.items, size):
-            if struct.literals_mask(subset) == target_mask:
-                return IsolationCertificate(p, PhiType(subset), True, "exhaustive")
 
-    kept = list(p.items)
-    for item in list(kept):
-        trial = [it for it in kept if it != item]
-        if struct.literals_mask(trial) == target_mask:
-            kept = trial
-    return IsolationCertificate(p, PhiType(kept), False, "greedy")
+def _pick(p: PhiType, indices: tuple[int, ...]) -> PhiType:
+    """The subtype made of p's literals at the given positions."""
+    return PhiType(p.items[i] for i in indices)
 
 
 @dataclass(frozen=True)
@@ -129,7 +132,8 @@ def phi_defining_formula(
         raise PreconditionError("certificate subtype does not entail its target")
     formula = DefiningFormula(struct, cert.subtype, frozenset(cert.target.domain))
     for b, sign in cert.target.items:
-        assert formula.holds(b) == bool(sign), "defining formula disagrees on domain"
+        if formula.holds(b) != bool(sign):
+            raise InvariantError("defining formula disagrees on domain")
     return formula
 
 
@@ -202,20 +206,21 @@ def gamma_certificate(
     a: int,
     config: GoodConfiguration,
     p: PhiType,
-    cover_enum_limit: int = DEFAULT_COVER_ENUM_LIMIT,
+    cover_enum_limit: int = DEFAULT_COVER_LIMIT,
 ) -> PhiType:
     """Literal conjunction from a realizer's full trace entailing the
     extended type.
 
     Treating the full trace of `a` as its complete type, search for a
     smallest set of trace literals such that no base parameter satisfies
-    every induced existential condition; those literals plus the
-    configuration literals form gamma, and entailment of the extended type
-    is asserted on every return.  When some base parameter survives even the
-    full trace (impossible here whenever the base parameters' own literals
-    appear in the trace, but kept as a defensive diagnostic), the finite
-    structure cannot witness the separation and NotWitnessedError carries
-    the survivors.
+    every induced existential condition (lexicographically least among
+    minimum ones; an inclusion-minimal set past `cover_enum_limit`
+    candidates); those literals plus the configuration literals form gamma,
+    and entailment of the extended type is checked on every return.  When
+    some base parameter survives even the full trace (impossible here
+    whenever the base parameters' own literals appear in the trace, but kept
+    as a defensive diagnostic), the finite structure cannot witness the
+    separation and NotWitnessedError carries the survivors.
     """
     p_c = extend_type(p, config)
     struct.check_element(a)
@@ -223,100 +228,41 @@ def gamma_certificate(
         raise PreconditionError(f"element {a} does not realize the extended type")
     trace = struct.full_trace(a)
     base = struct.base_members()
+    base_masks = [(struct.literal_mask(b, 0), struct.literal_mask(b, 1)) for b in base]
 
-    # eliminations[b] = literals (c, sign) of the trace such that for some t
-    # no element has sign t at b and sign `sign` at c
-    eliminations: dict[int, list[tuple[int, int]]] = {}
-    survivors = []
-    for b in base:
-        masks = (struct.literal_mask(b, 0), struct.literal_mask(b, 1))
-        hits = [
-            (c, sign)
-            for c, sign in trace.items
-            if masks[0] & struct.literal_mask(c, sign) == 0
-            or masks[1] & struct.literal_mask(c, sign) == 0
-        ]
-        if not hits:
-            survivors.append(b)
-        eliminations[b] = hits
-    if survivors:
-        raise NotWitnessedError(tuple(survivors))
-
-    chosen = _minimum_hitting_literals(base, eliminations, cover_enum_limit)
-    gamma = PhiType(tuple(chosen) + tuple(extend_type(PhiType(), config).items))
-    assert struct.entails(gamma, p_c), "gamma fails to entail the extended type"
+    # literal (c, sign) of the trace covers bit j when for some t no element
+    # has sign t at base[j] and sign `sign` at c
+    eliminates = []
+    for c, sign in trace.items:
+        lit = struct.literal_mask(c, sign)
+        eliminates.append(sum(1 << j for j, (neg, pos) in enumerate(base_masks)
+                              if neg & lit == 0 or pos & lit == 0))
+    need = (1 << len(base)) - 1
+    try:
+        chosen = least_cover(eliminates, need, len(eliminates), cover_enum_limit)
+    except ResourceLimitError:
+        chosen = greedy_cover(eliminates, need)
+    if chosen is None:
+        covered = reduce(or_, eliminates, 0)
+        raise NotWitnessedError(tuple(b for j, b in enumerate(base) if not covered >> j & 1))
+    gamma = _pick(trace, chosen).union(extend_type(PhiType(), config))
+    if not struct.entails(gamma, p_c):
+        raise InvariantError("gamma fails to entail the extended type")
     return gamma
-
-
-def _minimum_hitting_literals(
-    base: tuple[int, ...],
-    eliminations: dict[int, list[tuple[int, int]]],
-    enum_limit: int,
-) -> tuple[tuple[int, int], ...]:
-    """Smallest literal set hitting every base parameter's elimination list
-    (lexicographically least among minimum ones); greedy fallback past the
-    enumeration limit.  Literals sharing an elimination pattern are collapsed
-    to the least literal, which preserves both optimality and tie order."""
-    if not base:
-        return ()
-    pattern_of: dict[frozenset[int], tuple[int, int]] = {}
-    literal_bs: dict[tuple[int, int], set[int]] = {}
-    for b, hits in eliminations.items():
-        for lit in hits:
-            literal_bs.setdefault(lit, set()).add(b)
-    for lit in sorted(literal_bs):
-        pat = frozenset(literal_bs[lit])
-        pattern_of.setdefault(pat, lit)
-    reps = sorted(pattern_of.values())
-    need = set(base)
-
-    budget = 0
-    for size in range(1, len(reps) + 1):
-        for combo in combinations(reps, size):
-            budget += 1
-            if budget > enum_limit:
-                return _greedy_hitting(reps, literal_bs, need)
-            covered = set()
-            for lit in combo:
-                covered |= literal_bs[lit]
-            if covered >= need:
-                return combo
-    raise AssertionError("full literal set always hits every base parameter")
-
-
-def _greedy_hitting(reps, literal_bs, need) -> tuple[tuple[int, int], ...]:
-    uncovered = set(need)
-    chosen: list[tuple[int, int]] = []
-    for lit in sorted(reps, key=lambda r: (-len(literal_bs[r] & need), r)):
-        if not uncovered:
-            break
-        if literal_bs[lit] & uncovered:
-            chosen.append(lit)
-            uncovered -= literal_bs[lit]
-    if uncovered:
-        raise AssertionError("greedy hitting ran out of literals")
-    # drop redundant picks, scanning in lexicographic order
-    for lit in sorted(chosen):
-        rest = [other for other in chosen if other != lit]
-        covered = set()
-        for other in rest:
-            covered |= literal_bs[other]
-        if covered >= need:
-            chosen = rest
-    return tuple(sorted(chosen))
 
 
 def psi_disjunction(
     struct: BipartiteStructure,
     p: PhiType,
     config: GoodConfiguration,
-    cover_enum_limit: int = DEFAULT_COVER_ENUM_LIMIT,
+    cover_enum_limit: int = DEFAULT_COVER_LIMIT,
 ) -> tuple[PhiType, ...]:
     """Literal conjunctions, one per trace class of the extended type's
     realizers, whose realizer sets jointly cover exactly those realizers;
     a minimal subfamily is extracted by direct cover search (smallest, then
-    lexicographically least by class index).  NotWitnessedError from any
-    class propagates."""
+    lexicographically least by class index; an inclusion-minimal subfamily
+    past `cover_enum_limit` candidates).  NotWitnessedError from any class
+    propagates."""
     p_c = extend_type(p, config)
     if not struct.is_consistent(p_c):
         raise PreconditionError("extended type must be consistent")
@@ -330,31 +276,15 @@ def psi_disjunction(
     gammas = [gamma_certificate(struct, a, config, p, cover_enum_limit) for a in reps]
     target_mask = struct.type_mask(p_c)
     masks = [struct.type_mask(g) for g in gammas]
-    for mask in masks:
-        assert mask & ~target_mask == 0, "gamma realizers leak outside the type"
-
-    chosen_idx: Optional[tuple[int, ...]] = None
-    budget = 0
-    for size in range(len(gammas) + 1):
-        for combo in combinations(range(len(gammas)), size):
-            budget += 1
-            if budget > cover_enum_limit:
-                chosen_idx = tuple(range(len(gammas)))  # full family always covers
-                break
-            union = 0
-            for i in combo:
-                union |= masks[i]
-            if union == target_mask:
-                chosen_idx = combo
-                break
-        if chosen_idx is not None:
-            break
-    assert chosen_idx is not None
-    union = 0
-    for i in chosen_idx:
-        union |= masks[i]
-    assert union == target_mask, "disjunction does not match the extended type"
-    return tuple(gammas[i] for i in chosen_idx)
+    if any(mask & ~target_mask for mask in masks):
+        raise InvariantError("gamma realizers leak outside the type")
+    try:
+        chosen = least_cover(masks, target_mask, len(masks), cover_enum_limit)
+    except ResourceLimitError:
+        chosen = greedy_cover(masks, target_mask)
+    if chosen is None:
+        raise InvariantError("disjunction does not match the extended type")
+    return tuple(gammas[i] for i in chosen)
 
 
 def embed_trace(
@@ -365,16 +295,15 @@ def embed_trace(
 ) -> tuple[DefiningFormula, IsolatedExtensionResult]:
     """Defining formula for an element's base-set trace via the extension
     pipeline.  The formula provably reproduces the element's truth row on
-    the base set; the agreement is asserted on every run.  The pipeline
+    the base set; the agreement is checked on every run.  The pipeline
     result rides along so callers see any saturation-deficit diagnostic."""
     struct.check_element(a)
     p = struct.trace(a, struct.base_members())
     result = isolated_extension(struct, p, k_sat, family)
     formula = phi_defining_formula(struct, result.certificate)
     for b in struct.base_members():
-        assert formula.holds(b) == bool(struct.truth[a][b]), (
-            "defining formula disagrees with the source row on the base set"
-        )
+        if formula.holds(b) != bool(struct.truth[a][b]):
+            raise InvariantError("defining formula disagrees with the row on the base set")
     return formula, result
 
 
@@ -395,7 +324,7 @@ class QType:
     re-substitutable slots, so the table constrains the candidate's mutual
     relations, not just its relations to the base) matches the generating
     tuple's.  The generating tuple itself satisfies all three parts by
-    construction, which is asserted when the type is built.
+    construction, which is checked when the type is built.
     """
 
     struct: BipartiteStructure
@@ -445,7 +374,7 @@ def q_type(
 ) -> QType:
     """Materialize the three-part description of a maximal configuration's
     tuple.  Maximality of `config` is the caller's obligation (it is what
-    makes realizers of q useful); goodness is implicit in the asserted
+    makes realizers of q useful); goodness is implicit in the checked
     self-realization."""
     if p is None:
         p = config.base_type
@@ -482,7 +411,8 @@ def q_type(
         q_double_prime=_sampled_conjunctions(p, sample),
         q_triple_prime=tuple(schema),
     )
-    assert check_q_realizer(struct, q, components), "generating tuple fails its own type"
+    if not check_q_realizer(struct, q, components):
+        raise InvariantError("generating tuple fails its own type")
     return q
 
 

@@ -22,6 +22,8 @@ VC_Y_LIMIT = 10
 MIN_ISOLATING_DOM_LIMIT = 14
 GOODCONFIG_THETA_LIMIT = 10
 GOODCONFIG_MAX_K_LIMIT = 3
+FINSAT_ENTRY_LIMIT = 12
+FINSAT_K_LIMIT = 4
 
 
 @dataclass(frozen=True)
@@ -114,6 +116,37 @@ def _delta_holds(
                 break
         memo[key] = hit
     return hit
+
+
+def oracle_finitely_satisfiable(
+    struct: BipartiteStructure,
+    table: dict,
+    base,
+    k: int,
+) -> bool:
+    """Finite-k satisfiability of a delta table, keyed (zs, t, s) -> bool,
+    in the base parameters: every min(k, |table|)-entry chunk of the table
+    is matched by some base parameter on that chunk.  Enumerates every
+    chunk; an empty base matches nothing."""
+    entries = list(table.items())
+    if len(entries) > FINSAT_ENTRY_LIMIT or k > FINSAT_K_LIMIT:
+        raise ResourceLimitError(
+            f"oracle_finitely_satisfiable guard: {len(entries)} entries, k = {k}"
+        )
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    base = sorted(set(base))
+    if not base:
+        return False
+    memo: dict = {}
+    for chunk in combinations(entries, min(k, len(entries))):
+        if not any(
+            all(_delta_holds(struct, b, zs, t, s, memo) == value
+                for (zs, t, s), value in chunk)
+            for b in base
+        ):
+            return False
+    return True
 
 
 def _same_delta_type(

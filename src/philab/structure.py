@@ -141,14 +141,6 @@ class BipartiteStructure:
     def n(self) -> int:
         return len(self.truth[0])
 
-    @property
-    def x_elements(self) -> tuple[int, ...]:
-        return tuple(range(self.m))
-
-    @property
-    def y_parameters(self) -> tuple[int, ...]:
-        return tuple(range(self.n))
-
     def check_element(self, a: int) -> None:
         if not (isinstance(a, int) and 0 <= a < self.m):
             raise UnknownElementError(f"unknown element {a!r}")
@@ -226,9 +218,6 @@ class BipartiteStructure:
 
     def base_members(self) -> tuple[int, ...]:
         return tuple(sorted(self.base_set))
-
-    def with_meta(self, meta: Mapping) -> "BipartiteStructure":
-        return BipartiteStructure(self.truth, self.base_set, self.theta_set, meta)
 
 
 # -- file format -----------------------------------------------------------

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from philab import isolation
 from philab.cli import main
 
 from conftest import S1_TEXT
@@ -162,3 +167,48 @@ class TestVerify:
                            "--gen", "linear:11:b=0")
         assert code == 3
         assert "resource guard" in err
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["id", "--gen", "shattered:2", "--cap", "abc"],
+        ["id", "--gen", "shattered:2", "--cap", "-1"],
+        ["verify", "--suite", "bound", "--gen", "random", "--seeds", "a..b"],
+        ["verify", "--suite", "bound", "--gen", "random:intervals:0:20",
+         "--seeds", "0..3"],
+        ["isolate", "--gen", "shattered:2", "--lits", "bby1=1"],
+        ["isolate", "--gen", "shattered:2", "--lits", "yb1=1"],
+    ])
+    def test_bad_spec_exits_4(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 4
+        assert err.startswith("bad spec:")
+
+    def test_single_prefix_accepted(self, capsys):
+        code, out, _ = run(capsys, "define", "--gen", "shattered:2",
+                           "--lits", "b0=1,y1=0", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["type"] == [[0, 1], [1, 0]]
+
+    def test_failed_certificate_check_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(isolation.DefiningFormula, "holds", lambda self, b: False)
+        code, _, err = run(capsys, "define", "--gen", "shattered:2", "--lits", "0=1")
+        assert code == 1
+        assert err.startswith("invariant violation:")
+
+    def test_certificate_check_survives_optimize_flag(self):
+        script = (
+            "import sys\n"
+            "from philab import isolation\n"
+            "from philab.cli import main\n"
+            "isolation.DefiningFormula.holds = lambda self, b: False\n"
+            "sys.exit(main(['define', '--gen', 'shattered:2', '--lits', '0=1']))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("invariant violation:")

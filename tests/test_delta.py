@@ -163,6 +163,34 @@ class TestFinitelySatisfiable:
                     for k in (1, 2, 3):
                         assert pl.finitely_satisfiable_in(s, dt, base, k)
 
+    def test_cover_search_guard(self):
+        # Rows: all-zero; R_j = {b_j} + {d_i : i != j}; Z_j = {b_j}; the
+        # subject c is 1 on R_0, R_1 and Z_0.  Base b_j's table over the d's
+        # differs from c's only at (d_j, t=1, s=1), so the disagreement sets
+        # are disjoint singletons: every k < n holds, and deciding k = n - 1
+        # must try every smaller entry subset, past the cover search limit.
+        n = 17
+        b, d, c = range(n), range(n, 2 * n), 2 * n
+
+        def row(ones):
+            return tuple(int(col in ones) for col in range(2 * n + 1))
+
+        rows = [row(set())]
+        rows += [row({b[j], *(d[i] for i in b if i != j), *([c] if j < 2 else [])})
+                 for j in b]
+        rows += [row({b[j], *([c] if j == 0 else [])}) for j in b]
+        s = pl.BipartiteStructure(tuple(rows), frozenset(b), frozenset(range(c + 1)))
+        dt = pl.delta_type(s, DeltaFamily(1), c, d)
+        for j in b:
+            other = pl.delta_type(s, DeltaFamily(1), j, d)
+            assert [e for e in dt.table if dt.table[e] != other.table[e]] == [
+                ((d[j],), 1, (1,))
+            ]
+        assert pl.finitely_satisfiable_in(s, dt, b, 3)
+        assert not pl.finitely_satisfiable_in(s, dt, b, n)
+        with pytest.raises(pl.ResourceLimitError):
+            pl.finitely_satisfiable_in(s, dt, b, n - 1)
+
     def test_bad_k_rejected(self, s1):
         dt = pl.delta_type(s1, DeltaFamily(0), 0, [])
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import pytest
 
 import philab as pl
 from philab.goodconfig import GoodConfiguration
-from philab.oracle import oracle_all_good_configs_naive
+from philab.oracle import oracle_all_good_configs_naive, oracle_finitely_satisfiable
 
 
 class TestOracleVc:
@@ -91,6 +91,17 @@ class TestOracleGoodConfigs:
         wide = pl.gen_linear_order(11, [0])
         with pytest.raises(pl.ResourceLimitError):
             pl.oracle_all_good_configs(wide, pl.EMPTY_TYPE, 2)
+
+
+class TestOracleFinitelySatisfiable:
+    def test_guards(self, s1):
+        small = pl.delta_type(s1, pl.DeltaFamily(1), 0, [0, 1])  # 8 entries
+        assert oracle_finitely_satisfiable(s1, small.table, [0, 1], 4)
+        with pytest.raises(pl.ResourceLimitError):
+            oracle_finitely_satisfiable(s1, small.table, [0, 1], 5)
+        large = pl.delta_type(s1, pl.DeltaFamily(2), 0, [0, 1])  # 32 entries
+        with pytest.raises(pl.ResourceLimitError):
+            oracle_finitely_satisfiable(s1, large.table, [0, 1], 1)
 
 
 class TestOracleReport:

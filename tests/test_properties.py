@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 import philab as pl
 from philab.delta import ALL, DeltaFamily
 from philab.goodconfig import GoodConfiguration
+from philab.oracle import oracle_finitely_satisfiable
 
 
 @st.composite
-def structures(draw, max_m=8, max_n=5):
+def structures(draw, max_m=8, max_n=5, min_n=0):
     m = draw(st.integers(1, max_m))
-    n = draw(st.integers(0, max_n))
+    n = draw(st.integers(min_n, max_n))
     rows = tuple(
         tuple(draw(st.integers(0, 1)) for _ in range(n)) for _ in range(m)
     )
@@ -106,6 +107,40 @@ def test_fin_sat_all_implies_finite_k(s):
         if pl.finitely_satisfiable_in(s, dt, base, ALL):
             assert pl.finitely_satisfiable_in(s, dt, base, 1)
             assert pl.finitely_satisfiable_in(s, dt, base, 2)
+
+
+@st.composite
+def small_delta_tables(draw):
+    """A structure, a base, and every subject's delta table of at most 12
+    entries over one domain."""
+    s = draw(structures(min_n=2))
+    arity = draw(st.integers(0, 2))
+    columns = st.sampled_from(range(s.n))
+    domain = draw(st.lists(columns, max_size=(5, 3, 1)[arity], unique=True))
+    base = draw(st.lists(columns, min_size=1, max_size=4, unique=True))
+    family = DeltaFamily(arity)
+    return s, base, [pl.delta_type(s, family, c, domain) for c in range(s.n)]
+
+
+@given(small_delta_tables())
+@settings(deadline=None)
+def test_fin_sat_matches_oracle(case):
+    s, base, tables = case
+    for dt in tables:
+        for k in (1, 2, 3):
+            expected = oracle_finitely_satisfiable(s, dt.table, base, k)
+            assert pl.finitely_satisfiable_in(s, dt, base, k) == expected
+
+
+@given(small_delta_tables())
+@settings(deadline=None)
+def test_fin_sat_at_base_size_is_all(case):
+    # a minimum cover never needs more entries than there are base parameters
+    s, base, tables = case
+    for dt in tables:
+        expected = pl.finitely_satisfiable_in(s, dt, base, ALL)
+        for k in range(len(base), 5):
+            assert oracle_finitely_satisfiable(s, dt.table, base, k) == expected
 
 
 @given(structures(max_m=6, max_n=4))
