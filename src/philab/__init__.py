@@ -8,7 +8,6 @@ machine-checkable certificates, backed by independent brute-force oracles.
 
 from .delta import (
     ALL,
-    DeltaComparison,
     DeltaFamily,
     DeltaType,
     delta_equal,

@@ -6,7 +6,8 @@ identical inputs and flags); text renders the same data, never more.
 
 Exit codes: 0 success, 1 invariant violation (a failed verify suite or
 certificate check), 2 structure parse error, 3 resource guard, 4 bad command
-spec (malformed literals, numbers, generator spec, or suite name).
+spec (a usage error, malformed literals, numbers, generator spec or suite
+name, an empty seed list, or an unwritable output path).
 """
 
 from __future__ import annotations
@@ -129,9 +130,12 @@ def parse_over(struct: BipartiteStructure, over: str) -> tuple[int, ...]:
     if over == "ALL":
         return tuple(range(struct.n))
     try:
-        return tuple(int(t) for t in over.split(",") if t)
+        domain = tuple(int(t) for t in over.split(",") if t)
     except ValueError:
         raise CliSpecError(f"bad --over spec {over!r}") from None
+    if len(set(domain)) != len(domain):
+        raise CliSpecError(f"--over {over!r} repeats an index")
+    return domain
 
 
 def parse_lits(spec: str) -> PhiType:
@@ -331,7 +335,6 @@ def cmd_gen(args) -> int:
     struct = parse_generator_spec(args.gen)
     text = serialize_structure(struct)
     if args.out:
-        Path(args.out).write_text(text)
         meta = dict(struct.meta or {})
         sidecar = {
             "family": meta.pop("family", None),
@@ -339,9 +342,13 @@ def cmd_gen(args) -> int:
             "y": struct.n,
             "detail": {k: _meta_jsonable(v) for k, v in meta.items()},
         }
-        Path(args.out).with_suffix(".meta.json").write_text(
-            json.dumps(sidecar, sort_keys=True) + "\n"
-        )
+        try:
+            Path(args.out).write_text(text)
+            Path(args.out).with_suffix(".meta.json").write_text(
+                json.dumps(sidecar, sort_keys=True) + "\n"
+            )
+        except OSError as exc:
+            raise CliSpecError(f"cannot write {args.out!r}: {exc}") from None
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -360,10 +367,14 @@ def _expand_seeds(spec: str) -> list[int]:
     try:
         if ".." in spec:
             lo, hi = spec.split("..")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(s) for s in spec.split(",") if s]
+            seeds = list(range(int(lo), int(hi) + 1))
+        else:
+            seeds = [int(s) for s in spec.split(",") if s]
     except ValueError:
         raise CliSpecError(f"bad --seeds spec {spec!r}, expected LO..HI or A,B") from None
+    if not seeds:
+        raise CliSpecError(f"--seeds {spec!r} names no seed")
+    return seeds
 
 
 def verify_structures(args) -> list[tuple[str, BipartiteStructure]]:
@@ -429,8 +440,15 @@ def _add_type_args(sub) -> None:
     sub.add_argument("--lits", help="explicit literals, e.g. 3=1,7=0")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """Usage errors exit 4: argparse's 2 is the parse error code here."""
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_SPEC, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="philab",
         description="finite laboratory for partitioned-formula types",
     )

@@ -17,13 +17,22 @@ finite reading, and finite k (every k-entry sub-table matched by some base
 parameter, possibly a different one each time) is exposed as an
 experimentation knob.  Finite k is decided as a minimum cover (see
 finitely_satisfiable_in), never by enumerating k-entry sub-tables.
+
+Tables are compared by signature.  Entry (zs, t, s) is true iff some row
+with sign t at c has trace s on zs, so the table over D and the projections
+of those rows onto the r-subsets of D, r = min(arity, |D|), determine each
+other.  The signature, the table on strictly increasing r-tuples, has
+C(|D|, r) * 2^(r+1) entries, and two tables are equal iff their signatures
+are, except over D empty at arity >= 1: all tables are empty there, so the
+signature is the constant 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Iterable, Optional
+from itertools import combinations, product
+from math import comb
+from typing import Iterable
 
 from .cover import least_cover
 from .errors import ArityMismatchError, ResourceLimitError
@@ -66,13 +75,6 @@ class DeltaType:
     def __len__(self) -> int:
         return len(self.table)
 
-    def same_table(self, other: "DeltaType") -> bool:
-        return (
-            self.domain == other.domain
-            and self.arity == other.arity
-            and self.table == other.table
-        )
-
 
 def delta_eval(
     struct: BipartiteStructure,
@@ -95,19 +97,10 @@ def delta_eval(
     return mask != 0
 
 
-def _entries(domain: tuple[int, ...], arity: int) -> Iterable[Entry]:
-    # canonical fill order: z-tuples, then t, then s
-    for zs in product(domain, repeat=arity):
-        for t in (0, 1):
-            for s in product((0, 1), repeat=arity):
-                yield zs, t, s
-
-
-def _guard_table(domain: tuple[int, ...], arity: int, limit: int) -> None:
-    size = len(domain) ** arity * 2 ** (arity + 1)
+def _guard(what: str, size: int, limit: int) -> None:
     if size > limit:
         raise ResourceLimitError(
-            f"delta table would have {size} entries, over the limit {limit}"
+            f"delta {what} would have {size} entries, over the limit {limit}"
         )
 
 
@@ -118,29 +111,50 @@ def delta_type(
     domain: Iterable[int],
     limit: int = DEFAULT_TABLE_LIMIT,
 ) -> DeltaType:
-    """Full table of the subject c over the domain (sorted canonically)."""
-    struct.check_parameter(c)
+    """Full table of the subject c over the domain (sorted canonically),
+    filled in canonical order: z-tuples, then t, then s."""
     dom = tuple(sorted(set(domain)))
-    for b in dom:
+    for b in (c, *dom):
         struct.check_parameter(b)
-    _guard_table(dom, family.arity, limit)
+    n = family.arity
+    _guard("table", len(dom) ** n * 2 ** (n + 1), limit)
     table = {
-        entry: delta_eval(struct, family, c, *entry)
-        for entry in _entries(dom, family.arity)
+        (zs, t, s): delta_eval(struct, family, c, zs, t, s)
+        for zs in product(dom, repeat=n)
+        for t in (0, 1)
+        for s in product((0, 1), repeat=n)
     }
-    return DeltaType(c, dom, family.arity, table)
+    return DeltaType(c, dom, n, table)
 
 
-@dataclass(frozen=True)
-class DeltaComparison:
-    """Result of comparing two subjects' tables over one domain; truthy iff
-    equal, else `witness` is the first disagreeing entry in canonical order."""
-
-    equal: bool
-    witness: Optional[Entry] = None
-
-    def __bool__(self) -> bool:
-        return self.equal
+def _signature(
+    struct: BipartiteStructure,
+    family: DeltaFamily,
+    c: int,
+    domain: tuple[int, ...],
+    limit: int = DEFAULT_TABLE_LIMIT,
+) -> int:
+    """c's signature over a sorted domain of checked parameters (see the
+    module docstring), packed as an int in canonical fill order and
+    memoized per structure."""
+    if family.arity and not domain:
+        return 0
+    key = ("signature", family.arity, c, domain)
+    sig = struct._memo.get(key)
+    if sig is None:
+        r = min(family.arity, len(domain))
+        _guard("signature", comb(len(domain), r) * 2 ** (r + 1), limit)
+        lits = {b: (struct.literal_mask(b, 0), struct.literal_mask(b, 1))
+                for b in (c, *domain)}
+        bits = []
+        for zs in combinations(domain, r):
+            for level in lits[c]:
+                level = [level]
+                for z in zs:
+                    level = [mask & lit for mask in level for lit in lits[z]]
+                bits.extend("1" if mask else "0" for mask in level)
+        sig = struct._memo[key] = int("".join(bits), 2)
+    return sig
 
 
 def delta_equal(
@@ -150,21 +164,14 @@ def delta_equal(
     c1: int,
     domain: Iterable[int],
     limit: int = DEFAULT_TABLE_LIMIT,
-) -> DeltaComparison:
-    """Table equality of two subjects, short-circuiting on the first
-    disagreement rather than materializing both tables."""
-    struct.check_parameter(c0)
-    struct.check_parameter(c1)
+) -> bool:
+    """Table equality of two subjects over the domain, decided on their
+    signatures; the limit guards the signature size."""
     dom = tuple(sorted(set(domain)))
-    for b in dom:
+    for b in (c0, c1, *dom):
         struct.check_parameter(b)
-    _guard_table(dom, family.arity, limit)
-    for entry in _entries(dom, family.arity):
-        if delta_eval(struct, family, c0, *entry) != delta_eval(
-            struct, family, c1, *entry
-        ):
-            return DeltaComparison(False, entry)
-    return DeltaComparison(True)
+    sig0 = _signature(struct, family, c0, dom, limit)
+    return sig0 == _signature(struct, family, c1, dom, limit)
 
 
 def cached_delta_type(
@@ -177,15 +184,10 @@ def cached_delta_type(
     """delta_type with a per-structure memo; structures are immutable so a
     table never goes stale.  Worst case under races is a recompute."""
     dom = tuple(sorted(set(domain)))
-    cache = getattr(struct, "_delta_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(struct, "_delta_cache", cache)
-    key = (family.arity, c, dom)
-    hit = cache.get(key)
+    key = ("delta_type", family.arity, c, dom)
+    hit = struct._memo.get(key)
     if hit is None:
-        hit = delta_type(struct, family, c, dom, limit)
-        cache[key] = hit
+        hit = struct._memo[key] = delta_type(struct, family, c, dom, limit)
     return hit
 
 
@@ -198,7 +200,8 @@ def finitely_satisfiable_in(
 ) -> bool:
     """Whether dt is matched inside the base parameter set.
 
-    k=ALL: some base parameter's whole table equals dt's.  Finite k: every
+    k=ALL: some base parameter's whole table equals dt's, decided on
+    signatures, so dt must be the table of dt.subject.  Finite k: every
     k-entry subset of dt's table (equivalently every smaller one) is matched
     by some base parameter on those entries.  An empty base set satisfies
     nothing: there is no witness parameter.
@@ -220,10 +223,8 @@ def finitely_satisfiable_in(
     if not isinstance(k, _AllSentinel) and k < 1:
         raise ValueError("k must be >= 1 or ALL")
     if isinstance(k, _AllSentinel) or k >= len(base):
-        return any(
-            cached_delta_type(struct, family, b, dt.domain, limit).same_table(dt)
-            for b in base
-        )
+        sig = _signature(struct, family, dt.subject, dt.domain, limit)
+        return any(_signature(struct, family, b, dt.domain, limit) == sig for b in base)
     tables = [cached_delta_type(struct, family, b, dt.domain, limit) for b in base]
     disagree = [
         sum(1 << j for j, other in enumerate(tables) if other.table[entry] != value)

@@ -29,9 +29,9 @@ from typing import Callable, Iterable, Optional
 
 from .delta import (
     ALL,
-    DeltaComparison,
     DeltaFamily,
     _AllSentinel,
+    _signature,
     cached_delta_type,
     finitely_satisfiable_in,
 )
@@ -98,8 +98,8 @@ def is_good_configuration(
     """Check the three clauses; on failure report the first violated one.
 
     Clause (iii) is scanned over all sign selections s and pair indices j;
-    the delta comparisons are memoized per domain since distinct (s, j)
-    combinations repeat domains.
+    distinct (s, j) combinations repeat domains, and the delta signatures
+    they compare are memoized per structure.
     """
     if isinstance(candidate, GoodConfiguration):
         pairs = candidate.pairs
@@ -130,19 +130,12 @@ def is_good_configuration(
         return ConfigCheck(False, "ii", None)
 
     base = struct.base_set
-    memo: dict[tuple[int, int, tuple[int, ...]], DeltaComparison] = {}
     for s in product((0, 1), repeat=k):
         for j in range(k):
             domain = tuple(
                 sorted(base | {pairs[i][s[i]] for i in range(k) if i != j})
             )
-            c0, c1 = pairs[j]
-            key = (c0, c1, domain)
-            cmp = memo.get(key)
-            if cmp is None:
-                cmp = delta_equal_over(struct, family, c0, c1, domain)
-                memo[key] = cmp
-            if not cmp:
+            if not delta_equal_over(struct, family, *pairs[j], domain):
                 return ConfigCheck(False, "iii", (j, s))
     return ConfigCheck(True)
 
@@ -153,17 +146,10 @@ def delta_equal_over(
     c0: int,
     c1: int,
     domain: tuple[int, ...],
-) -> DeltaComparison:
-    """Table equality via the per-structure delta cache (both tables end up
-    memoized, which pays off across the checker's repeated domains)."""
-    t0 = cached_delta_type(struct, family, c0, domain)
-    t1 = cached_delta_type(struct, family, c1, domain)
-    if t0.table == t1.table:
-        return DeltaComparison(True)
-    for entry, value in t0.table.items():
-        if t1.table[entry] != value:
-            return DeltaComparison(False, entry)
-    raise AssertionError("tables differ but no entry disagrees")
+) -> bool:
+    """delta_equal without input checks, for a sorted domain of known
+    parameters: compares the memoized signatures."""
+    return _signature(struct, family, c0, domain) == _signature(struct, family, c1, domain)
 
 
 def find_extension_pair(
@@ -233,7 +219,8 @@ def build_maximal(
     every pair list over theta (prefix-pruned, which loses nothing since
     prefixes of good configurations are good) and returns the maximum-size
     configuration, lexicographically least among ties.  Exhaustive exists as
-    an oracle for greedy and is guarded by theta_limit.
+    an oracle for greedy, is guarded by theta_limit, and takes no extension
+    steps, so it accepts k_sat=ALL only.
     """
     if not struct.is_consistent(p):
         raise PreconditionError("base type must be consistent")
@@ -251,6 +238,8 @@ def build_maximal(
             config = config.extended(pair)
     if strategy != "exhaustive":
         raise ValueError(f"unknown strategy {strategy!r}")
+    if not isinstance(k_sat, _AllSentinel):
+        raise PreconditionError("exhaustive search takes k_sat=ALL only")
 
     theta = struct.theta_members()
     if len(theta) > theta_limit:

@@ -60,16 +60,6 @@ class PhiType:
     def domain(self) -> tuple[int, ...]:
         return tuple(param for param, _ in self.items)
 
-    def sign(self, param: int) -> int:
-        for p, s in self.items:
-            if p == param:
-                return s
-        raise KeyError(param)
-
-    def restrict(self, params: Iterable[int]) -> "PhiType":
-        keep = set(params)
-        return PhiType(tuple((p, s) for p, s in self.items if p in keep))
-
     def union(self, other: "PhiType") -> "PhiType":
         """Combine literal sets; raises LiteralClashError on a sign conflict."""
         return PhiType(self.items + other.items)
@@ -108,6 +98,9 @@ class BipartiteStructure:
     base_set: frozenset[int]
     theta_set: frozenset[int]
     meta: Optional[Mapping] = field(default=None, compare=False, repr=False, hash=False)
+    #: per-structure memo of derived values (dimension, delta signatures and
+    #: tables); sound because the structure is immutable
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.truth:

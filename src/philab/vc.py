@@ -88,9 +88,7 @@ def independence_dimension(
 
 
 def cached_dimension(struct: BipartiteStructure) -> int:
-    """Uncapped dimension with a per-structure memo (structures are immutable)."""
-    value = getattr(struct, "_id_cache", None)
-    if value is None:
-        value = independence_dimension(struct).id_value
-        object.__setattr__(struct, "_id_cache", value)
-    return value
+    """Uncapped dimension, memoized per structure."""
+    if "independence_dimension" not in struct._memo:
+        struct._memo["independence_dimension"] = independence_dimension(struct).id_value
+    return struct._memo["independence_dimension"]

@@ -184,6 +184,51 @@ class TestExitCodes:
         assert code == 4
         assert err.startswith("bad spec:")
 
+    @pytest.mark.parametrize("argv", [
+        ["isolate", "--gen", "shattered:2", "--of", "abc"],
+        ["frob"],
+        [],
+        ["config", "--gen", "shattered:2", "--of", "0", "--strategy", "bogus"],
+    ])
+    def test_usage_error_exits_4(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 4
+        assert "usage: philab" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: philab" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("target", ["missing/x.phi", "."])
+    def test_unwritable_output_exits_4(self, capsys, tmp_path, target):
+        code, _, err = run(capsys, "gen", "--gen", "shattered:2",
+                           "-o", str(tmp_path / target))
+        assert code == 4
+        assert err.startswith("bad spec:")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "bound", "--gen", "random", "--seeds", ","],
+        ["verify", "--suite", "bound", "--gen", "random", "--seeds", "5..1"],
+        ["types", "--gen", "shattered:2", "--over", "0,0"],
+        ["isolate", "--gen", "shattered:2", "--of", "0", "--over", "1,1"],
+        ["config", "--gen", "shattered:2", "--of", "0", "--strategy", "exhaustive",
+         "--k-sat", "1"],
+    ])
+    def test_vacuous_or_ignored_input_exits_4(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 4 and out == ""
+        assert err.startswith("bad spec:")
+
+    def test_exhaustive_accepts_k_sat_all(self, capsys):
+        argv = ["config", "--gen", "shattered:2", "--of", "0", "--over", "ALL",
+                "--strategy", "exhaustive", "--format", "json"]
+        code, default, _ = run(capsys, *argv)
+        assert code == 0
+        assert run(capsys, *argv, "--k-sat", "all") == (0, default, "")
+
     def test_single_prefix_accepted(self, capsys):
         code, out, _ = run(capsys, "define", "--gen", "shattered:2",
                            "--lits", "b0=1,y1=0", "--format", "json")

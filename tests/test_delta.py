@@ -85,13 +85,41 @@ class TestDeltaEqual:
     def test_s1_arity_zero_equal(self, s1):
         assert pl.delta_equal(s1, DeltaFamily(0), 0, 1, [])
 
-    def test_disagreement_reports_witness(self, s2):
-        cmp = pl.delta_equal(s2, DeltaFamily(1), 0, 3, range(4))
-        assert not cmp
-        zs, t, s = cmp.witness
-        assert pl.delta_eval(s2, DeltaFamily(1), 0, zs, t, s) != pl.delta_eval(
-            s2, DeltaFamily(1), 3, zs, t, s
-        )
+    def test_disagreement_matches_tables(self, s2):
+        assert not pl.delta_equal(s2, DeltaFamily(1), 0, 3, range(4))
+        t0 = pl.delta_type(s2, DeltaFamily(1), 0, range(4))
+        t3 = pl.delta_type(s2, DeltaFamily(1), 3, range(4))
+        assert t0.table != t3.table
+
+    def test_guard_counts_signature_entries(self, s1):
+        # arity 2 over two columns: 32 table entries, 8 signature entries
+        fam = DeltaFamily(2)
+        with pytest.raises(pl.ResourceLimitError):
+            pl.delta_type(s1, fam, 0, [0, 1], limit=10)
+        assert pl.delta_equal(s1, fam, 0, 0, [0, 1], limit=10)
+        with pytest.raises(pl.ResourceLimitError):
+            pl.delta_equal(s1, fam, 0, 1, [0, 1], limit=7)
+
+    def test_empty_domain_positive_arity_all_equal(self):
+        # columns 0 and 1 differ in which signs occur, yet over the empty
+        # domain every table is empty
+        s = pl.BipartiteStructure(((1, 0), (1, 1)), frozenset(), frozenset({0, 1}))
+        assert not pl.delta_equal(s, DeltaFamily(0), 0, 1, [])
+        for arity in (1, 2, 3):
+            assert pl.delta_equal(s, DeltaFamily(arity), 0, 1, [])
+
+    def test_parity_separated_only_at_full_arity(self):
+        # every z-pattern twice; column 3 is the parity of the pattern, column
+        # 4 is 1 on one copy and 0 on the other: both subjects' rows meet
+        # every sign pair on two z's, but only column 4 meets every triple
+        rows = tuple((*zs, sum(zs) % 2, copy)
+                     for copy in (0, 1) for zs in product((0, 1), repeat=3))
+        s = pl.BipartiteStructure(rows, frozenset(), frozenset(range(5)))
+        for arity, equal in ((2, True), (3, False), (4, False)):
+            fam = DeltaFamily(arity)
+            assert pl.delta_equal(s, fam, 3, 4, range(3)) == equal
+            tables = [pl.delta_type(s, fam, c, range(3)).table for c in (3, 4)]
+            assert (tables[0] == tables[1]) == equal
 
     def test_equivalence_relation(self, corpus):
         for _, s in corpus[:2]:

@@ -95,6 +95,35 @@ def test_delta_monotone_refinement(s):
                 assert pl.delta_equal(s, fam, c0, c1, small)
 
 
+def all_domains(s):
+    return [d for size in range(s.n + 1) for d in combinations(range(s.n), size)]
+
+
+@given(structures(max_n=4), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_delta_equal_is_table_equality(s, arity):
+    # signature equality against the full tables, on every domain (empty too)
+    fam = DeltaFamily(arity)
+    for dom in all_domains(s):
+        tables = [pl.delta_type(s, fam, c, dom).table for c in range(s.n)]
+        for c0 in range(s.n):
+            for c1 in range(s.n):
+                expected = tables[c0] == tables[c1]
+                assert pl.delta_equal(s, fam, c0, c1, dom) == expected
+
+
+@given(structures(min_n=1, max_n=4), st.integers(0, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_fin_sat_all_is_a_table_scan(s, arity, data):
+    fam = DeltaFamily(arity)
+    base = data.draw(st.lists(st.sampled_from(range(s.n)), min_size=1, unique=True))
+    for dom in all_domains(s):
+        tables = [pl.delta_type(s, fam, c, dom) for c in range(s.n)]
+        for dt in tables:
+            expected = any(tables[b].table == dt.table for b in base)
+            assert pl.finitely_satisfiable_in(s, dt, base, ALL) == expected
+
+
 @given(structures(max_n=4))
 @settings(max_examples=30)
 def test_fin_sat_all_implies_finite_k(s):

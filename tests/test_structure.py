@@ -157,3 +157,9 @@ class TestCoreOps:
         s = pl.BipartiteStructure(((),), frozenset(), frozenset())
         assert s.n == 0
         assert pl.independence_dimension(s).id_value == 0
+
+    def test_memo_leaves_equality_hash_and_repr(self, s1):
+        fresh = pl.parse_structure(S1_TEXT)
+        assert pl.vc.cached_dimension(s1) == 2
+        assert s1._memo and not fresh._memo
+        assert s1 == fresh and hash(s1) == hash(fresh) and repr(s1) == repr(fresh)
