@@ -2,10 +2,10 @@
 """What a parameter tuple must satisfy to replace a configuration.
 
 The q-type of a maximal good configuration records membership, joint
-realizability with the base type's conjunctions, and the full delta-table
-schema of the components over the base parameters and each other (the
-components appear as re-substitutable slots, so the schema pins down the
-candidates' mutual relations too).  Any tuple realizing all three parts
+realizability with the base type's conjunctions, and one delta signature
+per component over the tuple of base parameters followed by all components
+(the components are re-substitutable positions, so the signatures pin down
+the candidates' mutual relations too).  Any tuple realizing all three parts
 yields a type that isolates at most as hard as the original: certificate
 sizes never grow across realizers of q.
 """
@@ -33,7 +33,8 @@ q = pl.q_type(s, config)
 print("\nq-type parts:")
 print("  components constrained to theta:", q.component_count)
 print("  sampled conjunctions:", len(q.q_double_prime))
-print("  delta schema entries:", len(q.q_triple_prime))
+print("  delta signatures, one per component:", len(q.q_triple_prime))
+print("  positions each signature ranges over:", len(s.base_members()) + q.component_count)
 
 report = q_harness(s, config, pl.EMPTY_TYPE)
 print(f"\nharness over theta^{q.component_count}:"

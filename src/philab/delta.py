@@ -25,6 +25,13 @@ other.  The signature, the table on strictly increasing r-tuples, has
 C(|D|, r) * 2^(r+1) entries, and two tables are equal iff their signatures
 are, except over D empty at arity >= 1: all tables are empty there, so the
 signature is the constant 0.
+
+The argument holds just as well for D read as a tuple of positions, repeats
+kept; the q-type compares candidate tuples this way, one signature per
+component over the base parameters followed by the components.  One private
+routine, _pack, fills every table: signatures, full tables and the q-type's
+signatures differ only in the z-tuples they pass.  delta_eval is the
+one-entry reference.
 """
 
 from __future__ import annotations
@@ -97,11 +104,24 @@ def delta_eval(
     return mask != 0
 
 
-def _guard(what: str, size: int, limit: int) -> None:
-    if size > limit:
+def _pack(struct: BipartiteStructure, c: int, cols: tuple[int, ...],
+          ztuples: Iterable[tuple[int, ...]], entries: int, limit: int) -> int:
+    """c's table over z-tuples drawn from checked cols, packed as an int in
+    canonical order (z-tuples as given, then t, then s; first entry in the
+    highest bit) once its entry count passes the guard."""
+    if entries > limit:
         raise ResourceLimitError(
-            f"delta {what} would have {size} entries, over the limit {limit}"
+            f"delta table would have {entries} entries, over the limit {limit}"
         )
+    lits = {b: (struct.literal_mask(b, 0), struct.literal_mask(b, 1)) for b in (c, *cols)}
+    bits = []
+    for zs in ztuples:
+        for level in lits[c]:
+            level = [level]
+            for z in zs:
+                level = [mask & lit for mask in level for lit in lits[z]]
+            bits.extend("1" if mask else "0" for mask in level)
+    return int("".join(bits) or "0", 2)
 
 
 def delta_type(
@@ -112,48 +132,36 @@ def delta_type(
     limit: int = DEFAULT_TABLE_LIMIT,
 ) -> DeltaType:
     """Full table of the subject c over the domain (sorted canonically),
-    filled in canonical order: z-tuples, then t, then s."""
+    keyed in canonical order: z-tuples, then t, then s."""
     dom = tuple(sorted(set(domain)))
     for b in (c, *dom):
         struct.check_parameter(b)
     n = family.arity
-    _guard("table", len(dom) ** n * 2 ** (n + 1), limit)
-    table = {
-        (zs, t, s): delta_eval(struct, family, c, zs, t, s)
-        for zs in product(dom, repeat=n)
-        for t in (0, 1)
-        for s in product((0, 1), repeat=n)
-    }
-    return DeltaType(c, dom, n, table)
+    size = len(dom) ** n * 2 ** (n + 1)
+    bits = format(_pack(struct, c, dom, product(dom, repeat=n), size, limit), f"0{size}b")
+    keys = ((zs, t, s) for zs in product(dom, repeat=n)
+            for t in (0, 1) for s in product((0, 1), repeat=n))
+    return DeltaType(c, dom, n, {key: bit == "1" for key, bit in zip(keys, bits)})
 
 
-def _signature(
-    struct: BipartiteStructure,
-    family: DeltaFamily,
-    c: int,
-    domain: tuple[int, ...],
-    limit: int = DEFAULT_TABLE_LIMIT,
-) -> int:
-    """c's signature over a sorted domain of checked parameters (see the
-    module docstring), packed as an int in canonical fill order and
-    memoized per structure."""
-    if family.arity and not domain:
+def _positional_signature(struct: BipartiteStructure, family: DeltaFamily, c: int,
+                          cols: tuple[int, ...], limit: int = DEFAULT_TABLE_LIMIT) -> int:
+    """c's signature over a tuple of checked parameters read position by
+    position, repeats kept (see the module docstring); not memoized."""
+    if family.arity and not cols:
         return 0
+    r = min(family.arity, len(cols))
+    entries = comb(len(cols), r) * 2 ** (r + 1)
+    return _pack(struct, c, cols, combinations(cols, r), entries, limit)
+
+
+def _signature(struct: BipartiteStructure, family: DeltaFamily, c: int,
+               domain: tuple[int, ...], limit: int = DEFAULT_TABLE_LIMIT) -> int:
+    """c's signature over a sorted domain, memoized per structure."""
     key = ("signature", family.arity, c, domain)
     sig = struct._memo.get(key)
     if sig is None:
-        r = min(family.arity, len(domain))
-        _guard("signature", comb(len(domain), r) * 2 ** (r + 1), limit)
-        lits = {b: (struct.literal_mask(b, 0), struct.literal_mask(b, 1))
-                for b in (c, *domain)}
-        bits = []
-        for zs in combinations(domain, r):
-            for level in lits[c]:
-                level = [level]
-                for z in zs:
-                    level = [mask & lit for mask in level for lit in lits[z]]
-                bits.extend("1" if mask else "0" for mask in level)
-        sig = struct._memo[key] = int("".join(bits), 2)
+        sig = struct._memo[key] = _positional_signature(struct, family, c, domain, limit)
     return sig
 
 
@@ -193,42 +201,45 @@ def cached_delta_type(
 
 def finitely_satisfiable_in(
     struct: BipartiteStructure,
-    dt: DeltaType,
+    family: DeltaFamily,
+    c: int,
+    domain: Iterable[int],
     base: Iterable[int],
     k: int | _AllSentinel = ALL,
     limit: int = DEFAULT_TABLE_LIMIT,
 ) -> bool:
-    """Whether dt is matched inside the base parameter set.
+    """Whether c's table over the domain is matched inside the base set.
 
-    k=ALL: some base parameter's whole table equals dt's, decided on
-    signatures, so dt must be the table of dt.subject.  Finite k: every
-    k-entry subset of dt's table (equivalently every smaller one) is matched
-    by some base parameter on those entries.  An empty base set satisfies
-    nothing: there is no witness parameter.
+    k=ALL: some base parameter's whole table equals c's, decided on
+    signatures without building a table.  Finite k: every k-entry subset of
+    c's table (equivalently every smaller one) is matched by some base
+    parameter on those entries.  An empty base set satisfies nothing: there
+    is no witness parameter.
 
-    Finite k is a minimum-cover question.  Give each entry the set of base
-    parameters whose table disagrees with dt there; an entry subset is
-    unmatched iff those sets cover the whole base.  So k holds iff no cover
-    has at most min(k, |table|) entries.  One disagreeing entry per base
-    parameter already covers, so for k >= |base| the answer is the ALL
-    answer.  The cover search raises ResourceLimitError past its default
-    candidate limit.
+    Finite k is a minimum-cover question over the memoized full tables.
+    Give each entry the set of base parameters whose table disagrees with
+    c's there; an entry subset is unmatched iff those sets cover the whole
+    base.  So k holds iff no cover has at most min(k, |table|) entries.  One
+    disagreeing entry per base parameter already covers, so for k >= |base|
+    the answer is the ALL answer.  The cover search raises
+    ResourceLimitError past its default candidate limit.
     """
-    family = DeltaFamily(dt.arity)
+    dom = tuple(sorted(set(domain)))
     base = tuple(sorted(set(base)))
-    for b in base:
+    for b in (c, *dom, *base):
         struct.check_parameter(b)
     if not base:
         return False
     if not isinstance(k, _AllSentinel) and k < 1:
         raise ValueError("k must be >= 1 or ALL")
     if isinstance(k, _AllSentinel) or k >= len(base):
-        sig = _signature(struct, family, dt.subject, dt.domain, limit)
-        return any(_signature(struct, family, b, dt.domain, limit) == sig for b in base)
-    tables = [cached_delta_type(struct, family, b, dt.domain, limit) for b in base]
+        sig = _signature(struct, family, c, dom, limit)
+        return any(_signature(struct, family, b, dom, limit) == sig for b in base)
+    table = cached_delta_type(struct, family, c, dom, limit).table
+    others = [cached_delta_type(struct, family, b, dom, limit).table for b in base]
     disagree = [
-        sum(1 << j for j, other in enumerate(tables) if other.table[entry] != value)
-        for entry, value in dt.table.items()
+        sum(1 << j for j, other in enumerate(others) if other[entry] != value)
+        for entry, value in table.items()
     ]
     size = min(k, len(disagree))
     return least_cover(disagree, (1 << len(base)) - 1, size) is None

@@ -32,7 +32,6 @@ from .delta import (
     DeltaFamily,
     _AllSentinel,
     _signature,
-    cached_delta_type,
     finitely_satisfiable_in,
 )
 from .errors import LiteralClashError, PreconditionError, ResourceLimitError
@@ -112,9 +111,10 @@ def is_good_configuration(
     if family is None:
         family = DeltaFamily(cached_dimension(struct))
     k = len(pairs)
-    if 2**k * max(k, 1) > limit:
+    comparisons = 2**k * max(k, 1)
+    if comparisons > limit:
         raise ResourceLimitError(
-            f"clause (iii) needs {2 ** k * k} comparisons, over the limit {limit}"
+            f"clause (iii) needs {comparisons} comparisons, over the limit {limit}"
         )
 
     for j, pair in enumerate(pairs):
@@ -187,7 +187,6 @@ def find_extension_pair(
         mask0 = p_c_mask & struct.literal_mask(d0, 0)
         if not mask0:
             continue
-        dt0 = None
         for d1 in theta:
             if d1 == d0:
                 continue
@@ -195,9 +194,7 @@ def find_extension_pair(
                 continue  # (ii)
             if not delta_equal_over(struct, family, d0, d1, domain):
                 continue  # (iii)
-            if dt0 is None:
-                dt0 = cached_delta_type(struct, family, d0, domain)
-            if not finitely_satisfiable_in(struct, dt0, base, k_sat):
+            if not finitely_satisfiable_in(struct, family, d0, domain, base, k_sat):
                 break  # (iv) depends on d0 only
             if is_good_configuration(struct, config.extended((d0, d1)), family=family):
                 return (d0, d1)

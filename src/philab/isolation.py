@@ -28,11 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, product
-from operator import or_
-from typing import Optional
+from operator import eq, or_
+from typing import Iterator, Optional
 
 from .cover import DEFAULT_COVER_LIMIT, greedy_cover, least_cover
-from .delta import ALL, DEFAULT_TABLE_LIMIT, DeltaFamily, _AllSentinel, delta_eval
+from .delta import ALL, DeltaFamily, _AllSentinel, _positional_signature
 from .errors import (
     ArityMismatchError,
     InvariantError,
@@ -309,22 +309,19 @@ def embed_trace(
 
 # -- the parameter-tuple type behind a configuration -------------------------
 
-Token = tuple[str, int]  # ("p", base param) | ("c", component index)
-SchemaEntry = tuple[int, tuple[Token, ...], int, tuple[int, ...]]
-
-
 @dataclass(frozen=True)
 class QType:
     """What a parameter tuple must satisfy to stand in for a configuration.
 
     q_prime: every component lies in theta.  q_double_prime: each sampled
     sub-conjunction of p is jointly realizable with the candidate's signed
-    component literals.  q_triple_prime: each component's delta-table over
-    the base parameters and the other components (components appear as
-    re-substitutable slots, so the table constrains the candidate's mutual
-    relations, not just its relations to the base) matches the generating
-    tuple's.  The generating tuple itself satisfies all three parts by
-    construction, which is checked when the type is built.
+    component literals.  q_triple_prime: one delta signature per component,
+    over the positional tuple of the base parameters followed by all the
+    components (components are re-substitutable positions, so the signature
+    constrains the candidate's mutual relations, not just its relations to
+    the base); a candidate's signatures over its own tuple must match the
+    generating tuple's.  The generating tuple itself satisfies all three
+    parts by construction, which is checked when the type is built.
     """
 
     struct: BipartiteStructure
@@ -333,7 +330,7 @@ class QType:
     generating: tuple[int, ...]
     base_type: PhiType
     q_double_prime: tuple[PhiType, ...]
-    q_triple_prime: tuple[tuple[SchemaEntry, bool], ...]
+    q_triple_prime: tuple[int, ...]
 
     @property
     def component_count(self) -> int:
@@ -343,6 +340,14 @@ class QType:
 def _component_literals(components: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     # component order (c_{0,0}, c_{0,1}, c_{1,0}, ...): sign = index parity
     return tuple((c, j % 2) for j, c in enumerate(components))
+
+
+def _component_signatures(struct: BipartiteStructure, family: DeltaFamily,
+                          components: tuple[int, ...]) -> Iterator[int]:
+    """Each component's delta signature over the base parameters followed by
+    the components, position by position; lazy and unmemoized."""
+    params = (*struct.base_members(), *components)
+    return (_positional_signature(struct, family, c, params) for c in components)
 
 
 def _sampled_conjunctions(p: PhiType, sample: int | _AllSentinel) -> tuple[PhiType, ...]:
@@ -381,27 +386,6 @@ def q_type(
     if family is None:
         family = DeltaFamily(cached_dimension(struct))
     components = config.components
-    tokens: tuple[Token, ...] = tuple(
-        [("p", b) for b in struct.base_members()]
-        + [("c", j) for j in range(len(components))]
-    )
-    entries = len(components) * len(tokens) ** family.arity * 2 ** (family.arity + 1)
-    if entries > DEFAULT_TABLE_LIMIT:
-        raise ResourceLimitError(
-            f"delta schema would have {entries} entries, over {DEFAULT_TABLE_LIMIT}"
-        )
-
-    schema: list[tuple[SchemaEntry, bool]] = []
-    for j, subject in enumerate(components):
-        for zs in product(tokens, repeat=family.arity):
-            resolved = tuple(
-                idx if kind == "p" else components[idx] for kind, idx in zs
-            )
-            for t in (0, 1):
-                for s in product((0, 1), repeat=family.arity):
-                    value = delta_eval(struct, family, subject, resolved, t, s)
-                    schema.append(((j, zs, t, s), value))
-
     q = QType(
         struct=struct,
         family=family,
@@ -409,7 +393,7 @@ def q_type(
         generating=components,
         base_type=p,
         q_double_prime=_sampled_conjunctions(p, sample),
-        q_triple_prime=tuple(schema),
+        q_triple_prime=tuple(_component_signatures(struct, family, components)),
     )
     if not check_q_realizer(struct, q, components):
         raise InvariantError("generating tuple fails its own type")
@@ -421,7 +405,8 @@ def check_q_realizer(
 ) -> bool:
     """Decide candidate |= q.  Membership first, then joint realizability of
     the sampled conjunctions with the candidate's signed literals, then the
-    delta schema with candidate components substituted into the slots."""
+    delta signatures with candidate components substituted into the
+    positions, computed unmemoized and one component at a time."""
     if len(candidate) != q.component_count:
         raise ArityMismatchError(
             f"expected {q.component_count} components, got {len(candidate)}"
@@ -438,11 +423,8 @@ def check_q_realizer(
             return False
         if not struct.is_consistent(combined):
             return False
-    for (j, zs, t, s), value in q.q_triple_prime:
-        resolved = tuple(idx if kind == "p" else candidate[idx] for kind, idx in zs)
-        if delta_eval(struct, q.family, candidate[j], resolved, t, s) != value:
-            return False
-    return True
+    signatures = _component_signatures(struct, q.family, candidate)
+    return all(map(eq, signatures, q.q_triple_prime))
 
 
 @dataclass(frozen=True)

@@ -154,14 +154,14 @@ class TestDeltaEqual:
 class TestFinitelySatisfiable:
     def test_base_member_trivially_satisfiable(self, s2):
         fam = DeltaFamily(1)
-        dt = pl.delta_type(s2, fam, 0, s2.base_members())
+        base = s2.base_members()
         for k in (1, 2, ALL):
-            assert pl.finitely_satisfiable_in(s2, dt, s2.base_members(), k)
+            assert pl.finitely_satisfiable_in(s2, fam, 0, base, base, k)
 
     def test_empty_base_false(self, s1):
-        dt = pl.delta_type(s1, DeltaFamily(1), 0, [0, 1])
-        assert not pl.finitely_satisfiable_in(s1, dt, [], ALL)
-        assert not pl.finitely_satisfiable_in(s1, dt, [], 1)
+        fam = DeltaFamily(1)
+        assert not pl.finitely_satisfiable_in(s1, fam, 0, [0, 1], [], ALL)
+        assert not pl.finitely_satisfiable_in(s1, fam, 0, [0, 1], [], 1)
 
     def test_k_one_and_all_separate(self):
         # frozen from a randomized search: every single entry of column 4's
@@ -174,10 +174,10 @@ class TestFinitelySatisfiable:
             (1, 1, 1, 0, 0),
         )
         s = pl.BipartiteStructure(rows, frozenset(range(4)), frozenset(range(5)))
-        dt = pl.delta_type(s, DeltaFamily(1), 4, range(5))
+        fam = DeltaFamily(1)
         base = range(4)
-        assert pl.finitely_satisfiable_in(s, dt, base, 1)
-        assert not pl.finitely_satisfiable_in(s, dt, base, ALL)
+        assert pl.finitely_satisfiable_in(s, fam, 4, range(5), base, 1)
+        assert not pl.finitely_satisfiable_in(s, fam, 4, range(5), base, ALL)
 
     def test_all_implies_every_finite_k(self, corpus):
         for _, s in corpus[:2]:
@@ -186,10 +186,9 @@ class TestFinitelySatisfiable:
             if not base:
                 continue
             for c in range(s.n):
-                dt = pl.delta_type(s, fam, c, base)
-                if pl.finitely_satisfiable_in(s, dt, base, ALL):
+                if pl.finitely_satisfiable_in(s, fam, c, base, base, ALL):
                     for k in (1, 2, 3):
-                        assert pl.finitely_satisfiable_in(s, dt, base, k)
+                        assert pl.finitely_satisfiable_in(s, fam, c, base, base, k)
 
     def test_cover_search_guard(self):
         # Rows: all-zero; R_j = {b_j} + {d_i : i != j}; Z_j = {b_j}; the
@@ -214,12 +213,11 @@ class TestFinitelySatisfiable:
             assert [e for e in dt.table if dt.table[e] != other.table[e]] == [
                 ((d[j],), 1, (1,))
             ]
-        assert pl.finitely_satisfiable_in(s, dt, b, 3)
-        assert not pl.finitely_satisfiable_in(s, dt, b, n)
+        assert pl.finitely_satisfiable_in(s, DeltaFamily(1), c, d, b, 3)
+        assert not pl.finitely_satisfiable_in(s, DeltaFamily(1), c, d, b, n)
         with pytest.raises(pl.ResourceLimitError):
-            pl.finitely_satisfiable_in(s, dt, b, n - 1)
+            pl.finitely_satisfiable_in(s, DeltaFamily(1), c, d, b, n - 1)
 
     def test_bad_k_rejected(self, s1):
-        dt = pl.delta_type(s1, DeltaFamily(0), 0, [])
         with pytest.raises(ValueError):
-            pl.finitely_satisfiable_in(s1, dt, [0], 0)
+            pl.finitely_satisfiable_in(s1, DeltaFamily(0), 0, [], [0], 0)

@@ -81,6 +81,11 @@ class TestChecker:
         with pytest.raises(pl.ResourceLimitError):
             pl.is_good_configuration(s1, pairs, pl.EMPTY_TYPE, limit=8)
 
+    def test_resource_guard_reports_the_tested_count(self, s1):
+        # the empty configuration still makes one (vacuous) comparison
+        with pytest.raises(pl.ResourceLimitError, match="needs 1 comparisons"):
+            pl.is_good_configuration(s1, [], pl.EMPTY_TYPE, limit=0)
+
 
 class TestExtensionPair:
     def test_no_pair_at_full_strength(self, gap_chain):

@@ -1,4 +1,5 @@
-from itertools import combinations
+import operator
+from itertools import combinations, product
 
 import pytest
 
@@ -261,6 +262,60 @@ class TestQType:
         passing_full = {c for c, _ in full.passing}
         passing_sparse = {c for c, _ in sparse.passing}
         assert passing_full <= passing_sparse
+
+    def test_realizer_matches_entry_by_entry_schema(self):
+        # the q-type as a schema of single delta entries: each component's
+        # table over the base parameters and the components, slot by slot,
+        # evaluated with delta_eval on every theta tuple
+        def schema(s, family, tup):
+            params = s.base_members() + tuple(tup)
+            return (
+                pl.delta_eval(s, family, c, zs, t, signs)
+                for c in tup
+                for zs in product(params, repeat=family.arity)
+                for t in (0, 1)
+                for signs in product((0, 1), repeat=family.arity)
+            )
+
+        def reference(s, q, tup, generating_schema):
+            if any(c not in s.theta_set for c in tup):
+                return False
+            literals = [(c, j % 2) for j, c in enumerate(tup)]
+            for conj in q.q_double_prime:
+                try:
+                    if not s.is_consistent(conj.union(pl.PhiType(literals))):
+                        return False
+                except pl.LiteralClashError:
+                    return False
+            # entry by entry, stopping at the first difference
+            return all(map(operator.eq, schema(s, q.family, tup), generating_schema))
+
+        # two intervals on 0..5, each duplicated; theta is all four columns
+        cols = [range(0, 4), range(2, 6), range(0, 4), range(2, 6)]
+        rows = tuple(tuple(int(x in c) for c in cols) for x in range(8))
+        dup = pl.BipartiteStructure(rows, frozenset(), frozenset(range(4)))
+        dup_base = pl.BipartiteStructure(rows, frozenset({0}), frozenset(range(4)))
+        cases = [
+            (dup, self._maximal_config(dup, pl.EMPTY_TYPE), ALL),
+            # a component repeats
+            (dup, GoodConfiguration(((1, 2), (1, 3)), pl.EMPTY_TYPE), 0),
+            # a component equals the base member 0, once and twice
+            (dup_base, GoodConfiguration(((0, 3),), pl.EMPTY_TYPE), 0),
+            (dup_base, GoodConfiguration(((0, 1), (0, 3)), pl.EMPTY_TYPE), 0),
+        ]
+        for seed in (0, 2, 7):
+            s = pl.gen_random_bounded(seed, 10, 5, pl.generators.INTERVALS)
+            cases.append((s, self._maximal_config(s, pl.EMPTY_TYPE), ALL))
+        outcomes = set()
+        for s, config, sample in cases:
+            for arity in (1, 2):
+                q = pl.q_type(s, config, family=pl.DeltaFamily(arity), sample=sample)
+                generating_schema = list(schema(s, q.family, q.generating))
+                for tup in product(s.theta_members(), repeat=q.component_count):
+                    got = pl.check_q_realizer(s, q, tup)
+                    assert got == reference(s, q, tup, generating_schema)
+                    outcomes.add(got)
+        assert outcomes == {True, False}
 
     def test_harness_guards(self, s1):
         big = GoodConfiguration(((0, 1),) * 3, pl.EMPTY_TYPE)

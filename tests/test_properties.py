@@ -1,6 +1,6 @@
 """Property tests over randomized small structures."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 from hypothesis import given, settings, strategies as st
 
@@ -112,16 +112,36 @@ def test_delta_equal_is_table_equality(s, arity):
                 assert pl.delta_equal(s, fam, c0, c1, dom) == expected
 
 
+@given(structures(min_n=1, max_n=4), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_delta_type_entries_are_delta_eval(s, arity):
+    # the packed table, read back, against the one-entry reference on every
+    # domain (empty too), in canonical key order
+    fam = DeltaFamily(arity)
+    for dom in all_domains(s):
+        keys = [
+            (zs, t, signs)
+            for zs in product(dom, repeat=arity)
+            for t in (0, 1)
+            for signs in product((0, 1), repeat=arity)
+        ]
+        for c in range(s.n):
+            table = pl.delta_type(s, fam, c, dom).table
+            assert list(table) == keys
+            for (zs, t, signs), value in table.items():
+                assert value == pl.delta_eval(s, fam, c, zs, t, signs)
+
+
 @given(structures(min_n=1, max_n=4), st.integers(0, 3), st.data())
 @settings(max_examples=60, deadline=None)
 def test_fin_sat_all_is_a_table_scan(s, arity, data):
     fam = DeltaFamily(arity)
     base = data.draw(st.lists(st.sampled_from(range(s.n)), min_size=1, unique=True))
     for dom in all_domains(s):
-        tables = [pl.delta_type(s, fam, c, dom) for c in range(s.n)]
-        for dt in tables:
-            expected = any(tables[b].table == dt.table for b in base)
-            assert pl.finitely_satisfiable_in(s, dt, base, ALL) == expected
+        tables = [pl.delta_type(s, fam, c, dom).table for c in range(s.n)]
+        for c, table in enumerate(tables):
+            expected = any(tables[b] == table for b in base)
+            assert pl.finitely_satisfiable_in(s, fam, c, dom, base, ALL) == expected
 
 
 @given(structures(max_n=4))
@@ -132,42 +152,42 @@ def test_fin_sat_all_implies_finite_k(s):
     if not base:
         return
     for c in range(s.n):
-        dt = pl.delta_type(s, fam, c, base)
-        if pl.finitely_satisfiable_in(s, dt, base, ALL):
-            assert pl.finitely_satisfiable_in(s, dt, base, 1)
-            assert pl.finitely_satisfiable_in(s, dt, base, 2)
+        if pl.finitely_satisfiable_in(s, fam, c, base, base, ALL):
+            assert pl.finitely_satisfiable_in(s, fam, c, base, base, 1)
+            assert pl.finitely_satisfiable_in(s, fam, c, base, base, 2)
 
 
 @st.composite
 def small_delta_tables(draw):
-    """A structure, a base, and every subject's delta table of at most 12
-    entries over one domain."""
+    """A structure, a family, a base, and every subject's delta table of at
+    most 12 entries over one domain."""
     s = draw(structures(min_n=2))
     arity = draw(st.integers(0, 2))
     columns = st.sampled_from(range(s.n))
     domain = draw(st.lists(columns, max_size=(5, 3, 1)[arity], unique=True))
     base = draw(st.lists(columns, min_size=1, max_size=4, unique=True))
     family = DeltaFamily(arity)
-    return s, base, [pl.delta_type(s, family, c, domain) for c in range(s.n)]
+    return s, family, base, [pl.delta_type(s, family, c, domain) for c in range(s.n)]
 
 
 @given(small_delta_tables())
 @settings(deadline=None)
 def test_fin_sat_matches_oracle(case):
-    s, base, tables = case
+    s, family, base, tables = case
     for dt in tables:
         for k in (1, 2, 3):
             expected = oracle_finitely_satisfiable(s, dt.table, base, k)
-            assert pl.finitely_satisfiable_in(s, dt, base, k) == expected
+            got = pl.finitely_satisfiable_in(s, family, dt.subject, dt.domain, base, k)
+            assert got == expected
 
 
 @given(small_delta_tables())
 @settings(deadline=None)
 def test_fin_sat_at_base_size_is_all(case):
     # a minimum cover never needs more entries than there are base parameters
-    s, base, tables = case
+    s, family, base, tables = case
     for dt in tables:
-        expected = pl.finitely_satisfiable_in(s, dt, base, ALL)
+        expected = pl.finitely_satisfiable_in(s, family, dt.subject, dt.domain, base, ALL)
         for k in range(len(base), 5):
             assert oracle_finitely_satisfiable(s, dt.table, base, k) == expected
 
