@@ -116,7 +116,7 @@ def load_structure(args) -> BipartiteStructure:
     if getattr(args, "input", None):
         try:
             text = Path(args.input).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise StructureParseError(str(exc), 0) from None
         return parse_structure(text)
     if getattr(args, "gen", None):
@@ -379,6 +379,8 @@ def _expand_seeds(spec: str) -> list[int]:
 
 def verify_structures(args) -> list[tuple[str, BipartiteStructure]]:
     if args.input:
+        if args.seeds:
+            raise CliSpecError("--seeds only applies to random generators")
         return [(args.input, load_structure(args))]
     if not args.gen:
         raise CliSpecError("verify needs -i or --gen")

@@ -266,14 +266,12 @@ def psi_disjunction(
     p_c = extend_type(p, config)
     if not struct.is_consistent(p_c):
         raise PreconditionError("extended type must be consistent")
-    reps: list[int] = []
-    seen = set()
+    # the first realizer of each full-trace class, keyed on its truth row
+    reps: dict[tuple[int, ...], int] = {}
     for a in struct.realizers(p_c):
-        t = struct.full_trace(a)
-        if t not in seen:
-            seen.add(t)
-            reps.append(a)
-    gammas = [gamma_certificate(struct, a, config, p, cover_enum_limit) for a in reps]
+        reps.setdefault(struct.truth[a], a)
+    gammas = [gamma_certificate(struct, a, config, p, cover_enum_limit)
+              for a in reps.values()]
     target_mask = struct.type_mask(p_c)
     masks = [struct.type_mask(g) for g in gammas]
     if any(mask & ~target_mask for mask in masks):

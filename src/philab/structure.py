@@ -193,14 +193,11 @@ class BipartiteStructure:
         """All realized types over the given parameters: the distinct traces
         of elements, ordered by first realizing element."""
         params = tuple(params)
-        out: list[PhiType] = []
-        seen = set()
-        for a in range(self.m):
-            t = self.trace(a, params)
-            if t not in seen:
-                seen.add(t)
-                out.append(t)
-        return tuple(out)
+        for b in params:
+            self.check_parameter(b)
+        # rows keyed by their values on params; dicts keep first-seen order
+        classes = dict.fromkeys(tuple(row[b] for b in params) for row in self.truth)
+        return tuple(PhiType(zip(params, values)) for values in classes)
 
     def entails(self, p0: PhiType, p: PhiType) -> bool:
         """Structure-relative entailment: every realizer of p0 realizes p."""

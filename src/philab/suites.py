@@ -14,7 +14,7 @@ empty type casts the widest net for bound violations.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import NotWitnessedError, ResourceLimitError
 from .goodconfig import GoodConfiguration, build_maximal
@@ -28,20 +28,6 @@ Named = tuple[str, BipartiteStructure]
 
 def _counterexample(name: str, struct: BipartiteStructure, detail: dict) -> dict:
     return {"instance": name, "structure": serialize_structure(struct), **detail}
-
-
-def _distinct_base_traces(struct: BipartiteStructure, limit: Optional[int] = None):
-    base = struct.base_members()
-    seen = set()
-    out = []
-    for a in range(struct.m):
-        t = struct.trace(a, base)
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-            if limit is not None and len(out) >= limit:
-                break
-    return out
 
 
 def bound_suite(structures: Iterable[Named]) -> dict:
@@ -109,7 +95,7 @@ def remark_suite(structures: Iterable[Named]) -> dict:
     skipped = 0
     for name, struct in structures:
         dim = cached_dimension(struct)
-        for p in [PhiType()] + _distinct_base_traces(struct, limit=1):
+        for p in (PhiType(),) + struct.type_space(struct.base_members())[:1]:
             if not struct.is_consistent(p):
                 continue
             try:
@@ -219,7 +205,7 @@ def oracle_suite(structures: Iterable[Named]) -> dict:
         record(vc_report, struct, {})
         if not vc_report.agree:
             continue
-        for p in _distinct_base_traces(struct):
+        for p in struct.type_space(struct.base_members()):
             digest = f"{name}#p={''.join(str(s) for _, s in p.items) or 'empty'}"
             record(
                 OracleReport(
@@ -256,7 +242,7 @@ def budget_suite(structures: Iterable[Named]) -> dict:
     failures = []
     runs = 0
     for name, struct in structures:
-        for p in _distinct_base_traces(struct):
+        for p in struct.type_space(struct.base_members()):
             runs += 1
             result = isolated_extension(struct, p)
             if not result.budget_ok:

@@ -2,17 +2,19 @@
 
 A parameter set C is independent when every sign pattern over C is realized
 by some element; the independence dimension is the largest size of such a
-set.  The search is exact layered subset search: supersets of a dependent
-set are never independent, so each layer only extends the previous layer's
-survivors.  A finite structure always has a finite dimension; the `capped`
-flag records that the search was cut off below |Y| and some larger
-independent set exists.
+set.  Both are decided by splitting realizer cells: the cells of C are the
+row bitmasks realizing its 2^|C| sign patterns, one more column splits each
+cell into its positive and negative part, and C is independent iff no cell
+is empty.  The dimension search is exact and layered: supersets of a
+dependent set are never independent, so each layer splits the cells of the
+previous layer's survivors by one more column.  A finite structure always
+has a finite dimension; the `capped` flag records that the search was cut
+off below |Y| and some larger independent set exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .structure import BipartiteStructure
 
@@ -24,23 +26,38 @@ class IndependenceReport:
     capped: bool
 
 
+def _split(cells: list[int], col: int) -> list[int] | None:
+    """Every cell's positive and negative part under one more column, or
+    None at the first empty part."""
+    out = []
+    for cell in cells:
+        pos = cell & col
+        if not pos or pos == cell:
+            return None
+        out += (pos, cell ^ pos)
+    return out
+
+
 def is_phi_independent(struct: BipartiteStructure, params) -> bool:
     """True iff every sign pattern over the given parameters is consistent,
     equivalently iff the type space over them has full size 2^|C|."""
-    cols = []
-    for b in params:
-        struct.check_parameter(b)
-        cols.append(struct.column_mask(b))
-    full = struct._full_mask
-    for signs in product((1, 0), repeat=len(cols)):
-        mask = full
-        for col, s in zip(cols, signs):
-            mask &= col if s else col ^ full
-            if not mask:
-                break
-        if not mask:
+    cols = [struct.column_mask(b) for b in params]
+    cells = [(1 << struct.m) - 1]
+    for col in cols:
+        cells = _split(cells, col)
+        if cells is None:
             return False
     return True
+
+
+def _extensions(layer, cols):
+    """The independent one-column extensions of each (set, cells) survivor,
+    in lexicographic order."""
+    for c, cells in layer:
+        for j in range(c[-1] + 1 if c else 0, len(cols)):
+            split = _split(cells, cols[j])
+            if split is not None:
+                yield c + (j,), split
 
 
 def independence_dimension(
@@ -58,33 +75,18 @@ def independence_dimension(
     if cap < 0:
         raise ValueError("cap must be >= 0")
 
-    layer: list[tuple[int, ...]] = [()]
-    best: tuple[int, ...] = ()
+    cols = [struct.column_mask(b) for b in range(n)]
+    layer = [((), [(1 << struct.m) - 1])]
     size = 0
     while size < cap:
-        nxt = []
-        for c in layer:
-            start = c[-1] + 1 if c else 0
-            for j in range(start, n):
-                cand = c + (j,)
-                if is_phi_independent(struct, cand):
-                    nxt.append(cand)
+        nxt = list(_extensions(layer, cols))
         if not nxt:
-            return IndependenceReport(size, best, False)
+            return IndependenceReport(size, layer[0][0], False)
         layer = nxt
         size += 1
-        best = layer[0]
-    # cap reached: capped iff some extension of a survivor is independent
-    capped = False
-    if cap < n:
-        for c in layer:
-            start = c[-1] + 1 if c else 0
-            if any(
-                is_phi_independent(struct, c + (j,)) for j in range(start, n)
-            ):
-                capped = True
-                break
-    return IndependenceReport(size, best, capped)
+    # cap reached: capped iff the cap layer still has an extension
+    capped = next(_extensions(layer, cols), None) is not None
+    return IndependenceReport(size, layer[0][0], capped)
 
 
 def cached_dimension(struct: BipartiteStructure) -> int:

@@ -222,6 +222,19 @@ class TestExitCodes:
         assert code == 4 and out == ""
         assert err.startswith("bad spec:")
 
+    def test_non_utf8_input_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.phi"
+        bad.write_bytes(b"\xff\xfe\x00")
+        code, out, err = run(capsys, "id", "-i", str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith("parse error:")
+
+    def test_seeds_with_input_exits_4(self, capsys, s1_file):
+        code, out, err = run(capsys, "verify", "--suite", "bound", "-i", s1_file,
+                             "--seeds", "0..3")
+        assert code == 4 and out == ""
+        assert err.startswith("bad spec:")
+
     def test_exhaustive_accepts_k_sat_all(self, capsys):
         argv = ["config", "--gen", "shattered:2", "--of", "0", "--over", "ALL",
                 "--strategy", "exhaustive", "--format", "json"]

@@ -12,7 +12,7 @@ from conftest import S1_TEXT
 
 GENS = ["shattered:1", "shattered:2", "linear:3", "random", "random:intervals:0:6:3",
         "random:intervals:0:6", "shattered:", "eqrel:", "pentagon:5"]
-SOURCE = {"-i": ["s1.phi", "missing.phi", "."], "--gen": GENS,
+SOURCE = {"-i": ["s1.phi", "missing.phi", ".", "non_utf8.phi"], "--gen": GENS,
           "--format": ["json", "text", "xml"]}
 TYPE = {"--of": ["0", "1", "3", "-1"], "--over": ["B", "ALL", "0,1", "0,0", "1", "5", ""],
         "--lits": ["0=1", "0=1,1=0", "b0=1", "bby0=1", "0=2", "0=1,0=0"]}
@@ -58,6 +58,7 @@ def workdir(tmp_path_factory):
     # relative paths in the drawn argv (inputs and -o targets) land here
     path = tmp_path_factory.mktemp("argv")
     (path / "s1.phi").write_text(S1_TEXT)
+    (path / "non_utf8.phi").write_bytes(b"\xff\xfe\x00")
     old = os.getcwd()
     os.chdir(path)
     yield path

@@ -2,6 +2,7 @@
 
 from itertools import combinations, product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import philab as pl
@@ -64,6 +65,77 @@ def test_independence_monotone(s):
     for size in range(report.id_value + 1):
         for sub in combinations(report.witness, size):
             assert pl.is_phi_independent(s, sub)
+
+
+# -- sign-pattern references for the cell-splitting independence test ------
+
+
+def reference_is_phi_independent(s, params):
+    # every sign pattern over params, each folded into a realizer mask
+    cols = []
+    for b in params:
+        s.check_parameter(b)
+        cols.append(s.column_mask(b))
+    full = (1 << s.m) - 1
+    for signs in product((1, 0), repeat=len(cols)):
+        mask = full
+        for col, sign in zip(cols, signs):
+            mask &= col if sign else col ^ full
+        if not mask:
+            return False
+    return True
+
+
+def reference_dimension(s, cap):
+    # layered search testing every candidate from scratch
+    layer, best, size = [()], (), 0
+    while size < cap:
+        nxt = [c + (j,) for c in layer for j in range(c[-1] + 1 if c else 0, s.n)
+               if reference_is_phi_independent(s, c + (j,))]
+        if not nxt:
+            return pl.IndependenceReport(size, best, False)
+        layer, size, best = nxt, size + 1, nxt[0]
+    capped = any(reference_is_phi_independent(s, c + (j,))
+                 for c in layer for j in range(c[-1] + 1 if c else 0, s.n))
+    return pl.IndependenceReport(size, best, capped)
+
+
+def reference_type_space(s, params):
+    out = []
+    for a in range(s.m):
+        t = s.trace(a, params)
+        if t not in out:
+            out.append(t)
+    return tuple(out)
+
+
+@given(structures(max_m=16, max_n=6))
+@settings(max_examples=80, deadline=None)
+def test_dimension_matches_sign_pattern_search(s):
+    for cap in range(s.n + 2):
+        assert pl.independence_dimension(s, cap) == reference_dimension(s, cap)
+    assert pl.independence_dimension(s) == reference_dimension(s, s.n)
+
+
+@given(structures(min_n=1, max_n=5), st.data())
+@settings(max_examples=80, deadline=None)
+def test_independence_matches_sign_patterns(s, data):
+    # empty, unsorted and repeated parameter tuples
+    params = data.draw(st.lists(st.integers(0, s.n - 1), max_size=6))
+    assert pl.is_phi_independent(s, params) == reference_is_phi_independent(s, params)
+    # an unknown index raises even behind a dependent prefix
+    bad = params + [data.draw(st.sampled_from([s.n, 99, -1]))]
+    for decide in (pl.is_phi_independent, reference_is_phi_independent):
+        with pytest.raises(pl.UnknownParameterError):
+            decide(s, bad)
+
+
+@given(structures(min_n=1, max_n=5), st.data())
+@settings(max_examples=80, deadline=None)
+def test_type_space_is_a_row_trace_scan(s, data):
+    params = data.draw(st.lists(st.integers(0, s.n - 1), max_size=6))
+    assert s.type_space(params) == reference_type_space(s, params)
+    assert s.type_space(iter(params)) == reference_type_space(s, params)
 
 
 @given(structures(max_n=4), st.integers(0, 2))
