@@ -370,7 +370,7 @@ def _expand_seeds(spec: str) -> list[int]:
             seeds = list(range(int(lo), int(hi) + 1))
         else:
             seeds = [int(s) for s in spec.split(",") if s]
-    except ValueError:
+    except (ValueError, OverflowError):
         raise CliSpecError(f"bad --seeds spec {spec!r}, expected LO..HI or A,B") from None
     if not seeds:
         raise CliSpecError(f"--seeds {spec!r} names no seed")

@@ -10,13 +10,11 @@ ranging over D^n (tuples with repetition).  Arity defaults to the
 structure's independence dimension in all higher-level uses but may be
 overridden to study over- or under-sized families.
 
-The finite-satisfiability surrogate: in the idealized infinite setting the
-condition lives on infinite types; here the whole table is a finite object,
-so k=ALL (one base parameter realizing the entire table) is the faithful
-finite reading, and finite k (every k-entry sub-table matched by some base
-parameter, possibly a different one each time) is exposed as an
-experimentation knob.  Finite k is decided as a minimum cover (see
-finitely_satisfiable_in), never by enumerating k-entry sub-tables.
+Finite satisfiability in the base B: in the paper each formula of a type
+has its own witness in B, and finite k reads that at strength k (every
+k-entry sub-table matched by some base parameter, possibly a different one
+each time).  k=ALL asks one base parameter to match the whole table, which
+at arity >= 1 admits no extension step (see find_extension_pair).
 
 Tables are compared by signature.  Entry (zs, t, s) is true iff some row
 with sign t at c has trace s on zs, so the table over D and the projections
@@ -28,16 +26,19 @@ signature is the constant 0.
 
 The argument holds just as well for D read as a tuple of positions, repeats
 kept; the q-type compares candidate tuples this way, one signature per
-component over the base parameters followed by the components.  One private
-routine, _pack, fills every table: signatures, full tables and the q-type's
-signatures differ only in the z-tuples they pass.  delta_eval is the
-one-entry reference.
+component over the base parameters followed by the components.  Finite
+satisfiability reads closed packs, the table on strictly increasing z-tuples
+of every length 1..r (0 at arity 0): full-table entries with contradictory
+repeated z's are false for every parameter, and every other entry repeats a
+closed one.  One private routine, _pack, fills signatures, closed packs, full
+tables and the q-type's signatures from the z-tuples each passes.
+delta_eval is the one-entry reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb
 from typing import Iterable
 
@@ -78,9 +79,6 @@ class DeltaType:
     domain: tuple[int, ...]
     arity: int
     table: dict[Entry, bool] = field(repr=False)
-
-    def __len__(self) -> int:
-        return len(self.table)
 
 
 def delta_eval(
@@ -145,24 +143,27 @@ def delta_type(
 
 
 def _positional_signature(struct: BipartiteStructure, family: DeltaFamily, c: int,
-                          cols: tuple[int, ...], limit: int = DEFAULT_TABLE_LIMIT) -> int:
-    """c's signature over a tuple of checked parameters read position by
-    position, repeats kept (see the module docstring); not memoized."""
+                          cols: tuple[int, ...], limit: int = DEFAULT_TABLE_LIMIT,
+                          closed: bool = False) -> int:
+    """c's signature (closed: its closed pack) over a tuple of checked
+    parameters read position by position, repeats kept; not memoized."""
     if family.arity and not cols:
         return 0
     r = min(family.arity, len(cols))
-    entries = comb(len(cols), r) * 2 ** (r + 1)
-    return _pack(struct, c, cols, combinations(cols, r), entries, limit)
+    lengths = range(1, r + 1) if closed and r else (r,)
+    entries = sum(comb(len(cols), i) * 2 ** (i + 1) for i in lengths)
+    ztuples = chain.from_iterable(combinations(cols, i) for i in lengths)
+    return _pack(struct, c, cols, ztuples, entries, limit)
 
 
 def _signature(struct: BipartiteStructure, family: DeltaFamily, c: int,
-               domain: tuple[int, ...], limit: int = DEFAULT_TABLE_LIMIT) -> int:
-    """c's signature over a sorted domain, memoized per structure."""
-    key = ("signature", family.arity, c, domain)
-    sig = struct._memo.get(key)
-    if sig is None:
-        sig = struct._memo[key] = _positional_signature(struct, family, c, domain, limit)
-    return sig
+               domain: tuple[int, ...], limit: int = DEFAULT_TABLE_LIMIT,
+               closed: bool = False) -> int:
+    """_positional_signature over a sorted domain, memoized per structure."""
+    key = ("signature", family.arity, c, domain, closed)
+    if key not in struct._memo:
+        struct._memo[key] = _positional_signature(struct, family, c, domain, limit, closed)
+    return struct._memo[key]
 
 
 def delta_equal(
@@ -189,8 +190,8 @@ def cached_delta_type(
     domain: Iterable[int],
     limit: int = DEFAULT_TABLE_LIMIT,
 ) -> DeltaType:
-    """delta_type with a per-structure memo; structures are immutable so a
-    table never goes stale.  Worst case under races is a recompute."""
+    """delta_type with a per-structure memo, for external callers; structures
+    are immutable so a table never goes stale.  Races at worst recompute."""
     dom = tuple(sorted(set(domain)))
     key = ("delta_type", family.arity, c, dom)
     hit = struct._memo.get(key)
@@ -210,18 +211,19 @@ def finitely_satisfiable_in(
 ) -> bool:
     """Whether c's table over the domain is matched inside the base set.
 
-    k=ALL: some base parameter's whole table equals c's, decided on
-    signatures without building a table.  Finite k: every k-entry subset of
-    c's table (equivalently every smaller one) is matched by some base
-    parameter on those entries.  An empty base set satisfies nothing: there
-    is no witness parameter.
+    k=ALL: some base parameter's whole table equals c's.  Finite k: every
+    k-entry subset of c's table (equivalently every smaller one) is matched
+    by some base parameter on those entries.  An empty base set satisfies
+    nothing: there is no witness parameter.
 
-    Finite k is a minimum-cover question over the memoized full tables.
-    Give each entry the set of base parameters whose table disagrees with
-    c's there; an entry subset is unmatched iff those sets cover the whole
-    base.  So k holds iff no cover has at most min(k, |table|) entries.  One
-    disagreeing entry per base parameter already covers, so for k >= |base|
-    the answer is the ALL answer.  The cover search raises
+    Both are decided on memoized closed packs.  XOR c's pack with each base
+    parameter's: a zero means a whole table matches, which settles every k.
+    Otherwise give each entry the set of base parameters that disagree with
+    c there; an entry subset is unmatched iff its sets cover the whole base,
+    so k holds iff no cover has at most k entries.  One disagreeing entry
+    per base parameter covers, so k >= |base| fails like ALL.  A set
+    contained in another never helps a cover and is dropped first.  The
+    limit guards each pack's entry count; the cover search raises
     ResourceLimitError past its default candidate limit.
     """
     dom = tuple(sorted(set(domain)))
@@ -232,14 +234,15 @@ def finitely_satisfiable_in(
         return False
     if not isinstance(k, _AllSentinel) and k < 1:
         raise ValueError("k must be >= 1 or ALL")
-    if isinstance(k, _AllSentinel) or k >= len(base):
-        sig = _signature(struct, family, c, dom, limit)
-        return any(_signature(struct, family, b, dom, limit) == sig for b in base)
-    table = cached_delta_type(struct, family, c, dom, limit).table
-    others = [cached_delta_type(struct, family, b, dom, limit).table for b in base]
-    disagree = [
-        sum(1 << j for j, other in enumerate(others) if other[entry] != value)
-        for entry, value in table.items()
-    ]
-    size = min(k, len(disagree))
-    return least_cover(disagree, (1 << len(base)) - 1, size) is None
+    pack = _signature(struct, family, c, dom, limit, closed=True)
+    diffs = [pack ^ _signature(struct, family, b, dom, limit, closed=True) for b in base]
+    if 0 in diffs or isinstance(k, _AllSentinel) or k >= len(base):
+        return 0 in diffs
+    # one mask per entry column, bit j set when base[j] disagrees there
+    rows = [format(diff, f"0{max(diffs).bit_length()}b") for diff in reversed(diffs)]
+    masks: list[int] = []
+    for mask in sorted({int("".join(col), 2) for col in zip(*rows)}, reverse=True,
+                       key=lambda m: (m.bit_count(), m)):
+        if all(mask & ~kept for kept in masks):
+            masks.append(mask)
+    return least_cover(masks, (1 << len(base)) - 1, k) is None

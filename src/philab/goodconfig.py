@@ -167,10 +167,10 @@ def find_extension_pair(
             base_set at strength k_sat.
 
     Diagonal pairs are skipped: both signs on one parameter can never
-    satisfy (ii).  Each hit is re-verified with is_good_configuration before
-    being returned; with k_sat=ALL the four conditions provably transfer the
-    clauses, but at weaker k_sat they may not, and unsound candidates are
-    skipped so the returned pair always extends to a good configuration.
+    satisfy (ii).  Nothing qualifies when the base is empty, or at arity >= 1
+    when k_sat is ALL or at least |base| (proof below), and nothing is
+    scanned.  Elsewhere the conditions need not transfer the clauses, so
+    each hit is re-verified with is_good_configuration before it is returned.
     """
     if family is None:
         family = DeltaFamily(cached_dimension(struct))
@@ -179,8 +179,13 @@ def find_extension_pair(
         p_c = extend_type(p, config.pairs)
     except LiteralClashError as exc:
         raise PreconditionError("configuration clashes with its type") from exc
-    theta = struct.theta_members()
     base = struct.base_set
+    # (iv) at ALL or k >= |base| asks d0's table to equal some b's.  Entries
+    # ((b,..,b), 1, (0,..)) and ((b,..,b), 0, (1,..)) are false in b's own table,
+    # so then d0 = b as columns; (iii) forces d1 = d0, which breaks (ii).
+    if not base or family.arity and (isinstance(k_sat, _AllSentinel) or k_sat >= len(base)):
+        return None
+    theta = struct.theta_members()
     domain = tuple(sorted(base | set(config.components)))
     p_c_mask = struct.type_mask(p_c)
     for d0 in theta:

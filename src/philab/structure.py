@@ -14,8 +14,9 @@ of a theory is not computable at this scale and is out of scope.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import (
     LiteralClashError,
@@ -98,8 +99,8 @@ class BipartiteStructure:
     base_set: frozenset[int]
     theta_set: frozenset[int]
     meta: Optional[Mapping] = field(default=None, compare=False, repr=False, hash=False)
-    #: per-structure memo of derived values (dimension, delta signatures and
-    #: tables); sound because the structure is immutable
+    #: per-structure memo of derived values (dimension, delta signatures,
+    #: closed packs); sound because the structure is immutable
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -125,14 +126,11 @@ class BipartiteStructure:
             masks.append(m)
         object.__setattr__(self, "_column_masks", tuple(masks))
         object.__setattr__(self, "_full_mask", (1 << len(self.truth)) - 1)
+        object.__setattr__(self, "n", width)  # |Y|, read by every parameter check
 
     @property
     def m(self) -> int:
         return len(self.truth)
-
-    @property
-    def n(self) -> int:
-        return len(self.truth[0])
 
     def check_element(self, a: int) -> None:
         if not (isinstance(a, int) and 0 <= a < self.m):

@@ -1,6 +1,8 @@
 import pytest
 
 import philab as pl
+from philab.cover import DEFAULT_COVER_LIMIT, least_cover
+from philab.delta import ALL
 
 S1_TEXT = """# phi-structure v1
 X 4
@@ -56,3 +58,21 @@ def build_corpus():
 @pytest.fixture(scope="session")
 def corpus():
     return build_corpus()
+
+
+def reference_finitely_satisfiable(s, family, c, domain, base, k=ALL,
+                                   limit=DEFAULT_COVER_LIMIT):
+    """Finite satisfiability on full dict tables: one disagreement set per
+    table entry, and k holds iff no cover of the base by at most k of them
+    exists; k = ALL, or k >= |base|, asks for a base table equal to c's."""
+    dom = sorted(set(domain))
+    base = sorted(set(base))
+    if not base:
+        return False
+    table = pl.delta_type(s, family, c, dom).table
+    others = [pl.delta_type(s, family, b, dom).table for b in base]
+    if k is ALL or k >= len(base):
+        return table in others
+    disagree = [sum(1 << j for j, other in enumerate(others) if other[entry] != value)
+                for entry, value in table.items()]
+    return least_cover(disagree, (1 << len(base)) - 1, min(k, len(disagree)), limit) is None

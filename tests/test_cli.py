@@ -178,6 +178,8 @@ class TestExitCodes:
          "--seeds", "0..3"],
         ["isolate", "--gen", "shattered:2", "--lits", "bby1=1"],
         ["isolate", "--gen", "shattered:2", "--lits", "yb1=1"],
+        ["verify", "--suite", "bound", "--gen", "random",
+         "--seeds", "0..10000000000000000000"],
     ])
     def test_bad_spec_exits_4(self, capsys, argv):
         code, _, err = run(capsys, *argv)

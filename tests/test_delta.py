@@ -5,6 +5,8 @@ import pytest
 import philab as pl
 from philab.delta import ALL, DeltaFamily, cached_delta_type
 
+from conftest import reference_finitely_satisfiable
+
 
 def literal_pairs(c, t, zs, s):
     return [(c, t)] + list(zip(zs, s))
@@ -217,6 +219,20 @@ class TestFinitelySatisfiable:
         assert not pl.finitely_satisfiable_in(s, DeltaFamily(1), c, d, b, n)
         with pytest.raises(pl.ResourceLimitError):
             pl.finitely_satisfiable_in(s, DeltaFamily(1), c, d, b, n - 1)
+
+    @pytest.mark.parametrize("seed, subject", [(3, 54), (1, 43)])
+    def test_dominated_masks_pruned_past_the_cover_limit(self, seed, subject):
+        # over B at the dimension, the unpruned disagreement sets exhaust the
+        # default cover limit at k = 2; with every set contained in another
+        # dropped, the search answers as the unlimited reference: False for
+        # the first subject, True (no cover at all) for the second
+        s = pl.gen_random_bounded(seed, 200, 60)
+        family = DeltaFamily(pl.independence_dimension(s).id_value)
+        base = s.base_members()
+        with pytest.raises(pl.ResourceLimitError):
+            reference_finitely_satisfiable(s, family, subject, base, base, 2)
+        expected = reference_finitely_satisfiable(s, family, subject, base, base, 2, limit=None)
+        assert pl.finitely_satisfiable_in(s, family, subject, base, base, 2) == expected
 
     def test_bad_k_rejected(self, s1):
         with pytest.raises(ValueError):

@@ -54,7 +54,11 @@ def test_golden_digest(capsys, name):
 
 
 def test_k_all_builds_no_full_table():
-    s = pl.gen_random_bounded(37, 20, 6)
-    p = s.trace(3, s.base_members())
-    pl.build_maximal(s, p, k_sat=pl.ALL)
-    assert not any(key[0] == "delta_type" for key in s._memo)
+    # at k = 1 this structure grows a non-empty configuration; at every k the
+    # memo holds only ints (the dimension and packed signatures)
+    for k_sat in (pl.ALL, 1, 2):
+        s = pl.gen_random_bounded(37, 20, 6)
+        p = s.trace(3, s.base_members())
+        pl.build_maximal(s, p, k_sat=k_sat)
+        assert not any(key[0] == "delta_type" for key in s._memo)
+        assert all(isinstance(value, int) for value in s._memo.values())

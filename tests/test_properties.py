@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 import philab as pl
 from philab.delta import ALL, DeltaFamily
-from philab.goodconfig import GoodConfiguration
+from philab.goodconfig import GoodConfiguration, extend_type
 from philab.oracle import oracle_finitely_satisfiable
+
+from conftest import reference_finitely_satisfiable
 
 
 @st.composite
@@ -262,6 +264,85 @@ def test_fin_sat_at_base_size_is_all(case):
         expected = pl.finitely_satisfiable_in(s, family, dt.subject, dt.domain, base, ALL)
         for k in range(len(base), 5):
             assert oracle_finitely_satisfiable(s, dt.table, base, k) == expected
+
+
+# -- dict-table references for finite satisfiability and the extension scan --
+
+
+@st.composite
+def structures_with_copies(draw, max_m=8, max_n=5):
+    """structures() whose columns may repeat one another."""
+    s = draw(structures(max_m=max_m, max_n=max_n))
+    source = [draw(st.integers(0, b)) for b in range(s.n)]
+    rows = tuple(tuple(row[source[b]] for b in range(s.n)) for row in s.truth)
+    return pl.BipartiteStructure(rows, s.base_set, s.theta_set)
+
+
+@given(structures_with_copies(max_n=5), st.integers(0, 3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_fin_sat_matches_dict_table_reference(s, arity, data):
+    # empty domains and bases included
+    family = DeltaFamily(arity)
+    columns = st.lists(st.sampled_from(range(s.n)), unique=True) if s.n else st.just([])
+    domain = data.draw(columns)[:(5, 5, 5, 4)[arity]]
+    base = data.draw(columns)
+    for c in range(s.n):
+        for k in (1, 2, 3, 4, ALL):
+            expected = reference_finitely_satisfiable(s, family, c, domain, base, k, None)
+            assert pl.finitely_satisfiable_in(s, family, c, domain, base, k) == expected
+
+
+def reference_find_extension_pair(s, config, k_sat, family):
+    # the full lexicographic scan with (iv) on dict tables
+    p_c_mask = s.type_mask(extend_type(config.base_type, config.pairs))
+    base = s.base_set
+    domain = tuple(sorted(base | set(config.components)))
+    for d0 in s.theta_members():
+        mask0 = p_c_mask & s.literal_mask(d0, 0)
+        if not mask0:
+            continue
+        for d1 in s.theta_members():
+            if d1 == d0 or not mask0 & s.literal_mask(d1, 1):
+                continue
+            if not pl.delta_equal(s, family, d0, d1, domain):
+                continue
+            if not reference_finitely_satisfiable(s, family, d0, domain, base, k_sat):
+                break
+            if pl.is_good_configuration(s, config.extended((d0, d1)), family=family):
+                return (d0, d1)
+    return None
+
+
+@given(structures_with_copies(max_m=6, max_n=5), st.integers(0, 3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_extension_pair_matches_full_scan(s, arity, data):
+    # from a base trace and a configuration grown at k = 1; at arity >= 1 no
+    # step exists at k = ALL or k >= |B|
+    family = DeltaFamily(arity)
+    a = data.draw(st.integers(0, s.m - 1))
+    p = s.trace(a, [b for b in s.base_members() if data.draw(st.booleans())])
+    config = GoodConfiguration((), p)
+    for _ in range(data.draw(st.integers(0, 2))):
+        pair = reference_find_extension_pair(s, config, 1, family)
+        if pair is None:
+            break
+        config = config.extended(pair)
+    size = len(s.base_set)
+    for k_sat in (ALL, size, size + 1, 1, 2):
+        expected = reference_find_extension_pair(s, config, k_sat, family)
+        if arity and (k_sat is ALL or k_sat >= size):
+            assert expected is None
+        assert pl.find_extension_pair(s, config, k_sat, family) == expected
+
+
+def test_arity_zero_still_steps(s1):
+    # at arity 0 a table only records which signs occur, so any two
+    # non-constant columns pass (iii) and (iv)
+    family = DeltaFamily(0)
+    config = GoodConfiguration((), pl.EMPTY_TYPE)
+    for k_sat in (ALL, 1, 2):
+        assert reference_find_extension_pair(s1, config, k_sat, family) == (0, 1)
+        assert pl.find_extension_pair(s1, config, k_sat, family) == (0, 1)
 
 
 @given(structures(max_m=6, max_n=4))
