@@ -67,3 +67,15 @@ def greedy_cover(masks: Sequence[int], need: int) -> Optional[tuple[int, ...]]:
         if reduce(or_, (masks[j] for j in trial), 0) & need == need:
             kept = trial
     return tuple(kept)
+
+
+def least_or_greedy_cover(
+    masks: Sequence[int], need: int, max_size: int
+) -> tuple[Optional[tuple[int, ...]], bool]:
+    """`least_cover`'s answer flagged minimal (True); past `max_size` members
+    or DEFAULT_COVER_LIMIT candidates, `greedy_cover`'s answer flagged False."""
+    try:
+        chosen = least_cover(masks, need, max_size)
+    except ResourceLimitError:
+        chosen = None
+    return (chosen, True) if chosen is not None else (greedy_cover(masks, need), False)

@@ -220,9 +220,9 @@ def build_maximal(
     mirroring the one-pair-at-a-time extension argument; exhaustive searches
     every pair list over theta (prefix-pruned, which loses nothing since
     prefixes of good configurations are good) and returns the maximum-size
-    configuration, lexicographically least among ties.  Exhaustive exists as
-    an oracle for greedy, is guarded by theta_limit, and takes no extension
-    steps, so it accepts k_sat=ALL only.
+    configuration, lexicographically least among ties; the oracle suite
+    checks it against oracle_all_good_configs.  Exhaustive is guarded by
+    theta_limit and takes no extension steps, so it accepts k_sat=ALL only.
     """
     if not struct.is_consistent(p):
         raise PreconditionError("base type must be consistent")

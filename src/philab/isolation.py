@@ -4,7 +4,7 @@ The central objects:
 
 * an isolation certificate: a smallest subtype of a type whose realizer set
   already equals the whole type's, found by an ascending exhaustive search
-  (or a greedy elimination pass when the search budget is exceeded);
+  (or a greedy elimination pass past the budget or the cover limit);
 
 * a defining formula: for a literal conjunction gamma, the parameter
   predicate "every realizer of gamma satisfies phi(.; b)", which agrees with
@@ -31,7 +31,7 @@ from itertools import combinations, product
 from operator import eq, or_
 from typing import Iterator, Optional
 
-from .cover import DEFAULT_COVER_LIMIT, greedy_cover, least_cover
+from .cover import least_or_greedy_cover
 from .delta import ALL, DeltaFamily, _AllSentinel, _positional_signature
 from .errors import (
     ArityMismatchError,
@@ -76,10 +76,10 @@ def find_isolating_subtype(
 
     Searches subsets of p's literals by increasing size (lexicographic
     within a size, so ties resolve to the least literal tuple) up to
-    `budget`; past the budget a greedy elimination pass over the full
-    literal list yields an inclusion-minimal but possibly non-minimum
-    certificate.  A consistent p always isolates itself, so this never
-    fails.
+    `budget`; past the budget or DEFAULT_COVER_LIMIT candidate subsets, a
+    greedy elimination pass over the full literal list yields an
+    inclusion-minimal but possibly non-minimum certificate.  A consistent p
+    always isolates itself, so this never fails.
     """
     if not struct.is_consistent(p):
         raise PreconditionError("type must be consistent")
@@ -88,10 +88,9 @@ def find_isolating_subtype(
     need = ((1 << struct.m) - 1) ^ struct.type_mask(p)
     excluded = [~struct.literal_mask(b, sign) for b, sign in p.items]
     size_cap = len(p) if isinstance(budget, _AllSentinel) else min(budget, len(p))
-    chosen = least_cover(excluded, need, size_cap, limit=None)
-    if chosen is not None:
-        return IsolationCertificate(p, _pick(p, chosen), True, "exhaustive")
-    return IsolationCertificate(p, _pick(p, greedy_cover(excluded, need)), False, "greedy")
+    chosen, minimal = least_or_greedy_cover(excluded, need, size_cap)
+    method = "exhaustive" if minimal else "greedy"
+    return IsolationCertificate(p, _pick(p, chosen), minimal, method)
 
 
 def _pick(p: PhiType, indices: tuple[int, ...]) -> PhiType:
@@ -206,7 +205,6 @@ def gamma_certificate(
     a: int,
     config: GoodConfiguration,
     p: PhiType,
-    cover_enum_limit: int = DEFAULT_COVER_LIMIT,
 ) -> PhiType:
     """Literal conjunction from a realizer's full trace entailing the
     extended type.
@@ -214,7 +212,7 @@ def gamma_certificate(
     Treating the full trace of `a` as its complete type, search for a
     smallest set of trace literals such that no base parameter satisfies
     every induced existential condition (lexicographically least among
-    minimum ones; an inclusion-minimal set past `cover_enum_limit`
+    minimum ones; an inclusion-minimal set past DEFAULT_COVER_LIMIT
     candidates); those literals plus the configuration literals form gamma,
     and entailment of the extended type is checked on every return.  When
     some base parameter survives even the full trace (impossible here
@@ -238,10 +236,7 @@ def gamma_certificate(
         eliminates.append(sum(1 << j for j, (neg, pos) in enumerate(base_masks)
                               if neg & lit == 0 or pos & lit == 0))
     need = (1 << len(base)) - 1
-    try:
-        chosen = least_cover(eliminates, need, len(eliminates), cover_enum_limit)
-    except ResourceLimitError:
-        chosen = greedy_cover(eliminates, need)
+    chosen, _ = least_or_greedy_cover(eliminates, need, len(eliminates))
     if chosen is None:
         covered = reduce(or_, eliminates, 0)
         raise NotWitnessedError(tuple(b for j, b in enumerate(base) if not covered >> j & 1))
@@ -255,13 +250,12 @@ def psi_disjunction(
     struct: BipartiteStructure,
     p: PhiType,
     config: GoodConfiguration,
-    cover_enum_limit: int = DEFAULT_COVER_LIMIT,
 ) -> tuple[PhiType, ...]:
     """Literal conjunctions, one per trace class of the extended type's
     realizers, whose realizer sets jointly cover exactly those realizers;
     a minimal subfamily is extracted by direct cover search (smallest, then
     lexicographically least by class index; an inclusion-minimal subfamily
-    past `cover_enum_limit` candidates).  NotWitnessedError from any class
+    past DEFAULT_COVER_LIMIT candidates).  NotWitnessedError from any class
     propagates."""
     p_c = extend_type(p, config)
     if not struct.is_consistent(p_c):
@@ -270,16 +264,12 @@ def psi_disjunction(
     reps: dict[tuple[int, ...], int] = {}
     for a in struct.realizers(p_c):
         reps.setdefault(struct.truth[a], a)
-    gammas = [gamma_certificate(struct, a, config, p, cover_enum_limit)
-              for a in reps.values()]
+    gammas = [gamma_certificate(struct, a, config, p) for a in reps.values()]
     target_mask = struct.type_mask(p_c)
     masks = [struct.type_mask(g) for g in gammas]
     if any(mask & ~target_mask for mask in masks):
         raise InvariantError("gamma realizers leak outside the type")
-    try:
-        chosen = least_cover(masks, target_mask, len(masks), cover_enum_limit)
-    except ResourceLimitError:
-        chosen = greedy_cover(masks, target_mask)
+    chosen, _ = least_or_greedy_cover(masks, target_mask, len(masks))
     if chosen is None:
         raise InvariantError("disjunction does not match the extended type")
     return tuple(gammas[i] for i in chosen)

@@ -5,18 +5,21 @@ by some element; the independence dimension is the largest size of such a
 set.  Both are decided by splitting realizer cells: the cells of C are the
 row bitmasks realizing its 2^|C| sign patterns, one more column splits each
 cell into its positive and negative part, and C is independent iff no cell
-is empty.  The dimension search is exact and layered: supersets of a
-dependent set are never independent, so each layer splits the cells of the
-previous layer's survivors by one more column.  A finite structure always
-has a finite dimension; the `capped` flag records that the search was cut
-off below |Y| and some larger independent set exists.
+is empty.  The dimension search is exact and depth-first: supersets of a
+dependent set are never independent, so only an independent set's cells are
+split by each later column, and only the current path's cells are kept.  A
+finite structure always has a finite dimension; the `capped` flag records
+that the search was cut off below |Y| and some larger independent set exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import ResourceLimitError
 from .structure import BipartiteStructure
+
+DIMENSION_NODE_LIMIT = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -50,24 +53,16 @@ def is_phi_independent(struct: BipartiteStructure, params) -> bool:
     return True
 
 
-def _extensions(layer, cols):
-    """The independent one-column extensions of each (set, cells) survivor,
-    in lexicographic order."""
-    for c, cells in layer:
-        for j in range(c[-1] + 1 if c else 0, len(cols)):
-            split = _split(cells, cols[j])
-            if split is not None:
-                yield c + (j,), split
-
-
 def independence_dimension(
     struct: BipartiteStructure, cap: int | None = None
 ) -> IndependenceReport:
     """Largest independent parameter set of size <= cap (default |Y|).
 
-    The witness is the lexicographically least maximizer; `capped` is true
-    iff some (cap+1)-set is still independent, i.e. the reported value is
-    only a lower bound on the true dimension.
+    The witness is the lexicographically least maximizer: preorder reaches
+    sets of each size in lexicographic order, and the first one reached is
+    kept.  `capped` is true iff some (cap+1)-set is still independent, i.e.
+    the reported value is only a lower bound on the true dimension.  Raises
+    ResourceLimitError past DIMENSION_NODE_LIMIT one-column extensions.
     """
     n = struct.n
     if cap is None:
@@ -76,17 +71,30 @@ def independence_dimension(
         raise ValueError("cap must be >= 0")
 
     cols = [struct.column_mask(b) for b in range(n)]
-    layer = [((), [(1 << struct.m) - 1])]
-    size = 0
-    while size < cap:
-        nxt = list(_extensions(layer, cols))
-        if not nxt:
-            return IndependenceReport(size, layer[0][0], False)
-        layer = nxt
-        size += 1
-    # cap reached: capped iff the cap layer still has an extension
-    capped = next(_extensions(layer, cols), None) is not None
-    return IndependenceReport(size, layer[0][0], capped)
+    firsts = [()]  # the first independent set reached at each size
+    tried = 0
+
+    def grow(c, cells):
+        """True as soon as an independent extension of c exceeds cap."""
+        nonlocal tried
+        start = c[-1] + 1 if c else 0
+        tried += n - start
+        if tried > DIMENSION_NODE_LIMIT:
+            raise ResourceLimitError(
+                f"dimension search past {DIMENSION_NODE_LIMIT} extensions")
+        for j in range(start, n):
+            split = _split(cells, cols[j])
+            if split is not None:
+                if len(c) == cap:
+                    return True
+                if len(c) + 1 == len(firsts):
+                    firsts.append(c + (j,))
+                if grow(c + (j,), split):
+                    return True
+        return False
+
+    capped = grow((), [(1 << struct.m) - 1])
+    return IndependenceReport(len(firsts) - 1, firsts[-1], capped)
 
 
 def cached_dimension(struct: BipartiteStructure) -> int:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from philab import isolation
+from philab import isolation, vc
 from philab.cli import main
 
 from conftest import S1_TEXT
@@ -48,6 +48,12 @@ class TestId:
                            "--format", "json")
         payload = json.loads(out)
         assert payload["id"] == 2 and payload["capped"]
+
+    def test_dimension_guard_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(vc, "DIMENSION_NODE_LIMIT", 14)
+        code, out, err = run(capsys, "id", "--gen", "shattered:4", "--cap", "full")
+        assert code == 3 and out == ""
+        assert err.startswith("resource guard:")
 
 
 class TestDeterminism:

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from philab.cover import greedy_cover, least_cover
+from philab.cover import greedy_cover, least_cover, least_or_greedy_cover
 from philab.errors import ResourceLimitError
 
 BITS = 6
@@ -59,3 +59,11 @@ def test_limit_counts_candidate_sets():
 def test_equal_masks_collapse_to_least_index():
     assert least_cover([0, 3, 3, 1], 3, 2) == (1,)
     assert least_cover([2, 1, 2, 1], 3, 2) == (0, 1)
+
+
+def test_fallback_past_the_size_or_candidate_limit():
+    # greedy drops the covering index 0 first and keeps the four singletons
+    masks = [15, 1, 2, 4, 8]
+    assert least_or_greedy_cover(masks, 15, 1) == ((0,), True)
+    assert least_or_greedy_cover(masks, 15, 0) == ((1, 2, 3, 4), False)
+    assert least_or_greedy_cover([1], 3, 1) == (None, False)

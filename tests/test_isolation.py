@@ -61,6 +61,17 @@ class TestFindIsolatingSubtype:
                 if cert.size:
                     assert s.type_mask(pl.PhiType(smaller)) != target
 
+    @pytest.mark.parametrize("n, method", [(16, "exhaustive"), (17, "greedy")])
+    def test_cover_limit_forces_greedy(self, n, method):
+        # row 0 is all ones and row i+1 is zero only at column i: isolating
+        # row 0 needs every literal, found after 2^n - 1 candidate subsets
+        rows = ((1,) * n,) + tuple(tuple(int(j != i) for j in range(n)) for i in range(n))
+        s = pl.BipartiteStructure(rows, frozenset(range(n)), frozenset(range(n)))
+        p = s.trace(0, range(n))
+        cert = pl.find_isolating_subtype(s, p)
+        assert (cert.method, cert.size, cert.subtype) == (method, n, p)
+        assert cert.minimal == (method == "exhaustive")
+
 
 class TestDefiningFormula:
     def test_agrees_on_domain(self, s2):

@@ -1,8 +1,10 @@
+import tracemalloc
 from itertools import combinations
 
 import pytest
 
 import philab as pl
+from philab import vc
 
 
 def test_s1_by_construction(s1):
@@ -88,3 +90,24 @@ def test_invariant_matches_oracle(corpus):
 def test_negative_cap_rejected(s1):
     with pytest.raises(ValueError):
         pl.independence_dimension(s1, cap=-1)
+
+
+def test_node_guard_raises(monkeypatch):
+    # shattered:4 tries all 15 (set, column) pairs
+    monkeypatch.setattr(vc, "DIMENSION_NODE_LIMIT", 14)
+    with pytest.raises(pl.ResourceLimitError):
+        pl.independence_dimension(pl.gen_shattered(4))
+    monkeypatch.setattr(vc, "DIMENSION_NODE_LIMIT", 15)
+    assert pl.independence_dimension(pl.gen_shattered(4)).id_value == 4
+
+
+def test_search_keeps_only_the_current_path():
+    s = pl.gen_random_bounded(1, 400, 100, pl.generators.UNIONS)
+    tracemalloc.start()
+    try:
+        report = pl.independence_dimension(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.id_value == 4
+    assert peak < 1 << 20
