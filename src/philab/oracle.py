@@ -2,10 +2,14 @@
 
 Everything here re-derives its answers straight from the definitions by
 exhaustive enumeration over the raw truth matrix, deliberately sharing no
-code with the subject modules (row sets instead of bitmasks, inline
-existential scans instead of the delta module).  Guards are hard errors,
-never silent truncation.  These back every derived expected value and the
-differential acceptance suite.
+code with the subject modules.  Each question reads the matrix once:
+realizer sets are intersections of per-column row sets (not bitmasks), a
+subset is independent when the rows project onto it in 2^size distinct
+sign patterns (not cell splitting), and a delta question about (c, zs) is
+one set of the (t, s) patterns the rows realize (not the delta module's
+tables or signatures).  Guards are hard errors, never silent truncation,
+and an unknown parameter is an error, never a negative index.  These back
+every derived expected value and the differential acceptance suite.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Optional
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, UnknownParameterError
 from .structure import BipartiteStructure, PhiType
 
 VC_Y_LIMIT = 10
@@ -52,30 +56,40 @@ class OracleReport:
         )
 
 
-def _rows_satisfying(struct: BipartiteStructure, literals) -> set[int]:
-    literals = list(literals)
-    rows = set()
-    for a in range(struct.m):
-        if all(struct.truth[a][b] == sign for b, sign in literals):
-            rows.add(a)
-    return rows
+def _check_parameters(struct: BipartiteStructure, params) -> None:
+    for b in params:
+        if not (isinstance(b, int) and 0 <= b < struct.n):
+            raise UnknownParameterError(f"unknown parameter {b!r}")
+
+
+def _row_sets(struct: BipartiteStructure) -> tuple[tuple[frozenset, frozenset], ...]:
+    """rows[b][sign]: the rows whose column b has that sign."""
+    out = []
+    for column in zip(*struct.truth):
+        ones = frozenset(a for a, value in enumerate(column) if value)
+        out.append((frozenset(range(struct.m)) - ones, ones))
+    return tuple(out)
+
+
+def _rows_satisfying(struct: BipartiteStructure, rows, literals) -> frozenset:
+    return frozenset(range(struct.m)).intersection(
+        *(rows[b][sign] for b, sign in literals)
+    )
 
 
 def oracle_vc(struct: BipartiteStructure) -> int:
     """Maximum size of an independent parameter set, by checking every
-    subset of Y against every sign pattern with no pruning."""
+    nonempty subset of Y with no pruning: a subset is independent when the
+    rows show all 2^size sign patterns on it.  The empty set is independent
+    because X is nonempty."""
     n = struct.n
     if n > VC_Y_LIMIT:
         raise ResourceLimitError(f"oracle_vc guard: |Y| = {n} > {VC_Y_LIMIT}")
+    columns = tuple(zip(*struct.truth))
     best = 0
-    for size in range(n + 1):
+    for size in range(1, n + 1):
         for subset in combinations(range(n), size):
-            shattered = True
-            for signs in product((0, 1), repeat=size):
-                if not _rows_satisfying(struct, zip(subset, signs)):
-                    shattered = False
-                    break
-            if shattered:
+            if len(set(zip(*(columns[b] for b in subset)))) == 2 ** size:
                 best = max(best, size)
     return best
 
@@ -88,33 +102,27 @@ def oracle_min_isolating(struct: BipartiteStructure, p: PhiType) -> int:
         raise ResourceLimitError(
             f"oracle_min_isolating guard: |dom| = {len(dom)} > {MIN_ISOLATING_DOM_LIMIT}"
         )
-    target = _rows_satisfying(struct, p.items)
+    _check_parameters(struct, dom)
+    rows = _row_sets(struct)
+    target = _rows_satisfying(struct, rows, p.items)
     for size in range(len(dom) + 1):
         for subset in combinations(p.items, size):
-            if _rows_satisfying(struct, subset) == target:
+            if _rows_satisfying(struct, rows, subset) == target:
                 return size
     raise AssertionError("p itself always has its own realizer set")
 
 
-def _delta_holds(
-    struct: BipartiteStructure,
-    c: int,
-    zs: tuple[int, ...],
-    t: int,
-    s: tuple[int, ...],
-    memo: dict,
-) -> bool:
-    key = (c, zs, t, s)
+def _realized(
+    struct: BipartiteStructure, c: int, zs: tuple[int, ...], memo: dict
+) -> frozenset:
+    """Every (t, s) for which some row has sign t at c and signs s at zs:
+    the delta entries (zs, t, s) that hold of c."""
+    key = (c, zs)
     hit = memo.get(key)
     if hit is None:
-        hit = False
-        for a in range(struct.m):
-            if struct.truth[a][c] != t:
-                continue
-            if all(struct.truth[a][z] == sign for z, sign in zip(zs, s)):
-                hit = True
-                break
-        memo[key] = hit
+        hit = memo[key] = frozenset(
+            (row[c], tuple(row[z] for z in zs)) for row in struct.truth
+        )
     return hit
 
 
@@ -136,12 +144,14 @@ def oracle_finitely_satisfiable(
     if k < 1:
         raise ValueError("k must be >= 1")
     base = sorted(set(base))
+    _check_parameters(struct, base)
+    _check_parameters(struct, [z for (zs, _, _), _ in entries for z in zs])
     if not base:
         return False
     memo: dict = {}
     for chunk in combinations(entries, min(k, len(entries))):
         if not any(
-            all(_delta_holds(struct, b, zs, t, s, memo) == value
+            all(((t, s) in _realized(struct, b, zs, memo)) == value
                 for (zs, t, s), value in chunk)
             for b in base
         ):
@@ -157,14 +167,10 @@ def _same_delta_type(
     domain: tuple[int, ...],
     memo: dict,
 ) -> bool:
-    for zs in product(domain, repeat=arity):
-        for t in (0, 1):
-            for s in product((0, 1), repeat=arity):
-                if _delta_holds(struct, c0, zs, t, s, memo) != _delta_holds(
-                    struct, c1, zs, t, s, memo
-                ):
-                    return False
-    return True
+    return all(
+        _realized(struct, c0, zs, memo) == _realized(struct, c1, zs, memo)
+        for zs in product(domain, repeat=arity)
+    )
 
 
 def _clauses_hold(
@@ -172,6 +178,7 @@ def _clauses_hold(
     pairs: tuple[tuple[int, int], ...],
     p: PhiType,
     arity: int,
+    rows,
     memo: dict,
 ) -> bool:
     k = len(pairs)
@@ -186,7 +193,7 @@ def _clauses_hold(
     for b, sign in literals:
         if signs_seen.setdefault(b, sign) != sign:
             return False  # contradictory literals can have no realizer
-    if not _rows_satisfying(struct, signs_seen.items()):
+    if not _rows_satisfying(struct, rows, signs_seen.items()):
         return False
     base = tuple(sorted(struct.base_set))
     for s in product((0, 1), repeat=k):
@@ -224,14 +231,16 @@ def oracle_all_good_configs(
         raise ResourceLimitError(
             f"oracle_all_good_configs guard: max_k = {max_k} > {GOODCONFIG_MAX_K_LIMIT}"
         )
+    _check_parameters(struct, p.domain)
     if arity is None:
         arity = _oracle_dimension(struct)
     all_pairs = [(c0, c1) for c0 in theta for c1 in theta]
+    rows = _row_sets(struct)
     memo: dict = {}
     found: list[tuple[tuple[int, int], ...]] = []
 
     def descend(prefix: tuple[tuple[int, int], ...]) -> None:
-        if _clauses_hold(struct, prefix, p, arity, memo):
+        if _clauses_hold(struct, prefix, p, arity, rows, memo):
             found.append(prefix)
             if len(prefix) < max_k:
                 for pair in all_pairs:
@@ -260,13 +269,15 @@ def oracle_all_good_configs_naive(
     theta = tuple(sorted(struct.theta_set))
     if len(theta) > 4 or max_k > 2:
         raise ResourceLimitError("naive enumeration is restricted to tiny instances")
+    _check_parameters(struct, p.domain)
     if arity is None:
         arity = _oracle_dimension(struct)
     all_pairs = [(c0, c1) for c0 in theta for c1 in theta]
+    rows = _row_sets(struct)
     memo: dict = {}
     found = []
     for k in range(max_k + 1):
         for prefix in product(all_pairs, repeat=k):
-            if _clauses_hold(struct, prefix, p, arity, memo):
+            if _clauses_hold(struct, prefix, p, arity, rows, memo):
                 found.append(prefix)
     return sorted(found)

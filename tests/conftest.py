@@ -1,3 +1,5 @@
+from itertools import combinations, product
+
 import pytest
 
 import philab as pl
@@ -76,3 +78,127 @@ def reference_finitely_satisfiable(s, family, c, domain, base, k=ALL,
     disagree = [sum(1 << j for j, other in enumerate(others) if other[entry] != value)
                 for entry, value in table.items()]
     return least_cover(disagree, (1 << len(base)) - 1, min(k, len(disagree)), limit) is None
+
+
+# -- the row-scan oracle core, kept as a reference for the oracle's row sets,
+# projection counting and realized-pattern sets ---------------------------
+
+
+def reference_rows_satisfying(s, literals):
+    literals = list(literals)
+    rows = set()
+    for a in range(s.m):
+        if all(s.truth[a][b] == sign for b, sign in literals):
+            rows.add(a)
+    return rows
+
+
+def reference_oracle_vc(s):
+    """Every subset of Y against every sign pattern, one row scan each."""
+    best = 0
+    for size in range(s.n + 1):
+        for subset in combinations(range(s.n), size):
+            shattered = True
+            for signs in product((0, 1), repeat=size):
+                if not reference_rows_satisfying(s, zip(subset, signs)):
+                    shattered = False
+                    break
+            if shattered:
+                best = max(best, size)
+    return best
+
+
+def reference_oracle_min_isolating(s, p):
+    target = reference_rows_satisfying(s, p.items)
+    for size in range(len(p.domain) + 1):
+        for subset in combinations(p.items, size):
+            if reference_rows_satisfying(s, subset) == target:
+                return size
+    raise AssertionError("p itself always has its own realizer set")
+
+
+def reference_delta_holds(s, c, zs, t, signs, memo):
+    # one existential scan per (c, zs, t, signs)
+    key = (c, zs, t, signs)
+    hit = memo.get(key)
+    if hit is None:
+        hit = False
+        for a in range(s.m):
+            if s.truth[a][c] != t:
+                continue
+            if all(s.truth[a][z] == sign for z, sign in zip(zs, signs)):
+                hit = True
+                break
+        memo[key] = hit
+    return hit
+
+
+def reference_oracle_finitely_satisfiable(s, table, base, k):
+    entries = list(table.items())
+    base = sorted(set(base))
+    if not base:
+        return False
+    memo = {}
+    for chunk in combinations(entries, min(k, len(entries))):
+        if not any(
+            all(reference_delta_holds(s, b, zs, t, signs, memo) == value
+                for (zs, t, signs), value in chunk)
+            for b in base
+        ):
+            return False
+    return True
+
+
+def reference_same_delta_type(s, arity, c0, c1, domain, memo):
+    for zs in product(domain, repeat=arity):
+        for t in (0, 1):
+            for signs in product((0, 1), repeat=arity):
+                if reference_delta_holds(s, c0, zs, t, signs, memo) != reference_delta_holds(
+                    s, c1, zs, t, signs, memo
+                ):
+                    return False
+    return True
+
+
+def reference_clauses_hold(s, pairs, p, arity, memo):
+    k = len(pairs)
+    for c0, c1 in pairs:
+        if c0 not in s.theta_set or c1 not in s.theta_set:
+            return False
+    literals = list(p.items)
+    for c0, c1 in pairs:
+        literals.append((c0, 0))
+        literals.append((c1, 1))
+    signs_seen = {}
+    for b, sign in literals:
+        if signs_seen.setdefault(b, sign) != sign:
+            return False
+    if not reference_rows_satisfying(s, signs_seen.items()):
+        return False
+    base = tuple(sorted(s.base_set))
+    for signs in product((0, 1), repeat=k):
+        for j in range(k):
+            domain = tuple(
+                sorted(set(base) | {pairs[i][signs[i]] for i in range(k) if i != j})
+            )
+            if not reference_same_delta_type(s, arity, pairs[j][0], pairs[j][1], domain, memo):
+                return False
+    return True
+
+
+def reference_oracle_all_good_configs(s, p, max_k, arity):
+    """The prefix-pruned enumeration in lexicographic order, on row scans."""
+    theta = tuple(sorted(s.theta_set))
+    all_pairs = [(c0, c1) for c0 in theta for c1 in theta]
+    memo = {}
+    found = []
+
+    def descend(prefix):
+        if reference_clauses_hold(s, prefix, p, arity, memo):
+            found.append(prefix)
+            if len(prefix) < max_k:
+                for pair in all_pairs:
+                    descend(prefix + (pair,))
+
+    descend(())
+    return found

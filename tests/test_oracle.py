@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 import philab as pl
 from philab.goodconfig import GoodConfiguration
+from philab import oracle
 from philab.oracle import oracle_all_good_configs_naive, oracle_finitely_satisfiable
 
 
@@ -109,3 +113,52 @@ class TestOracleReport:
         r = pl.OracleReport("vc", "s1", 2, 2)
         assert r.agree
         assert not pl.OracleReport("vc", "s1", 2, 3).agree
+
+
+class TestOracleUnknownParameters:
+    # an unknown parameter is the subject's error, never a negative index
+    # into a row or a bare IndexError
+
+    @pytest.mark.parametrize("b", [-1, 3, 5])
+    def test_min_isolating(self, b):
+        s = pl.gen_shattered(3)
+        p = pl.PhiType({b: 1})
+        with pytest.raises(pl.UnknownParameterError, match=f"^unknown parameter {b}$"):
+            pl.find_isolating_subtype(s, p)
+        with pytest.raises(pl.UnknownParameterError, match=f"^unknown parameter {b}$"):
+            pl.oracle_min_isolating(s, p)
+
+    @pytest.mark.parametrize("b", [-1, 3, 5])
+    def test_good_configs(self, b):
+        s = pl.gen_shattered(3)
+        with pytest.raises(pl.UnknownParameterError, match=f"^unknown parameter {b}$"):
+            pl.oracle_all_good_configs(s, pl.PhiType({b: 0}), 1)
+        with pytest.raises(pl.UnknownParameterError, match=f"^unknown parameter {b}$"):
+            oracle_all_good_configs_naive(s, pl.PhiType({b: 0}), 1)
+
+    @pytest.mark.parametrize("b", [-1, 3, 5])
+    def test_finitely_satisfiable_base(self, b):
+        s = pl.gen_shattered(3)
+        table = pl.delta_type(s, pl.DeltaFamily(1), 0, [0, 1]).table
+        with pytest.raises(pl.UnknownParameterError, match=f"^unknown parameter {b}$"):
+            oracle_finitely_satisfiable(s, table, [0, b], 1)
+
+    def test_finitely_satisfiable_table(self):
+        s = pl.gen_shattered(3)
+        with pytest.raises(pl.UnknownParameterError, match="^unknown parameter -1$"):
+            oracle_finitely_satisfiable(s, {((-1,), 1, (1,)): True}, [0], 1)
+
+
+def test_oracle_imports_only_errors_and_structure():
+    # the oracle re-derives everything itself: no code shared with the
+    # subject modules beyond the error classes and the structure type
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    relative = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            relative.add(node.module)
+        elif isinstance(node, ast.ImportFrom):
+            assert not node.module.startswith("philab"), node.module
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("philab") for alias in node.names)
+    assert relative == {"errors", "structure"}

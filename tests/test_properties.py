@@ -1,5 +1,6 @@
 """Property tests over randomized small structures."""
 
+import random
 from itertools import combinations, product
 
 import pytest
@@ -8,9 +9,20 @@ from hypothesis import given, settings, strategies as st
 import philab as pl
 from philab.delta import ALL, DeltaFamily
 from philab.goodconfig import GoodConfiguration, extend_type
-from philab.oracle import oracle_finitely_satisfiable
+from philab.oracle import (
+    oracle_all_good_configs,
+    oracle_finitely_satisfiable,
+    oracle_min_isolating,
+    oracle_vc,
+)
 
-from conftest import reference_finitely_satisfiable
+from conftest import (
+    reference_finitely_satisfiable,
+    reference_oracle_all_good_configs,
+    reference_oracle_finitely_satisfiable,
+    reference_oracle_min_isolating,
+    reference_oracle_vc,
+)
 
 
 @st.composite
@@ -409,3 +421,80 @@ def test_embed_trace_rows(s):
         formula, _ = pl.embed_trace(s, a)
         for b in s.base_members():
             assert formula.holds(b) == bool(s.truth[a][b])
+
+
+# -- the oracle against its row-scan reference ----------------------------
+
+
+@st.composite
+def uniform_structures(draw, max_m=12, max_n=6):
+    """Uniform random bits, theta and base from a drawn seed: unlike
+    structures(), whose draws lean towards zeros, these often have
+    non-empty good configurations at arity >= 1."""
+    rnd = random.Random(draw(st.integers(0, 2 ** 32)))
+    m, n = rnd.randint(1, max_m), rnd.randint(0, max_n)
+    rows = tuple(tuple(rnd.randint(0, 1) for _ in range(n)) for _ in range(m))
+    theta = frozenset(b for b in range(n) if rnd.random() < 0.7)
+    base = frozenset(b for b in theta if rnd.random() < 0.5)
+    return pl.BipartiteStructure(rows, base, theta)
+
+
+# m <= 12, n <= 6, with n = 0, empty base and theta, and repeated columns
+oracle_structures = st.one_of(structures_with_copies(max_m=12, max_n=6), uniform_structures())
+
+
+@st.composite
+def oracle_types(draw, s):
+    """The empty type, a row's trace, or any sign assignment over columns
+    of s, realized or not."""
+    domain = draw(st.lists(st.sampled_from(range(s.n)), unique=True)) if s.n else []
+    kind = draw(st.sampled_from(("empty", "trace", "any")))
+    if kind == "empty":
+        return pl.EMPTY_TYPE
+    if kind == "trace":
+        return s.trace(draw(st.integers(0, s.m - 1)), domain)
+    return pl.PhiType({b: draw(st.integers(0, 1)) for b in domain})
+
+
+@given(oracle_structures)
+@settings(max_examples=150, deadline=None)
+def test_oracle_vc_matches_row_scans(s):
+    assert oracle_vc(s) == reference_oracle_vc(s)
+
+
+@given(oracle_structures, st.data())
+@settings(max_examples=150, deadline=None)
+def test_oracle_min_isolating_matches_row_scans(s, data):
+    p = data.draw(oracle_types(s))
+    assert oracle_min_isolating(s, p) == reference_oracle_min_isolating(s, p)
+
+
+@given(oracle_structures, st.data())
+@settings(max_examples=100, deadline=None)
+def test_oracle_good_configs_match_row_scans(s, data):
+    # at max_k = 3, the oracle's limit; shorter lists are prefixes of these
+    p = data.draw(oracle_types(s))
+    for arity in range(4):
+        expected = reference_oracle_all_good_configs(s, p, 3, arity)
+        assert oracle_all_good_configs(s, p, 3, arity) == expected
+
+
+@given(oracle_structures, st.integers(0, 3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_oracle_fin_sat_matches_row_scans(s, arity, data):
+    # up to 12 entries of a subject's table; at arity >= 2 some zs repeat a
+    # column, list columns out of order, or contain c itself
+    columns = st.lists(st.sampled_from(range(s.n)), unique=True) if s.n else st.just([])
+    domain = data.draw(columns)[:3]
+    base = data.draw(columns)
+    family = DeltaFamily(arity)
+    tables = [{}]
+    for c in range(s.n):
+        full = pl.delta_type(s, family, c, domain).table
+        entries = st.lists(st.sampled_from(list(full)), max_size=12, unique=True)
+        keys = data.draw(entries if full else st.just([]))
+        tables.append({key: full[key] for key in keys})
+    for table in tables:
+        for k in (1, 2, 3, 4):
+            expected = reference_oracle_finitely_satisfiable(s, table, base, k)
+            assert oracle_finitely_satisfiable(s, table, base, k) == expected
