@@ -8,6 +8,10 @@ Exit codes: 0 success, 1 invariant violation (a failed verify suite or
 certificate check), 2 structure parse error, 3 resource guard, 4 bad command
 spec (a usage error, malformed literals, numbers, generator spec or suite
 name, an empty seed list, or an unwritable output path).
+
+`main` builds the argparse tree on its first call in a process and reuses it
+for every later call there, dispatching through `COMMANDS` by command name;
+a fresh `philab` process still builds it once.
 """
 
 from __future__ import annotations
@@ -425,6 +429,20 @@ def cmd_verify(args) -> int:
 
 # -- wiring ------------------------------------------------------------------
 
+#: Command name -> handler, looked up when `main` runs, so a rebinding of an
+#: entry (a test's monkeypatch, the benchmark tracer) takes effect even after
+#: the shared parser exists; the parser itself holds no handler.
+COMMANDS = {
+    "id": cmd_id,
+    "types": cmd_types,
+    "isolate": cmd_isolate,
+    "config": cmd_config,
+    "define": cmd_define,
+    "embed": cmd_embed,
+    "gen": cmd_gen,
+    "verify": cmd_verify,
+}
+
 
 def _add_source_args(sub) -> None:
     sub.add_argument("-i", "--input", help="structure file path")
@@ -450,6 +468,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the `philab` command line; `main` keeps one."""
     parser = _Parser(
         prog="philab",
         description="finite laboratory for partitioned-formula types",
@@ -459,56 +478,55 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("id", help="independence dimension")
     _add_source_args(sub)
     sub.add_argument("--cap", default=str(DEFAULT_ID_CAP), help="search cap or `full`")
-    sub.set_defaults(func=cmd_id)
 
     sub = subs.add_parser("types", help="type space over a domain")
     _add_source_args(sub)
     sub.add_argument("--over", default="ALL", help="domain: B, ALL, or comma indices")
-    sub.set_defaults(func=cmd_types)
 
     sub = subs.add_parser("isolate", help="isolated extension certificate")
     _add_source_args(sub)
     _add_type_args(sub)
     sub.add_argument("--k-sat", default="all", help="`all` or a positive integer")
-    sub.set_defaults(func=cmd_isolate)
 
     sub = subs.add_parser("config", help="maximal good configuration")
     _add_source_args(sub)
     _add_type_args(sub)
     sub.add_argument("--k-sat", default="all")
     sub.add_argument("--strategy", choices=("greedy", "exhaustive"), default="greedy")
-    sub.set_defaults(func=cmd_config)
 
     sub = subs.add_parser("define", help="defining formula of a type")
     _add_source_args(sub)
     _add_type_args(sub)
-    sub.set_defaults(func=cmd_define)
 
     sub = subs.add_parser("embed", help="defining formula for an element's trace")
     _add_source_args(sub)
     sub.add_argument("--element", type=int, required=True)
     sub.add_argument("--k-sat", default="all")
-    sub.set_defaults(func=cmd_embed)
 
     sub = subs.add_parser("gen", help="emit a generated structure file")
     sub.add_argument("--gen", required=True, help="inline generator spec")
     sub.add_argument("-o", "--out", help="output path (sidecar written next to it)")
-    sub.set_defaults(func=cmd_gen)
 
     sub = subs.add_parser("verify", help="run an invariant suite")
     _add_source_args(sub)
     sub.add_argument("--suite", required=True, help="|".join(sorted(SUITES)))
     sub.add_argument("--seeds", help="seed range for random generators, e.g. 0..99")
-    sub.set_defaults(func=cmd_verify)
 
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        # built on the first call, not at import; later calls in the same
+        # process reuse it (parsing leaves no state on the parser)
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command](args)
     except StructureParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

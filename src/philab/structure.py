@@ -85,6 +85,19 @@ class PhiType:
 EMPTY_TYPE = PhiType()
 
 
+_BOOLEANS = frozenset((0, 1))
+
+
+def _is_boolean_row(row) -> bool:
+    """Every entry equals 0 or 1, so True, False, 0.0 and 1.0 pass too."""
+    try:
+        if _BOOLEANS.issuperset(row):
+            return True
+    except TypeError:  # an unhashable entry: equality alone decides
+        pass
+    return all(v in (0, 1) for v in row)
+
+
 @dataclass(frozen=True)
 class BipartiteStructure:
     """Total truth matrix of phi(x; y) with designated B and theta sets.
@@ -110,21 +123,20 @@ class BipartiteStructure:
         for i, row in enumerate(self.truth):
             if len(row) != width:
                 raise ValueError(f"row {i} has length {len(row)}, expected {width}")
-            if any(v not in (0, 1) for v in row):
+            if not _is_boolean_row(row):
                 raise ValueError(f"row {i} contains non-boolean entries")
         if not self.base_set <= self.theta_set:
             raise ValueError("base_set must be contained in theta_set")
         if self.theta_set and not self.theta_set <= set(range(width)):
             raise ValueError("theta_set contains unknown parameters")
         # Column bitmasks over rows; bit i of column_masks[b] = truth[i][b].
-        masks = []
-        for b in range(width):
-            m = 0
-            for i in range(len(self.truth)):
-                if self.truth[i][b]:
-                    m |= 1 << i
-            masks.append(m)
-        object.__setattr__(self, "_column_masks", tuple(masks))
+        # A column read from its last row up is the mask's binary numeral;
+        # every row has `width` entries by now, so zip truncates nothing.
+        masks = tuple(
+            int("".join(["1" if v else "0" for v in reversed(column)]), 2)
+            for column in zip(*self.truth)
+        )
+        object.__setattr__(self, "_column_masks", masks)
         object.__setattr__(self, "_full_mask", (1 << len(self.truth)) - 1)
         object.__setattr__(self, "n", width)  # |Y|, read by every parameter check
 

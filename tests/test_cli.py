@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from philab import isolation, vc
+from philab import cli, isolation, vc
 from philab.cli import main
 
 from conftest import S1_TEXT
@@ -173,6 +173,18 @@ class TestVerify:
                            "--gen", "linear:11:b=0")
         assert code == 3
         assert "resource guard" in err
+
+
+class TestSharedParser:
+    def test_command_table_is_read_at_call_time(self, capsys, monkeypatch):
+        assert run(capsys, "id", "--gen", "shattered:1")[0] == 0  # builds the parser
+        seen = []
+        monkeypatch.setitem(cli.COMMANDS, "id", lambda args: seen.append(args.cap) or 7)
+        assert run(capsys, "id", "--gen", "shattered:1", "--cap", "3") == (7, "", "")
+        assert seen == ["3"]
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
 
 
 class TestExitCodes:

@@ -1,12 +1,24 @@
 """Argv fuzzing: every command line either returns or exits with a code of
 the 0-4 contract, and no other exception escapes `main`."""
 
+import contextlib
+import io
 import os
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from philab.cli import main
+from philab.cli import (
+    COMMANDS,
+    EXIT_BAD_SPEC,
+    EXIT_PARSE,
+    EXIT_RESOURCE,
+    EXIT_VIOLATION,
+    build_parser,
+    main,
+)
+from philab.errors import InvariantError, PhilabError, ResourceLimitError, StructureParseError
 
 from conftest import S1_TEXT
 
@@ -73,3 +85,51 @@ def test_argv_stays_inside_the_exit_contract(workdir, argv):
     except SystemExit as exc:
         code = exc.code
     assert code in (0, 1, 2, 3, 4), argv
+
+
+def main_with_fresh_parser(argv):
+    """`main` as it was before its parser was shared: one parser per call."""
+    args = build_parser().parse_args(argv)
+    try:
+        return COMMANDS[args.command](args)
+    except StructureParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except ResourceLimitError as exc:
+        print(f"resource guard: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except InvariantError as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
+    except PhilabError as exc:
+        print(f"bad spec: {exc}", file=sys.stderr)
+        return EXIT_BAD_SPEC
+
+
+def outcome(entry, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = entry(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# a usage error (exit 4), help (exit 0), and the two commands whose --over
+# defaults differ (B for isolate, ALL for types), each run with that default
+FIXED = [
+    ["isolate", "--gen", "shattered:2", "--of", "1", "--format", "json"],
+    ["types", "--gen", "shattered:2", "--format", "json"],
+    ["isolate", "--nope"],
+    ["types", "--over"],
+    ["--help"],
+    ["isolate", "--help"],
+]
+
+
+@given(argv_list=st.lists(st.one_of(argvs(), st.sampled_from(FIXED)), min_size=2, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_shared_parser_answers_like_a_fresh_one(workdir, argv_list):
+    for argv in argv_list:
+        assert outcome(main, argv) == outcome(main_with_fresh_parser, argv), argv

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import philab as pl
 from philab.structure import serialize_structure
@@ -163,3 +164,71 @@ class TestCoreOps:
         assert pl.vc.cached_dimension(s1) == 2
         assert s1._memo and not fresh._memo
         assert s1 == fresh and hash(s1) == hash(fresh) and repr(s1) == repr(fresh)
+
+
+def masks_by_cell(truth, base_set, theta_set):
+    """Reference construction: checks and column masks as one cell at a time."""
+    if not truth:
+        raise ValueError("X must be nonempty")
+    width = len(truth[0])
+    for i, row in enumerate(truth):
+        if len(row) != width:
+            raise ValueError(f"row {i} has length {len(row)}, expected {width}")
+        if any(v not in (0, 1) for v in row):
+            raise ValueError(f"row {i} contains non-boolean entries")
+    if not base_set <= theta_set:
+        raise ValueError("base_set must be contained in theta_set")
+    if theta_set and not theta_set <= set(range(width)):
+        raise ValueError("theta_set contains unknown parameters")
+    masks = []
+    for b in range(width):
+        m = 0
+        for i in range(len(truth)):
+            if truth[i][b]:
+                m |= 1 << i
+        masks.append(m)
+    return tuple(masks), (1 << len(truth)) - 1, width
+
+
+class EqualsZero:
+    """Unhashable, equal to 0 and truthy: accepted, and sets its bit."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        return other == 0
+
+
+ENTRIES = [0, 1, True, False, 0.0, 1.0, 2, -1, 0.5, None, "1", float("nan"), [0],
+           EqualsZero()]
+
+
+@st.composite
+def matrices(draw):
+    """Mostly well-formed 0/1 matrices, with a ragged row, an odd entry, an
+    empty matrix or a base or theta out of range mixed in."""
+    m, width = draw(st.integers(0, 9)), draw(st.integers(0, 6))
+    rows = []
+    for _ in range(m):
+        length = width if draw(st.integers(0, 7)) else draw(st.integers(0, 7))
+        cells = st.integers(0, 1) if draw(st.integers(0, 3)) else st.sampled_from(ENTRIES)
+        row = draw(st.lists(cells, min_size=length, max_size=length))
+        rows.append(tuple(row) if draw(st.booleans()) else row)
+    theta = draw(st.frozensets(st.integers(0, width if width else 1), max_size=width + 1))
+    base = draw(st.frozensets(st.sampled_from(sorted(theta | {0})), max_size=3))
+    return tuple(rows), base, theta
+
+
+@given(case=matrices())
+@settings(max_examples=200, deadline=None)
+def test_column_masks_match_the_cell_by_cell_construction(case):
+    truth, base, theta = case
+    try:
+        expected = masks_by_cell(truth, base, theta)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            pl.BipartiteStructure(truth, base, theta)
+        assert str(raised.value) == str(exc)
+        return
+    s = pl.BipartiteStructure(truth, base, theta)
+    assert (s._column_masks, s._full_mask, s.n) == expected
