@@ -2,12 +2,13 @@
 """What a parameter tuple must satisfy to replace a configuration.
 
 The q-type of a maximal good configuration records membership, joint
-realizability with the base type's conjunctions, and one delta signature
-per component over the tuple of base parameters followed by all components
-(the components are re-substitutable positions, so the signatures pin down
-the candidates' mutual relations too).  Any tuple realizing all three parts
-yields a type that isolates at most as hard as the original: certificate
-sizes never grow across realizers of q.
+realizability with the base type (every sub-conjunction of a finite type is
+realizable once the whole type is, so that is one consistency check), and
+one delta signature per component over the tuple of base parameters
+followed by all components (the components are re-substitutable positions,
+so the signatures pin down the candidates' mutual relations too).  Any
+tuple realizing all three parts yields a type that isolates at most as hard
+as the original: certificate sizes never grow across realizers of q.
 """
 
 import philab as pl
@@ -32,7 +33,7 @@ print("dimension:", dim, "| maximal configuration:", config.pairs)
 q = pl.q_type(s, config)
 print("\nq-type parts:")
 print("  components constrained to theta:", q.component_count)
-print("  sampled conjunctions:", len(q.q_double_prime))
+print("  base-type literals, checked once with each candidate's:", len(q.base_type))
 print("  delta signatures, one per component:", len(q.q_triple_prime))
 print("  positions each signature ranges over:", len(s.base_members()) + q.component_count)
 

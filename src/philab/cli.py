@@ -115,15 +115,15 @@ def parse_generator_spec(spec: str) -> BipartiteStructure:
 
 
 def load_structure(args) -> BipartiteStructure:
-    if getattr(args, "input", None) and getattr(args, "gen", None):
+    if args.input and args.gen:
         raise CliSpecError("give exactly one of -i/--input and --gen")
-    if getattr(args, "input", None):
+    if args.input:
         try:
             text = Path(args.input).read_text()
         except (OSError, UnicodeDecodeError) as exc:
             raise StructureParseError(str(exc), 0) from None
         return parse_structure(text)
-    if getattr(args, "gen", None):
+    if args.gen:
         return parse_generator_spec(args.gen)
     raise CliSpecError("an input source is required (-i or --gen)")
 
@@ -164,14 +164,14 @@ def parse_lits(spec: str) -> PhiType:
 
 
 def resolve_type(struct: BipartiteStructure, args) -> PhiType:
-    if getattr(args, "lits", None) and getattr(args, "of", None) is not None:
+    if args.lits and args.of is not None:
         raise CliSpecError("give exactly one of --of and --lits")
-    if getattr(args, "lits", None):
+    if args.lits:
         p = parse_lits(args.lits)
         for b in p.domain:
             struct.check_parameter(b)
         return p
-    if getattr(args, "of", None) is not None:
+    if args.of is not None:
         return struct.trace(args.of, parse_over(struct, args.over))
     raise CliSpecError("a type spec is required (--of or --lits)")
 

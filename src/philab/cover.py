@@ -22,7 +22,6 @@ def least_cover(
     masks: Sequence[int],
     need: int,
     max_size: int,
-    limit: Optional[int] = DEFAULT_COVER_LIMIT,
 ) -> Optional[tuple[int, ...]]:
     """Smallest index set covering `need`, lexicographically least among
     those of equal size; None when no cover has at most `max_size` members.
@@ -32,8 +31,7 @@ def least_cover(
     masks missing `need` entirely are dropped: a minimum cover never holds
     two interchangeable members, and swapping one for a lesser index keeps
     it a cover, so neither step changes the answer.  Raises
-    ResourceLimitError on trying candidate `limit + 1`; `limit=None` bounds
-    the search by `max_size` alone.
+    ResourceLimitError on trying candidate DEFAULT_COVER_LIMIT + 1.
     """
     if need == 0:
         return ()
@@ -48,8 +46,10 @@ def least_cover(
     for size in range(1, min(max_size, len(family)) + 1):
         for combo in combinations(family, size):
             tried += 1
-            if limit is not None and tried > limit:
-                raise ResourceLimitError(f"cover search tried {limit} candidate sets")
+            if tried > DEFAULT_COVER_LIMIT:
+                raise ResourceLimitError(
+                    f"cover search tried {DEFAULT_COVER_LIMIT} candidate sets"
+                )
             if reduce(or_, (mask for _, mask in combo)) == need:
                 return tuple(i for i, _ in combo)
     return None

@@ -31,7 +31,10 @@ satisfiability reads closed packs, the table on strictly increasing z-tuples
 of every length 1..r (0 at arity 0): full-table entries with contradictory
 repeated z's are false for every parameter, and every other entry repeats a
 closed one.  One private routine, _pack, fills signatures, closed packs, full
-tables and the q-type's signatures from the z-tuples each passes.
+tables and the q-type's signatures from the z-tuples each passes, and it
+raises ResourceLimitError past DEFAULT_TABLE_LIMIT entries, read at each
+build.  Signatures, packs and cached_delta_type tables are memoized per
+structure; a memo hit builds nothing, so no guard sees it.
 delta_eval is the one-entry reference.
 """
 
@@ -103,13 +106,14 @@ def delta_eval(
 
 
 def _pack(struct: BipartiteStructure, c: int, cols: tuple[int, ...],
-          ztuples: Iterable[tuple[int, ...]], entries: int, limit: int) -> int:
+          ztuples: Iterable[tuple[int, ...]], entries: int) -> int:
     """c's table over z-tuples drawn from checked cols, packed as an int in
     canonical order (z-tuples as given, then t, then s; first entry in the
-    highest bit) once its entry count passes the guard."""
-    if entries > limit:
+    highest bit) once its entry count passes DEFAULT_TABLE_LIMIT."""
+    if entries > DEFAULT_TABLE_LIMIT:
         raise ResourceLimitError(
-            f"delta table would have {entries} entries, over the limit {limit}"
+            f"delta table would have {entries} entries,"
+            f" over the limit {DEFAULT_TABLE_LIMIT}"
         )
     lits = {b: (struct.literal_mask(b, 0), struct.literal_mask(b, 1)) for b in (c, *cols)}
     bits = []
@@ -127,7 +131,6 @@ def delta_type(
     family: DeltaFamily,
     c: int,
     domain: Iterable[int],
-    limit: int = DEFAULT_TABLE_LIMIT,
 ) -> DeltaType:
     """Full table of the subject c over the domain (sorted canonically),
     keyed in canonical order: z-tuples, then t, then s."""
@@ -136,15 +139,14 @@ def delta_type(
         struct.check_parameter(b)
     n = family.arity
     size = len(dom) ** n * 2 ** (n + 1)
-    bits = format(_pack(struct, c, dom, product(dom, repeat=n), size, limit), f"0{size}b")
+    bits = format(_pack(struct, c, dom, product(dom, repeat=n), size), f"0{size}b")
     keys = ((zs, t, s) for zs in product(dom, repeat=n)
             for t in (0, 1) for s in product((0, 1), repeat=n))
     return DeltaType(c, dom, n, {key: bit == "1" for key, bit in zip(keys, bits)})
 
 
 def _positional_signature(struct: BipartiteStructure, family: DeltaFamily, c: int,
-                          cols: tuple[int, ...], limit: int = DEFAULT_TABLE_LIMIT,
-                          closed: bool = False) -> int:
+                          cols: tuple[int, ...], closed: bool = False) -> int:
     """c's signature (closed: its closed pack) over a tuple of checked
     parameters read position by position, repeats kept; not memoized."""
     if family.arity and not cols:
@@ -153,16 +155,15 @@ def _positional_signature(struct: BipartiteStructure, family: DeltaFamily, c: in
     lengths = range(1, r + 1) if closed and r else (r,)
     entries = sum(comb(len(cols), i) * 2 ** (i + 1) for i in lengths)
     ztuples = chain.from_iterable(combinations(cols, i) for i in lengths)
-    return _pack(struct, c, cols, ztuples, entries, limit)
+    return _pack(struct, c, cols, ztuples, entries)
 
 
 def _signature(struct: BipartiteStructure, family: DeltaFamily, c: int,
-               domain: tuple[int, ...], limit: int = DEFAULT_TABLE_LIMIT,
-               closed: bool = False) -> int:
+               domain: tuple[int, ...], closed: bool = False) -> int:
     """_positional_signature over a sorted domain, memoized per structure."""
     key = ("signature", family.arity, c, domain, closed)
     if key not in struct._memo:
-        struct._memo[key] = _positional_signature(struct, family, c, domain, limit, closed)
+        struct._memo[key] = _positional_signature(struct, family, c, domain, closed)
     return struct._memo[key]
 
 
@@ -172,15 +173,13 @@ def delta_equal(
     c0: int,
     c1: int,
     domain: Iterable[int],
-    limit: int = DEFAULT_TABLE_LIMIT,
 ) -> bool:
     """Table equality of two subjects over the domain, decided on their
-    signatures; the limit guards the signature size."""
+    signatures."""
     dom = tuple(sorted(set(domain)))
     for b in (c0, c1, *dom):
         struct.check_parameter(b)
-    sig0 = _signature(struct, family, c0, dom, limit)
-    return sig0 == _signature(struct, family, c1, dom, limit)
+    return _signature(struct, family, c0, dom) == _signature(struct, family, c1, dom)
 
 
 def cached_delta_type(
@@ -188,7 +187,6 @@ def cached_delta_type(
     family: DeltaFamily,
     c: int,
     domain: Iterable[int],
-    limit: int = DEFAULT_TABLE_LIMIT,
 ) -> DeltaType:
     """delta_type with a per-structure memo, for external callers; structures
     are immutable so a table never goes stale.  Races at worst recompute."""
@@ -196,7 +194,7 @@ def cached_delta_type(
     key = ("delta_type", family.arity, c, dom)
     hit = struct._memo.get(key)
     if hit is None:
-        hit = struct._memo[key] = delta_type(struct, family, c, dom, limit)
+        hit = struct._memo[key] = delta_type(struct, family, c, dom)
     return hit
 
 
@@ -207,7 +205,6 @@ def finitely_satisfiable_in(
     domain: Iterable[int],
     base: Iterable[int],
     k: int | _AllSentinel = ALL,
-    limit: int = DEFAULT_TABLE_LIMIT,
 ) -> bool:
     """Whether c's table over the domain is matched inside the base set.
 
@@ -222,9 +219,9 @@ def finitely_satisfiable_in(
     c there; an entry subset is unmatched iff its sets cover the whole base,
     so k holds iff no cover has at most k entries.  One disagreeing entry
     per base parameter covers, so k >= |base| fails like ALL.  A set
-    contained in another never helps a cover and is dropped first.  The
-    limit guards each pack's entry count; the cover search raises
-    ResourceLimitError past its default candidate limit.
+    contained in another never helps a cover and is dropped first.  Past
+    DEFAULT_TABLE_LIMIT entries in one pack, or DEFAULT_COVER_LIMIT cover
+    candidates, it raises ResourceLimitError.
     """
     dom = tuple(sorted(set(domain)))
     base = tuple(sorted(set(base)))
@@ -234,8 +231,8 @@ def finitely_satisfiable_in(
         return False
     if not isinstance(k, _AllSentinel) and k < 1:
         raise ValueError("k must be >= 1 or ALL")
-    pack = _signature(struct, family, c, dom, limit, closed=True)
-    diffs = [pack ^ _signature(struct, family, b, dom, limit, closed=True) for b in base]
+    pack = _signature(struct, family, c, dom, closed=True)
+    diffs = [pack ^ _signature(struct, family, b, dom, closed=True) for b in base]
     if 0 in diffs or isinstance(k, _AllSentinel) or k >= len(base):
         return 0 in diffs
     # one mask per entry column, bit j set when base[j] disagrees there

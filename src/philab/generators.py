@@ -55,9 +55,7 @@ class EqRelSpec:
             raise ValueError("some class must keep a non-picked member")
 
 
-def gen_eqrel(
-    spec: EqRelSpec, limit: int = EQREL_MODEL_CUBED_LIMIT
-) -> BipartiteStructure:
+def gen_eqrel(spec: EqRelSpec) -> BipartiteStructure:
     """Compile the equivalence-relation model.
 
     Rows are model elements grouped by class.  Columns are all triples
@@ -69,9 +67,10 @@ def gen_eqrel(
     """
     sizes = spec.class_sizes
     total = sum(sizes)
-    if total**3 > limit:
+    if total**3 > EQREL_MODEL_CUBED_LIMIT:
         raise ResourceLimitError(
-            f"model of size {total} yields {total ** 3} triples, over the limit {limit}"
+            f"model of size {total} yields {total ** 3} triples,"
+            f" over the limit {EQREL_MODEL_CUBED_LIMIT}"
         )
     class_of = []
     for ci, size in enumerate(sizes):
@@ -169,13 +168,13 @@ def gen_linear_order(
     return BipartiteStructure(rows, base, theta, meta)
 
 
-def gen_shattered(k: int, limit: int = SHATTERED_K_LIMIT) -> BipartiteStructure:
+def gen_shattered(k: int) -> BipartiteStructure:
     """All 2^k sign patterns over k columns; the explicit negative control
     where no type over Y has a proper isolating subtype."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k > limit:
-        raise ResourceLimitError(f"shattered k = {k} over the limit {limit}")
+    if k > SHATTERED_K_LIMIT:
+        raise ResourceLimitError(f"shattered k = {k} over the limit {SHATTERED_K_LIMIT}")
     rows = tuple(
         tuple(r >> (k - 1 - j) & 1 for j in range(k)) for r in range(2**k)
     )

@@ -92,13 +92,13 @@ def is_good_configuration(
     candidate: GoodConfiguration | Iterable[Pair],
     p: Optional[PhiType] = None,
     family: Optional[DeltaFamily] = None,
-    limit: int = DEFAULT_CHECK_LIMIT,
 ) -> ConfigCheck:
     """Check the three clauses; on failure report the first violated one.
 
     Clause (iii) is scanned over all sign selections s and pair indices j;
     distinct (s, j) combinations repeat domains, and the delta signatures
-    they compare are memoized per structure.
+    they compare are memoized per structure.  Past DEFAULT_CHECK_LIMIT
+    comparisons it raises ResourceLimitError before checking anything.
     """
     if isinstance(candidate, GoodConfiguration):
         pairs = candidate.pairs
@@ -112,9 +112,10 @@ def is_good_configuration(
         family = DeltaFamily(cached_dimension(struct))
     k = len(pairs)
     comparisons = 2**k * max(k, 1)
-    if comparisons > limit:
+    if comparisons > DEFAULT_CHECK_LIMIT:
         raise ResourceLimitError(
-            f"clause (iii) needs {comparisons} comparisons, over the limit {limit}"
+            f"clause (iii) needs {comparisons} comparisons,"
+            f" over the limit {DEFAULT_CHECK_LIMIT}"
         )
 
     for j, pair in enumerate(pairs):
@@ -212,7 +213,6 @@ def build_maximal(
     strategy: str = "greedy",
     k_sat: int | _AllSentinel = ALL,
     family: Optional[DeltaFamily] = None,
-    theta_limit: int = DEFAULT_EXHAUSTIVE_THETA_LIMIT,
 ) -> GoodConfiguration:
     """A good configuration of p admitting no extension pair.
 
@@ -221,8 +221,9 @@ def build_maximal(
     every pair list over theta (prefix-pruned, which loses nothing since
     prefixes of good configurations are good) and returns the maximum-size
     configuration, lexicographically least among ties; the oracle suite
-    checks it against oracle_all_good_configs.  Exhaustive is guarded by
-    theta_limit and takes no extension steps, so it accepts k_sat=ALL only.
+    checks it against oracle_all_good_configs.  Exhaustive raises
+    ResourceLimitError when |theta| exceeds DEFAULT_EXHAUSTIVE_THETA_LIMIT,
+    and takes no extension steps, so it accepts k_sat=ALL only.
     """
     if not struct.is_consistent(p):
         raise PreconditionError("base type must be consistent")
@@ -244,9 +245,10 @@ def build_maximal(
         raise PreconditionError("exhaustive search takes k_sat=ALL only")
 
     theta = struct.theta_members()
-    if len(theta) > theta_limit:
+    if len(theta) > DEFAULT_EXHAUSTIVE_THETA_LIMIT:
         raise ResourceLimitError(
-            f"exhaustive search over |theta| = {len(theta)} exceeds {theta_limit}"
+            f"exhaustive search over |theta| = {len(theta)}"
+            f" exceeds {DEFAULT_EXHAUSTIVE_THETA_LIMIT}"
         )
     all_pairs = [(d0, d1) for d0 in theta for d1 in theta if d0 != d1]
     best = GoodConfiguration((), p)

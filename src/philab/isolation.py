@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, product
+from itertools import product
 from operator import eq, or_
 from typing import Iterator, Optional
 
@@ -46,7 +46,6 @@ from .structure import BipartiteStructure, PhiType
 from .vc import cached_dimension
 
 SATURATION_DEFICIT = "saturation-deficit"
-Q_SAMPLE_DOM_LIMIT = 14
 Q_PAIR_LIMIT = 2
 Q_THETA_LIMIT = 12
 
@@ -159,9 +158,6 @@ def isolated_extension(
     struct: BipartiteStructure,
     p: PhiType,
     k_sat: int | _AllSentinel = ALL,
-    family: Optional[DeltaFamily] = None,
-    strategy: str = "greedy",
-    budget: int | _AllSentinel = ALL,
 ) -> IsolatedExtensionResult:
     """Extend p by a maximal good configuration and certify the result.
 
@@ -176,13 +172,11 @@ def isolated_extension(
         raise PreconditionError("type must be consistent")
     if not set(p.domain) <= struct.base_set:
         raise PreconditionError("type domain must lie inside base_set")
-    if family is None:
-        family = DeltaFamily(cached_dimension(struct))
 
-    base_cert = find_isolating_subtype(struct, p, budget)
-    config = build_maximal(struct, p, strategy, k_sat, family)
+    base_cert = find_isolating_subtype(struct, p)
+    config = build_maximal(struct, p, "greedy", k_sat)
     extension = extend_type(p, config)
-    cert = find_isolating_subtype(struct, extension, budget)
+    cert = find_isolating_subtype(struct, extension)
     added = len(set(extension.domain) - struct.base_set)
     diagnostic = SATURATION_DEFICIT if cert.size >= base_cert.size else None
     return IsolatedExtensionResult(
@@ -279,7 +273,6 @@ def embed_trace(
     struct: BipartiteStructure,
     a: int,
     k_sat: int | _AllSentinel = ALL,
-    family: Optional[DeltaFamily] = None,
 ) -> tuple[DefiningFormula, IsolatedExtensionResult]:
     """Defining formula for an element's base-set trace via the extension
     pipeline.  The formula provably reproduces the element's truth row on
@@ -287,7 +280,7 @@ def embed_trace(
     result rides along so callers see any saturation-deficit diagnostic."""
     struct.check_element(a)
     p = struct.trace(a, struct.base_members())
-    result = isolated_extension(struct, p, k_sat, family)
+    result = isolated_extension(struct, p, k_sat)
     formula = phi_defining_formula(struct, result.certificate)
     for b in struct.base_members():
         if formula.holds(b) != bool(struct.truth[a][b]):
@@ -301,15 +294,18 @@ def embed_trace(
 class QType:
     """What a parameter tuple must satisfy to stand in for a configuration.
 
-    q_prime: every component lies in theta.  q_double_prime: each sampled
-    sub-conjunction of p is jointly realizable with the candidate's signed
-    component literals.  q_triple_prime: one delta signature per component,
-    over the positional tuple of the base parameters followed by all the
-    components (components are re-substitutable positions, so the signature
-    constrains the candidate's mutual relations, not just its relations to
-    the base); a candidate's signatures over its own tuple must match the
-    generating tuple's.  The generating tuple itself satisfies all three
-    parts by construction, which is checked when the type is built.
+    q_prime: every component lies in theta.  q_double_prime: every finite
+    sub-conjunction of base_type is jointly realizable with the candidate's
+    signed component literals.  base_type is finite, so it is one of those
+    sub-conjunctions, and each has at least its realizers: the part is one
+    consistency check of base_type plus the literals, and has no field.
+    q_triple_prime: one delta signature per component, over the positional
+    tuple of the base parameters followed by all the components (components
+    are re-substitutable positions, so the signature constrains the
+    candidate's mutual relations, not just its relations to the base); a
+    candidate's signatures over its own tuple must match the generating
+    tuple's.  The generating tuple itself satisfies all three parts by
+    construction, which is checked when the type is built.
     """
 
     struct: BipartiteStructure
@@ -317,7 +313,6 @@ class QType:
     pair_count: int
     generating: tuple[int, ...]
     base_type: PhiType
-    q_double_prime: tuple[PhiType, ...]
     q_triple_prime: tuple[int, ...]
 
     @property
@@ -338,32 +333,11 @@ def _component_signatures(struct: BipartiteStructure, family: DeltaFamily,
     return (_positional_signature(struct, family, c, params) for c in components)
 
 
-def _sampled_conjunctions(p: PhiType, sample: int | _AllSentinel) -> tuple[PhiType, ...]:
-    if isinstance(sample, _AllSentinel):
-        if len(p) > Q_SAMPLE_DOM_LIMIT:
-            raise ResourceLimitError(
-                f"materializing all conjunctions needs 2^{len(p)} entries"
-            )
-        count = None
-    else:
-        if sample < 0:
-            raise ValueError("sample must be >= 0 or ALL")
-        count = sample
-    out: list[PhiType] = []
-    for size in range(len(p) + 1):
-        for subset in combinations(p.items, size):
-            if count is not None and len(out) >= count:
-                return tuple(out)
-            out.append(PhiType(subset))
-    return tuple(out)
-
-
 def q_type(
     struct: BipartiteStructure,
     config: GoodConfiguration,
     p: Optional[PhiType] = None,
     family: Optional[DeltaFamily] = None,
-    sample: int | _AllSentinel = ALL,
 ) -> QType:
     """Materialize the three-part description of a maximal configuration's
     tuple.  Maximality of `config` is the caller's obligation (it is what
@@ -380,7 +354,6 @@ def q_type(
         pair_count=config.size,
         generating=components,
         base_type=p,
-        q_double_prime=_sampled_conjunctions(p, sample),
         q_triple_prime=tuple(_component_signatures(struct, family, components)),
     )
     if not check_q_realizer(struct, q, components):
@@ -392,7 +365,7 @@ def check_q_realizer(
     struct: BipartiteStructure, q: QType, candidate: tuple[int, ...]
 ) -> bool:
     """Decide candidate |= q.  Membership first, then joint realizability of
-    the sampled conjunctions with the candidate's signed literals, then the
+    the base type with the candidate's signed literals, then the
     delta signatures with candidate components substituted into the
     positions, computed unmemoized and one component at a time."""
     if len(candidate) != q.component_count:
@@ -403,27 +376,24 @@ def check_q_realizer(
         struct.check_parameter(c)
         if c not in struct.theta_set:
             return False
-    literals = _component_literals(candidate)
-    for conj in q.q_double_prime:
-        try:
-            combined = conj.union(PhiType(literals))
-        except LiteralClashError:
-            return False
-        if not struct.is_consistent(combined):
-            return False
+    try:
+        combined = q.base_type.union(PhiType(_component_literals(candidate)))
+    except LiteralClashError:
+        return False
+    if not struct.is_consistent(combined):
+        return False
     signatures = _component_signatures(struct, q.family, candidate)
     return all(map(eq, signatures, q.q_triple_prime))
 
 
 @dataclass(frozen=True)
 class QHarnessReport:
-    """Per-tuple certificate sizes for realizers of q.  A `None` size marks a
-    tuple whose extended type is inconsistent, which can only happen when the
-    conjunction sample was thinner than ALL."""
+    """Per-tuple certificate sizes for realizers of q; a realizer's extended
+    type is consistent by q_double_prime, so every size is defined."""
 
     reference_size: int
     candidates_checked: int
-    passing: tuple[tuple[tuple[int, ...], Optional[int]], ...]
+    passing: tuple[tuple[tuple[int, ...], int], ...]
     ok: bool
 
 
@@ -432,7 +402,6 @@ def q_harness(
     config: GoodConfiguration,
     p: Optional[PhiType] = None,
     family: Optional[DeltaFamily] = None,
-    sample: int | _AllSentinel = ALL,
 ) -> QHarnessReport:
     """Enumerate all theta tuples, keep those realizing q, and certify each
     passing tuple's type at most as hard to isolate as the generating one
@@ -449,7 +418,7 @@ def q_harness(
         raise ResourceLimitError(
             f"harness guard: |theta| = {len(theta)} > {Q_THETA_LIMIT}"
         )
-    q = q_type(struct, config, p, family, sample)
+    q = q_type(struct, config, p, family)
     reference = find_isolating_subtype(struct, extend_type(p, config)).size
     passing = []
     checked = 0
@@ -457,15 +426,7 @@ def q_harness(
         checked += 1
         if not check_q_realizer(struct, q, candidate):
             continue
-        try:
-            p_cand = p.union(PhiType(_component_literals(candidate)))
-        except LiteralClashError:
-            passing.append((candidate, None))
-            continue
-        if not struct.is_consistent(p_cand):
-            passing.append((candidate, None))
-            continue
-        size = find_isolating_subtype(struct, p_cand).size
-        passing.append((candidate, size))
-    ok = all(size is not None and size <= reference for _, size in passing)
+        p_cand = p.union(PhiType(_component_literals(candidate)))
+        passing.append((candidate, find_isolating_subtype(struct, p_cand).size))
+    ok = all(size <= reference for _, size in passing)
     return QHarnessReport(reference, checked, tuple(passing), ok)

@@ -3,7 +3,7 @@ from itertools import combinations, product
 import pytest
 
 import philab as pl
-from philab.cover import DEFAULT_COVER_LIMIT, least_cover
+from philab.cover import least_cover
 from philab.delta import ALL
 
 S1_TEXT = """# phi-structure v1
@@ -62,8 +62,7 @@ def corpus():
     return build_corpus()
 
 
-def reference_finitely_satisfiable(s, family, c, domain, base, k=ALL,
-                                   limit=DEFAULT_COVER_LIMIT):
+def reference_finitely_satisfiable(s, family, c, domain, base, k=ALL):
     """Finite satisfiability on full dict tables: one disagreement set per
     table entry, and k holds iff no cover of the base by at most k of them
     exists; k = ALL, or k >= |base|, asks for a base table equal to c's."""
@@ -77,7 +76,7 @@ def reference_finitely_satisfiable(s, family, c, domain, base, k=ALL,
         return table in others
     disagree = [sum(1 << j for j, other in enumerate(others) if other[entry] != value)
                 for entry, value in table.items()]
-    return least_cover(disagree, (1 << len(base)) - 1, min(k, len(disagree)), limit) is None
+    return least_cover(disagree, (1 << len(base)) - 1, min(k, len(disagree))) is None
 
 
 # -- the row-scan oracle core, kept as a reference for the oracle's row sets,

@@ -1,0 +1,34 @@
+"""The public API keeps one guard mechanism: module constants."""
+
+import importlib
+import inspect
+import pkgutil
+
+import philab
+from philab.structure import BipartiteStructure
+
+
+def public_functions():
+    for info in pkgutil.iter_modules(philab.__path__):
+        module = importlib.import_module(f"philab.{info.name}")
+        for name, obj in vars(module).items():
+            if inspect.isfunction(obj) and obj.__module__ == module.__name__:
+                if not name.startswith("_"):
+                    yield f"{module.__name__}.{name}", obj
+    for name, obj in inspect.getmembers(BipartiteStructure, inspect.isfunction):
+        if not name.startswith("_"):
+            yield f"BipartiteStructure.{name}", obj
+
+
+def test_no_per_call_limit_or_sample_parameters():
+    # resource guards read module constants (DEFAULT_TABLE_LIMIT,
+    # DEFAULT_COVER_LIMIT, ...) when they run; no call can override one
+    functions = list(public_functions())
+    assert len(functions) > 50
+    offenders = [
+        f"{where}({param})"
+        for where, func in functions
+        for param in inspect.signature(func).parameters
+        if param in ("limit", "sample") or param.endswith("_limit")
+    ]
+    assert offenders == []

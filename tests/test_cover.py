@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from philab import cover
 from philab.cover import greedy_cover, least_cover, least_or_greedy_cover
 from philab.errors import ResourceLimitError
 
@@ -46,14 +47,15 @@ def test_greedy_cover_is_inclusion_minimal(masks, need):
     assert len(kept) >= len(brute_least(masks, need, len(masks)))
 
 
-def test_limit_counts_candidate_sets():
+def test_limit_counts_candidate_sets(monkeypatch):
     # four disjoint singletons: the only cover is all four, found at candidate
     # 4 + 6 + 4 + 1 = 15 after every smaller subset failed
     masks = [1, 2, 4, 8]
-    assert least_cover(masks, 15, 4, limit=15) == (0, 1, 2, 3)
+    monkeypatch.setattr(cover, "DEFAULT_COVER_LIMIT", 15)
+    assert least_cover(masks, 15, 4) == (0, 1, 2, 3)
+    monkeypatch.setattr(cover, "DEFAULT_COVER_LIMIT", 14)
     with pytest.raises(ResourceLimitError):
-        least_cover(masks, 15, 4, limit=14)
-    assert least_cover(masks, 15, 4, limit=None) == (0, 1, 2, 3)
+        least_cover(masks, 15, 4)
 
 
 def test_equal_masks_collapse_to_least_index():

@@ -1,8 +1,10 @@
+import sys
 from itertools import product
 
 import pytest
 
 import philab as pl
+from philab import cover, delta
 from philab.delta import ALL, DeltaFamily, cached_delta_type
 
 from conftest import reference_finitely_satisfiable
@@ -63,9 +65,10 @@ class TestDeltaType:
         dt = pl.delta_type(s1, DeltaFamily(0), 1, [])
         assert len(dt.table) == 2
 
-    def test_resource_guard(self, s1):
+    def test_resource_guard(self, s1, monkeypatch):
+        monkeypatch.setattr(delta, "DEFAULT_TABLE_LIMIT", 3)
         with pytest.raises(pl.ResourceLimitError):
-            pl.delta_type(s1, DeltaFamily(1), 0, [0, 1], limit=3)
+            pl.delta_type(s1, DeltaFamily(1), 0, [0, 1])
 
     def test_cached_identical(self, s1):
         fam = DeltaFamily(1)
@@ -93,14 +96,18 @@ class TestDeltaEqual:
         t3 = pl.delta_type(s2, DeltaFamily(1), 3, range(4))
         assert t0.table != t3.table
 
-    def test_guard_counts_signature_entries(self, s1):
-        # arity 2 over two columns: 32 table entries, 8 signature entries
+    def test_guard_counts_signature_entries(self, s1, monkeypatch):
+        # arity 2 over two columns: 32 table entries, 8 signature entries;
+        # column 0's signature is memoized by the second call, so the third
+        # call's guard sees only column 1's
         fam = DeltaFamily(2)
+        monkeypatch.setattr(delta, "DEFAULT_TABLE_LIMIT", 10)
         with pytest.raises(pl.ResourceLimitError):
-            pl.delta_type(s1, fam, 0, [0, 1], limit=10)
-        assert pl.delta_equal(s1, fam, 0, 0, [0, 1], limit=10)
+            pl.delta_type(s1, fam, 0, [0, 1])
+        assert pl.delta_equal(s1, fam, 0, 0, [0, 1])
+        monkeypatch.setattr(delta, "DEFAULT_TABLE_LIMIT", 7)
         with pytest.raises(pl.ResourceLimitError):
-            pl.delta_equal(s1, fam, 0, 1, [0, 1], limit=7)
+            pl.delta_equal(s1, fam, 0, 1, [0, 1])
 
     def test_empty_domain_positive_arity_all_equal(self):
         # columns 0 and 1 differ in which signs occur, yet over the empty
@@ -221,7 +228,7 @@ class TestFinitelySatisfiable:
             pl.finitely_satisfiable_in(s, DeltaFamily(1), c, d, b, n - 1)
 
     @pytest.mark.parametrize("seed, subject", [(3, 54), (1, 43)])
-    def test_dominated_masks_pruned_past_the_cover_limit(self, seed, subject):
+    def test_dominated_masks_pruned_past_the_cover_limit(self, seed, subject, monkeypatch):
         # over B at the dimension, the unpruned disagreement sets exhaust the
         # default cover limit at k = 2; with every set contained in another
         # dropped, the search answers as the unlimited reference: False for
@@ -231,7 +238,9 @@ class TestFinitelySatisfiable:
         base = s.base_members()
         with pytest.raises(pl.ResourceLimitError):
             reference_finitely_satisfiable(s, family, subject, base, base, 2)
-        expected = reference_finitely_satisfiable(s, family, subject, base, base, 2, limit=None)
+        with monkeypatch.context() as unlimited:
+            unlimited.setattr(cover, "DEFAULT_COVER_LIMIT", sys.maxsize)
+            expected = reference_finitely_satisfiable(s, family, subject, base, base, 2)
         assert pl.finitely_satisfiable_in(s, family, subject, base, base, 2) == expected
 
     def test_bad_k_rejected(self, s1):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import philab as pl
+from philab import goodconfig
 from philab.delta import ALL, DeltaFamily
 from philab.goodconfig import GoodConfiguration, config_certificate
 
@@ -76,15 +77,17 @@ class TestChecker:
         j, signs = check.witness
         assert j == 0 and len(signs) == 1
 
-    def test_resource_guard(self, s1):
+    def test_resource_guard(self, s1, monkeypatch):
+        monkeypatch.setattr(goodconfig, "DEFAULT_CHECK_LIMIT", 8)
         pairs = [(0, 1)] * 20
         with pytest.raises(pl.ResourceLimitError):
-            pl.is_good_configuration(s1, pairs, pl.EMPTY_TYPE, limit=8)
+            pl.is_good_configuration(s1, pairs, pl.EMPTY_TYPE)
 
-    def test_resource_guard_reports_the_tested_count(self, s1):
+    def test_resource_guard_reports_the_tested_count(self, s1, monkeypatch):
         # the empty configuration still makes one (vacuous) comparison
+        monkeypatch.setattr(goodconfig, "DEFAULT_CHECK_LIMIT", 0)
         with pytest.raises(pl.ResourceLimitError, match="needs 1 comparisons"):
-            pl.is_good_configuration(s1, [], pl.EMPTY_TYPE, limit=0)
+            pl.is_good_configuration(s1, [], pl.EMPTY_TYPE)
 
 
 class TestExtensionPair:
@@ -164,7 +167,7 @@ class TestBuildMaximal:
     def test_exhaustive_guard(self):
         s = pl.gen_linear_order(13, [0])
         with pytest.raises(pl.ResourceLimitError):
-            pl.build_maximal(s, pl.PhiType(), "exhaustive", theta_limit=12)
+            pl.build_maximal(s, pl.PhiType(), "exhaustive")
 
     def test_unknown_strategy(self, s1):
         with pytest.raises(ValueError):

@@ -4,7 +4,6 @@ from itertools import combinations, product
 import pytest
 
 import philab as pl
-from philab.delta import ALL
 from philab.goodconfig import GoodConfiguration
 from philab.isolation import SATURATION_DEFICIT, q_harness
 
@@ -260,19 +259,20 @@ class TestQType:
                 )
                 assert pl.find_isolating_subtype(s, twin_type).size == p_c_size
 
+    def test_base_type_rejects_a_candidate_its_literals_admit(self):
+        # rows 101 and 010: the candidate (2, 1) has the generating tuple's
+        # arity-0 signatures and realizable literals 2=0, 1=1, but no row
+        # realizes them together with the base type 0=1
+        s = pl.BipartiteStructure(((1, 0, 1), (0, 1, 0)), frozenset(), frozenset({1, 2}))
+        p = pl.PhiType({0: 1})
+        q = pl.q_type(s, GoodConfiguration(((1, 2),), p), family=pl.DeltaFamily(0))
+        assert s.is_consistent(pl.PhiType({2: 0, 1: 1}))
+        assert not pl.check_q_realizer(s, q, (2, 1))
+
     def test_arity_mismatch(self, s1):
         q = pl.q_type(s1, GoodConfiguration((), pl.EMPTY_TYPE))
         with pytest.raises(pl.ArityMismatchError):
             pl.check_q_realizer(s1, q, (0,))
-
-    def test_sample_zero_weaker_than_all(self, gap_chain):
-        p = gap_chain.trace(6, gap_chain.base_members())
-        config = pl.build_maximal(gap_chain, p, "greedy", 1)
-        full = q_harness(gap_chain, config, p, sample=ALL)
-        sparse = q_harness(gap_chain, config, p, sample=0)
-        passing_full = {c for c, _ in full.passing}
-        passing_sparse = {c for c, _ in sparse.passing}
-        assert passing_full <= passing_sparse
 
     def test_realizer_matches_entry_by_entry_schema(self):
         # the q-type as a schema of single delta entries: each component's
@@ -292,12 +292,15 @@ class TestQType:
             if any(c not in s.theta_set for c in tup):
                 return False
             literals = [(c, j % 2) for j, c in enumerate(tup)]
-            for conj in q.q_double_prime:
-                try:
-                    if not s.is_consistent(conj.union(pl.PhiType(literals))):
+            # every sub-conjunction of the base type, each on its own
+            for size in range(len(q.base_type) + 1):
+                for conj in combinations(q.base_type.items, size):
+                    try:
+                        combined = pl.PhiType(conj).union(pl.PhiType(literals))
+                    except pl.LiteralClashError:
                         return False
-                except pl.LiteralClashError:
-                    return False
+                    if not s.is_consistent(combined):
+                        return False
             # entry by entry, stopping at the first difference
             return all(map(operator.eq, schema(s, q.family, tup), generating_schema))
 
@@ -307,20 +310,20 @@ class TestQType:
         dup = pl.BipartiteStructure(rows, frozenset(), frozenset(range(4)))
         dup_base = pl.BipartiteStructure(rows, frozenset({0}), frozenset(range(4)))
         cases = [
-            (dup, self._maximal_config(dup, pl.EMPTY_TYPE), ALL),
+            (dup, self._maximal_config(dup, pl.EMPTY_TYPE)),
             # a component repeats
-            (dup, GoodConfiguration(((1, 2), (1, 3)), pl.EMPTY_TYPE), 0),
+            (dup, GoodConfiguration(((1, 0), (1, 2)), pl.EMPTY_TYPE)),
             # a component equals the base member 0, once and twice
-            (dup_base, GoodConfiguration(((0, 3),), pl.EMPTY_TYPE), 0),
-            (dup_base, GoodConfiguration(((0, 1), (0, 3)), pl.EMPTY_TYPE), 0),
+            (dup_base, GoodConfiguration(((0, 3),), pl.EMPTY_TYPE)),
+            (dup_base, GoodConfiguration(((0, 1), (0, 3)), pl.EMPTY_TYPE)),
         ]
         for seed in (0, 2, 7):
             s = pl.gen_random_bounded(seed, 10, 5, pl.generators.INTERVALS)
-            cases.append((s, self._maximal_config(s, pl.EMPTY_TYPE), ALL))
+            cases.append((s, self._maximal_config(s, pl.EMPTY_TYPE)))
         outcomes = set()
-        for s, config, sample in cases:
+        for s, config in cases:
             for arity in (1, 2):
-                q = pl.q_type(s, config, family=pl.DeltaFamily(arity), sample=sample)
+                q = pl.q_type(s, config, family=pl.DeltaFamily(arity))
                 generating_schema = list(schema(s, q.family, q.generating))
                 for tup in product(s.theta_members(), repeat=q.component_count):
                     got = pl.check_q_realizer(s, q, tup)

@@ -1,14 +1,18 @@
 """Property tests over randomized small structures."""
 
 import random
+import sys
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import philab as pl
+from philab import cover
 from philab.delta import ALL, DeltaFamily
 from philab.goodconfig import GoodConfiguration, extend_type
+from philab.isolation import _component_literals, _component_signatures
 from philab.oracle import (
     oracle_all_good_configs,
     oracle_finitely_satisfiable,
@@ -300,7 +304,8 @@ def test_fin_sat_matches_dict_table_reference(s, arity, data):
     base = data.draw(columns)
     for c in range(s.n):
         for k in (1, 2, 3, 4, ALL):
-            expected = reference_finitely_satisfiable(s, family, c, domain, base, k, None)
+            with mock.patch.object(cover, "DEFAULT_COVER_LIMIT", sys.maxsize):
+                expected = reference_finitely_satisfiable(s, family, c, domain, base, k)
             assert pl.finitely_satisfiable_in(s, family, c, domain, base, k) == expected
 
 
@@ -498,3 +503,61 @@ def test_oracle_fin_sat_matches_row_scans(s, arity, data):
         for k in (1, 2, 3, 4):
             expected = reference_oracle_finitely_satisfiable(s, table, base, k)
             assert oracle_finitely_satisfiable(s, table, base, k) == expected
+
+
+
+def reference_check_q_realizer(s, q, candidate):
+    """check_q_realizer with q'' read as every sub-conjunction of the base
+    type, each checked on its own with the candidate's signed literals."""
+    if any(c not in s.theta_set for c in candidate):
+        return False
+    literals = _component_literals(candidate)
+    for size in range(len(q.base_type) + 1):
+        for conj in combinations(q.base_type.items, size):
+            try:
+                combined = pl.PhiType(conj).union(pl.PhiType(literals))
+            except pl.LiteralClashError:
+                return False
+            if not s.is_consistent(combined):
+                return False
+    return tuple(_component_signatures(s, q.family, candidate)) == q.q_triple_prime
+
+
+def signed_pairs(s, a, avoid=()):
+    """Pairs (c0, c1) from theta outside avoid on which row a reads 0 and 1,
+    or None."""
+    theta = [c for c in s.theta_members() if c not in avoid]
+    zeros = [c for c in theta if not s.truth[a][c]]
+    ones = [c for c in theta if s.truth[a][c]]
+    if not zeros or not ones:
+        return None
+    return st.tuples(st.sampled_from(zeros), st.sampled_from(ones))
+
+
+@given(uniform_structures(max_m=8, max_n=5), st.integers(0, 2), st.data())
+@settings(max_examples=300, deadline=None)
+def test_q_realizer_checks_the_base_type_once(s, arity, data):
+    # a non-empty base type realized by row a and pairs signed as a's row, so
+    # the generating tuple realizes its own q-type; candidates signed as some
+    # row off the type's domain realize their own literals and clash with no
+    # literal of the type, but not always realize it; theta tuples can clash
+    assume(s.n)
+    a = data.draw(st.integers(0, s.m - 1))
+    domain = data.draw(st.lists(st.sampled_from(range(s.n)), min_size=1, unique=True))
+    p = s.trace(a, domain)
+    pair = signed_pairs(s, a)
+    pairs = data.draw(st.lists(pair, min_size=1, max_size=2)) if pair is not None else []
+    q = pl.q_type(s, GoodConfiguration(tuple(pairs), p), family=DeltaFamily(arity))
+    candidates = [q.generating]
+    for b in data.draw(st.lists(st.integers(0, s.m - 1), max_size=8)):
+        pair = signed_pairs(s, b, p.domain)
+        if pair is not None:
+            row_pairs = st.lists(pair, min_size=len(pairs), max_size=len(pairs))
+            candidates.append(sum(data.draw(row_pairs), ()))
+    theta = s.theta_members()
+    if theta:
+        tuples = st.tuples(*[st.sampled_from(theta)] * q.component_count)
+        candidates += data.draw(st.lists(tuples, max_size=4))
+    for candidate in candidates:
+        expected = reference_check_q_realizer(s, q, candidate)
+        assert pl.check_q_realizer(s, q, candidate) == expected
