@@ -212,7 +212,6 @@ def build_maximal(
     p: PhiType,
     strategy: str = "greedy",
     k_sat: int | _AllSentinel = ALL,
-    family: Optional[DeltaFamily] = None,
 ) -> GoodConfiguration:
     """A good configuration of p admitting no extension pair.
 
@@ -229,8 +228,7 @@ def build_maximal(
         raise PreconditionError("base type must be consistent")
     if not set(p.domain) <= struct.base_set:
         raise PreconditionError("base type domain must lie inside base_set")
-    if family is None:
-        family = DeltaFamily(cached_dimension(struct))
+    family = DeltaFamily(cached_dimension(struct))
 
     if strategy == "greedy":
         config = GoodConfiguration((), p)
@@ -297,13 +295,10 @@ def verify_bound(
 def config_certificate(
     struct: BipartiteStructure,
     config: GoodConfiguration,
-    family: Optional[DeltaFamily] = None,
 ) -> dict:
     """JSON-ready certificate: pairs, size, dimension, bound check, and the
     per-clause checker verdicts."""
-    if family is None:
-        family = DeltaFamily(cached_dimension(struct))
-    check = is_good_configuration(struct, config, family=family)
+    check = is_good_configuration(struct, config)
     clauses = {"i": True, "ii": True, "iii": True}
     if not check.ok:
         for name in clauses:

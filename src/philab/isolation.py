@@ -93,8 +93,11 @@ def find_isolating_subtype(
 
 
 def _pick(p: PhiType, indices: tuple[int, ...]) -> PhiType:
-    """The subtype made of p's literals at the given positions."""
-    return PhiType(p.items[i] for i in indices)
+    """The subtype made of p's literals at the given positions, which the
+    cover searches return in increasing order: a subsequence of p's sorted
+    literals is itself sorted."""
+    items = p.items
+    return PhiType._checked(tuple([items[i] for i in indices]))
 
 
 @dataclass(frozen=True)
@@ -401,7 +404,6 @@ def q_harness(
     struct: BipartiteStructure,
     config: GoodConfiguration,
     p: Optional[PhiType] = None,
-    family: Optional[DeltaFamily] = None,
 ) -> QHarnessReport:
     """Enumerate all theta tuples, keep those realizing q, and certify each
     passing tuple's type at most as hard to isolate as the generating one
@@ -418,7 +420,7 @@ def q_harness(
         raise ResourceLimitError(
             f"harness guard: |theta| = {len(theta)} > {Q_THETA_LIMIT}"
         )
-    q = q_type(struct, config, p, family)
+    q = q_type(struct, config, p)
     reference = find_isolating_subtype(struct, extend_type(p, config)).size
     passing = []
     checked = 0

@@ -53,6 +53,16 @@ class PhiType:
             seen[param] = sign
         object.__setattr__(self, "items", tuple(sorted(seen.items())))
 
+    @classmethod
+    def _checked(cls, items: tuple[tuple[int, int], ...]) -> "PhiType":
+        """The type holding `items` as they are, with no check.  Private:
+        callers pass a tuple whose parameters are strictly increasing and
+        whose signs are the ints 0 or 1, which is what the constructor would
+        have made of it."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "items", items)
+        return self
+
     @property
     def literals(self) -> dict[int, int]:
         return dict(self.items)
@@ -86,6 +96,16 @@ EMPTY_TYPE = PhiType()
 
 
 _BOOLEANS = frozenset((0, 1))
+#: turns a column's bytes 0 and 1 into the text "0" and "1"
+_BITS_TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _column_bits(column: tuple) -> bytes:
+    """A checked column's entries as the bytes 0 and 1."""
+    try:
+        return bytes(column)  # int and bool entries, read in C
+    except TypeError:  # floats and other entries equal to 0 or 1
+        return bytes([1 if v else 0 for v in column])
 
 
 def _is_boolean_row(row) -> bool:
@@ -129,14 +149,16 @@ class BipartiteStructure:
             raise ValueError("base_set must be contained in theta_set")
         if self.theta_set and not self.theta_set <= set(range(width)):
             raise ValueError("theta_set contains unknown parameters")
-        # Column bitmasks over rows; bit i of column_masks[b] = truth[i][b].
-        # A column read from its last row up is the mask's binary numeral;
-        # every row has `width` entries by now, so zip truncates nothing.
-        masks = tuple(
-            int("".join(["1" if v else "0" for v in reversed(column)]), 2)
-            for column in zip(*self.truth)
+        # _columns[b][i] is truth[i][b] as the int 0 or 1, whatever 0/1-valued
+        # type the matrix holds; every row has `width` entries by now, so zip
+        # truncates nothing.  Bit i of _column_masks[b] is the same entry: a
+        # column read from its last row up is the mask's binary numeral.
+        columns = tuple(map(_column_bits, zip(*self.truth)))
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(
+            self, "_column_masks",
+            tuple(int(c[::-1].translate(_BITS_TO_TEXT), 2) for c in columns),
         )
-        object.__setattr__(self, "_column_masks", masks)
         object.__setattr__(self, "_full_mask", (1 << len(self.truth)) - 1)
         object.__setattr__(self, "n", width)  # |Y|, read by every parameter check
 
@@ -154,9 +176,27 @@ class BipartiteStructure:
 
     # -- masks ------------------------------------------------------------
 
+    def _checked_params(self, params: Iterable[int]) -> tuple[int, ...]:
+        """params as a tuple, each checked once as check_parameter does.  The
+        loop repeats check_parameter's test inline: a call per parameter
+        costs more than the rest of a small type space.  The differential
+        property test holds the two to the same errors."""
+        params = tuple(params)
+        n = self.n
+        for b in params:
+            if not (isinstance(b, int) and 0 <= b < n):
+                raise UnknownParameterError(f"unknown parameter {b!r}")
+        return params
+
     def column_mask(self, b: int) -> int:
         self.check_parameter(b)
         return self._column_masks[b]
+
+    def column_masks(self, params: Iterable[int]) -> tuple[int, ...]:
+        """The column masks of params, in order; raises UnknownParameterError
+        before returning anything if any parameter is unknown."""
+        masks = self._column_masks
+        return tuple([masks[b] for b in self._checked_params(params)])
 
     def literal_mask(self, b: int, sign: int) -> int:
         """Bitmask of elements satisfying phi(x; b)^sign."""
@@ -181,11 +221,9 @@ class BipartiteStructure:
         """The type of element a over the given parameters, read off the
         matrix.  trace(a, D) is always consistent: a realizes it."""
         self.check_element(a)
-        pairs = []
-        for b in params:
-            self.check_parameter(b)
-            pairs.append((b, self.truth[a][b]))
-        return PhiType(pairs)
+        params = _domain(self._checked_params(params))
+        columns = self._columns
+        return PhiType._checked(tuple([(b, columns[b][a]) for b in params]))
 
     def full_trace(self, a: int) -> PhiType:
         return self.trace(a, range(self.n))
@@ -202,12 +240,14 @@ class BipartiteStructure:
     def type_space(self, params: Iterable[int]) -> tuple[PhiType, ...]:
         """All realized types over the given parameters: the distinct traces
         of elements, ordered by first realizing element."""
-        params = tuple(params)
-        for b in params:
-            self.check_parameter(b)
+        params = _domain(self._checked_params(params))
+        if not params:
+            return (EMPTY_TYPE,)  # X is nonempty
+        columns = self._columns
         # rows keyed by their values on params; dicts keep first-seen order
-        classes = dict.fromkeys(tuple(row[b] for b in params) for row in self.truth)
-        return tuple(PhiType(zip(params, values)) for values in classes)
+        classes = dict.fromkeys(zip(*[columns[b] for b in params]))
+        return tuple([PhiType._checked(tuple(zip(params, values)))
+                      for values in classes])
 
     def entails(self, p0: PhiType, p: PhiType) -> bool:
         """Structure-relative entailment: every realizer of p0 realizes p."""
@@ -218,6 +258,15 @@ class BipartiteStructure:
 
     def base_members(self) -> tuple[int, ...]:
         return tuple(sorted(self.base_set))
+
+
+def _domain(params: tuple[int, ...]) -> tuple[int, ...]:
+    """Checked parameters as a strictly increasing tuple.  A row has one value
+    per column, so a repeated parameter cannot clash and a duplicate column
+    splits no rows: a trace or type space over params equals the one over
+    its domain.  Of two equal parameters (1 and True) the set keeps the
+    first, as the public PhiType constructor does."""
+    return tuple(sorted(set(params)))
 
 
 # -- file format -----------------------------------------------------------

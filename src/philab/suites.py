@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import NotWitnessedError, ResourceLimitError
+from .errors import NotWitnessedError, PreconditionError, ResourceLimitError
 from .goodconfig import GoodConfiguration, build_maximal
 from .isolation import embed_trace, find_isolating_subtype, isolated_extension, q_harness
 from .oracle import OracleReport, oracle_all_good_configs, oracle_min_isolating, oracle_vc
@@ -58,12 +58,17 @@ def bound_suite(structures: Iterable[Named]) -> dict:
 
 def shatter_suite(structures: Iterable[Named]) -> dict:
     """On fully shattered structures, no type over Y has a proper isolating
-    subtype: the minimum certificate is the type itself."""
+    subtype: the minimum certificate is the type itself.  Each distinct type
+    over Y is checked once; a structure that is not fully shattered raises
+    PreconditionError, since the claim says nothing about it."""
     failures = []
     types_checked = 0
     for name, struct in structures:
-        for a in range(struct.m):
-            p = struct.full_trace(a)
+        space = struct.type_space(range(struct.n))
+        if len(space) != 1 << struct.n:
+            raise PreconditionError(
+                f"{name}: the shatter suite needs a fully shattered structure")
+        for p in space:
             types_checked += 1
             cert = find_isolating_subtype(struct, p)
             oracle_size = oracle_min_isolating(struct, p)

@@ -44,7 +44,7 @@ def _split(cells: list[int], col: int) -> list[int] | None:
 def is_phi_independent(struct: BipartiteStructure, params) -> bool:
     """True iff every sign pattern over the given parameters is consistent,
     equivalently iff the type space over them has full size 2^|C|."""
-    cols = [struct.column_mask(b) for b in params]
+    cols = struct.column_masks(params)
     cells = [(1 << struct.m) - 1]
     for col in cols:
         cells = _split(cells, col)
@@ -70,7 +70,7 @@ def independence_dimension(
     if cap < 0:
         raise ValueError("cap must be >= 0")
 
-    cols = [struct.column_mask(b) for b in range(n)]
+    cols = struct.column_masks(range(n))
     firsts = [()]  # the first independent set reached at each size
     tried = 0
 

@@ -149,6 +149,20 @@ class TestVerify:
                            "--gen", "shattered:4")
         assert code == 0
 
+    def test_shatter_rejects_structures_not_fully_shattered(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "shatter",
+                             "--gen", "random", "--seeds", "0..1")
+        assert code == 4 and out == ""
+        assert err.startswith("bad spec:") and "fully shattered" in err
+
+    def test_shatter_checks_each_distinct_type_once(self, capsys, tmp_path):
+        path = tmp_path / "dup.phi"
+        path.write_text(S1_TEXT.replace("X 4", "X 6") + "11\n11\n")
+        code, out, _ = run(capsys, "verify", "--suite", "shatter", "-i", str(path),
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["types_checked"] == 4
+
     def test_oracle_json(self, capsys, s1_file):
         code, out, _ = run(capsys, "verify", "--suite", "oracle", "-i", s1_file,
                            "--format", "json")

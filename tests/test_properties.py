@@ -156,6 +156,86 @@ def test_type_space_is_a_row_trace_scan(s, data):
     assert s.type_space(iter(params)) == reference_type_space(s, params)
 
 
+# -- type_space and trace against the public PhiType constructor ------------
+
+
+@st.composite
+def mixed_structures(draw, max_m=8, max_n=5):
+    """A matrix of 0/1 entries drawn as ints, bools and floats."""
+    m = draw(st.integers(1, max_m))
+    n = draw(st.integers(0, max_n))
+    entry = st.sampled_from([0, 1, False, True, 0.0, 1.0])
+    rows = tuple(tuple(draw(entry) for _ in range(n)) for _ in range(m))
+    return pl.BipartiteStructure(rows, frozenset(), frozenset())
+
+
+def parameter_lists(n):
+    # sorted, unsorted, repeated and empty lists of known parameters, and
+    # now and then an unknown or non-int one (True is parameter 1 when n > 1)
+    known = st.integers(0, n - 1) if n else st.nothing()
+    unknown = st.sampled_from([n, 99, -1, 1.0, -1.0, "0", None, True])
+    return st.lists(st.one_of(known, known, known, unknown), max_size=6)
+
+
+def checked_reference_trace(s, a, params):
+    # literals read off the raw matrix, through the public constructor
+    s.check_element(a)
+    pairs = []
+    for b in params:
+        s.check_parameter(b)
+        pairs.append((b, s.truth[a][b]))
+    return pl.PhiType(pairs)
+
+
+def checked_reference_type_space(s, params):
+    params = tuple(params)
+    for b in params:
+        s.check_parameter(b)
+    rows = dict.fromkeys(tuple(row[b] for b in params) for row in s.truth)
+    return tuple(pl.PhiType(zip(params, values)) for values in rows)
+
+
+def outcome(call):
+    try:
+        result = call()
+    except pl.PhilabError as exc:
+        return type(exc), str(exc)
+    # repr tells the parameter True from 1 and the sign 1.0 from 1; == does not
+    return "ok", repr(result)
+
+
+def assert_int_signs(types):
+    for t in types:
+        assert all(type(sign) is int for _, sign in t.items), t.items
+
+
+@given(mixed_structures(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_type_space_and_trace_match_the_public_constructor(s, data):
+    drawn = data.draw(parameter_lists(s.n))
+    a = data.draw(st.integers(-1, s.m))
+    # the drawn list, reversed, with its first entry repeated, and behind a
+    # True that may equal a drawn 1: unsorted and repeated lists must give
+    # what the public constructor makes of them
+    for params in (drawn, drawn[::-1], drawn + drawn[:1], [True, *drawn]):
+        space = outcome(lambda: s.type_space(params))
+        assert space == outcome(lambda: checked_reference_type_space(s, params))
+        if space[0] == "ok":
+            assert_int_signs(s.type_space(params))
+        trace = outcome(lambda: s.trace(a, params))
+        assert trace == outcome(lambda: checked_reference_trace(s, a, params))
+        if trace[0] == "ok":
+            assert_int_signs([s.trace(a, params)])
+    if 0 <= a < s.m:
+        full = s.full_trace(a)
+        assert full == checked_reference_trace(s, a, range(s.n))
+        assert_int_signs([full])
+        # certificates pick a sorted subsequence of the full trace
+        subtype = pl.find_isolating_subtype(s, full).subtype
+        assert subtype.items == pl.PhiType(subtype.items).items
+        assert set(subtype.items) <= set(full.items)
+
+
 @given(structures(max_n=4), st.integers(0, 2))
 @settings(max_examples=40)
 def test_delta_equal_is_equivalence(s, arity):

@@ -122,6 +122,13 @@ class TestCoreOps:
             (0, 0, 0, 0),
         ]
 
+    def test_bool_and_float_entries_read_as_int_signs(self):
+        s = pl.BipartiteStructure(((True, 0.0), (0, 1)), frozenset(), frozenset())
+        expected = pl.PhiType({0: 1, 1: 0})
+        for p in (s.type_space([0, 1])[0], s.trace(0, [0, 1]), s.full_trace(0)):
+            assert p == expected and p.items == ((0, 1), (1, 0))
+            assert [type(sign) for _, sign in p.items] == [int, int]
+
     def test_entails(self, s1, s2):
         assert s2.entails(pl.PhiType({0: 1}), s2.trace(0, range(4)))
         assert not s1.entails(pl.PhiType({0: 1}), pl.PhiType({0: 1, 1: 1}))

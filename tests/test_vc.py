@@ -24,6 +24,21 @@ def test_empty_set_independent(s2):
     assert pl.is_phi_independent(s2, [])
 
 
+def test_unknown_parameter_raises_before_any_split(s1):
+    # the repeated 0 alone would make the second split fail and return False
+    with pytest.raises(pl.UnknownParameterError, match="unknown parameter 99"):
+        pl.is_phi_independent(s1, [0, 0, 99])
+
+
+def test_column_masks_checks_every_parameter_first(s1):
+    with pytest.raises(pl.UnknownParameterError, match="unknown parameter 99"):
+        s1.column_masks([0, 0, 99])
+    with pytest.raises(pl.UnknownParameterError):
+        s1.column_masks([1.0])
+    # a bool is an int, so True reads column 1, as column_mask does
+    assert s1.column_masks([True, 0]) == (s1.column_mask(1), s1.column_mask(0))
+
+
 def test_single_row_dimension_zero():
     s = pl.BipartiteStructure(((0, 1, 0),), frozenset(), frozenset(range(3)))
     assert pl.independence_dimension(s).id_value == 0
