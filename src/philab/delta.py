@@ -33,8 +33,10 @@ repeated z's are false for every parameter, and every other entry repeats a
 closed one.  One private routine, _pack, fills signatures, closed packs, full
 tables and the q-type's signatures from the z-tuples each passes, and it
 raises ResourceLimitError past DEFAULT_TABLE_LIMIT entries, read at each
-build.  Signatures, packs and cached_delta_type tables are memoized per
-structure; a memo hit builds nothing, so no guard sees it.
+build; the q-type's search packs its candidates' signature blocks with the
+same bit loop under the same guard.  Signatures, packs and cached_delta_type
+tables are memoized per structure; a memo hit builds nothing, so no guard
+sees it.
 delta_eval is the one-entry reference.
 """
 
@@ -105,17 +107,29 @@ def delta_eval(
     return mask != 0
 
 
-def _pack(struct: BipartiteStructure, c: int, cols: tuple[int, ...],
-          ztuples: Iterable[tuple[int, ...]], entries: int) -> int:
-    """c's table over z-tuples drawn from checked cols, packed as an int in
-    canonical order (z-tuples as given, then t, then s; first entry in the
-    highest bit) once its entry count passes DEFAULT_TABLE_LIMIT."""
+def _check_table_size(entries: int) -> None:
+    """The table guard, read when a table of `entries` entries is built."""
     if entries > DEFAULT_TABLE_LIMIT:
         raise ResourceLimitError(
             f"delta table would have {entries} entries,"
             f" over the limit {DEFAULT_TABLE_LIMIT}"
         )
+
+
+def _pack(struct: BipartiteStructure, c: int, cols: tuple[int, ...],
+          ztuples: Iterable[tuple[int, ...]], entries: int) -> int:
+    """c's table over z-tuples drawn from checked cols, packed as an int in
+    canonical order (z-tuples as given, then t, then s; first entry in the
+    highest bit); raises ResourceLimitError once its entry count passes
+    DEFAULT_TABLE_LIMIT."""
+    _check_table_size(entries)
     lits = {b: (struct.literal_mask(b, 0), struct.literal_mask(b, 1)) for b in (c, *cols)}
+    return _pack_literals(lits, c, ztuples)
+
+
+def _pack_literals(lits, c, ztuples: Iterable[tuple]) -> int:
+    """_pack's bits, with lits[key] the (sign 0, sign 1) literal masks of
+    the parameter that c and each z-tuple entry name."""
     bits = []
     for zs in ztuples:
         for level in lits[c]:

@@ -27,16 +27,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
-from operator import eq, or_
-from typing import Iterator, Optional
+from itertools import chain, combinations
+from operator import or_
+from typing import Optional
 
 from .cover import least_or_greedy_cover
-from .delta import ALL, DeltaFamily, _AllSentinel, _positional_signature
+from .delta import (
+    ALL,
+    DeltaFamily,
+    _AllSentinel,
+    _check_table_size,
+    _pack_literals,
+    _positional_signature,
+)
 from .errors import (
     ArityMismatchError,
     InvariantError,
-    LiteralClashError,
     NotWitnessedError,
     PreconditionError,
     ResourceLimitError,
@@ -309,6 +315,10 @@ class QType:
     candidate's signatures over its own tuple must match the generating
     tuple's.  The generating tuple itself satisfies all three parts by
     construction, which is checked when the type is built.
+
+    Candidates are decided by one depth-first search over the components
+    (_q_realizers), which prunes on q_double_prime's realizer mask and on
+    q_triple_prime read as blocks, one per component and z-position tuple.
     """
 
     struct: BipartiteStructure
@@ -328,14 +338,6 @@ def _component_literals(components: tuple[int, ...]) -> tuple[tuple[int, int], .
     return tuple((c, j % 2) for j, c in enumerate(components))
 
 
-def _component_signatures(struct: BipartiteStructure, family: DeltaFamily,
-                          components: tuple[int, ...]) -> Iterator[int]:
-    """Each component's delta signature over the base parameters followed by
-    the components, position by position; lazy and unmemoized."""
-    params = (*struct.base_members(), *components)
-    return (_positional_signature(struct, family, c, params) for c in components)
-
-
 def q_type(
     struct: BipartiteStructure,
     config: GoodConfiguration,
@@ -351,26 +353,86 @@ def q_type(
     if family is None:
         family = DeltaFamily(cached_dimension(struct))
     components = config.components
+    params = (*struct.base_members(), *components)
     q = QType(
         struct=struct,
         family=family,
         pair_count=config.size,
         generating=components,
         base_type=p,
-        q_triple_prime=tuple(_component_signatures(struct, family, components)),
+        q_triple_prime=tuple(_positional_signature(struct, family, c, params)
+                             for c in components),
     )
     if not check_q_realizer(struct, q, components):
         raise InvariantError("generating tuple fails its own type")
     return q
 
 
+def _q_realizers(
+    struct: BipartiteStructure, q: QType, choices: tuple[tuple[int, ...], ...]
+) -> list[tuple[int, ...]]:
+    """The tuples realizing q's second and third parts whose component i is
+    drawn from choices[i], in product order.
+
+    Components are placed one at a time, with the realizer mask of the base
+    type and the literals placed so far: a zero mask (which includes every
+    sign clash) prunes the subtree.  Each generating signature is cut into
+    its blocks of 2^(r+1) bits, one per z-position tuple in _pack's order;
+    a block is compared as soon as its component and every component it
+    reads are placed, and a mismatch prunes the subtree.  A leaf has had
+    every block compared, so it has the generating tuple's signatures."""
+    base = struct.base_members()
+    slots = len(base) + q.component_count
+    r = min(q.family.arity, slots)
+    ztuples = tuple(combinations(range(slots), r))
+    width = 1 << (r + 1)
+    if q.component_count:
+        _check_table_size(len(ztuples) * width)
+    # ready[d]: (subject slot, z slots, generating bits) of each block that
+    # reads nothing past the first d components
+    ready: list[list] = [[] for _ in range(q.component_count + 1)]
+    for j, signature in enumerate(q.q_triple_prime):
+        shift = len(ztuples) * width
+        for zs in ztuples:
+            shift -= width
+            depth = max([j, *(z - len(base) for z in zs)]) + 1
+            ready[depth].append((len(base) + j, zs, signature >> shift & (1 << width) - 1))
+    lits = {c: (struct.literal_mask(c, 0), struct.literal_mask(c, 1))
+            for c in set(chain.from_iterable(choices))}
+    # slot_lits[i]: the literal masks of slot i, base members then placed components
+    slot_lits = [(struct.literal_mask(b, 0), struct.literal_mask(b, 1)) for b in base]
+    placed: list[int] = []
+    found: list[tuple[int, ...]] = []
+
+    def place(mask: int) -> None:
+        d = len(placed)
+        if d == len(choices):
+            found.append(tuple(placed))
+            return
+        for c in choices[d]:
+            narrowed = mask & lits[c][d % 2]
+            if not narrowed:
+                continue
+            placed.append(c)
+            slot_lits.append(lits[c])
+            if all(_pack_literals(slot_lits, subject, (zs,)) == bits
+                   for subject, zs, bits in ready[d + 1]):
+                place(narrowed)
+            placed.pop()
+            slot_lits.pop()
+
+    mask = struct.type_mask(q.base_type)
+    if mask:
+        place(mask)
+    return found
+
+
 def check_q_realizer(
     struct: BipartiteStructure, q: QType, candidate: tuple[int, ...]
 ) -> bool:
-    """Decide candidate |= q.  Membership first, then joint realizability of
-    the base type with the candidate's signed literals, then the
-    delta signatures with candidate components substituted into the
-    positions, computed unmemoized and one component at a time."""
+    """Decide candidate |= q.  The arity first, then each component is a
+    known parameter and lies in theta; the rest is q's search with each
+    position held to the candidate's component."""
     if len(candidate) != q.component_count:
         raise ArityMismatchError(
             f"expected {q.component_count} components, got {len(candidate)}"
@@ -379,14 +441,7 @@ def check_q_realizer(
         struct.check_parameter(c)
         if c not in struct.theta_set:
             return False
-    try:
-        combined = q.base_type.union(PhiType(_component_literals(candidate)))
-    except LiteralClashError:
-        return False
-    if not struct.is_consistent(combined):
-        return False
-    signatures = _component_signatures(struct, q.family, candidate)
-    return all(map(eq, signatures, q.q_triple_prime))
+    return bool(_q_realizers(struct, q, tuple((c,) for c in candidate)))
 
 
 @dataclass(frozen=True)
@@ -405,10 +460,12 @@ def q_harness(
     config: GoodConfiguration,
     p: Optional[PhiType] = None,
 ) -> QHarnessReport:
-    """Enumerate all theta tuples, keep those realizing q, and certify each
-    passing tuple's type at most as hard to isolate as the generating one
-    (certificate size <=).  Guarded to small configurations and theta sets:
-    the tuple space is |theta|^(2K)."""
+    """Find every theta tuple realizing q and certify each passing tuple's
+    type at most as hard to isolate as the generating one (certificate size
+    <=).  The tuples come from q's depth-first search with theta at every
+    position, which prunes a prefix as soon as it fails q, so
+    candidates_checked, |theta|^(2K), counts the tuples it decides rather
+    than visits.  Guarded to small configurations and theta sets."""
     if p is None:
         p = config.base_type
     if config.size > Q_PAIR_LIMIT:
@@ -423,12 +480,9 @@ def q_harness(
     q = q_type(struct, config, p)
     reference = find_isolating_subtype(struct, extend_type(p, config)).size
     passing = []
-    checked = 0
-    for candidate in product(theta, repeat=q.component_count):
-        checked += 1
-        if not check_q_realizer(struct, q, candidate):
-            continue
+    for candidate in _q_realizers(struct, q, (theta,) * q.component_count):
         p_cand = p.union(PhiType(_component_literals(candidate)))
         passing.append((candidate, find_isolating_subtype(struct, p_cand).size))
     ok = all(size <= reference for _, size in passing)
+    checked = len(theta) ** q.component_count
     return QHarnessReport(reference, checked, tuple(passing), ok)

@@ -256,28 +256,3 @@ def _oracle_dimension(struct: BipartiteStructure) -> int:
         value = oracle_vc(struct)
         object.__setattr__(struct, "_oracle_id_cache", value)
     return value
-
-
-def oracle_all_good_configs_naive(
-    struct: BipartiteStructure,
-    p: PhiType,
-    max_k: int,
-    arity: Optional[int] = None,
-) -> list[tuple[tuple[int, int], ...]]:
-    """Generate-and-test over all pair lists, no pruning; exists only to
-    validate the pruned enumeration on very small instances."""
-    theta = tuple(sorted(struct.theta_set))
-    if len(theta) > 4 or max_k > 2:
-        raise ResourceLimitError("naive enumeration is restricted to tiny instances")
-    _check_parameters(struct, p.domain)
-    if arity is None:
-        arity = _oracle_dimension(struct)
-    all_pairs = [(c0, c1) for c0 in theta for c1 in theta]
-    rows = _row_sets(struct)
-    memo: dict = {}
-    found = []
-    for k in range(max_k + 1):
-        for prefix in product(all_pairs, repeat=k):
-            if _clauses_hold(struct, prefix, p, arity, rows, memo):
-                found.append(prefix)
-    return sorted(found)

@@ -207,12 +207,17 @@ class BipartiteStructure:
         return self.literals_mask(p.items)
 
     def literals_mask(self, items: Iterable[tuple[int, int]]) -> int:
-        """Realizer bitmask of a bare literal list (no PhiType required)."""
-        mask = self._full_mask
+        """Realizer bitmask of a bare literal list (no PhiType required).
+        Every parameter is checked, with no early exit on a zero mask, so an
+        unknown one raises whatever the data.  The check repeats
+        _checked_params' inline test in the same loop: a batch check first
+        costs more than the whole mask of a short type."""
+        masks, full, n = self._column_masks, self._full_mask, self.n
+        mask = full
         for b, sign in items:
-            mask &= self.literal_mask(b, sign)
-            if not mask:
-                return 0
+            if not (isinstance(b, int) and 0 <= b < n):
+                raise UnknownParameterError(f"unknown parameter {b!r}")
+            mask &= masks[b] if sign else masks[b] ^ full
         return mask
 
     # -- core operations ---------------------------------------------------

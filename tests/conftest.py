@@ -4,7 +4,9 @@ import pytest
 
 import philab as pl
 from philab.cover import least_cover
-from philab.delta import ALL
+from philab.delta import ALL, _positional_signature
+from philab.goodconfig import extend_type
+from philab.isolation import QHarnessReport, _component_literals
 
 S1_TEXT = """# phi-structure v1
 X 4
@@ -201,3 +203,60 @@ def reference_oracle_all_good_configs(s, p, max_k, arity):
 
     descend(())
     return found
+
+
+def reference_oracle_all_good_configs_naive(s, p, max_k):
+    """Generate-and-test over all pair lists of length <= max_k on row scans,
+    no pruning, sorted; for tiny instances only (|theta| <= 4, max_k <= 2)."""
+    theta = tuple(sorted(s.theta_set))
+    assert len(theta) <= 4 and max_k <= 2, "naive enumeration is for tiny instances"
+    for b in p.domain:
+        s.check_parameter(b)
+    arity = reference_oracle_vc(s)
+    all_pairs = [(c0, c1) for c0 in theta for c1 in theta]
+    memo = {}
+    return sorted(
+        prefix
+        for k in range(max_k + 1)
+        for prefix in product(all_pairs, repeat=k)
+        if reference_clauses_hold(s, prefix, p, arity, memo)
+    )
+
+
+# -- the q-type's product loop, kept as a reference for its pruned search ---
+
+
+def reference_check_q_realizer(s, q, candidate):
+    """check_q_realizer with q'' read as every sub-conjunction of the base
+    type, each checked on its own with the candidate's signed literals, and
+    q''' as the candidate's whole signatures."""
+    if any(c not in s.theta_set for c in candidate):
+        return False
+    literals = _component_literals(candidate)
+    for size in range(len(q.base_type) + 1):
+        for conj in combinations(q.base_type.items, size):
+            try:
+                combined = pl.PhiType(conj).union(pl.PhiType(literals))
+            except pl.LiteralClashError:
+                return False
+            if not s.is_consistent(combined):
+                return False
+    params = (*s.base_members(), *candidate)
+    signatures = tuple(_positional_signature(s, q.family, c, params) for c in candidate)
+    return signatures == q.q_triple_prime
+
+
+def reference_q_harness(s, config, p):
+    """q_harness as every theta tuple in product order, each decided by
+    reference_check_q_realizer."""
+    q = pl.q_type(s, config, p)
+    reference = pl.find_isolating_subtype(s, extend_type(p, config)).size
+    passing = []
+    checked = 0
+    for candidate in product(s.theta_members(), repeat=q.component_count):
+        checked += 1
+        if reference_check_q_realizer(s, q, candidate):
+            p_cand = p.union(pl.PhiType(_component_literals(candidate)))
+            passing.append((candidate, pl.find_isolating_subtype(s, p_cand).size))
+    ok = all(size <= reference for _, size in passing)
+    return QHarnessReport(reference, checked, tuple(passing), ok)

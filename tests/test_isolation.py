@@ -4,6 +4,7 @@ from itertools import combinations, product
 import pytest
 
 import philab as pl
+from philab import delta
 from philab.goodconfig import GoodConfiguration
 from philab.isolation import SATURATION_DEFICIT, q_harness
 
@@ -330,6 +331,21 @@ class TestQType:
                     assert got == reference(s, q, tup, generating_schema)
                     outcomes.add(got)
         assert outcomes == {True, False}
+
+    def test_search_reads_the_table_guard(self, s1, monkeypatch):
+        # arity 2 over the base {0, 1} and two components: each component's
+        # signature has C(4, 2) * 2^3 = 48 entries; no component, no table
+        q = pl.q_type(s1, GoodConfiguration(((0, 1),), pl.EMPTY_TYPE),
+                      family=pl.DeltaFamily(2))
+        empty = pl.q_type(s1, GoodConfiguration((), pl.EMPTY_TYPE), family=pl.DeltaFamily(2))
+        monkeypatch.setattr(delta, "DEFAULT_TABLE_LIMIT", 47)
+        with pytest.raises(pl.ResourceLimitError,
+                           match="^delta table would have 48 entries, over the limit 47$"):
+            pl.check_q_realizer(s1, q, q.generating)
+        monkeypatch.setattr(delta, "DEFAULT_TABLE_LIMIT", 0)
+        assert pl.check_q_realizer(s1, empty, ())
+        monkeypatch.setattr(delta, "DEFAULT_TABLE_LIMIT", 48)
+        assert pl.check_q_realizer(s1, q, q.generating)
 
     def test_harness_guards(self, s1):
         big = GoodConfiguration(((0, 1),) * 3, pl.EMPTY_TYPE)

@@ -6,7 +6,9 @@ import pytest
 import philab as pl
 from philab.goodconfig import GoodConfiguration
 from philab import oracle
-from philab.oracle import oracle_all_good_configs_naive, oracle_finitely_satisfiable
+from philab.oracle import oracle_finitely_satisfiable
+
+from conftest import reference_oracle_all_good_configs_naive
 
 
 class TestOracleVc:
@@ -86,7 +88,7 @@ class TestOracleGoodConfigs:
                 s.truth, s.base_set & {0, 1}, frozenset(range(4))
             )
             fast = pl.oracle_all_good_configs(shrunk, pl.EMPTY_TYPE, 2)
-            slow = oracle_all_good_configs_naive(shrunk, pl.EMPTY_TYPE, 2)
+            slow = reference_oracle_all_good_configs_naive(shrunk, pl.EMPTY_TYPE, 2)
             assert fast == slow
 
     def test_guards(self, s1):
@@ -134,7 +136,7 @@ class TestOracleUnknownParameters:
         with pytest.raises(pl.UnknownParameterError, match=f"^unknown parameter {b}$"):
             pl.oracle_all_good_configs(s, pl.PhiType({b: 0}), 1)
         with pytest.raises(pl.UnknownParameterError, match=f"^unknown parameter {b}$"):
-            oracle_all_good_configs_naive(s, pl.PhiType({b: 0}), 1)
+            reference_oracle_all_good_configs_naive(s, pl.PhiType({b: 0}), 1)
 
     @pytest.mark.parametrize("b", [-1, 3, 5])
     def test_finitely_satisfiable_base(self, b):

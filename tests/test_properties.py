@@ -12,7 +12,7 @@ import philab as pl
 from philab import cover
 from philab.delta import ALL, DeltaFamily
 from philab.goodconfig import GoodConfiguration, extend_type
-from philab.isolation import _component_literals, _component_signatures
+from philab.isolation import q_harness
 from philab.oracle import (
     oracle_all_good_configs,
     oracle_finitely_satisfiable,
@@ -21,11 +21,13 @@ from philab.oracle import (
 )
 
 from conftest import (
+    reference_check_q_realizer,
     reference_finitely_satisfiable,
     reference_oracle_all_good_configs,
     reference_oracle_finitely_satisfiable,
     reference_oracle_min_isolating,
     reference_oracle_vc,
+    reference_q_harness,
 )
 
 
@@ -586,23 +588,6 @@ def test_oracle_fin_sat_matches_row_scans(s, arity, data):
 
 
 
-def reference_check_q_realizer(s, q, candidate):
-    """check_q_realizer with q'' read as every sub-conjunction of the base
-    type, each checked on its own with the candidate's signed literals."""
-    if any(c not in s.theta_set for c in candidate):
-        return False
-    literals = _component_literals(candidate)
-    for size in range(len(q.base_type) + 1):
-        for conj in combinations(q.base_type.items, size):
-            try:
-                combined = pl.PhiType(conj).union(pl.PhiType(literals))
-            except pl.LiteralClashError:
-                return False
-            if not s.is_consistent(combined):
-                return False
-    return tuple(_component_signatures(s, q.family, candidate)) == q.q_triple_prime
-
-
 def signed_pairs(s, a, avoid=()):
     """Pairs (c0, c1) from theta outside avoid on which row a reads 0 and 1,
     or None."""
@@ -641,3 +626,43 @@ def test_q_realizer_checks_the_base_type_once(s, arity, data):
     for candidate in candidates:
         expected = reference_check_q_realizer(s, q, candidate)
         assert pl.check_q_realizer(s, q, candidate) == expected
+
+
+@st.composite
+def harness_structures(draw):
+    """Structures of independence dimension d in 0..3: d free columns whose
+    2^d sign patterns all occur, plus copies, complements and constant
+    columns, which can never join an independent set; columns shuffled."""
+    d = draw(st.integers(0, 3))
+    rnd = random.Random(draw(st.integers(0, 2 ** 32)))
+    free = list(product((0, 1), repeat=d))
+    free += [rnd.choice(free) for _ in range(rnd.randint(0, 3))]
+    columns = [[row[b] for row in free] for b in range(d)]
+    for _ in range(rnd.randint(1, 5 - d)):
+        source = rnd.randrange(-1, d)  # -1: a constant column
+        flip = rnd.randint(0, 1)
+        columns.append([(row[source] if source >= 0 else 0) ^ flip for row in free])
+    rnd.shuffle(columns)
+    theta = frozenset(b for b in range(len(columns)) if rnd.random() < 0.8)
+    base = frozenset(b for b in theta if rnd.random() < 0.5)
+    s = pl.BipartiteStructure(tuple(zip(*columns)), base, theta)
+    assert pl.vc.cached_dimension(s) == d
+    return s
+
+
+@given(st.one_of(harness_structures(), uniform_structures(max_m=8, max_n=5)),
+       st.sampled_from((2, 1, 0)), st.data())
+@settings(max_examples=400, deadline=None)
+def test_q_harness_matches_the_product_loop(s, pair_count, data):
+    # K pairs signed as row a, over an empty base type or a's trace; theta
+    # holds the base, so components can equal base members
+    a = data.draw(st.integers(0, s.m - 1))
+    domain = data.draw(st.lists(st.sampled_from(range(s.n)), max_size=3, unique=True)
+                       if s.n else st.just([]))
+    p = s.trace(a, domain)
+    pair = signed_pairs(s, a)
+    assume(pair is not None or not pair_count)
+    pairs = data.draw(st.lists(pair, min_size=pair_count, max_size=pair_count)
+                      if pair_count else st.just([]))
+    config = GoodConfiguration(tuple(pairs), p)
+    assert q_harness(s, config, p) == reference_q_harness(s, config, p)

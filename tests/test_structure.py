@@ -107,6 +107,21 @@ class TestCoreOps:
         constant = pl.BipartiteStructure(((1,), (1,)), frozenset(), frozenset())
         assert not constant.is_consistent(pl.PhiType({0: 0}))
 
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_unknown_parameter_raises_whatever_the_data(self, column):
+        # literal 0=1 has no realizer when column 0 is all zeros; the
+        # unknown parameter 99 must raise all the same
+        s = pl.BipartiteStructure(((column,), (column,)), frozenset(), frozenset())
+        p = pl.PhiType({0: 1, 99: 1})
+        asks = [
+            lambda: s.is_consistent(p),
+            lambda: s.literals_mask([(0, 1), (99, 1)]),
+            lambda: pl.find_isolating_subtype(s, p),
+        ]
+        for ask in asks:
+            with pytest.raises(pl.UnknownParameterError, match="^unknown parameter 99$"):
+                ask()
+
     def test_type_space_sizes(self, s1, s2):
         assert len(s1.type_space([0, 1])) == 4
         assert s1.type_space([]) == (pl.EMPTY_TYPE,)
