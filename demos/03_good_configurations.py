@@ -8,6 +8,8 @@ plus any selection from the other pairs.  The point of the three clauses:
 configurations can never grow past the independence dimension.
 """
 
+from itertools import permutations
+
 import philab as pl
 from philab.goodconfig import GoodConfiguration
 
@@ -27,13 +29,20 @@ check = pl.is_good_configuration(s, [(1, 3)], pl.EMPTY_TYPE)
 print(f"  thresholds (1, 3) over base {{0, 2}}: ok={check.ok},"
       f" clause={check.clause}, witness={check.witness}")
 
-print("\nEvery prefix of a good configuration is good:")
-s = pl.gen_random_bounded(17, 20, 6, pl.generators.INTERVALS)
+print("\nEvery sub-list of a good configuration, in any order, is good")
+print("(so the oracle extends a list only by pairs that extended its parent):")
+s = pl.gen_random_bounded(19, 20, 6, pl.generators.UNIONS)
 dim = pl.independence_dimension(s).id_value
-for pairs in pl.oracle_all_good_configs(s, pl.EMPTY_TYPE, min(3, dim + 1)):
-    for cut in range(len(pairs)):
-        assert pl.is_good_configuration(s, pairs[:cut], pl.EMPTY_TYPE)
-print("  verified on seed 17")
+configs = pl.oracle_all_good_configs(s, pl.EMPTY_TYPE, min(3, dim + 1))
+checked = 0
+for pairs in configs:
+    for size in range(len(pairs) + 1):
+        for sub in permutations(pairs, size):
+            assert pl.is_good_configuration(s, sub, pl.EMPTY_TYPE)
+            assert sub in configs
+            checked += 1
+print(f"  {checked} sub-lists of {len(configs)} configurations verified"
+      f" on unions seed 19")
 
 print("\nGreedy maximal construction matches the exhaustive search:")
 for seed in (3, 11, 17):

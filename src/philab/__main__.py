@@ -1,0 +1,6 @@
+"""`python -m philab`: the `philab` command line."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

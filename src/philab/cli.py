@@ -58,6 +58,9 @@ EXIT_BAD_SPEC = 4
 
 DEFAULT_ID_CAP = 6
 
+#: Most seeds one `verify --seeds` run accepts; the default corpus uses 100.
+SEEDS_LIMIT = 1000
+
 
 class CliSpecError(PhilabError):
     """Malformed command arguments (exit 4)."""
@@ -371,14 +374,17 @@ def _expand_seeds(spec: str) -> list[int]:
     try:
         if ".." in spec:
             lo, hi = spec.split("..")
-            seeds = list(range(int(lo), int(hi) + 1))
+            seeds = range(int(lo), int(hi) + 1)  # counted before it is listed
         else:
             seeds = [int(s) for s in spec.split(",") if s]
+        count = len(seeds)
     except (ValueError, OverflowError):
         raise CliSpecError(f"bad --seeds spec {spec!r}, expected LO..HI or A,B") from None
-    if not seeds:
+    if not count:
         raise CliSpecError(f"--seeds {spec!r} names no seed")
-    return seeds
+    if count > SEEDS_LIMIT:
+        raise ResourceLimitError(f"--seeds guard: {count} seeds > {SEEDS_LIMIT}")
+    return list(seeds)
 
 
 def verify_structures(args) -> list[tuple[str, BipartiteStructure]]:

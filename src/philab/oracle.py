@@ -10,6 +10,11 @@ one set of the (t, s) patterns the rows realize (not the delta module's
 tables or signatures).  Guards are hard errors, never silent truncation,
 and an unknown parameter is an error, never a negative index.  These back
 every derived expected value and the differential acceptance suite.
+
+The good-configuration enumeration skips only lists that cannot pass: every
+sub-list of a good configuration, in any order, is good (each clause only
+weakens on fewer pairs; `oracle_all_good_configs` gives the proof), so a
+list is extended only by pairs that extended its parent list.
 """
 
 from __future__ import annotations
@@ -173,41 +178,6 @@ def _same_delta_type(
     )
 
 
-def _clauses_hold(
-    struct: BipartiteStructure,
-    pairs: tuple[tuple[int, int], ...],
-    p: PhiType,
-    arity: int,
-    rows,
-    memo: dict,
-) -> bool:
-    k = len(pairs)
-    for c0, c1 in pairs:
-        if c0 not in struct.theta_set or c1 not in struct.theta_set:
-            return False
-    literals = list(p.items)
-    for c0, c1 in pairs:
-        literals.append((c0, 0))
-        literals.append((c1, 1))
-    signs_seen: dict[int, int] = {}
-    for b, sign in literals:
-        if signs_seen.setdefault(b, sign) != sign:
-            return False  # contradictory literals can have no realizer
-    if not _rows_satisfying(struct, rows, signs_seen.items()):
-        return False
-    base = tuple(sorted(struct.base_set))
-    for s in product((0, 1), repeat=k):
-        for j in range(k):
-            domain = tuple(
-                sorted(set(base) | {pairs[i][s[i]] for i in range(k) if i != j})
-            )
-            if not _same_delta_type(
-                struct, arity, pairs[j][0], pairs[j][1], domain, memo
-            ):
-                return False
-    return True
-
-
 def oracle_all_good_configs(
     struct: BipartiteStructure,
     p: PhiType,
@@ -215,12 +185,24 @@ def oracle_all_good_configs(
     arity: Optional[int] = None,
 ) -> list[tuple[tuple[int, int], ...]]:
     """Every pair list of length <= max_k passing the three clauses, in
-    lexicographic order.
+    lexicographic order: (i) each pair lies in theta; (ii) p plus the
+    literals c_j^0 -> 0, c_j^1 -> 1 has a realizer; (iii) for each j and
+    each selection s of the other pairs' members, c_j^0 and c_j^1 realize
+    the same (t, s) patterns on every arity-tuple over B + {c_i^{s_i} : i != j}.
 
-    The enumeration extends passing lists only: a list whose prefix fails a
-    clause cannot pass (prefixes of good configurations are good), so the
-    output is identical to checking all lists; the naive generate-and-test
-    version is cross-checked against this at tiny scale in the tests.
+    Every sub-list of a good list, in any order, is good: it draws from the
+    same theta, its fewer literals keep every realizer of the full list,
+    and each of its clause-(iii) domains is contained in a domain of the
+    full list (extend the selection by any member of each dropped pair),
+    where equality on every tuple over the larger domain gives it on every
+    tuple over the smaller.  So the search extends a good list L only by a
+    pair q for which the list L[:-1] + (q,), a sub-list of L + (q,), passed
+    one level up; at the first level that means the pairs that pass alone.
+    Children are visited in theta-pair order, so the output is the
+    lexicographic order of checking every list; the row-scan and naive
+    generate-and-test references in the tests cross-check this.  Each list
+    carries its realizer set down, and each (pair, domain) equality is
+    decided once per call.
     """
     theta = tuple(sorted(struct.theta_set))
     if len(theta) > GOODCONFIG_THETA_LIMIT:
@@ -234,19 +216,50 @@ def oracle_all_good_configs(
     _check_parameters(struct, p.domain)
     if arity is None:
         arity = _oracle_dimension(struct)
-    all_pairs = [(c0, c1) for c0 in theta for c1 in theta]
     rows = _row_sets(struct)
+    realizers = _rows_satisfying(struct, rows, p.items)
+    if not realizers:
+        return []
+    found: list[tuple[tuple[int, int], ...]] = [()]
     memo: dict = {}
-    found: list[tuple[tuple[int, int], ...]] = []
+    # (pair, selected members) -> clause-(iii) verdict over B + those
+    # members; at most |theta|^2 * (1 + |theta| + C(|theta|, 2)) entries
+    equal: dict = {}
 
-    def descend(prefix: tuple[tuple[int, int], ...]) -> None:
-        if _clauses_hold(struct, prefix, p, arity, rows, memo):
-            found.append(prefix)
-            if len(prefix) < max_k:
-                for pair in all_pairs:
-                    descend(prefix + (pair,))
+    def clause_iii(pairs: tuple[tuple[int, int], ...]) -> bool:
+        for j, pair in enumerate(pairs):
+            for selection in product(*pairs[:j], *pairs[j + 1:]):
+                key = (pair, frozenset(selection))
+                verdict = equal.get(key)
+                if verdict is None:
+                    domain = tuple(sorted(struct.base_set.union(selection)))
+                    verdict = equal[key] = _same_delta_type(
+                        struct, arity, *pair, domain, memo
+                    )
+                if not verdict:
+                    return False
+        return True
 
-    descend(())
+    def descend(
+        prefix: tuple[tuple[int, int], ...],
+        realizers: frozenset,
+        candidates: list[tuple[int, int]],
+    ) -> None:
+        # candidates: the pairs that extended prefix's parent list; a sign
+        # clash, within a pair or with an earlier literal, leaves no realizer
+        passing = []
+        for pair in candidates:
+            below = realizers & rows[pair[0]][0] & rows[pair[1]][1]
+            if below and clause_iii(prefix + (pair,)):
+                passing.append((pair, below))
+        extending = [pair for pair, _ in passing]
+        for pair, below in passing:
+            found.append(prefix + (pair,))
+            if len(prefix) + 1 < max_k:
+                descend(prefix + (pair,), below, extending)
+
+    if max_k > 0:
+        descend((), realizers, [(c0, c1) for c0 in theta for c1 in theta])
     return found
 
 

@@ -227,7 +227,7 @@ def oracle_suite(structures: Iterable[Named]) -> dict:
             oracle_max = max(
                 len(c)
                 for c in oracle_all_good_configs(
-                    struct, PhiType(), min(3, subject_id + 1)
+                    struct, PhiType(), min(3, subject_id + 1), vc_report.oracle_value
                 )
             )
         except ResourceLimitError:

@@ -188,6 +188,17 @@ class TestVerify:
         assert code == 3
         assert "resource guard" in err
 
+    def test_seeds_guard_counts_before_building(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "SEEDS_LIMIT", 3)
+        for seeds in ("0..3", "0,1,2,3"):
+            code, out, err = run(capsys, "verify", "--suite", "bound",
+                                 "--gen", "random", "--seeds", seeds)
+            assert code == 3 and out == ""
+            assert err.startswith("resource guard:")
+        code, out, _ = run(capsys, "verify", "--suite", "bound",
+                           "--gen", "random", "--seeds", "0..2")
+        assert code == 0 and "pass" in out
+
 
 class TestSharedParser:
     def test_command_table_is_read_at_call_time(self, capsys, monkeypatch):
@@ -304,3 +315,15 @@ class TestExitCodes:
         )
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("invariant violation:")
+
+
+def test_python_m_philab_runs_main(capsys):
+    argv = ["id", "--gen", "shattered:2", "--format", "json"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "philab", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run(capsys, *argv)[1]

@@ -8,7 +8,10 @@ from philab.goodconfig import GoodConfiguration
 from philab import oracle
 from philab.oracle import oracle_finitely_satisfiable
 
-from conftest import reference_oracle_all_good_configs_naive
+from conftest import (
+    reference_oracle_all_good_configs,
+    reference_oracle_all_good_configs_naive,
+)
 
 
 class TestOracleVc:
@@ -90,6 +93,28 @@ class TestOracleGoodConfigs:
             fast = pl.oracle_all_good_configs(shrunk, pl.EMPTY_TYPE, 2)
             slow = reference_oracle_all_good_configs_naive(shrunk, pl.EMPTY_TYPE, 2)
             assert fast == slow
+
+    @pytest.mark.parametrize("seed", [19, 54, 91])
+    def test_matches_row_scans_with_two_pairs(self, seed):
+        # the only structures of the default corpus with two-pair configurations
+        s = pl.gen_random_bounded(seed, 20, 6, pl.generators.UNIONS)
+        arity = pl.oracle_vc(s)
+        empty = pl.oracle_all_good_configs(s, pl.EMPTY_TYPE, 3)
+        assert max(len(c) for c in empty) == 2
+        assert empty == reference_oracle_all_good_configs(s, pl.EMPTY_TYPE, 3, arity)
+        p = s.type_space(s.base_members())[0]
+        assert pl.oracle_all_good_configs(s, p, 3) == reference_oracle_all_good_configs(
+            s, p, 3, arity
+        )
+
+    @pytest.mark.parametrize("max_k", [-1, 0])
+    def test_no_pairs_below_length_one(self, s1, max_k):
+        assert pl.oracle_all_good_configs(s1, pl.EMPTY_TYPE, max_k) == [()]
+
+    @pytest.mark.parametrize("max_k", [0, 2])
+    def test_unrealized_type_has_none(self, s2, max_k):
+        # on the chain, column 0 true forces column 1 true
+        assert pl.oracle_all_good_configs(s2, pl.PhiType({0: 1, 1: 0}), max_k) == []
 
     def test_guards(self, s1):
         with pytest.raises(pl.ResourceLimitError):

@@ -2,7 +2,7 @@
 
 import random
 import sys
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from unittest import mock
 
 import pytest
@@ -22,6 +22,7 @@ from philab.oracle import (
 
 from conftest import (
     reference_check_q_realizer,
+    reference_clauses_hold,
     reference_finitely_satisfiable,
     reference_oracle_all_good_configs,
     reference_oracle_finitely_satisfiable,
@@ -564,6 +565,22 @@ def test_oracle_good_configs_match_row_scans(s, data):
     for arity in range(4):
         expected = reference_oracle_all_good_configs(s, p, 3, arity)
         assert oracle_all_good_configs(s, p, 3, arity) == expected
+
+
+@given(oracle_structures, st.integers(0, 3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_oracle_good_configs_closed_under_sub_lists(s, arity, data):
+    # the premise the enumeration prunes by: every sub-list of a good
+    # configuration, with one position dropped or reordered, is good too
+    p = data.draw(oracle_types(s))
+    configs = oracle_all_good_configs(s, p, 3, arity)
+    found = set(configs)
+    memo: dict = {}
+    for pairs in configs:
+        dropped = {pairs[:i] + pairs[i + 1:] for i in range(len(pairs))}
+        for sub in dropped | set(permutations(pairs)):
+            assert reference_clauses_hold(s, sub, p, arity, memo)
+            assert sub in found
 
 
 @given(oracle_structures, st.integers(0, 3), st.data())
