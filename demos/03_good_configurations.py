@@ -25,7 +25,7 @@ for seed in (3, 11, 17):
 
 print("\nThe checker reports the first violated clause:")
 s = pl.gen_linear_order(5, [0, 2])
-check = pl.is_good_configuration(s, [(1, 3)], pl.EMPTY_TYPE)
+check = pl.is_good_configuration(s, GoodConfiguration(((1, 3),), pl.EMPTY_TYPE))
 print(f"  thresholds (1, 3) over base {{0, 2}}: ok={check.ok},"
       f" clause={check.clause}, witness={check.witness}")
 
@@ -38,7 +38,7 @@ checked = 0
 for pairs in configs:
     for size in range(len(pairs) + 1):
         for sub in permutations(pairs, size):
-            assert pl.is_good_configuration(s, sub, pl.EMPTY_TYPE)
+            assert pl.is_good_configuration(s, GoodConfiguration(sub, pl.EMPTY_TYPE))
             assert sub in configs
             checked += 1
 print(f"  {checked} sub-lists of {len(configs)} configurations verified"

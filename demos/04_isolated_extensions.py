@@ -50,12 +50,12 @@ print("  checked on the whole domain; e.g. psi(8) =", formula.holds(8),
       "and psi(4) =", formula.holds(4))
 
 print("\nwitness conjunction from a realizer's full trace:")
-gamma = pl.gamma_certificate(chain, 5, result.configuration, p)
+gamma = pl.gamma_certificate(chain, 5, result.configuration)
 print("  gamma =", gamma)
 print("  entails the extended type:",
       chain.entails(gamma, result.extension))
 
 print("\ndisjunction covering the extension's realizers, one per trace class:")
-disjuncts = pl.psi_disjunction(chain, p, result.configuration)
+disjuncts = pl.psi_disjunction(chain, result.configuration)
 for g in disjuncts:
     print("  ", g, "-> realizers", chain.realizers(g))

@@ -37,7 +37,7 @@ print("  base-type literals, checked once with each candidate's:", len(q.base_ty
 print("  delta signatures, one per component:", len(q.q_triple_prime))
 print("  positions each signature ranges over:", len(s.base_members()) + q.component_count)
 
-report = q_harness(s, config, pl.EMPTY_TYPE)
+report = q_harness(s, config)
 print(f"\nharness over theta^{q.component_count}:"
       f" {report.candidates_checked} tuples checked,"
       f" {len(report.passing)} realize q")

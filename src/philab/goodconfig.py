@@ -66,11 +66,15 @@ class GoodConfiguration:
 @dataclass(frozen=True)
 class ConfigCheck:
     """Checker verdict; `clause` in {"i", "ii", "iii"} and a witness locate
-    the first violation in canonical scan order."""
+    the first violation in canonical scan order, and no clause means the
+    candidate passed."""
 
-    ok: bool
     clause: Optional[str] = None
     witness: Optional[tuple] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.clause is None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -89,25 +93,18 @@ def extend_type(p: PhiType, config: GoodConfiguration | Iterable[Pair]) -> PhiTy
 
 def is_good_configuration(
     struct: BipartiteStructure,
-    candidate: GoodConfiguration | Iterable[Pair],
-    p: Optional[PhiType] = None,
+    candidate: GoodConfiguration,
     family: Optional[DeltaFamily] = None,
 ) -> ConfigCheck:
-    """Check the three clauses; on failure report the first violated one.
+    """Check the three clauses against the candidate's own base type; on
+    failure report the first violated one.
 
     Clause (iii) is scanned over all sign selections s and pair indices j;
     distinct (s, j) combinations repeat domains, and the delta signatures
     they compare are memoized per structure.  Past DEFAULT_CHECK_LIMIT
     comparisons it raises ResourceLimitError before checking anything.
     """
-    if isinstance(candidate, GoodConfiguration):
-        pairs = candidate.pairs
-        if p is None:
-            p = candidate.base_type
-    else:
-        pairs = tuple(candidate)
-        if p is None:
-            raise PreconditionError("a base type is required for bare pair lists")
+    pairs = candidate.pairs
     if family is None:
         family = DeltaFamily(cached_dimension(struct))
     k = len(pairs)
@@ -121,14 +118,14 @@ def is_good_configuration(
     for j, pair in enumerate(pairs):
         for t in (0, 1):
             if pair[t] not in struct.theta_set:
-                return ConfigCheck(False, "i", (j, t))
+                return ConfigCheck("i", (j, t))
 
     try:
-        p_c = extend_type(p, pairs)
+        p_c = extend_type(candidate.base_type, pairs)
     except LiteralClashError:
-        return ConfigCheck(False, "ii", None)
+        return ConfigCheck("ii")
     if not struct.is_consistent(p_c):
-        return ConfigCheck(False, "ii", None)
+        return ConfigCheck("ii")
 
     base = struct.base_set
     for s in product((0, 1), repeat=k):
@@ -137,8 +134,8 @@ def is_good_configuration(
                 sorted(base | {pairs[i][s[i]] for i in range(k) if i != j})
             )
             if not delta_equal_over(struct, family, *pairs[j], domain):
-                return ConfigCheck(False, "iii", (j, s))
-    return ConfigCheck(True)
+                return ConfigCheck("iii", (j, s))
+    return ConfigCheck()
 
 
 def delta_equal_over(

@@ -4,7 +4,7 @@ The central objects:
 
 * an isolation certificate: a smallest subtype of a type whose realizer set
   already equals the whole type's, found by an ascending exhaustive search
-  (or a greedy elimination pass past the budget or the cover limit);
+  (or a greedy elimination pass past the cover limit);
 
 * a defining formula: for a literal conjunction gamma, the parameter
   predicate "every realizer of gamma satisfies phi(.; b)", which agrees with
@@ -65,26 +65,25 @@ class IsolationCertificate:
     target: PhiType
     subtype: PhiType
     minimal: bool
-    method: str
+
+    @property
+    def method(self) -> str:
+        return "exhaustive" if self.minimal else "greedy"
 
     @property
     def size(self) -> int:
         return len(self.subtype)
 
 
-def find_isolating_subtype(
-    struct: BipartiteStructure,
-    p: PhiType,
-    budget: int | _AllSentinel = ALL,
-) -> IsolationCertificate:
+def find_isolating_subtype(struct: BipartiteStructure, p: PhiType) -> IsolationCertificate:
     """Minimum-cardinality subtype of p with the same realizer set.
 
     Searches subsets of p's literals by increasing size (lexicographic
-    within a size, so ties resolve to the least literal tuple) up to
-    `budget`; past the budget or DEFAULT_COVER_LIMIT candidate subsets, a
-    greedy elimination pass over the full literal list yields an
-    inclusion-minimal but possibly non-minimum certificate.  A consistent p
-    always isolates itself, so this never fails.
+    within a size, so ties resolve to the least literal tuple); past
+    DEFAULT_COVER_LIMIT candidate subsets, a greedy elimination pass over
+    the full literal list yields an inclusion-minimal but possibly
+    non-minimum certificate.  A consistent p always isolates itself, so this
+    never fails.
     """
     if not struct.is_consistent(p):
         raise PreconditionError("type must be consistent")
@@ -92,10 +91,8 @@ def find_isolating_subtype(
     # non-realizer of p: literal i covers the non-realizers violating it
     need = ((1 << struct.m) - 1) ^ struct.type_mask(p)
     excluded = [~struct.literal_mask(b, sign) for b, sign in p.items]
-    size_cap = len(p) if isinstance(budget, _AllSentinel) else min(budget, len(p))
-    chosen, minimal = least_or_greedy_cover(excluded, need, size_cap)
-    method = "exhaustive" if minimal else "greedy"
-    return IsolationCertificate(p, _pick(p, chosen), minimal, method)
+    chosen, minimal = least_or_greedy_cover(excluded, need, len(p))
+    return IsolationCertificate(p, _pick(p, chosen), minimal)
 
 
 def _pick(p: PhiType, indices: tuple[int, ...]) -> PhiType:
@@ -154,9 +151,12 @@ class IsolatedExtensionResult:
     certificate: IsolationCertificate
     base_certificate: IsolationCertificate
     added_params: int
-    two_k: int
     two_id: int
     diagnostic: Optional[str]
+
+    @property
+    def two_k(self) -> int:
+        return 2 * self.configuration.size
 
     @property
     def budget_ok(self) -> bool:
@@ -194,7 +194,6 @@ def isolated_extension(
         certificate=cert,
         base_certificate=base_cert,
         added_params=added,
-        two_k=2 * config.size,
         two_id=2 * cached_dimension(struct),
         diagnostic=diagnostic,
     )
@@ -207,10 +206,9 @@ def gamma_certificate(
     struct: BipartiteStructure,
     a: int,
     config: GoodConfiguration,
-    p: PhiType,
 ) -> PhiType:
     """Literal conjunction from a realizer's full trace entailing the
-    extended type.
+    configuration's extended type.
 
     Treating the full trace of `a` as its complete type, search for a
     smallest set of trace literals such that no base parameter satisfies
@@ -223,7 +221,7 @@ def gamma_certificate(
     as a defensive diagnostic), the finite structure cannot witness the
     separation and NotWitnessedError carries the survivors.
     """
-    p_c = extend_type(p, config)
+    p_c = extend_type(config.base_type, config)
     struct.check_element(a)
     if struct.type_mask(p_c) >> a & 1 == 0:
         raise PreconditionError(f"element {a} does not realize the extended type")
@@ -251,23 +249,22 @@ def gamma_certificate(
 
 def psi_disjunction(
     struct: BipartiteStructure,
-    p: PhiType,
     config: GoodConfiguration,
 ) -> tuple[PhiType, ...]:
-    """Literal conjunctions, one per trace class of the extended type's
-    realizers, whose realizer sets jointly cover exactly those realizers;
-    a minimal subfamily is extracted by direct cover search (smallest, then
-    lexicographically least by class index; an inclusion-minimal subfamily
-    past DEFAULT_COVER_LIMIT candidates).  NotWitnessedError from any class
-    propagates."""
-    p_c = extend_type(p, config)
+    """Literal conjunctions, one per trace class of the realizers of the
+    configuration's extended type, whose realizer sets jointly cover exactly
+    those realizers; a minimal subfamily is extracted by direct cover search
+    (smallest, then lexicographically least by class index; an
+    inclusion-minimal subfamily past DEFAULT_COVER_LIMIT candidates).
+    NotWitnessedError from any class propagates."""
+    p_c = extend_type(config.base_type, config)
     if not struct.is_consistent(p_c):
         raise PreconditionError("extended type must be consistent")
     # the first realizer of each full-trace class, keyed on its truth row
     reps: dict[tuple[int, ...], int] = {}
     for a in struct.realizers(p_c):
         reps.setdefault(struct.truth[a], a)
-    gammas = [gamma_certificate(struct, a, config, p) for a in reps.values()]
+    gammas = [gamma_certificate(struct, a, config) for a in reps.values()]
     target_mask = struct.type_mask(p_c)
     masks = [struct.type_mask(g) for g in gammas]
     if any(mask & ~target_mask for mask in masks):
@@ -321,16 +318,18 @@ class QType:
     q_triple_prime read as blocks, one per component and z-position tuple.
     """
 
-    struct: BipartiteStructure
     family: DeltaFamily
-    pair_count: int
     generating: tuple[int, ...]
     base_type: PhiType
     q_triple_prime: tuple[int, ...]
 
     @property
+    def pair_count(self) -> int:
+        return len(self.generating) // 2
+
+    @property
     def component_count(self) -> int:
-        return 2 * self.pair_count
+        return len(self.generating)
 
 
 def _component_literals(components: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
@@ -341,25 +340,20 @@ def _component_literals(components: tuple[int, ...]) -> tuple[tuple[int, int], .
 def q_type(
     struct: BipartiteStructure,
     config: GoodConfiguration,
-    p: Optional[PhiType] = None,
     family: Optional[DeltaFamily] = None,
 ) -> QType:
     """Materialize the three-part description of a maximal configuration's
-    tuple.  Maximality of `config` is the caller's obligation (it is what
-    makes realizers of q useful); goodness is implicit in the checked
-    self-realization."""
-    if p is None:
-        p = config.base_type
+    tuple, over the configuration's base type.  Maximality of `config` is
+    the caller's obligation (it is what makes realizers of q useful);
+    goodness is implicit in the checked self-realization."""
     if family is None:
         family = DeltaFamily(cached_dimension(struct))
     components = config.components
     params = (*struct.base_members(), *components)
     q = QType(
-        struct=struct,
         family=family,
-        pair_count=config.size,
         generating=components,
-        base_type=p,
+        base_type=config.base_type,
         q_triple_prime=tuple(_positional_signature(struct, family, c, params)
                              for c in components),
     )
@@ -452,22 +446,19 @@ class QHarnessReport:
     reference_size: int
     candidates_checked: int
     passing: tuple[tuple[tuple[int, ...], int], ...]
-    ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return all(size <= self.reference_size for _, size in self.passing)
 
 
-def q_harness(
-    struct: BipartiteStructure,
-    config: GoodConfiguration,
-    p: Optional[PhiType] = None,
-) -> QHarnessReport:
+def q_harness(struct: BipartiteStructure, config: GoodConfiguration) -> QHarnessReport:
     """Find every theta tuple realizing q and certify each passing tuple's
     type at most as hard to isolate as the generating one (certificate size
     <=).  The tuples come from q's depth-first search with theta at every
     position, which prunes a prefix as soon as it fails q, so
     candidates_checked, |theta|^(2K), counts the tuples it decides rather
     than visits.  Guarded to small configurations and theta sets."""
-    if p is None:
-        p = config.base_type
     if config.size > Q_PAIR_LIMIT:
         raise ResourceLimitError(
             f"harness guard: {config.size} pairs > {Q_PAIR_LIMIT}"
@@ -477,12 +468,12 @@ def q_harness(
         raise ResourceLimitError(
             f"harness guard: |theta| = {len(theta)} > {Q_THETA_LIMIT}"
         )
-    q = q_type(struct, config, p)
+    q = q_type(struct, config)
+    p = config.base_type
     reference = find_isolating_subtype(struct, extend_type(p, config)).size
     passing = []
     for candidate in _q_realizers(struct, q, (theta,) * q.component_count):
         p_cand = p.union(PhiType(_component_literals(candidate)))
         passing.append((candidate, find_isolating_subtype(struct, p_cand).size))
-    ok = all(size <= reference for _, size in passing)
     checked = len(theta) ** q.component_count
-    return QHarnessReport(reference, checked, tuple(passing), ok)
+    return QHarnessReport(reference, checked, tuple(passing))

@@ -112,7 +112,7 @@ def remark_suite(structures: Iterable[Named]) -> dict:
             maximal = [c for c in configs if len(c) == max_size]
             for pairs in maximal[:2]:
                 try:
-                    report = q_harness(struct, GoodConfiguration(pairs, p), p)
+                    report = q_harness(struct, GoodConfiguration(pairs, p))
                 except ResourceLimitError:
                     skipped += 1
                     continue

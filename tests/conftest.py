@@ -246,10 +246,11 @@ def reference_check_q_realizer(s, q, candidate):
     return signatures == q.q_triple_prime
 
 
-def reference_q_harness(s, config, p):
+def reference_q_harness(s, config):
     """q_harness as every theta tuple in product order, each decided by
     reference_check_q_realizer."""
-    q = pl.q_type(s, config, p)
+    p = config.base_type
+    q = pl.q_type(s, config)
     reference = pl.find_isolating_subtype(s, extend_type(p, config)).size
     passing = []
     checked = 0
@@ -258,5 +259,4 @@ def reference_q_harness(s, config, p):
         if reference_check_q_realizer(s, q, candidate):
             p_cand = p.union(pl.PhiType(_component_literals(candidate)))
             passing.append((candidate, pl.find_isolating_subtype(s, p_cand).size))
-    ok = all(size <= reference for _, size in passing)
-    return QHarnessReport(reference, checked, tuple(passing), ok)
+    return QHarnessReport(reference, checked, tuple(passing))

@@ -22,13 +22,14 @@ def public_functions():
 
 def test_no_per_call_limit_or_sample_parameters():
     # resource guards read module constants (DEFAULT_TABLE_LIMIT,
-    # DEFAULT_COVER_LIMIT, ...) when they run; no call can override one
+    # DEFAULT_COVER_LIMIT, ...) when they run; no call can override one or
+    # cap a search's size on its own
     functions = list(public_functions())
     assert len(functions) > 50
     offenders = [
         f"{where}({param})"
         for where, func in functions
         for param in inspect.signature(func).parameters
-        if param in ("limit", "sample") or param.endswith("_limit")
+        if param in ("budget", "limit", "sample") or param.endswith("_limit")
     ]
     assert offenders == []

@@ -117,6 +117,16 @@ class TestConfigDefineEmbed:
         payload = json.loads(out)
         assert payload["agrees"]
 
+    def test_embed_disagreement_exits_1(self, capsys, monkeypatch):
+        # a formula wrong on base parameter 0 alone never reaches the output
+        holds = isolation.DefiningFormula.holds
+        monkeypatch.setattr(isolation.DefiningFormula, "holds",
+                            lambda self, b: holds(self, b) != (b == 0))
+        code, out, err = run(capsys, "embed", "--gen", "eqrel:2",
+                             "--element", "2", "--format", "json")
+        assert (code, out) == (1, "")
+        assert err.startswith("invariant violation:")
+
 
 class TestGen:
     def test_stdout(self, capsys):
@@ -190,7 +200,8 @@ class TestVerify:
 
     def test_seeds_guard_counts_before_building(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "SEEDS_LIMIT", 3)
-        for seeds in ("0..3", "0,1,2,3"):
+        # a range past 2**63 seeds is counted like any other
+        for seeds in ("0..3", "0,1,2,3", "0..10000000000000000000"):
             code, out, err = run(capsys, "verify", "--suite", "bound",
                                  "--gen", "random", "--seeds", seeds)
             assert code == 3 and out == ""
@@ -221,8 +232,7 @@ class TestExitCodes:
          "--seeds", "0..3"],
         ["isolate", "--gen", "shattered:2", "--lits", "bby1=1"],
         ["isolate", "--gen", "shattered:2", "--lits", "yb1=1"],
-        ["verify", "--suite", "bound", "--gen", "random",
-         "--seeds", "0..10000000000000000000"],
+        ["verify", "--suite", "bound", "--gen", "random", "--seeds", "0..1e19"],
     ])
     def test_bad_spec_exits_4(self, capsys, argv):
         code, _, err = run(capsys, *argv)

@@ -36,21 +36,21 @@ class TestExtendType:
 
 class TestChecker:
     def test_empty_candidate_good(self, s1):
-        assert pl.is_good_configuration(s1, (), pl.EMPTY_TYPE)
+        assert pl.is_good_configuration(s1, empty_config())
 
     def test_empty_candidate_inconsistent_type(self):
         constant = pl.BipartiteStructure(((1,), (1,)), frozenset(), frozenset({0}))
-        check = pl.is_good_configuration(constant, (), pl.PhiType({0: 0}))
+        check = pl.is_good_configuration(constant, empty_config(pl.PhiType({0: 0})))
         assert not check and check.clause == "ii"
 
     def test_theta_violation(self):
         s = pl.gen_linear_order(6, [2, 4], fill_gaps=False)  # theta = base
-        check = pl.is_good_configuration(s, [(1, 3)], pl.EMPTY_TYPE)
+        check = pl.is_good_configuration(s, GoodConfiguration(((1, 3),), pl.EMPTY_TYPE))
         assert not check and check.clause == "i" and check.witness == (0, 0)
 
     def test_clause_ii_violation(self, s1):
         # pair (0, 1) forces 0 -> 0 against p = {0 -> 1}
-        check = pl.is_good_configuration(s1, [(0, 1)], pl.PhiType({0: 1}))
+        check = pl.is_good_configuration(s1, GoodConfiguration(((0, 1),), pl.PhiType({0: 1})))
         assert not check and check.clause == "ii"
 
     def test_identical_columns_never_form_a_pair(self):
@@ -58,7 +58,8 @@ class TestChecker:
         # content duplicates always fails the consistency clause
         rows = ((0, 0), (1, 1))
         s = pl.BipartiteStructure(rows, frozenset(), frozenset(range(2)))
-        check = pl.is_good_configuration(s, [(0, 1)], pl.EMPTY_TYPE, DeltaFamily(1))
+        config = GoodConfiguration(((0, 1),), pl.EMPTY_TYPE)
+        check = pl.is_good_configuration(s, config, DeltaFamily(1))
         assert not check and check.clause == "ii"
 
     def test_distinct_twins_over_empty_base(self):
@@ -66,28 +67,30 @@ class TestChecker:
         # any consistent pair passes
         rows = ((0, 1), (1, 0), (0, 0), (1, 1))
         s = pl.BipartiteStructure(rows, frozenset(), frozenset(range(2)))
-        check = pl.is_good_configuration(s, [(0, 1)], pl.EMPTY_TYPE, DeltaFamily(1))
+        config = GoodConfiguration(((0, 1),), pl.EMPTY_TYPE)
+        check = pl.is_good_configuration(s, config, DeltaFamily(1))
         assert check.ok
 
     def test_clause_iii_violation(self):
         # chain: thresholds 1 and 3 are separated over base {0, 2}
         s = pl.gen_linear_order(5, [0, 2])
-        check = pl.is_good_configuration(s, [(1, 3)], pl.EMPTY_TYPE, DeltaFamily(1))
+        config = GoodConfiguration(((1, 3),), pl.EMPTY_TYPE)
+        check = pl.is_good_configuration(s, config, DeltaFamily(1))
         assert not check and check.clause == "iii"
         j, signs = check.witness
         assert j == 0 and len(signs) == 1
 
     def test_resource_guard(self, s1, monkeypatch):
         monkeypatch.setattr(goodconfig, "DEFAULT_CHECK_LIMIT", 8)
-        pairs = [(0, 1)] * 20
+        config = GoodConfiguration(((0, 1),) * 20, pl.EMPTY_TYPE)
         with pytest.raises(pl.ResourceLimitError):
-            pl.is_good_configuration(s1, pairs, pl.EMPTY_TYPE)
+            pl.is_good_configuration(s1, config)
 
     def test_resource_guard_reports_the_tested_count(self, s1, monkeypatch):
         # the empty configuration still makes one (vacuous) comparison
         monkeypatch.setattr(goodconfig, "DEFAULT_CHECK_LIMIT", 0)
         with pytest.raises(pl.ResourceLimitError, match="needs 1 comparisons"):
-            pl.is_good_configuration(s1, [], pl.EMPTY_TYPE)
+            pl.is_good_configuration(s1, empty_config())
 
 
 class TestExtensionPair:
@@ -190,7 +193,8 @@ class TestBoundAndPrefixes:
             dim = pl.independence_dimension(s).id_value
             for pairs in pl.oracle_all_good_configs(s, pl.PhiType(), min(3, dim + 1)):
                 for cut in range(len(pairs)):
-                    assert pl.is_good_configuration(s, pairs[:cut], pl.EMPTY_TYPE)
+                    prefix = GoodConfiguration(pairs[:cut], pl.EMPTY_TYPE)
+                    assert pl.is_good_configuration(s, prefix)
 
     def test_verify_bound_dumps_on_violation(self, s1):
         # bypass the checker deliberately: an oversized pair list is not a

@@ -4,7 +4,7 @@ from itertools import combinations, product
 import pytest
 
 import philab as pl
-from philab import delta
+from philab import cover, delta
 from philab.goodconfig import GoodConfiguration
 from philab.isolation import SATURATION_DEFICIT, q_harness
 
@@ -32,18 +32,21 @@ class TestFindIsolatingSubtype:
         cert = pl.find_isolating_subtype(s, pl.PhiType({0: 1, 1: 1}))
         assert cert.subtype == pl.PhiType({0: 1})
 
-    def test_budget_forces_greedy(self, s1):
+    def test_budget_forces_greedy(self, s1, monkeypatch):
         p = pl.PhiType({0: 1, 1: 1})
-        cert = pl.find_isolating_subtype(s1, p, budget=1)
+        monkeypatch.setattr(cover, "DEFAULT_COVER_LIMIT", 0)
+        cert = pl.find_isolating_subtype(s1, p)
         assert cert.method == "greedy" and not cert.minimal
         assert cert.subtype == p  # nothing can be dropped on a shattered pair
-        assert pl.find_isolating_subtype(s1, p, budget=2).minimal
+        monkeypatch.undo()
+        assert pl.find_isolating_subtype(s1, p).minimal
 
-    def test_greedy_result_entails(self, corpus):
+    def test_greedy_result_entails(self, corpus, monkeypatch):
+        monkeypatch.setattr(cover, "DEFAULT_COVER_LIMIT", 0)
         for _, s in corpus[:4]:
             for a in range(0, s.m, 3):
                 p = s.trace(a, s.base_members())
-                cert = pl.find_isolating_subtype(s, p, budget=0)
+                cert = pl.find_isolating_subtype(s, p)
                 assert s.entails(cert.subtype, p)
 
     def test_inconsistent_rejected(self):
@@ -83,7 +86,7 @@ class TestDefiningFormula:
 
     def test_full_type_as_gamma(self, s1):
         p = s1.trace(2, [0, 1])
-        cert = pl.IsolationCertificate(p, p, True, "exhaustive")
+        cert = pl.IsolationCertificate(p, p, True)
         formula = pl.phi_defining_formula(s1, cert)
         for b, sign in p.items:
             assert formula.holds(b) == bool(sign)
@@ -96,9 +99,7 @@ class TestDefiningFormula:
         assert isinstance(value, bool)
 
     def test_invalid_certificate_rejected(self, s1):
-        bogus = pl.IsolationCertificate(
-            pl.PhiType({0: 1, 1: 1}), pl.PhiType({0: 1}), True, "exhaustive"
-        )
+        bogus = pl.IsolationCertificate(pl.PhiType({0: 1, 1: 1}), pl.PhiType({0: 1}), True)
         with pytest.raises(pl.PreconditionError):
             pl.phi_defining_formula(s1, bogus)
 
@@ -135,14 +136,14 @@ class TestIsolatedExtension:
 class TestGammaCertificate:
     def test_s1_pair_example(self, s1):
         p = pl.PhiType({0: 1, 1: 1})
-        gamma = pl.gamma_certificate(s1, 3, GoodConfiguration((), p), p)
+        gamma = pl.gamma_certificate(s1, 3, GoodConfiguration((), p))
         assert len(gamma) <= 2
         assert s1.entails(gamma, p)
 
     def test_single_element_structure(self):
         s = pl.BipartiteStructure(((1, 0),), frozenset({0}), frozenset({0, 1}))
         p = s.trace(0, [0])
-        gamma = pl.gamma_certificate(s, 0, GoodConfiguration((), p), p)
+        gamma = pl.gamma_certificate(s, 0, GoodConfiguration((), p))
         assert s.entails(gamma, p)
 
     def test_entails_extended_type(self, gap_chain):
@@ -150,24 +151,24 @@ class TestGammaCertificate:
         config = pl.build_maximal(gap_chain, p, "greedy", 1)
         p_c = pl.extend_type(p, config)
         for a in gap_chain.realizers(p_c):
-            gamma = pl.gamma_certificate(gap_chain, a, config, p)
+            gamma = pl.gamma_certificate(gap_chain, a, config)
             assert gap_chain.entails(gamma, p_c)
 
     def test_non_realizer_rejected(self, s1):
         p = pl.PhiType({0: 1, 1: 1})
         with pytest.raises(pl.PreconditionError):
-            pl.gamma_certificate(s1, 0, GoodConfiguration((), p), p)
+            pl.gamma_certificate(s1, 0, GoodConfiguration((), p))
 
     def test_empty_base_gives_config_literals_only(self):
         s = pl.gen_linear_order(4, [], fill_gaps=True)
-        gamma = pl.gamma_certificate(s, 1, GoodConfiguration((), pl.EMPTY_TYPE), pl.EMPTY_TYPE)
+        gamma = pl.gamma_certificate(s, 1, GoodConfiguration((), pl.EMPTY_TYPE))
         assert gamma == pl.EMPTY_TYPE
 
 
 class TestPsiDisjunction:
     def test_covers_exactly(self, s1):
         p = pl.PhiType({0: 1, 1: 1})
-        disjuncts = pl.psi_disjunction(s1, p, GoodConfiguration((), p))
+        disjuncts = pl.psi_disjunction(s1, GoodConfiguration((), p))
         assert len(disjuncts) == 1
         covered = set()
         for g in disjuncts:
@@ -176,7 +177,7 @@ class TestPsiDisjunction:
 
     def test_multi_class_cover(self, s2):
         p = pl.PhiType({3: 1})  # realizers 0..3, four distinct traces
-        disjuncts = pl.psi_disjunction(s2, p, GoodConfiguration((), p))
+        disjuncts = pl.psi_disjunction(s2, GoodConfiguration((), p))
         covered = set()
         for g in disjuncts:
             covered.update(s2.realizers(g))
@@ -187,7 +188,7 @@ class TestPsiDisjunction:
         config = pl.build_maximal(gap_chain, p, "greedy", 1)
         p_c = pl.extend_type(p, config)
         if len(gap_chain.realizers(p_c)) == 1:
-            assert len(pl.psi_disjunction(gap_chain, p, config)) == 1
+            assert len(pl.psi_disjunction(gap_chain, config)) == 1
 
 
 class TestEmbedTrace:

@@ -682,4 +682,4 @@ def test_q_harness_matches_the_product_loop(s, pair_count, data):
     pairs = data.draw(st.lists(pair, min_size=pair_count, max_size=pair_count)
                       if pair_count else st.just([]))
     config = GoodConfiguration(tuple(pairs), p)
-    assert q_harness(s, config, p) == reference_q_harness(s, config, p)
+    assert q_harness(s, config) == reference_q_harness(s, config)
