@@ -70,12 +70,12 @@ def greedy_cover(masks: Sequence[int], need: int) -> Optional[tuple[int, ...]]:
 
 
 def least_or_greedy_cover(
-    masks: Sequence[int], need: int, max_size: int
+    masks: Sequence[int], need: int
 ) -> tuple[Optional[tuple[int, ...]], bool]:
-    """`least_cover`'s answer flagged minimal (True); past `max_size` members
-    or DEFAULT_COVER_LIMIT candidates, `greedy_cover`'s answer flagged False."""
+    """`least_cover`'s answer flagged minimal (True); past DEFAULT_COVER_LIMIT
+    candidates, `greedy_cover`'s answer flagged False."""
     try:
-        chosen = least_cover(masks, need, max_size)
+        chosen = least_cover(masks, need, len(masks))
     except ResourceLimitError:
         chosen = None
     return (chosen, True) if chosen is not None else (greedy_cover(masks, need), False)

@@ -91,7 +91,7 @@ def find_isolating_subtype(struct: BipartiteStructure, p: PhiType) -> IsolationC
     # non-realizer of p: literal i covers the non-realizers violating it
     need = ((1 << struct.m) - 1) ^ struct.type_mask(p)
     excluded = [~struct.literal_mask(b, sign) for b, sign in p.items]
-    chosen, minimal = least_or_greedy_cover(excluded, need, len(p))
+    chosen, minimal = least_or_greedy_cover(excluded, need)
     return IsolationCertificate(p, _pick(p, chosen), minimal)
 
 
@@ -237,7 +237,7 @@ def gamma_certificate(
         eliminates.append(sum(1 << j for j, (neg, pos) in enumerate(base_masks)
                               if neg & lit == 0 or pos & lit == 0))
     need = (1 << len(base)) - 1
-    chosen, _ = least_or_greedy_cover(eliminates, need, len(eliminates))
+    chosen, _ = least_or_greedy_cover(eliminates, need)
     if chosen is None:
         covered = reduce(or_, eliminates, 0)
         raise NotWitnessedError(tuple(b for j, b in enumerate(base) if not covered >> j & 1))
@@ -269,7 +269,7 @@ def psi_disjunction(
     masks = [struct.type_mask(g) for g in gammas]
     if any(mask & ~target_mask for mask in masks):
         raise InvariantError("gamma realizers leak outside the type")
-    chosen, _ = least_or_greedy_cover(masks, target_mask, len(masks))
+    chosen, _ = least_or_greedy_cover(masks, target_mask)
     if chosen is None:
         raise InvariantError("disjunction does not match the extended type")
     return tuple(gammas[i] for i in chosen)

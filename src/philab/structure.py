@@ -34,9 +34,13 @@ class PhiType:
     literal phi(x; b)^sign for each b in the domain.
 
     Immutable and hashable; the literal list is kept sorted by parameter so
-    equal assignments compare and hash equal.
+    equal assignments compare and hash equal.  The one field lives in a
+    slot, so a type carries no instance dict.  The slot is declared here,
+    not by ``slots=True``, which would rebuild the class and leave its frozen
+    __setattr__ raising TypeError for unknown names.
     """
 
+    __slots__ = ("items",)
     items: tuple[tuple[int, int], ...]
 
     def __init__(self, literals: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
@@ -58,10 +62,16 @@ class PhiType:
         """The type holding `items` as they are, with no check.  Private:
         callers pass a tuple whose parameters are strictly increasing and
         whose signs are the ints 0 or 1, which is what the constructor would
-        have made of it."""
+        have made of it.  The slot's own setter skips the frozen
+        __setattr__ and the constructor's sort and checks."""
         self = object.__new__(cls)
-        object.__setattr__(self, "items", items)
+        _set_items(self, items)
         return self
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor: the frozen
+        # __setattr__ refuses the slot state they would otherwise set
+        return PhiType, (self.items,)
 
     @property
     def literals(self) -> dict[int, int]:
@@ -92,6 +102,7 @@ class PhiType:
         return f"PhiType({{{body}}})"
 
 
+_set_items = PhiType.items.__set__
 EMPTY_TYPE = PhiType()
 
 
@@ -251,8 +262,14 @@ class BipartiteStructure:
         columns = self._columns
         # rows keyed by their values on params; dicts keep first-seen order
         classes = dict.fromkeys(zip(*[columns[b] for b in params]))
-        return tuple([PhiType._checked(tuple(zip(params, values)))
-                      for values in classes])
+        # each type built as PhiType._checked builds it, inline: a call per
+        # type costs more than building its items
+        new, out = object.__new__, []
+        for values in classes:
+            t = new(PhiType)
+            _set_items(t, tuple(zip(params, values)))
+            out.append(t)
+        return tuple(out)
 
     def entails(self, p0: PhiType, p: PhiType) -> bool:
         """Structure-relative entailment: every realizer of p0 realizes p."""
@@ -265,13 +282,13 @@ class BipartiteStructure:
         return tuple(sorted(self.base_set))
 
 
-def _domain(params: tuple[int, ...]) -> tuple[int, ...]:
-    """Checked parameters as a strictly increasing tuple.  A row has one value
+def _domain(params: tuple[int, ...]) -> list[int]:
+    """Checked parameters as a strictly increasing list.  A row has one value
     per column, so a repeated parameter cannot clash and a duplicate column
     splits no rows: a trace or type space over params equals the one over
     its domain.  Of two equal parameters (1 and True) the set keeps the
     first, as the public PhiType constructor does."""
-    return tuple(sorted(set(params)))
+    return sorted(set(params))
 
 
 # -- file format -----------------------------------------------------------

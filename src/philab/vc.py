@@ -5,15 +5,19 @@ by some element; the independence dimension is the largest size of such a
 set.  Both are decided by splitting realizer cells: the cells of C are the
 row bitmasks realizing its 2^|C| sign patterns, one more column splits each
 cell into its positive and negative part, and C is independent iff no cell
-is empty.  The dimension search is exact and depth-first: supersets of a
-dependent set are never independent, so only an independent set's cells are
-split by each later column, and only the current path's cells are kept.  A
-finite structure always has a finite dimension; the `capped` flag records
-that the search was cut off below |Y| and some larger independent set exists.
+is empty, which needs at least 2^|C| rows.  The dimension search is exact
+and depth-first: supersets of a dependent set are never independent, so
+only an independent set's cells are split, and only by the later columns
+that split every cell of its parent.  It keeps the current path's cells and
+each path set's list of such columns, and it leaves a branch once even all
+of that branch's columns could not beat the best size found.  A finite
+structure always has a finite dimension; the `capped` flag records that the
+search was cut off below |Y| and some larger independent set exists.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import ResourceLimitError
@@ -43,11 +47,17 @@ def _split(cells: list[int], col: int) -> list[int] | None:
 
 def is_phi_independent(struct: BipartiteStructure, params) -> bool:
     """True iff every sign pattern over the given parameters is consistent,
-    equivalently iff the type space over them has full size 2^|C|."""
-    cols = struct.column_masks(params)
-    cells = [(1 << struct.m) - 1]
-    for col in cols:
-        cells = _split(cells, col)
+    equivalently iff the type space over them has full size 2^|C|.  Every
+    parameter is checked first, so an unknown one raises whatever the data."""
+    params = struct._checked_params(params)
+    # 2^|C| patterns need as many distinct realizers; a repeated parameter
+    # makes C dependent anyway, so counting it twice changes no answer
+    if 1 << len(params) > struct.m:
+        return False
+    masks = struct._column_masks
+    cells = [struct._full_mask]
+    for b in params:
+        cells = _split(cells, masks[b])
         if cells is None:
             return False
     return True
@@ -62,11 +72,16 @@ def independence_dimension(
     sets of each size in lexicographic order, and the first one reached is
     kept.  `capped` is true iff some (cap+1)-set is still independent, i.e.
     the reported value is only a lower bound on the true dimension.  Raises
-    ResourceLimitError past DIMENSION_NODE_LIMIT one-column extensions.
+    ValueError unless cap is an int >= 0, and ResourceLimitError past
+    DIMENSION_NODE_LIMIT one-column extensions tried.
     """
     n = struct.n
     if cap is None:
         cap = n
+    try:
+        cap = operator.index(cap)
+    except TypeError:
+        raise ValueError(f"cap must be an int, got {cap!r}") from None
     if cap < 0:
         raise ValueError("cap must be >= 0")
 
@@ -74,26 +89,38 @@ def independence_dimension(
     firsts = [()]  # the first independent set reached at each size
     tried = 0
 
-    def grow(c, cells):
-        """True as soon as an independent extension of c exceeds cap."""
+    def grow(c, cells, later):
+        """True as soon as an independent extension of c exceeds cap.
+        `later` holds the columns after c's last that split every cell of
+        c's parent: a column leaving some cell unsplit leaves every part of
+        that cell unsplit, so no other column can extend c."""
         nonlocal tried
-        start = c[-1] + 1 if c else 0
-        tried += n - start
+        tried += len(later)
         if tried > DIMENSION_NODE_LIMIT:
             raise ResourceLimitError(
                 f"dimension search past {DIMENSION_NODE_LIMIT} extensions")
-        for j in range(start, n):
-            split = _split(cells, cols[j])
-            if split is not None:
-                if len(c) == cap:
+        size = len(c)
+        viable = []
+        for j in later:
+            if _split(cells, cols[j]) is not None:
+                if size == cap:
                     return True
-                if len(c) + 1 == len(firsts):
-                    firsts.append(c + (j,))
-                if grow(c + (j,), split):
-                    return True
+                viable.append(j)
+        for i, j in enumerate(viable):
+            # c plus every viable column from j on is the largest set this
+            # branch can reach; stop once it cannot beat the best size
+            if size + len(viable) - i < len(firsts):
+                break
+            child = c + (j,)
+            if len(child) == len(firsts):
+                firsts.append(child)
+            # split again rather than keep every viable column's cells
+            # while its earlier siblings' subtrees run
+            if grow(child, _split(cells, cols[j]), viable[i + 1:]):
+                return True
         return False
 
-    capped = grow((), [(1 << struct.m) - 1])
+    capped = grow((), [(1 << struct.m) - 1], range(n))
     return IndependenceReport(len(firsts) - 1, firsts[-1], capped)
 
 

@@ -50,10 +50,14 @@ class TestId:
         assert payload["id"] == 2 and payload["capped"]
 
     def test_dimension_guard_exits_3(self, capsys, monkeypatch):
-        monkeypatch.setattr(vc, "DIMENSION_NODE_LIMIT", 14)
+        # shattered:4's search tries 10 extensions (see test_vc)
+        monkeypatch.setattr(vc, "DIMENSION_NODE_LIMIT", 9)
         code, out, err = run(capsys, "id", "--gen", "shattered:4", "--cap", "full")
         assert code == 3 and out == ""
         assert err.startswith("resource guard:")
+        monkeypatch.setattr(vc, "DIMENSION_NODE_LIMIT", 10)
+        code, out, _ = run(capsys, "id", "--gen", "shattered:4", "--cap", "full")
+        assert code == 0 and out.startswith("ID = 4")
 
 
 class TestDeterminism:

@@ -63,9 +63,10 @@ def test_equal_masks_collapse_to_least_index():
     assert least_cover([2, 1, 2, 1], 3, 2) == (0, 1)
 
 
-def test_fallback_past_the_size_or_candidate_limit():
+def test_fallback_past_the_candidate_limit(monkeypatch):
     # greedy drops the covering index 0 first and keeps the four singletons
     masks = [15, 1, 2, 4, 8]
-    assert least_or_greedy_cover(masks, 15, 1) == ((0,), True)
-    assert least_or_greedy_cover(masks, 15, 0) == ((1, 2, 3, 4), False)
-    assert least_or_greedy_cover([1], 3, 1) == (None, False)
+    assert least_or_greedy_cover(masks, 15) == ((0,), True)
+    monkeypatch.setattr(cover, "DEFAULT_COVER_LIMIT", 0)
+    assert least_or_greedy_cover(masks, 15) == ((1, 2, 3, 4), False)
+    assert least_or_greedy_cover([1], 3) == (None, False)

@@ -1,5 +1,8 @@
 """Property tests over randomized small structures."""
 
+import copy
+import dataclasses
+import pickle
 import random
 import sys
 from itertools import combinations, permutations, product
@@ -138,6 +141,40 @@ def test_dimension_matches_sign_pattern_search(s):
     assert pl.independence_dimension(s) == reference_dimension(s, s.n)
 
 
+@st.composite
+def shattered_with_redundant_columns(draw, max_n=10):
+    """2^d rows over d shattered columns, d in 2..4, widened to at most
+    max_n columns by copies, complements and constants of the columns so
+    far, and now and then a random column; every column is inserted at a
+    drawn position, and a few rows may be repeated."""
+    d = draw(st.integers(2, 4))
+    m = 1 << d
+    cols = [tuple(r >> i & 1 for r in range(m)) for i in range(d)]
+    for _ in range(draw(st.integers(0, max_n - d))):
+        kind = draw(st.sampled_from(["copy", "complement", "constant", "random"]))
+        if kind == "random":
+            col = tuple(draw(st.integers(0, 1)) for _ in range(m))
+        elif kind == "constant":
+            col = (draw(st.integers(0, 1)),) * m
+        else:
+            col = cols[draw(st.integers(0, len(cols) - 1))]
+            if kind == "complement":
+                col = tuple(1 - v for v in col)
+        cols.insert(draw(st.integers(0, len(cols))), col)
+    rows = list(zip(*cols))
+    rows += [rows[i] for i in draw(st.lists(st.integers(0, m - 1), max_size=3))]
+    return pl.BipartiteStructure(tuple(rows), frozenset(), frozenset())
+
+
+@given(shattered_with_redundant_columns())
+@settings(max_examples=60, deadline=None)
+def test_dimension_on_wide_structures_matches_sign_pattern_search(s):
+    # copied, complemented and constant columns split no cell of some
+    # independent set, so they drop out of its children's candidates
+    for cap in range(s.n + 2):
+        assert pl.independence_dimension(s, cap) == reference_dimension(s, cap)
+
+
 @given(structures(min_n=1, max_n=5), st.data())
 @settings(max_examples=80, deadline=None)
 def test_independence_matches_sign_patterns(s, data):
@@ -237,6 +274,25 @@ def test_type_space_and_trace_match_the_public_constructor(s, data):
         subtype = pl.find_isolating_subtype(s, full).subtype
         assert subtype.items == pl.PhiType(subtype.items).items
         assert set(subtype.items) <= set(full.items)
+
+
+@given(mixed_structures(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_type_space_types_behave_as_constructed_ones(s, data):
+    # type_space builds its types without the constructor; they must still
+    # be frozen, equal and hash equal to constructed ones, and round-trip
+    params = data.draw(st.lists(st.integers(0, s.n - 1), max_size=6) if s.n
+                       else st.just([]))
+    for t in s.type_space(params):
+        built = pl.PhiType(t.literals)
+        assert t == built and hash(t) == hash(built) and repr(t) == repr(built)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.items = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.extra = 1
+        assert not hasattr(t, "__dict__")
+        for clone in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert clone == t and hash(clone) == hash(t) and repr(clone) == repr(t)
 
 
 @given(structures(max_n=4), st.integers(0, 2))

@@ -107,12 +107,43 @@ def test_negative_cap_rejected(s1):
         pl.independence_dimension(s1, cap=-1)
 
 
+def test_non_int_cap_rejected():
+    # a float cap would let the search report an id above it, not capped
+    s = pl.gen_shattered(3)
+    for cap in (1.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="cap must be an int"):
+            pl.independence_dimension(s, cap=cap)
+    # an int-like cap (a bool is an int) is read as its int value
+    assert pl.independence_dimension(s, cap=True) == pl.independence_dimension(s, cap=1)
+
+
+def test_pigeonhole_boundary():
+    # k columns can be independent over 2^k rows, never over 2^k - 1
+    for k in range(5):
+        s = pl.gen_shattered(k)
+        assert pl.is_phi_independent(s, range(k))
+        if k:
+            short = pl.BipartiteStructure(s.truth[1:], frozenset(), frozenset())
+            assert not pl.is_phi_independent(short, range(k))
+            assert pl.is_phi_independent(short, range(k - 1))
+
+
+def test_unknown_parameter_behind_the_pigeonhole_bound_raises(s1):
+    # five parameters over four rows are dependent by counting alone, but
+    # every parameter is still checked first
+    for bad in (99, -1, "0", 1.0, None):
+        with pytest.raises(pl.UnknownParameterError):
+            pl.is_phi_independent(s1, [0, 1, 0, 1, bad])
+
+
 def test_node_guard_raises(monkeypatch):
-    # shattered:4 tries all 15 (set, column) pairs
-    monkeypatch.setattr(vc, "DIMENSION_NODE_LIMIT", 14)
+    # shattered:4 tries 4 + 3 + 2 + 1 = 10 (set, column) pairs down the path
+    # {0} < {0,1} < {0,1,2} < {0,1,2,3}; once that 4-set is found, no other
+    # branch can reach size 5, so none is entered
+    monkeypatch.setattr(vc, "DIMENSION_NODE_LIMIT", 9)
     with pytest.raises(pl.ResourceLimitError):
         pl.independence_dimension(pl.gen_shattered(4))
-    monkeypatch.setattr(vc, "DIMENSION_NODE_LIMIT", 15)
+    monkeypatch.setattr(vc, "DIMENSION_NODE_LIMIT", 10)
     assert pl.independence_dimension(pl.gen_shattered(4)).id_value == 4
 
 
