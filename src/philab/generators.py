@@ -201,20 +201,20 @@ def gen_random_bounded(
         raise ValueError(f"y_size must be in 0..{RANDOM_Y_LIMIT}")
     rng = random.Random(f"{family}:{seed}:{x_size}:{y_size}")
 
-    def interval_mask() -> set[int]:
+    def mark_interval(column: bytearray) -> None:
         lo, hi = sorted((rng.randrange(x_size), rng.randrange(x_size)))
-        return set(range(lo, hi + 1))
+        column[lo:hi + 1] = b"\x01" * (hi + 1 - lo)
 
     columns = []
     for _ in range(y_size):
-        points = interval_mask()
+        column = bytearray(x_size)
+        mark_interval(column)
         if family == UNIONS:
-            points |= interval_mask()
-        columns.append(points)
-    rows = tuple(
-        tuple(1 if x in columns[b] else 0 for b in range(y_size))
-        for x in range(x_size)
-    )
+            mark_interval(column)
+        columns.append(column)
+    # a bytearray yields its entries as the ints 0 and 1; with no columns,
+    # zip would give no rows at all, not x_size empty ones
+    rows = tuple(zip(*columns)) if columns else ((),) * x_size
     base = frozenset(b for b in range(y_size) if rng.random() < 0.5)
     meta = {"family": family, "seed": seed}
     return BipartiteStructure(rows, base, frozenset(range(y_size)), meta)

@@ -14,9 +14,14 @@ the family arity equals that dimension; verify_bound certifies the bound on
 checker-passing configurations and treats any violation as an implementation
 bug, dumping the full instance.
 
-Every prefix of a good configuration is good (clauses (i)/(ii) restrict to
-subsets, and clause (iii) restricts by delta-type monotonicity), which is
-what makes greedy one-pair-at-a-time construction sound.
+Every sub-list of a good configuration, in any order, is good: clauses
+(i) and (ii) hold of fewer pairs, the checker reads each clause as a set of
+conditions that no reordering changes, and every clause-(iii) domain of a
+sub-list lies inside one of the full list (extend the selection by a member
+of each dropped pair), where delta-equality over the larger domain gives it
+over the smaller.  Prefix closure makes greedy one-pair-at-a-time
+construction sound, and closure under sorting lets the exhaustive search
+enter increasing lists only.
 """
 
 from __future__ import annotations
@@ -213,13 +218,34 @@ def build_maximal(
     """A good configuration of p admitting no extension pair.
 
     greedy (the default) repeats find_extension_pair until exhaustion,
-    mirroring the one-pair-at-a-time extension argument; exhaustive searches
-    every pair list over theta (prefix-pruned, which loses nothing since
-    prefixes of good configurations are good) and returns the maximum-size
-    configuration, lexicographically least among ties; the oracle suite
-    checks it against oracle_all_good_configs.  Exhaustive raises
+    mirroring the one-pair-at-a-time extension argument.  exhaustive returns
+    the maximum-size configuration, lexicographically least among ties; the
+    oracle suite checks it against oracle_all_good_configs.  It raises
     ResourceLimitError when |theta| exceeds DEFAULT_EXHAUSTIVE_THETA_LIMIT,
     and takes no extension steps, so it accepts k_sat=ALL only.
+
+    The exhaustive search enters strictly increasing pair lists only, in
+    lexicographic preorder, and keeps the first list of each new size.
+    That loses nothing:
+      - sorting a maximum good list keeps it good (every sub-list in any
+        order is good) and never makes it lexicographically larger, so the
+        lexicographically least maximum list is sorted;
+      - no good list repeats a pair, so a sorted one is strictly increasing.
+        At arity >= 1, clause (iii) for one copy sees the other copy's d0 in
+        its domain, and a column delta-equal to d0 over a domain holding d0
+        equals d0, which (ii) forbids.  At arity 0 the dimension is 0, so
+        every column is constant, and (ii) and (iii) exclude each other: no
+        pair is good at all;
+      - by sub-list closure, a pair q can extend a list L only if it
+        extended L's parent, so each node checks only the later pairs that
+        passed at its parent, and passes its own passing pairs after q on to
+        the child L + (q,).
+    Each list carries its realizer mask down, and a candidate whose clause
+    (ii) mask, that mask AND its pair's literal masks, is empty is dropped
+    unchecked.  is_good_configuration still accepts every list returned.
+    At arity >= 1 the pairs of a good list hold distinct parameters from
+    theta, so its size stays at most |theta| / 2 <= 6 and
+    DEFAULT_CHECK_LIMIT, first passed at size 9, is never reached.
     """
     if not struct.is_consistent(p):
         raise PreconditionError("base type must be consistent")
@@ -245,21 +271,37 @@ def build_maximal(
             f"exhaustive search over |theta| = {len(theta)}"
             f" exceeds {DEFAULT_EXHAUSTIVE_THETA_LIMIT}"
         )
-    all_pairs = [(d0, d1) for d0 in theta for d1 in theta if d0 != d1]
     best = GoodConfiguration((), p)
-
-    def descend(config: GoodConfiguration) -> None:
-        nonlocal best
-        for pair in all_pairs:
-            cand = config.extended(pair)
-            if is_good_configuration(struct, cand, family=family):
-                if cand.size > best.size:
-                    best = cand
-                descend(cand)
-
     if not is_good_configuration(struct, best, family=family):
         raise PreconditionError("empty configuration fails the checker")
-    descend(best)
+    lits = {d: (struct.literal_mask(d, 0), struct.literal_mask(d, 1)) for d in theta}
+    # each pair with its clause-(ii) mask: the elements giving d0 sign 0
+    # and d1 sign 1
+    all_pairs = [
+        ((d0, d1), lits[d0][0] & lits[d1][1])
+        for d0 in theta
+        for d1 in theta
+        if d0 != d1
+    ]
+
+    def descend(config: GoodConfiguration, mask: int, candidates: list) -> None:
+        # mask: config's realizer mask; candidates: the pairs after config's
+        # last one that extended its parent, each with its (ii) mask
+        nonlocal best
+        later = []
+        for pair, pair_mask in candidates:
+            below = mask & pair_mask
+            if below and is_good_configuration(
+                struct, config.extended(pair), family=family
+            ):
+                later.append((pair, pair_mask, below))
+        for i, (pair, _, below) in enumerate(later):
+            cand = config.extended(pair)
+            if cand.size > best.size:
+                best = cand
+            descend(cand, below, [(q, q_mask) for q, q_mask, _ in later[i + 1:]])
+
+    descend(best, struct.type_mask(p), all_pairs)
     return best
 
 

@@ -7,9 +7,11 @@ realizer sets are intersections of per-column row sets (not bitmasks), a
 subset is independent when the rows project onto it in 2^size distinct
 sign patterns (not cell splitting), and a delta question about (c, zs) is
 one set of the (t, s) patterns the rows realize (not the delta module's
-tables or signatures).  Guards are hard errors, never silent truncation,
-and an unknown parameter is an error, never a negative index.  These back
-every derived expected value and the differential acceptance suite.
+tables or signatures), read by zipping the raw columns of the matrix, which
+are transposed once per public call.  Guards are hard errors, never silent
+truncation, and an unknown parameter is an error, never a negative index.
+These back every derived expected value and the differential acceptance
+suite.
 
 The good-configuration enumeration skips only lists that cannot pass: every
 sub-list of a good configuration, in any order, is good (each clause only
@@ -117,17 +119,18 @@ def oracle_min_isolating(struct: BipartiteStructure, p: PhiType) -> int:
     raise AssertionError("p itself always has its own realizer set")
 
 
-def _realized(
-    struct: BipartiteStructure, c: int, zs: tuple[int, ...], memo: dict
-) -> frozenset:
+def _realized(columns: tuple, c: int, zs: tuple[int, ...], memo: dict) -> frozenset:
     """Every (t, s) for which some row has sign t at c and signs s at zs:
-    the delta entries (zs, t, s) that hold of c."""
+    the delta entries (zs, t, s) that hold of c, read by zipping the raw
+    columns (columns[b] is column b of the truth matrix)."""
     key = (c, zs)
     hit = memo.get(key)
     if hit is None:
-        hit = memo[key] = frozenset(
-            (row[c], tuple(row[z] for z in zs)) for row in struct.truth
-        )
+        if zs:
+            patterns = zip(columns[c], zip(*[columns[z] for z in zs]))
+        else:  # zip() of no columns is empty, not one () per row
+            patterns = ((t, ()) for t in columns[c])
+        hit = memo[key] = frozenset(patterns)
     return hit
 
 
@@ -153,10 +156,11 @@ def oracle_finitely_satisfiable(
     _check_parameters(struct, [z for (zs, _, _), _ in entries for z in zs])
     if not base:
         return False
+    columns = tuple(zip(*struct.truth))
     memo: dict = {}
     for chunk in combinations(entries, min(k, len(entries))):
         if not any(
-            all(((t, s) in _realized(struct, b, zs, memo)) == value
+            all(((t, s) in _realized(columns, b, zs, memo)) == value
                 for (zs, t, s), value in chunk)
             for b in base
         ):
@@ -165,7 +169,7 @@ def oracle_finitely_satisfiable(
 
 
 def _same_delta_type(
-    struct: BipartiteStructure,
+    columns: tuple,
     arity: int,
     c0: int,
     c1: int,
@@ -173,7 +177,7 @@ def _same_delta_type(
     memo: dict,
 ) -> bool:
     return all(
-        _realized(struct, c0, zs, memo) == _realized(struct, c1, zs, memo)
+        _realized(columns, c0, zs, memo) == _realized(columns, c1, zs, memo)
         for zs in product(domain, repeat=arity)
     )
 
@@ -221,6 +225,7 @@ def oracle_all_good_configs(
     if not realizers:
         return []
     found: list[tuple[tuple[int, int], ...]] = [()]
+    columns = tuple(zip(*struct.truth))
     memo: dict = {}
     # (pair, selected members) -> clause-(iii) verdict over B + those
     # members; at most |theta|^2 * (1 + |theta| + C(|theta|, 2)) entries
@@ -234,7 +239,7 @@ def oracle_all_good_configs(
                 if verdict is None:
                     domain = tuple(sorted(struct.base_set.union(selection)))
                     verdict = equal[key] = _same_delta_type(
-                        struct, arity, *pair, domain, memo
+                        columns, arity, *pair, domain, memo
                     )
                 if not verdict:
                     return False

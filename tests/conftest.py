@@ -1,12 +1,15 @@
+import random
 from itertools import combinations, product
 
 import pytest
 
 import philab as pl
 from philab.cover import least_cover
-from philab.delta import ALL, _positional_signature
-from philab.goodconfig import extend_type
+from philab.delta import ALL, DeltaFamily, _positional_signature
+from philab import goodconfig
+from philab.goodconfig import GoodConfiguration, extend_type
 from philab.isolation import QHarnessReport, _component_literals
+from philab.vc import cached_dimension
 
 S1_TEXT = """# phi-structure v1
 X 4
@@ -260,3 +263,72 @@ def reference_q_harness(s, config):
             p_cand = p.union(pl.PhiType(_component_literals(candidate)))
             passing.append((candidate, pl.find_isolating_subtype(s, p_cand).size))
     return QHarnessReport(reference, checked, tuple(passing))
+
+
+# -- the exhaustive configuration search over every permutation, kept as a
+# reference for the search over strictly increasing lists ---------------
+
+
+def reference_build_maximal_exhaustive(s, p, k_sat=ALL):
+    """build_maximal(s, p, "exhaustive", k_sat) entering every good pair list
+    in preorder, each node trying all |theta| * (|theta| - 1) pairs."""
+    if not s.is_consistent(p):
+        raise pl.PreconditionError("base type must be consistent")
+    if not set(p.domain) <= s.base_set:
+        raise pl.PreconditionError("base type domain must lie inside base_set")
+    family = DeltaFamily(cached_dimension(s))
+    if k_sat is not ALL:
+        raise pl.PreconditionError("exhaustive search takes k_sat=ALL only")
+    theta = s.theta_members()
+    limit = goodconfig.DEFAULT_EXHAUSTIVE_THETA_LIMIT
+    if len(theta) > limit:
+        raise pl.ResourceLimitError(
+            f"exhaustive search over |theta| = {len(theta)} exceeds {limit}"
+        )
+    all_pairs = [(d0, d1) for d0 in theta for d1 in theta if d0 != d1]
+    best = GoodConfiguration((), p)
+
+    def descend(config):
+        nonlocal best
+        for pair in all_pairs:
+            cand = config.extended(pair)
+            if pl.is_good_configuration(s, cand, family=family):
+                if cand.size > best.size:
+                    best = cand
+                descend(cand)
+
+    if not pl.is_good_configuration(s, best, family=family):
+        raise pl.PreconditionError("empty configuration fails the checker")
+    descend(best)
+    return best
+
+
+# -- the set-based random generator, kept as a reference for the
+# column-first one --------------------------------------------------------
+
+
+def reference_gen_random_bounded(seed, x_size, y_size, family=pl.generators.INTERVALS):
+    """gen_random_bounded with each column a set of points and each row read
+    off the sets, one membership test per entry."""
+
+    if family not in (pl.generators.INTERVALS, pl.generators.UNIONS):
+        raise ValueError(f"unknown family {family!r}")
+    rng = random.Random(f"{family}:{seed}:{x_size}:{y_size}")
+
+    def interval_mask():
+        lo, hi = sorted((rng.randrange(x_size), rng.randrange(x_size)))
+        return set(range(lo, hi + 1))
+
+    columns = []
+    for _ in range(y_size):
+        points = interval_mask()
+        if family == pl.generators.UNIONS:
+            points |= interval_mask()
+        columns.append(points)
+    rows = tuple(
+        tuple(1 if x in columns[b] else 0 for b in range(y_size))
+        for x in range(x_size)
+    )
+    base = frozenset(b for b in range(y_size) if rng.random() < 0.5)
+    meta = {"family": family, "seed": seed}
+    return pl.BipartiteStructure(rows, base, frozenset(range(y_size)), meta)

@@ -5,6 +5,8 @@ import pytest
 import philab as pl
 from philab.generators import INTERVALS, UNIONS
 
+from conftest import reference_gen_random_bounded
+
 
 class TestEqRel:
     def test_matrix_matches_direct_evaluator(self):
@@ -141,3 +143,16 @@ class TestRandomBounded:
     def test_bad_family(self):
         with pytest.raises(ValueError):
             pl.gen_random_bounded(0, 5, 5, "squares")
+
+    @pytest.mark.parametrize("family", [INTERVALS, UNIONS])
+    @pytest.mark.parametrize("x_size, y_size", [(20, 6), (50, 12), (200, 24), (1, 5), (3, 0)])
+    def test_columns_first_matches_sets(self, family, x_size, y_size):
+        # same draws in the same order; every entry stays the int 0 or 1,
+        # which `gen -o` writes digit by digit
+        for seed in range(40):
+            s = pl.gen_random_bounded(seed, x_size, y_size, family)
+            ref = reference_gen_random_bounded(seed, x_size, y_size, family)
+            assert s.truth == ref.truth and len(s.truth) == x_size
+            assert s.base_set == ref.base_set and s.theta_set == ref.theta_set
+            assert s.meta == ref.meta
+            assert all(type(v) is int for row in s.truth for v in row)

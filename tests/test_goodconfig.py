@@ -7,6 +7,8 @@ from philab import goodconfig
 from philab.delta import ALL, DeltaFamily
 from philab.goodconfig import GoodConfiguration, config_certificate
 
+from conftest import reference_build_maximal_exhaustive
+
 
 def empty_config(p=pl.EMPTY_TYPE):
     return GoodConfiguration((), p)
@@ -175,6 +177,107 @@ class TestBuildMaximal:
     def test_unknown_strategy(self, s1):
         with pytest.raises(ValueError):
             pl.build_maximal(s1, pl.PhiType(), "magic")
+
+
+def _outcome(search, s, p, k_sat=ALL):
+    """The pairs a search returns, or the type and message of its error."""
+    try:
+        return search(s, p, k_sat).pairs
+    except pl.PhilabError as exc:
+        return type(exc), str(exc)
+
+
+def _exhaustive(s, p, k_sat):
+    return pl.build_maximal(s, p, "exhaustive", k_sat)
+
+
+def _base_types(s):
+    return [pl.EMPTY_TYPE, *s.type_space(s.base_members())]
+
+
+class TestExhaustiveAgainstEveryPermutation:
+    """The search over strictly increasing lists against the search that
+    enters every permutation of every good list."""
+
+    @staticmethod
+    def assert_same(s, types, k_sat=ALL):
+        for p in types:
+            assert _outcome(_exhaustive, s, p, k_sat) == _outcome(
+                reference_build_maximal_exhaustive, s, p, k_sat
+            ), (s.meta, p)
+
+    @pytest.mark.parametrize("family", [pl.generators.INTERVALS, pl.generators.UNIONS])
+    def test_default_corpus(self, family):
+        sizes = set()
+        for seed in range(100):
+            s = pl.gen_random_bounded(seed, 20, 6, family)
+            self.assert_same(s, _base_types(s))
+            sizes.add(pl.build_maximal(s, pl.EMPTY_TYPE, "exhaustive").size)
+        assert sizes == ({0, 1} if family == pl.generators.INTERVALS else {0, 1, 2})
+
+    @pytest.mark.parametrize("family", [pl.generators.INTERVALS, pl.generators.UNIONS])
+    def test_twelve_columns(self, family):
+        for seed in range(10):
+            s = pl.gen_random_bounded(seed, 40, 12, family)
+            assert len(s.theta_set) == goodconfig.DEFAULT_EXHAUSTIVE_THETA_LIMIT
+            self.assert_same(s, _base_types(s))
+
+    @pytest.mark.parametrize("points", [8, 10, 12])
+    @pytest.mark.parametrize("fill", [True, False])
+    def test_linear_orders(self, points, fill):
+        s = pl.gen_linear_order(points, range(0, points, 3), fill)
+        self.assert_same(s, _base_types(s))
+
+    def test_dimension_zero(self):
+        # every column constant: no pair passes, at arity 0
+        rows = ((0, 1, 0, 1, 1),) * 3
+        s = pl.BipartiteStructure(rows, frozenset({0, 1}), frozenset(range(5)))
+        assert pl.independence_dimension(s).id_value == 0
+        self.assert_same(s, _base_types(s))
+        assert pl.build_maximal(s, pl.EMPTY_TYPE, "exhaustive").pairs == ()
+
+    @pytest.mark.parametrize("rows, pairs", [
+        (((0, 0, 0, 0), (0, 1, 0, 0), (1, 1, 1, 1), (1, 0, 0, 1),
+          (0, 1, 0, 1), (1, 0, 1, 1), (1, 1, 1, 0)), ((1, 3), (2, 0))),
+        (((1, 1, 1, 1, 1), (1, 1, 0, 0, 1), (0, 1, 1, 0, 1), (0, 1, 0, 0, 0),
+          (1, 1, 0, 1, 0), (0, 1, 1, 0, 0), (1, 0, 1, 0, 0), (1, 1, 1, 0, 0)),
+         ((2, 4), (3, 0))),
+    ])
+    def test_second_pair_next_after_the_first(self, rows, pairs):
+        # over an empty base every consistent pair passes alone, and the
+        # answer's second pair is the first passing pair after its first
+        s = pl.BipartiteStructure(rows, frozenset(), frozenset(range(len(rows[0]))))
+        self.assert_same(s, [pl.EMPTY_TYPE])
+        assert pl.build_maximal(s, pl.EMPTY_TYPE, "exhaustive").pairs == pairs
+
+    def test_errors(self):
+        wide = pl.gen_linear_order(13, [0])  # |theta| = 13
+        self.assert_same(wide, [pl.EMPTY_TYPE])
+        assert _outcome(_exhaustive, wide, pl.EMPTY_TYPE)[0] is pl.ResourceLimitError
+        s = pl.gen_random_bounded(19, 20, 6, pl.generators.UNIONS)
+        self.assert_same(s, [pl.EMPTY_TYPE], k_sat=1)
+        assert _outcome(_exhaustive, s, pl.EMPTY_TYPE, 1)[0] is pl.PreconditionError
+        chain = pl.gen_linear_order(5, [1, 3])
+        unrealized = pl.PhiType({1: 1, 3: 0})  # x < 1 but not x < 3
+        self.assert_same(chain, [unrealized])
+        assert _outcome(_exhaustive, chain, unrealized)[0] is pl.PreconditionError
+
+    def test_checks_fewer_lists(self, monkeypatch):
+        # the two-pair configurations of the default corpus: the increasing
+        # search never checks a list that a permutation of it already decided
+        s = pl.gen_random_bounded(19, 20, 6, pl.generators.UNIONS)
+        checked = []
+        real = goodconfig.is_good_configuration
+
+        def counting(struct, candidate, family=None):
+            checked.append(candidate.pairs)
+            return real(struct, candidate, family)
+
+        monkeypatch.setattr(goodconfig, "is_good_configuration", counting)
+        config = pl.build_maximal(s, pl.EMPTY_TYPE, "exhaustive")
+        assert config.size == 2
+        assert all(list(pairs) == sorted(set(pairs)) for pairs in checked)
+        assert len(checked) == len(set(checked))
 
 
 class TestBoundAndPrefixes:

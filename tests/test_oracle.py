@@ -1,4 +1,5 @@
 import ast
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,8 @@ from philab.oracle import oracle_finitely_satisfiable
 from conftest import (
     reference_oracle_all_good_configs,
     reference_oracle_all_good_configs_naive,
+    reference_oracle_finitely_satisfiable,
+    reference_same_delta_type,
 )
 
 
@@ -133,6 +136,76 @@ class TestOracleFinitelySatisfiable:
         large = pl.delta_type(s1, pl.DeltaFamily(2), 0, [0, 1])  # 32 entries
         with pytest.raises(pl.ResourceLimitError):
             oracle_finitely_satisfiable(s1, large.table, [0, 1], 1)
+
+
+class TestOracleRealizedPatterns:
+    # delta patterns come from zipped raw columns; arity 0 has no z-columns
+    # to zip, and the matrix may hold any 0/1-valued entries
+
+    @staticmethod
+    def columns(s):
+        return tuple(zip(*s.truth))
+
+    def test_same_delta_type_at_arity_zero(self):
+        # columns 0 and 1 are constant, 2 and 3 take both signs
+        rows = ((0, 1, 0, 1), (0, 1, 1, 0), (0, 1, 1, 1))
+        s = pl.BipartiteStructure(rows, frozenset({2}), frozenset(range(4)))
+        expected = {(0, 1): False, (0, 2): False, (1, 2): False, (2, 3): True}
+        for (c0, c1), same in expected.items():
+            for domain in ((), (2,), (0, 3)):
+                memo: dict = {}
+                assert oracle._same_delta_type(self.columns(s), 0, c0, c1, domain, memo) is same
+                assert reference_same_delta_type(s, 0, c0, c1, domain, {}) is same
+        assert oracle._realized(self.columns(s), 0, (), {}) == {(0, ())}
+        assert oracle._realized(self.columns(s), 3, (), {}) == {(0, ()), (1, ())}
+
+    def test_finitely_satisfiable_at_arity_zero(self):
+        rows = ((0, 1, 0, 1), (0, 1, 1, 0), (0, 1, 1, 1))
+        s = pl.BipartiteStructure(rows, frozenset({2}), frozenset(range(4)))
+        family = pl.DeltaFamily(0)
+        verdicts = []
+        for c, base in product(range(4), ([0], [1], [2], [0, 1], [1, 3])):
+            table = pl.delta_type(s, family, c, [2]).table
+            assert set(table) == {((), 0, ()), ((), 1, ())}
+            for k in (1, 2):
+                verdict = oracle_finitely_satisfiable(s, table, base, k)
+                assert verdict == reference_oracle_finitely_satisfiable(s, table, base, k)
+                verdicts.append(verdict)
+        assert True in verdicts and False in verdicts
+
+    def test_mixed_entry_types_match_row_scans(self):
+        # True and 1.0 stand for 1, False and 0.0 for 0
+        ints = (
+            (0, 0, 1, 1, 0), (0, 1, 0, 1, 0), (0, 1, 0, 0, 1),
+            (0, 1, 0, 0, 1), (1, 1, 1, 0, 0), (0, 0, 1, 0, 1),
+        )
+        spelled = {0: (0, False, 0.0), 1: (1, True, 1.0)}
+        mixed = tuple(
+            tuple(spelled[v][(a + b) % 3] for b, v in enumerate(row))
+            for a, row in enumerate(ints)
+        )
+        assert {type(v) for row in mixed for v in row} == {int, bool, float}
+        s = pl.BipartiteStructure(mixed, frozenset({0}), frozenset(range(5)))
+        plain = pl.BipartiteStructure(ints, frozenset({0}), frozenset(range(5)))
+        columns = self.columns(s)
+        for arity in range(3):
+            for c, zs in product(range(5), product(range(5), repeat=arity)):
+                per_row = frozenset((row[c], tuple(row[z] for z in zs)) for row in s.truth)
+                assert oracle._realized(columns, c, zs, {}) == per_row
+        sizes = set()
+        for p in (pl.EMPTY_TYPE, pl.PhiType({0: 0}), pl.PhiType({0: 1})):
+            for arity in range(3):
+                configs = pl.oracle_all_good_configs(s, p, 3, arity)
+                assert configs == reference_oracle_all_good_configs(plain, p, 3, arity)
+                sizes.update(map(len, configs))
+        assert sizes == {0, 1, 2, 3}
+        verdicts = set()
+        for c, base, k in product(range(5), ([0], [1, 2], [0, 3, 4]), (1, 2, 3)):
+            table = pl.delta_type(plain, pl.DeltaFamily(1), c, [0, 1]).table
+            verdict = oracle_finitely_satisfiable(s, table, base, k)
+            assert verdict == reference_oracle_finitely_satisfiable(plain, table, base, k)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 class TestOracleReport:
