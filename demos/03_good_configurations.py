@@ -48,5 +48,5 @@ print("\nGreedy maximal construction matches the exhaustive search:")
 for seed in (3, 11, 17):
     s = pl.gen_random_bounded(seed, 20, 6, pl.generators.INTERVALS)
     exhaustive = pl.build_maximal(s, pl.EMPTY_TYPE, "exhaustive")
-    cert = pl.verify_bound(s, exhaustive)
-    print(f"  seed {seed}: exhaustive max size {exhaustive.size}, bound ok {cert}")
+    bound_ok = exhaustive.size <= pl.independence_dimension(s).id_value
+    print(f"  seed {seed}: exhaustive max size {exhaustive.size}, bound ok {bound_ok}")

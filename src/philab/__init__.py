@@ -45,7 +45,6 @@ from .goodconfig import (
     extend_type,
     find_extension_pair,
     is_good_configuration,
-    verify_bound,
 )
 from .isolation import (
     DefiningFormula,

@@ -98,9 +98,9 @@ def parse_generator_spec(spec: str) -> BipartiteStructure:
                     fill = False
                 else:
                     raise CliSpecError(f"unknown linear option {part!r}")
-            if b_indices is None:
-                b_indices = list(range(points))
-            return gen_linear_order(points, b_indices, fill)
+            # a range, so the generator's size guard runs before any list
+            base = range(points) if b_indices is None else b_indices
+            return gen_linear_order(points, base, fill)
         if head == "eqrel":
             picks = [int(t) for t in rest.split(",") if t]
             if not picks:
@@ -205,6 +205,10 @@ def literals_json(p: PhiType) -> list[list[int]]:
     return [list(item) for item in p.items]
 
 
+def on_base_json(struct: BipartiteStructure, formula) -> list[list[int]]:
+    return [[b, int(formula.holds(b))] for b in struct.base_members()]
+
+
 # -- commands ----------------------------------------------------------------
 
 
@@ -260,7 +264,7 @@ def isolation_payload(struct, result) -> dict:
         },
         "defining_formula": {
             "gamma": literals_json(formula.gamma),
-            "on_base": [[b, int(formula.holds(b))] for b in struct.base_members()],
+            "on_base": on_base_json(struct, formula),
         },
         "diagnostic": result.diagnostic,
     }
@@ -299,8 +303,7 @@ def cmd_define(args) -> int:
     struct = load_structure(args)
     p = resolve_type(struct, args)
     cert = find_isolating_subtype(struct, p)
-    formula = phi_defining_formula(struct, cert)
-    values = [[b, int(formula.holds(b))] for b in struct.base_members()]
+    values = on_base_json(struct, phi_defining_formula(struct, cert))
     payload = {
         "type": literals_json(p),
         "gamma": literals_json(cert.subtype),
@@ -320,11 +323,10 @@ def cmd_embed(args) -> int:
     formula, result = embed_trace(struct, args.element, parse_k_sat(args.k_sat))
     # embed_trace raises InvariantError (exit 1) unless the formula matches
     # the element's row on every base parameter
-    values = [[b, int(formula.holds(b))] for b in struct.base_members()]
     payload = {
         "element": args.element,
         "gamma": literals_json(formula.gamma),
-        "on_base": values,
+        "on_base": on_base_json(struct, formula),
         "agrees": True,
         "diagnostic": result.diagnostic,
     }
@@ -461,6 +463,10 @@ def _add_type_args(sub) -> None:
     sub.add_argument("--lits", help="explicit literals, e.g. 3=1,7=0")
 
 
+def _add_k_sat_arg(sub) -> None:
+    sub.add_argument("--k-sat", default="all", help="`all` or a positive integer")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         """Usage errors exit 4: argparse's 2 is the parse error code here."""
@@ -487,12 +493,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("isolate", help="isolated extension certificate")
     _add_source_args(sub)
     _add_type_args(sub)
-    sub.add_argument("--k-sat", default="all", help="`all` or a positive integer")
+    _add_k_sat_arg(sub)
 
     sub = subs.add_parser("config", help="maximal good configuration")
     _add_source_args(sub)
     _add_type_args(sub)
-    sub.add_argument("--k-sat", default="all")
+    _add_k_sat_arg(sub)
     sub.add_argument("--strategy", choices=("greedy", "exhaustive"), default="greedy")
 
     sub = subs.add_parser("define", help="defining formula of a type")
@@ -502,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("embed", help="defining formula for an element's trace")
     _add_source_args(sub)
     sub.add_argument("--element", type=int, required=True)
-    sub.add_argument("--k-sat", default="all")
+    _add_k_sat_arg(sub)
 
     sub = subs.add_parser("gen", help="emit a generated structure file")
     sub.add_argument("--gen", required=True, help="inline generator spec")

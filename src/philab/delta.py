@@ -13,8 +13,9 @@ overridden to study over- or under-sized families.
 Finite satisfiability in the base B: in the paper each formula of a type
 has its own witness in B, and finite k reads that at strength k (every
 k-entry sub-table matched by some base parameter, possibly a different one
-each time).  k=ALL asks one base parameter to match the whole table, which
-at arity >= 1 admits no extension step (see find_extension_pair).
+each time).  ALL is +inf, a k past every base size; any k >= |B| asks one
+base parameter to match the whole table, which at arity >= 1 admits no
+extension step (see find_extension_pair).
 
 Tables are compared by signature.  Entry (zs, t, s) is true iff some row
 with sign t at c has trace s on zs, so the table over D and the projections
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, combinations, product
-from math import comb
+from math import comb, inf
 from typing import Iterable
 
 from .cover import least_cover
@@ -54,14 +55,9 @@ from .structure import BipartiteStructure
 DEFAULT_TABLE_LIMIT = 1 << 20
 
 
-class _AllSentinel:
-    """Singleton marker for `k = ALL` in finite-satisfiability checks."""
-
-    def __repr__(self) -> str:
-        return "ALL"
-
-
-ALL = _AllSentinel()
+#: the strength k past every base size: one base parameter must match the
+#: whole table
+ALL = inf
 
 #: table key: (z-tuple, subject sign t, sign vector s)
 Entry = tuple[tuple[int, ...], int, tuple[int, ...]]
@@ -218,24 +214,25 @@ def finitely_satisfiable_in(
     c: int,
     domain: Iterable[int],
     base: Iterable[int],
-    k: int | _AllSentinel = ALL,
+    k: float = ALL,
 ) -> bool:
     """Whether c's table over the domain is matched inside the base set.
 
-    k=ALL: some base parameter's whole table equals c's.  Finite k: every
-    k-entry subset of c's table (equivalently every smaller one) is matched
-    by some base parameter on those entries.  An empty base set satisfies
-    nothing: there is no witness parameter.
+    Every k-entry subset of c's table (equivalently every smaller one) is
+    matched by some base parameter on those entries; k=ALL is +inf, every
+    subset, so some base parameter's whole table equals c's.  An empty base
+    set satisfies nothing: there is no witness parameter.
 
-    Both are decided on memoized closed packs.  XOR c's pack with each base
+    It is decided on memoized closed packs.  XOR c's pack with each base
     parameter's: a zero means a whole table matches, which settles every k.
     Otherwise give each entry the set of base parameters that disagree with
     c there; an entry subset is unmatched iff its sets cover the whole base,
     so k holds iff no cover has at most k entries.  One disagreeing entry
-    per base parameter covers, so k >= |base| fails like ALL.  A set
-    contained in another never helps a cover and is dropped first.  Past
-    DEFAULT_TABLE_LIMIT entries in one pack, or DEFAULT_COVER_LIMIT cover
-    candidates, it raises ResourceLimitError.
+    per base parameter covers, so at every k >= |base|, ALL among them, only
+    a whole-table match satisfies.  A set contained in another never helps a
+    cover and is dropped first.  Past DEFAULT_TABLE_LIMIT entries in one
+    pack, or DEFAULT_COVER_LIMIT cover candidates, it raises
+    ResourceLimitError.
     """
     dom = tuple(sorted(set(domain)))
     base = tuple(sorted(set(base)))
@@ -243,11 +240,11 @@ def finitely_satisfiable_in(
         struct.check_parameter(b)
     if not base:
         return False
-    if not isinstance(k, _AllSentinel) and k < 1:
+    if k < 1:
         raise ValueError("k must be >= 1 or ALL")
     pack = _signature(struct, family, c, dom, closed=True)
     diffs = [pack ^ _signature(struct, family, b, dom, closed=True) for b in base]
-    if 0 in diffs or isinstance(k, _AllSentinel) or k >= len(base):
+    if 0 in diffs or k >= len(base):
         return 0 in diffs
     # one mask per entry column, bit j set when base[j] disagrees there
     rows = [format(diff, f"0{max(diffs).bit_length()}b") for diff in reversed(diffs)]

@@ -23,6 +23,7 @@ from .structure import BipartiteStructure, PhiType
 
 EQREL_MODEL_CUBED_LIMIT = 1000
 SHATTERED_K_LIMIT = 5
+LINEAR_POINTS_LIMIT = 1024
 RANDOM_X_LIMIT = 4096
 RANDOM_Y_LIMIT = 512
 
@@ -156,6 +157,10 @@ def gen_linear_order(
     just the base."""
     if points < 1:
         raise ValueError("points must be >= 1")
+    if points > LINEAR_POINTS_LIMIT:
+        raise ResourceLimitError(
+            f"linear order of {points} points over the limit {LINEAR_POINTS_LIMIT}"
+        )
     base = frozenset(b_indices)
     for b in base:
         if not 0 <= b < points:

@@ -10,9 +10,7 @@ A good configuration of a type p is an ordered list of parameter pairs
         base_set + {c_{i,s(i)} : i != j}.
 
 Sizes of good configurations are bounded by the independence dimension when
-the family arity equals that dimension; verify_bound certifies the bound on
-checker-passing configurations and treats any violation as an implementation
-bug, dumping the full instance.
+the family arity equals that dimension.
 
 Every sub-list of a good configuration, in any order, is good: clauses
 (i) and (ii) hold of fewer pairs, the checker reads each clause as a set of
@@ -26,19 +24,11 @@ enter increasing lists only.
 
 from __future__ import annotations
 
-import json
-import sys
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
-from .delta import (
-    ALL,
-    DeltaFamily,
-    _AllSentinel,
-    _signature,
-    finitely_satisfiable_in,
-)
+from .delta import ALL, DeltaFamily, _signature, finitely_satisfiable_in
 from .errors import LiteralClashError, PreconditionError, ResourceLimitError
 from .structure import BipartiteStructure, PhiType
 from .vc import cached_dimension
@@ -158,7 +148,7 @@ def delta_equal_over(
 def find_extension_pair(
     struct: BipartiteStructure,
     config: GoodConfiguration,
-    k_sat: int | _AllSentinel = ALL,
+    k_sat: float = ALL,
     family: Optional[DeltaFamily] = None,
 ) -> Optional[Pair]:
     """Least pair (d0, d1) from theta^2, scanned lexicographically, with
@@ -171,8 +161,8 @@ def find_extension_pair(
 
     Diagonal pairs are skipped: both signs on one parameter can never
     satisfy (ii).  Nothing qualifies when the base is empty, or at arity >= 1
-    when k_sat is ALL or at least |base| (proof below), and nothing is
-    scanned.  Elsewhere the conditions need not transfer the clauses, so
+    when k_sat is at least |base|, ALL included (proof below), and nothing
+    is scanned.  Elsewhere the conditions need not transfer the clauses, so
     each hit is re-verified with is_good_configuration before it is returned.
     """
     if family is None:
@@ -183,10 +173,10 @@ def find_extension_pair(
     except LiteralClashError as exc:
         raise PreconditionError("configuration clashes with its type") from exc
     base = struct.base_set
-    # (iv) at ALL or k >= |base| asks d0's table to equal some b's.  Entries
+    # (iv) at k >= |base| asks d0's table to equal some b's.  Entries
     # ((b,..,b), 1, (0,..)) and ((b,..,b), 0, (1,..)) are false in b's own table,
     # so then d0 = b as columns; (iii) forces d1 = d0, which breaks (ii).
-    if not base or family.arity and (isinstance(k_sat, _AllSentinel) or k_sat >= len(base)):
+    if not base or family.arity and k_sat >= len(base):
         return None
     theta = struct.theta_members()
     domain = tuple(sorted(base | set(config.components)))
@@ -213,7 +203,7 @@ def build_maximal(
     struct: BipartiteStructure,
     p: PhiType,
     strategy: str = "greedy",
-    k_sat: int | _AllSentinel = ALL,
+    k_sat: float = ALL,
 ) -> GoodConfiguration:
     """A good configuration of p admitting no extension pair.
 
@@ -262,7 +252,7 @@ def build_maximal(
             config = config.extended(pair)
     if strategy != "exhaustive":
         raise ValueError(f"unknown strategy {strategy!r}")
-    if not isinstance(k_sat, _AllSentinel):
+    if k_sat != ALL:
         raise PreconditionError("exhaustive search takes k_sat=ALL only")
 
     theta = struct.theta_members()
@@ -303,32 +293,6 @@ def build_maximal(
 
     descend(best, struct.type_mask(p), all_pairs)
     return best
-
-
-def verify_bound(
-    struct: BipartiteStructure,
-    config: GoodConfiguration,
-    sink: Optional[Callable[[str], None]] = None,
-) -> bool:
-    """Certify size <= independence dimension for a checker-passing
-    configuration.  A false return is a certified counterexample to this
-    implementation, never to the bound itself, so the full instance is
-    dumped for post-mortem before returning."""
-    bound = cached_dimension(struct)
-    if config.size <= bound:
-        return True
-    from .structure import serialize_structure
-
-    dump = {
-        "structure": serialize_structure(struct),
-        "pairs": [list(pair) for pair in config.pairs],
-        "base_type": [list(item) for item in config.base_type.items],
-        "size": config.size,
-        "independence_dimension": bound,
-    }
-    emit = sink if sink is not None else lambda s: print(s, file=sys.stderr)
-    emit(json.dumps(dump, sort_keys=True))
-    return False
 
 
 def config_certificate(

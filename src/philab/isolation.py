@@ -35,7 +35,6 @@ from .cover import least_or_greedy_cover
 from .delta import (
     ALL,
     DeltaFamily,
-    _AllSentinel,
     _check_table_size,
     _pack_literals,
     _positional_signature,
@@ -106,19 +105,13 @@ def _pick(p: PhiType, indices: tuple[int, ...]) -> PhiType:
 @dataclass(frozen=True)
 class DefiningFormula:
     """The parameter predicate induced by a literal conjunction gamma:
-    holds(b) iff every realizer of gamma satisfies phi(.; b).  Outside the
-    constrained domain the predicate is defined but carries no guarantee;
-    evaluate_flagged exposes that distinction."""
+    holds(b) iff every realizer of gamma satisfies phi(.; b)."""
 
     struct: BipartiteStructure
     gamma: PhiType
-    constrained_domain: frozenset[int]
 
     def holds(self, b: int) -> bool:
         return self.struct.type_mask(self.gamma) & ~self.struct.column_mask(b) == 0
-
-    def evaluate_flagged(self, b: int) -> tuple[bool, bool]:
-        return self.holds(b), b in self.constrained_domain
 
 
 def phi_defining_formula(
@@ -134,7 +127,7 @@ def phi_defining_formula(
         raise PreconditionError("certificate subtype is not contained in its target")
     if not struct.entails(cert.subtype, cert.target):
         raise PreconditionError("certificate subtype does not entail its target")
-    formula = DefiningFormula(struct, cert.subtype, frozenset(cert.target.domain))
+    formula = DefiningFormula(struct, cert.subtype)
     for b, sign in cert.target.items:
         if formula.holds(b) != bool(sign):
             raise InvariantError("defining formula disagrees on domain")
@@ -143,16 +136,24 @@ def phi_defining_formula(
 
 @dataclass(frozen=True)
 class IsolatedExtensionResult:
-    """Pipeline output: the extension, its configuration and certificates,
-    the budget report, and the optional saturation-deficit diagnostic."""
+    """Pipeline output: the configuration, the certificates of the extension
+    and of p over the base set alone, and the budget report; the extension
+    and the optional saturation-deficit diagnostic derive from them."""
 
-    extension: PhiType
     configuration: GoodConfiguration
     certificate: IsolationCertificate
     base_certificate: IsolationCertificate
     added_params: int
     two_id: int
-    diagnostic: Optional[str]
+
+    @property
+    def extension(self) -> PhiType:
+        return self.certificate.target
+
+    @property
+    def diagnostic(self) -> Optional[str]:
+        deficit = self.certificate.size >= self.base_certificate.size
+        return SATURATION_DEFICIT if deficit else None
 
     @property
     def two_k(self) -> int:
@@ -166,7 +167,7 @@ class IsolatedExtensionResult:
 def isolated_extension(
     struct: BipartiteStructure,
     p: PhiType,
-    k_sat: int | _AllSentinel = ALL,
+    k_sat: float = ALL,
 ) -> IsolatedExtensionResult:
     """Extend p by a maximal good configuration and certify the result.
 
@@ -175,27 +176,20 @@ def isolated_extension(
     both are reported.  The diagnostic fires when the extension certificate
     is not strictly smaller than the certificate of p over the base set
     alone, naming the gap between this finite structure and the idealized
-    saturated extension the guarantee presumes.
+    saturated extension the guarantee presumes.  build_maximal runs first
+    and raises PreconditionError unless p is consistent with its domain
+    inside base_set.
     """
-    if not struct.is_consistent(p):
-        raise PreconditionError("type must be consistent")
-    if not set(p.domain) <= struct.base_set:
-        raise PreconditionError("type domain must lie inside base_set")
-
-    base_cert = find_isolating_subtype(struct, p)
     config = build_maximal(struct, p, "greedy", k_sat)
+    base_cert = find_isolating_subtype(struct, p)
     extension = extend_type(p, config)
     cert = find_isolating_subtype(struct, extension)
-    added = len(set(extension.domain) - struct.base_set)
-    diagnostic = SATURATION_DEFICIT if cert.size >= base_cert.size else None
     return IsolatedExtensionResult(
-        extension=extension,
         configuration=config,
         certificate=cert,
         base_certificate=base_cert,
-        added_params=added,
+        added_params=len(set(extension.domain) - struct.base_set),
         two_id=2 * cached_dimension(struct),
-        diagnostic=diagnostic,
     )
 
 
@@ -278,7 +272,7 @@ def psi_disjunction(
 def embed_trace(
     struct: BipartiteStructure,
     a: int,
-    k_sat: int | _AllSentinel = ALL,
+    k_sat: float = ALL,
 ) -> tuple[DefiningFormula, IsolatedExtensionResult]:
     """Defining formula for an element's base-set trace via the extension
     pipeline.  The formula provably reproduces the element's truth row on
@@ -322,10 +316,6 @@ class QType:
     generating: tuple[int, ...]
     base_type: PhiType
     q_triple_prime: tuple[int, ...]
-
-    @property
-    def pair_count(self) -> int:
-        return len(self.generating) // 2
 
     @property
     def component_count(self) -> int:

@@ -21,7 +21,7 @@ from .goodconfig import GoodConfiguration, build_maximal
 from .isolation import embed_trace, find_isolating_subtype, isolated_extension, q_harness
 from .oracle import OracleReport, oracle_all_good_configs, oracle_min_isolating, oracle_vc
 from .structure import BipartiteStructure, PhiType, serialize_structure
-from .vc import cached_dimension, independence_dimension
+from .vc import cached_dimension
 
 Named = tuple[str, BipartiteStructure]
 
@@ -205,7 +205,7 @@ def oracle_suite(structures: Iterable[Named]) -> dict:
             )
 
     for name, struct in structures:
-        subject_id = independence_dimension(struct).id_value
+        subject_id = cached_dimension(struct)
         vc_report = OracleReport("vc", name, oracle_vc(struct), subject_id)
         record(vc_report, struct, {})
         if not vc_report.agree:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from philab import cli, isolation, vc
+from philab import cli, delta, generators, isolation, vc
 from philab.cli import main
 
 from conftest import S1_TEXT
@@ -150,6 +150,14 @@ class TestGen:
         code, _, err = run(capsys, "gen", "--gen", "pentagon:5")
         assert code == 4
 
+    def test_linear_guard_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(generators, "LINEAR_POINTS_LIMIT", 8)
+        code, out, err = run(capsys, "gen", "--gen", "linear:9")
+        assert code == 3 and out == ""
+        assert err.startswith("resource guard:")
+        code, out, _ = run(capsys, "gen", "--gen", "linear:8")
+        assert code == 0 and out.startswith("# phi-structure")
+
 
 class TestVerify:
     def test_bound_random_seeds(self, capsys):
@@ -237,6 +245,8 @@ class TestExitCodes:
         ["isolate", "--gen", "shattered:2", "--lits", "bby1=1"],
         ["isolate", "--gen", "shattered:2", "--lits", "yb1=1"],
         ["verify", "--suite", "bound", "--gen", "random", "--seeds", "0..1e19"],
+        ["isolate", "--gen", "linear:12:b=0,4,8", "--lits", "0=1"],
+        ["isolate", "--gen", "linear:12:b=0,4,8", "--lits", "5=1"],
     ])
     def test_bad_spec_exits_4(self, capsys, argv):
         code, _, err = run(capsys, *argv)
@@ -300,6 +310,7 @@ class TestExitCodes:
         code, default, _ = run(capsys, *argv)
         assert code == 0
         assert run(capsys, *argv, "--k-sat", "all") == (0, default, "")
+        assert cli.parse_k_sat("all") is delta.ALL
 
     def test_single_prefix_accepted(self, capsys):
         code, out, _ = run(capsys, "define", "--gen", "shattered:2",

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 import philab as pl
@@ -255,8 +253,10 @@ class TestExhaustiveAgainstEveryPermutation:
         self.assert_same(wide, [pl.EMPTY_TYPE])
         assert _outcome(_exhaustive, wide, pl.EMPTY_TYPE)[0] is pl.ResourceLimitError
         s = pl.gen_random_bounded(19, 20, 6, pl.generators.UNIONS)
-        self.assert_same(s, [pl.EMPTY_TYPE], k_sat=1)
-        assert _outcome(_exhaustive, s, pl.EMPTY_TYPE, 1)[0] is pl.PreconditionError
+        # a finite k at or past |B| decides what ALL does, but is refused
+        for k_sat in (1, len(s.base_set), len(s.base_set) + 1):
+            self.assert_same(s, [pl.EMPTY_TYPE], k_sat=k_sat)
+            assert _outcome(_exhaustive, s, pl.EMPTY_TYPE, k_sat)[0] is pl.PreconditionError
         chain = pl.gen_linear_order(5, [1, 3])
         unrealized = pl.PhiType({1: 1, 3: 0})  # x < 1 but not x < 3
         self.assert_same(chain, [unrealized])
@@ -287,7 +287,7 @@ class TestBoundAndPrefixes:
                 continue
             dim = pl.independence_dimension(s).id_value
             for pairs in pl.oracle_all_good_configs(s, pl.PhiType(), min(3, dim + 1)):
-                assert pl.verify_bound(s, GoodConfiguration(pairs, pl.PhiType()))
+                assert len(pairs) <= dim
 
     def test_prefix_closure(self, corpus):
         for _, s in corpus[:6]:
@@ -298,20 +298,6 @@ class TestBoundAndPrefixes:
                 for cut in range(len(pairs)):
                     prefix = GoodConfiguration(pairs[:cut], pl.EMPTY_TYPE)
                     assert pl.is_good_configuration(s, prefix)
-
-    def test_verify_bound_dumps_on_violation(self, s1):
-        # bypass the checker deliberately: an oversized pair list is not a
-        # good configuration, and verify_bound only promises the bound for
-        # checker-passing inputs, so this exercises the dump path alone
-        fake = GoodConfiguration(((0, 1),) * 5, pl.EMPTY_TYPE)
-        dumps = []
-        assert not pl.verify_bound(s1, fake, sink=dumps.append)
-        payload = json.loads(dumps[0])
-        assert payload["size"] == 5
-        assert "structure" in payload
-
-    def test_size_zero_passes(self, s1):
-        assert pl.verify_bound(s1, empty_config())
 
 
 def test_certificate_payload():

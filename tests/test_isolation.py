@@ -91,13 +91,6 @@ class TestDefiningFormula:
         for b, sign in p.items:
             assert formula.holds(b) == bool(sign)
 
-    def test_outside_domain_flagged(self, s2):
-        p = s2.trace(0, [0, 1])
-        formula = pl.phi_defining_formula(s2, pl.find_isolating_subtype(s2, p))
-        value, constrained = formula.evaluate_flagged(3)
-        assert not constrained
-        assert isinstance(value, bool)
-
     def test_invalid_certificate_rejected(self, s1):
         bogus = pl.IsolationCertificate(pl.PhiType({0: 1, 1: 1}), pl.PhiType({0: 1}), True)
         with pytest.raises(pl.PreconditionError):
@@ -131,6 +124,12 @@ class TestIsolatedExtension:
     def test_domain_must_be_inside_base(self, gap_chain):
         with pytest.raises(pl.PreconditionError):
             pl.isolated_extension(gap_chain, pl.PhiType({6: 1}))
+
+    def test_inconsistent_type_rejected(self):
+        s = pl.gen_linear_order(12, [0, 4, 8])
+        # no element lies below 0
+        with pytest.raises(pl.PreconditionError):
+            pl.isolated_extension(s, pl.PhiType({0: 1}))
 
 
 class TestGammaCertificate:

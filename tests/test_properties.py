@@ -370,7 +370,8 @@ def test_fin_sat_all_is_a_table_scan(s, arity, data):
         tables = [pl.delta_type(s, fam, c, dom).table for c in range(s.n)]
         for c, table in enumerate(tables):
             expected = any(tables[b] == table for b in base)
-            assert pl.finitely_satisfiable_in(s, fam, c, dom, base, ALL) == expected
+            for k in (ALL, len(base), len(base) + 1):
+                assert pl.finitely_satisfiable_in(s, fam, c, dom, base, k) == expected
 
 
 @given(structures(max_n=4))
