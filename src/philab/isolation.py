@@ -26,7 +26,7 @@ the trace algebra is the whole definable closure available here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain, combinations
 from operator import or_
 from typing import Optional
@@ -87,9 +87,11 @@ def find_isolating_subtype(struct: BipartiteStructure, p: PhiType) -> IsolationC
     if not struct.is_consistent(p):
         raise PreconditionError("type must be consistent")
     # a subset keeps p's realizer set iff its literals jointly exclude every
-    # non-realizer of p: literal i covers the non-realizers violating it
+    # non-realizer of p: literal i covers the non-realizers violating it,
+    # which inside `need` are the rows with the other sign in its column
     need = ((1 << struct.m) - 1) ^ struct.type_mask(p)
-    excluded = [~struct.literal_mask(b, sign) for b, sign in p.items]
+    masks = struct.column_masks(p.domain)
+    excluded = [~mask if sign else mask for mask, (_, sign) in zip(masks, p.items)]
     chosen, minimal = least_or_greedy_cover(excluded, need)
     return IsolationCertificate(p, _pick(p, chosen), minimal)
 
@@ -105,13 +107,19 @@ def _pick(p: PhiType, indices: tuple[int, ...]) -> PhiType:
 @dataclass(frozen=True)
 class DefiningFormula:
     """The parameter predicate induced by a literal conjunction gamma:
-    holds(b) iff every realizer of gamma satisfies phi(.; b)."""
+    holds(b) iff every realizer of gamma satisfies phi(.; b).  gamma's
+    realizer mask is computed on the first call and kept; it is no field,
+    so equality and hash still read struct and gamma alone."""
 
     struct: BipartiteStructure
     gamma: PhiType
 
+    @cached_property
+    def _gamma_mask(self) -> int:
+        return self.struct.type_mask(self.gamma)
+
     def holds(self, b: int) -> bool:
-        return self.struct.type_mask(self.gamma) & ~self.struct.column_mask(b) == 0
+        return self._gamma_mask & ~self.struct.column_mask(b) == 0
 
 
 def phi_defining_formula(
@@ -178,12 +186,18 @@ def isolated_extension(
     alone, naming the gap between this finite structure and the idealized
     saturated extension the guarantee presumes.  build_maximal runs first
     and raises PreconditionError unless p is consistent with its domain
-    inside base_set.
+    inside base_set.  An empty configuration extends p to p itself, so the
+    base certificate is reused as the extension's rather than searched for
+    twice; that is every run at k = ALL with arity >= 1, where no step can
+    exist.
     """
     config = build_maximal(struct, p, "greedy", k_sat)
     base_cert = find_isolating_subtype(struct, p)
-    extension = extend_type(p, config)
-    cert = find_isolating_subtype(struct, extension)
+    if config.pairs:
+        extension = extend_type(p, config)
+        cert = find_isolating_subtype(struct, extension)
+    else:
+        extension, cert = p, base_cert
     return IsolatedExtensionResult(
         configuration=config,
         certificate=cert,

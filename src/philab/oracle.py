@@ -2,13 +2,16 @@
 
 Everything here re-derives its answers straight from the definitions by
 exhaustive enumeration over the raw truth matrix, deliberately sharing no
-code with the subject modules.  Each question reads the matrix once:
-realizer sets are intersections of per-column row sets (not bitmasks), a
-subset is independent when the rows project onto it in 2^size distinct
-sign patterns (not cell splitting), and a delta question about (c, zs) is
-one set of the (t, s) patterns the rows realize (not the delta module's
-tables or signatures), read by zipping the raw columns of the matrix, which
-are transposed once per public call.  Guards are hard errors, never silent
+code with the subject modules.  Each question reads the matrix once per
+public call, and builds nothing it keeps on the structure: realizer sets
+are intersections of per-column row sets (not bitmasks), built for the
+columns the call reads; a subset is independent when the distinct rows,
+read as bitmasks over Y, project onto it in 2^size distinct sign patterns
+(not cell splitting); and a delta question about (c, zs) is one set of the
+(t, s) patterns the rows realize (not the delta module's tables or
+signatures), read by zipping the columns of the distinct rows, transposed
+once per public call.  A repeated row adds no pattern, so reading distinct
+rows only changes no answer.  Guards are hard errors, never silent
 truncation, and an unknown parameter is an error, never a negative index.
 These back every derived expected value and the differential acceptance
 suite.
@@ -69,13 +72,21 @@ def _check_parameters(struct: BipartiteStructure, params) -> None:
             raise UnknownParameterError(f"unknown parameter {b!r}")
 
 
-def _row_sets(struct: BipartiteStructure) -> tuple[tuple[frozenset, frozenset], ...]:
-    """rows[b][sign]: the rows whose column b has that sign."""
-    out = []
-    for column in zip(*struct.truth):
-        ones = frozenset(a for a, value in enumerate(column) if value)
-        out.append((frozenset(range(struct.m)) - ones, ones))
-    return tuple(out)
+def _row_sets(struct: BipartiteStructure, params) -> dict[int, tuple[frozenset, frozenset]]:
+    """rows[b][sign]: the rows whose column b has that sign, for each b in
+    params (checked parameters)."""
+    every = frozenset(range(struct.m))
+    out = {}
+    for b in params:
+        ones = frozenset(a for a, row in enumerate(struct.truth) if row[b])
+        out[b] = (every - ones, ones)
+    return out
+
+
+def _distinct_columns(struct: BipartiteStructure) -> tuple:
+    """columns[b]: column b of the matrix's distinct rows, in first-seen
+    order; a repeated row realizes no new pattern."""
+    return tuple(zip(*dict.fromkeys(struct.truth)))
 
 
 def _rows_satisfying(struct: BipartiteStructure, rows, literals) -> frozenset:
@@ -87,17 +98,20 @@ def _rows_satisfying(struct: BipartiteStructure, rows, literals) -> frozenset:
 def oracle_vc(struct: BipartiteStructure) -> int:
     """Maximum size of an independent parameter set, by checking every
     nonempty subset of Y with no pruning: a subset is independent when the
-    rows show all 2^size sign patterns on it.  The empty set is independent
-    because X is nonempty."""
+    rows show all 2^size sign patterns on it.  Subsets and the distinct
+    rows are bitmasks over Y (bit b is column b), so a row's pattern on a
+    subset is row & subset.  The empty set is independent because X is
+    nonempty."""
     n = struct.n
     if n > VC_Y_LIMIT:
         raise ResourceLimitError(f"oracle_vc guard: |Y| = {n} > {VC_Y_LIMIT}")
-    columns = tuple(zip(*struct.truth))
+    rows = {sum(1 << b for b, value in enumerate(row) if value)
+            for row in dict.fromkeys(struct.truth)}
     best = 0
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            if len(set(zip(*(columns[b] for b in subset)))) == 2 ** size:
-                best = max(best, size)
+    for subset in range(1, 1 << n):
+        size = subset.bit_count()
+        if len({row & subset for row in rows}) == 1 << size:
+            best = max(best, size)
     return best
 
 
@@ -110,7 +124,7 @@ def oracle_min_isolating(struct: BipartiteStructure, p: PhiType) -> int:
             f"oracle_min_isolating guard: |dom| = {len(dom)} > {MIN_ISOLATING_DOM_LIMIT}"
         )
     _check_parameters(struct, dom)
-    rows = _row_sets(struct)
+    rows = _row_sets(struct, dom)
     target = _rows_satisfying(struct, rows, p.items)
     for size in range(len(dom) + 1):
         for subset in combinations(p.items, size):
@@ -156,7 +170,7 @@ def oracle_finitely_satisfiable(
     _check_parameters(struct, [z for (zs, _, _), _ in entries for z in zs])
     if not base:
         return False
-    columns = tuple(zip(*struct.truth))
+    columns = _distinct_columns(struct)
     memo: dict = {}
     for chunk in combinations(entries, min(k, len(entries))):
         if not any(
@@ -220,12 +234,12 @@ def oracle_all_good_configs(
     _check_parameters(struct, p.domain)
     if arity is None:
         arity = _oracle_dimension(struct)
-    rows = _row_sets(struct)
+    rows = _row_sets(struct, set(theta).union(p.domain))
     realizers = _rows_satisfying(struct, rows, p.items)
     if not realizers:
         return []
     found: list[tuple[tuple[int, int], ...]] = [()]
-    columns = tuple(zip(*struct.truth))
+    columns = _distinct_columns(struct)
     memo: dict = {}
     # (pair, selected members) -> clause-(iii) verdict over B + those
     # members; at most |theta|^2 * (1 + |theta| + C(|theta|, 2)) entries

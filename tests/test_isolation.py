@@ -4,8 +4,8 @@ from itertools import combinations, product
 import pytest
 
 import philab as pl
-from philab import cover, delta
-from philab.goodconfig import GoodConfiguration
+from philab import cover, delta, isolation
+from philab.goodconfig import GoodConfiguration, extend_type
 from philab.isolation import SATURATION_DEFICIT, q_harness
 
 
@@ -130,6 +130,37 @@ class TestIsolatedExtension:
         # no element lies below 0
         with pytest.raises(pl.PreconditionError):
             pl.isolated_extension(s, pl.PhiType({0: 1}))
+
+    def test_certificate_is_the_extensions_own(self, corpus):
+        # the base certificate stands in for the extension's only when no
+        # pair was added; at k = 1 a few runs take a step, so both branches run
+        steps = 0
+        for name, s in corpus[:200]:
+            assert name.split(":")[0] in (pl.generators.INTERVALS, pl.generators.UNIONS)
+            for p in s.type_space(s.base_members()):
+                for k in (delta.ALL, 1):
+                    result = pl.isolated_extension(s, p, k)
+                    steps += result.configuration.size > 0
+                    extension = extend_type(p, result.configuration)
+                    expected = pl.find_isolating_subtype(s, extension)
+                    assert result.certificate == expected
+        assert steps == 6
+
+    @pytest.mark.parametrize("k, pairs, searches", [(delta.ALL, 0, 1), (1, 1, 2)])
+    def test_one_cover_search_without_a_step(self, gap_chain, monkeypatch, k, pairs, searches):
+        calls = []
+        search = isolation.find_isolating_subtype
+
+        def counted(struct, p):
+            calls.append(p)
+            return search(struct, p)
+
+        monkeypatch.setattr(isolation, "find_isolating_subtype", counted)
+        p = gap_chain.trace(6, gap_chain.base_members())
+        result = pl.isolated_extension(gap_chain, p, k)
+        assert result.configuration.size == pairs
+        assert len(calls) == searches
+        assert result.certificate == search(gap_chain, extend_type(p, result.configuration))
 
 
 class TestGammaCertificate:

@@ -13,6 +13,7 @@ from conftest import (
     reference_oracle_all_good_configs,
     reference_oracle_all_good_configs_naive,
     reference_oracle_finitely_satisfiable,
+    reference_oracle_vc,
     reference_same_delta_type,
 )
 
@@ -31,6 +32,17 @@ class TestOracleVc:
         s = pl.gen_linear_order(11, [0])
         with pytest.raises(pl.ResourceLimitError):
             pl.oracle_vc(s)
+
+    @pytest.mark.parametrize("rows", [
+        ((0, 1, 1), (0, 1, 1), (1, 0, 1), (0, 1, 1), (1, 0, 1)),
+        ((True, 1.0, 0), (0.0, False, 1), (1, True, 1), (0, 0, 0.0)),
+        ((), (), ()),
+        ((1, 0, 1, 1),) * 4,
+        *(pl.gen_shattered(k).truth for k in range(1, 5)),
+    ], ids=["repeated", "bool-float", "n0", "constant", *(f"shattered:{k}" for k in range(1, 5))])
+    def test_matches_row_scans(self, rows):
+        s = pl.BipartiteStructure(rows, frozenset(), frozenset())
+        assert pl.oracle_vc(s) == reference_oracle_vc(s)
 
 
 class TestOracleMinIsolating:

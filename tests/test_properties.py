@@ -661,6 +661,21 @@ def test_oracle_fin_sat_matches_row_scans(s, arity, data):
             assert oracle_finitely_satisfiable(s, table, base, k) == expected
 
 
+@given(oracle_structures, st.data())
+@settings(max_examples=50, deadline=None)
+def test_oracle_keeps_nothing_but_the_dimension_on_the_structure(s, data):
+    # row sets and columns are rebuilt per call: a per-structure copy of
+    # them would stay alive as long as the structure does
+    p = data.draw(oracle_types(s))
+    table = pl.delta_type(s, DeltaFamily(1), 0, [0]).table if s.n else {}
+    before = set(vars(s))
+    oracle_vc(s)
+    oracle_min_isolating(s, p)
+    oracle_all_good_configs(s, p, 2)
+    oracle_finitely_satisfiable(s, table, range(s.n), 1)
+    assert set(vars(s)) - before <= {"_oracle_id_cache"}
+
+
 
 def signed_pairs(s, a, avoid=()):
     """Pairs (c0, c1) from theta outside avoid on which row a reads 0 and 1,
