@@ -63,7 +63,6 @@ from .isolation import (
     q_type,
 )
 from .oracle import (
-    OracleReport,
     oracle_all_good_configs,
     oracle_min_isolating,
     oracle_vc,

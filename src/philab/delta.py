@@ -43,6 +43,7 @@ delta_eval is the one-entry reference.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from itertools import chain, combinations, product
 from math import comb, inf
@@ -208,6 +209,17 @@ def cached_delta_type(
     return hit
 
 
+def _check_k(k: float) -> None:
+    """ValueError unless k is ALL or an int >= 1, read as an index (so 1.5
+    is refused, like a dimension cap)."""
+    try:
+        ok = k == ALL or operator.index(k) >= 1
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError("k must be >= 1 or ALL")
+
+
 def finitely_satisfiable_in(
     struct: BipartiteStructure,
     family: DeltaFamily,
@@ -221,7 +233,8 @@ def finitely_satisfiable_in(
     Every k-entry subset of c's table (equivalently every smaller one) is
     matched by some base parameter on those entries; k=ALL is +inf, every
     subset, so some base parameter's whole table equals c's.  An empty base
-    set satisfies nothing: there is no witness parameter.
+    set satisfies nothing: there is no witness parameter.  k is checked
+    before anything else: ValueError unless it is ALL or an int >= 1.
 
     It is decided on memoized closed packs.  XOR c's pack with each base
     parameter's: a zero means a whole table matches, which settles every k.
@@ -234,14 +247,13 @@ def finitely_satisfiable_in(
     pack, or DEFAULT_COVER_LIMIT cover candidates, it raises
     ResourceLimitError.
     """
+    _check_k(k)
     dom = tuple(sorted(set(domain)))
     base = tuple(sorted(set(base)))
     for b in (c, *dom, *base):
         struct.check_parameter(b)
     if not base:
         return False
-    if k < 1:
-        raise ValueError("k must be >= 1 or ALL")
     pack = _signature(struct, family, c, dom, closed=True)
     diffs = [pack ^ _signature(struct, family, b, dom, closed=True) for b in base]
     if 0 in diffs or k >= len(base):

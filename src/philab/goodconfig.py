@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Optional
 
-from .delta import ALL, DeltaFamily, _signature, finitely_satisfiable_in
+from .delta import ALL, DeltaFamily, _check_k, _signature, finitely_satisfiable_in
 from .errors import LiteralClashError, PreconditionError, ResourceLimitError
 from .structure import BipartiteStructure, PhiType
 from .vc import cached_dimension
@@ -164,7 +164,9 @@ def find_extension_pair(
     when k_sat is at least |base|, ALL included (proof below), and nothing
     is scanned.  Elsewhere the conditions need not transfer the clauses, so
     each hit is re-verified with is_good_configuration before it is returned.
+    k_sat is checked first: ValueError unless it is ALL or an int >= 1.
     """
+    _check_k(k_sat)
     if family is None:
         family = DeltaFamily(cached_dimension(struct))
     p = config.base_type

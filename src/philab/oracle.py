@@ -24,8 +24,6 @@ list is extended only by pairs that extended its parent list.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Optional
 
@@ -38,32 +36,6 @@ GOODCONFIG_THETA_LIMIT = 10
 GOODCONFIG_MAX_K_LIMIT = 3
 FINSAT_ENTRY_LIMIT = 12
 FINSAT_K_LIMIT = 4
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    """One differential comparison, serializable as a JSON log line."""
-
-    operation: str
-    instance: str
-    oracle_value: object
-    subject_value: object
-
-    @property
-    def agree(self) -> bool:
-        return self.oracle_value == self.subject_value
-
-    def json_line(self) -> str:
-        return json.dumps(
-            {
-                "operation": self.operation,
-                "instance": self.instance,
-                "oracle": self.oracle_value,
-                "subject": self.subject_value,
-                "agree": self.agree,
-            },
-            sort_keys=True,
-        )
 
 
 def _check_parameters(struct: BipartiteStructure, params) -> None:

@@ -1,10 +1,11 @@
 """Invariant suites shared by the CLI `verify` command and the acceptance
 tests.
 
-Each suite takes named structures and returns a JSON-ready report with an
-`ok` flag and, on failure, a minimized counterexample (the serialized
-structure plus the offending object).  Suites only ever compare computed
-values; expected quantities come from the brute-force oracles.
+Each suite takes named structures and returns a JSON-ready report: the suite
+name, its counters, an `ok` flag and, on failure, minimized counterexamples
+(the serialized structure plus the offending object).  Suites only ever
+compare computed values; expected quantities come from the brute-force
+oracles.
 
 The bound suite enumerates configurations of the empty type: any
 configuration good for some type is good for the empty type (its clause-(ii)
@@ -14,12 +15,13 @@ empty type casts the widest net for bound violations.
 
 from __future__ import annotations
 
+import json
 from typing import Iterable
 
-from .errors import NotWitnessedError, PreconditionError, ResourceLimitError
+from .errors import PreconditionError, ResourceLimitError
 from .goodconfig import GoodConfiguration, build_maximal
 from .isolation import embed_trace, find_isolating_subtype, isolated_extension, q_harness
-from .oracle import OracleReport, oracle_all_good_configs, oracle_min_isolating, oracle_vc
+from .oracle import oracle_all_good_configs, oracle_min_isolating, oracle_vc
 from .structure import BipartiteStructure, PhiType, serialize_structure
 from .vc import cached_dimension
 
@@ -30,6 +32,10 @@ def _counterexample(name: str, struct: BipartiteStructure, detail: dict) -> dict
     return {"instance": name, "structure": serialize_structure(struct), **detail}
 
 
+def _report(suite: str, failures: list, **counters) -> dict:
+    return {"suite": suite, **counters, "ok": not failures, "counterexamples": failures}
+
+
 def bound_suite(structures: Iterable[Named]) -> dict:
     """No enumerated good configuration exceeds the independence dimension."""
     checked = 0
@@ -38,22 +44,11 @@ def bound_suite(structures: Iterable[Named]) -> dict:
         dim = cached_dimension(struct)
         configs = oracle_all_good_configs(struct, PhiType(), min(3, dim + 1))
         checked += len(configs)
-        worst = max((len(c) for c in configs), default=0)
-        if worst > dim:
-            offender = min(c for c in configs if len(c) > dim)
-            failures.append(
-                _counterexample(
-                    name,
-                    struct,
-                    {"pairs": [list(p) for p in offender], "id": dim},
-                )
-            )
-    return {
-        "suite": "bound",
-        "configurations_checked": checked,
-        "ok": not failures,
-        "counterexamples": failures,
-    }
+        over = [c for c in configs if len(c) > dim]
+        if over:
+            pairs = [list(p) for p in min(over)]
+            failures.append(_counterexample(name, struct, {"pairs": pairs, "id": dim}))
+    return _report("bound", failures, configurations_checked=checked)
 
 
 def shatter_suite(structures: Iterable[Named]) -> dict:
@@ -84,25 +79,20 @@ def shatter_suite(structures: Iterable[Named]) -> dict:
                         },
                     )
                 )
-    return {
-        "suite": "shatter",
-        "types_checked": types_checked,
-        "ok": not failures,
-        "counterexamples": failures,
-    }
+    return _report("shatter", failures, types_checked=types_checked)
 
 
 def remark_suite(structures: Iterable[Named]) -> dict:
     """Every tuple realizing a maximal configuration's q-type isolates at
-    most as hard as the configuration itself."""
+    most as hard as the configuration itself.  The types tried, the empty
+    type and the first base trace, are realized, so each has a configuration
+    (the empty one at least)."""
     failures = []
     harness_runs = 0
     skipped = 0
     for name, struct in structures:
         dim = cached_dimension(struct)
         for p in (PhiType(),) + struct.type_space(struct.base_members())[:1]:
-            if not struct.is_consistent(p):
-                continue
             try:
                 configs = oracle_all_good_configs(struct, p, min(2, dim + 1))
             except ResourceLimitError:
@@ -134,112 +124,67 @@ def remark_suite(structures: Iterable[Named]) -> dict:
                             },
                         )
                     )
-    return {
-        "suite": "remark",
-        "harness_runs": harness_runs,
-        "skipped_by_guard": skipped,
-        "ok": not failures,
-        "counterexamples": failures,
-    }
+    return _report("remark", failures, harness_runs=harness_runs, skipped_by_guard=skipped)
 
 
 def defining_suite(structures: Iterable[Named]) -> dict:
     """Defining formulas from the pipeline reproduce each row on the base
-    set; certificates re-check entailment.  The per-trace pipeline output is
-    memoized since identical base traces give identical results."""
-    failures = []
+    set.  embed_trace checks its row and raises InvariantError on a
+    disagreement; rows with one base trace share the formula, so it runs
+    once per distinct trace, on the trace's first row."""
     rows_checked = 0
-    for name, struct in structures:
-        by_trace: dict[PhiType, tuple] = {}
+    for _, struct in structures:
+        base = struct.base_members()
+        firsts: dict[PhiType, int] = {}
         for a in range(struct.m):
-            rows_checked += 1
-            p = struct.trace(a, struct.base_members())
-            if p not in by_trace:
-                try:
-                    by_trace[p] = embed_trace(struct, a)
-                except NotWitnessedError as exc:
-                    failures.append(
-                        _counterexample(name, struct, {"row": a, "error": str(exc)})
-                    )
-                    continue
-            formula, _ = by_trace[p]
-            mismatches = [
-                b
-                for b in struct.base_members()
-                if formula.holds(b) != bool(struct.truth[a][b])
-            ]
-            if mismatches:
-                failures.append(
-                    _counterexample(name, struct, {"row": a, "mismatch_at": mismatches})
-                )
-    return {
-        "suite": "defining",
-        "rows_checked": rows_checked,
-        "ok": not failures,
-        "counterexamples": failures,
-    }
+            firsts.setdefault(struct.trace(a, base), a)
+        for a in firsts.values():
+            embed_trace(struct, a)
+        rows_checked += struct.m
+    return _report("defining", [], rows_checked=rows_checked)
 
 
 def oracle_suite(structures: Iterable[Named]) -> dict:
     """Differential agreement: dimension, minimum isolating size per
     distinct base trace, and maximal configuration size (exhaustive search
     vs oracle enumeration of the empty type's configurations).  Every
-    comparison is logged as an OracleReport JSON line."""
+    comparison is logged as one JSON line: operation, instance, oracle and
+    subject values, and whether they agree."""
     failures = []
     log: list[str] = []
 
-    def record(report: OracleReport, struct: BipartiteStructure, detail: dict) -> None:
-        log.append(report.json_line())
-        if not report.agree:
-            failures.append(
-                _counterexample(
-                    report.instance,
-                    struct,
-                    {
-                        "op": report.operation,
-                        "subject": report.subject_value,
-                        "oracle": report.oracle_value,
-                        **detail,
-                    },
-                )
-            )
+    def record(op, instance, oracle, subject, struct, detail) -> bool:
+        agree = oracle == subject
+        line = {"operation": op, "instance": instance, "oracle": oracle,
+                "subject": subject, "agree": agree}
+        log.append(json.dumps(line, sort_keys=True))
+        if not agree:
+            detail = {"op": op, "subject": subject, "oracle": oracle, **detail}
+            failures.append(_counterexample(instance, struct, detail))
+        return agree
 
     for name, struct in structures:
         subject_id = cached_dimension(struct)
-        vc_report = OracleReport("vc", name, oracle_vc(struct), subject_id)
-        record(vc_report, struct, {})
-        if not vc_report.agree:
+        oracle_id = oracle_vc(struct)
+        if not record("vc", name, oracle_id, subject_id, struct, {}):
             continue
         for p in struct.type_space(struct.base_members()):
             digest = f"{name}#p={''.join(str(s) for _, s in p.items) or 'empty'}"
-            record(
-                OracleReport(
-                    "min_isolating",
-                    digest,
-                    oracle_min_isolating(struct, p),
-                    find_isolating_subtype(struct, p).size,
-                ),
-                struct,
-                {"type": [list(i) for i in p.items]},
-            )
+            record("min_isolating", digest, oracle_min_isolating(struct, p),
+                   find_isolating_subtype(struct, p).size, struct,
+                   {"type": [list(i) for i in p.items]})
         try:
             subject_max = build_maximal(struct, PhiType(), "exhaustive").size
             oracle_max = max(
                 len(c)
                 for c in oracle_all_good_configs(
-                    struct, PhiType(), min(3, subject_id + 1), vc_report.oracle_value
+                    struct, PhiType(), min(3, subject_id + 1), oracle_id
                 )
             )
         except ResourceLimitError:
             continue
-        record(OracleReport("max_config", name, oracle_max, subject_max), struct, {})
-    return {
-        "suite": "oracle",
-        "comparisons": len(log),
-        "log": log,
-        "ok": not failures,
-        "counterexamples": failures,
-    }
+        record("max_config", name, oracle_max, subject_max, struct, {})
+    return _report("oracle", failures, comparisons=len(log), log=log)
 
 
 def budget_suite(structures: Iterable[Named]) -> dict:
@@ -263,12 +208,7 @@ def budget_suite(structures: Iterable[Named]) -> dict:
                         },
                     )
                 )
-    return {
-        "suite": "budget",
-        "runs": runs,
-        "ok": not failures,
-        "counterexamples": failures,
-    }
+    return _report("budget", failures, runs=runs)
 
 
 SUITES = {

@@ -244,5 +244,7 @@ class TestFinitelySatisfiable:
         assert pl.finitely_satisfiable_in(s, family, subject, base, base, 2) == expected
 
     def test_bad_k_rejected(self, s1):
-        with pytest.raises(ValueError):
-            pl.finitely_satisfiable_in(s1, DeltaFamily(0), 0, [], [0], 0)
+        # k is read first: an empty base once answered False for any k
+        for k, base in product((0, -3, 1.5, "2", None), ([], [0], [0, 1])):
+            with pytest.raises(ValueError, match=r"^k must be >= 1 or ALL$"):
+                pl.finitely_satisfiable_in(s1, DeltaFamily(1), 0, [0, 1], base, k)

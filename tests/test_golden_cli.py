@@ -1,5 +1,6 @@
 """Golden outputs: the JSON stdout of `isolate`, `config` and `verify --suite
-remark` over fixed random specs, pinned by sha256.
+S` (S in remark, bound, defining, oracle, budget) over fixed random specs,
+pinned by sha256.
 
 Each digest covers one command line over all specs: for every spec in SPECS
 order, the exit code and the stdout, so a change in any certificate,
@@ -26,6 +27,10 @@ COMMANDS = {
     "config --k-sat 1": ["config", "--of", "3", "--k-sat", "1"],
     "config --k-sat 2": ["config", "--of", "3", "--k-sat", "2"],
     "verify --suite remark": ["verify", "--suite", "remark"],
+    "verify --suite bound": ["verify", "--suite", "bound"],
+    "verify --suite defining": ["verify", "--suite", "defining"],
+    "verify --suite oracle": ["verify", "--suite", "oracle"],
+    "verify --suite budget": ["verify", "--suite", "budget"],
 }
 
 DIGESTS = {
@@ -36,6 +41,10 @@ DIGESTS = {
     "isolate --k-sat 2": "f5f8f9c88b9e11b6cfb83c2de9e5e2e7751549d795bae0331f36fd500697e337",
     "isolate --k-sat all": "f5f8f9c88b9e11b6cfb83c2de9e5e2e7751549d795bae0331f36fd500697e337",
     "verify --suite remark": "c9a2dc7d69c95d73d982935621693ba0c7585279666fe74a5c9efe77131effea",
+    "verify --suite bound": "3dae7c2daeef7863d1d4eb0fe198b8bd79a2b35c074fc9099d5cb15a3e0db23c",
+    "verify --suite defining": "263258488ecafed916db866aba88c29b2244126e62a3380d5f709a93fb5feeb7",
+    "verify --suite oracle": "9332f1461719302dd22c42c8f5c74cd4513df9edebf87457e1400366d969374e",
+    "verify --suite budget": "9a3359a141c280e69a21f6b591cea0044ffc92f8dcfa708476a9cc611b70b84c",
 }
 
 

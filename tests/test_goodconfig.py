@@ -2,6 +2,7 @@ import pytest
 
 import philab as pl
 from philab import goodconfig
+from philab.cli import parse_generator_spec
 from philab.delta import ALL, DeltaFamily
 from philab.goodconfig import GoodConfiguration, config_certificate
 
@@ -175,6 +176,21 @@ class TestBuildMaximal:
     def test_unknown_strategy(self, s1):
         with pytest.raises(ValueError):
             pl.build_maximal(s1, pl.PhiType(), "magic")
+
+    @pytest.mark.parametrize("k_sat", [0, -3, 1.5])
+    @pytest.mark.parametrize(
+        "spec",
+        # the scan never reaches (iv) on the first two, which once returned
+        # an empty configuration for any k_sat
+        ["random:intervals:0:20:6", "shattered:2",
+         "random:intervals:37:20:6", "linear:12:b=0,4,8"],
+    )
+    def test_bad_k_sat_rejected_before_the_scan(self, spec, k_sat):
+        s = parse_generator_spec(spec)
+        with pytest.raises(ValueError, match=r"^k must be >= 1 or ALL$"):
+            pl.build_maximal(s, pl.EMPTY_TYPE, "greedy", k_sat)
+        with pytest.raises(ValueError, match=r"^k must be >= 1 or ALL$"):
+            pl.find_extension_pair(s, empty_config(), k_sat)
 
 
 def _outcome(search, s, p, k_sat=ALL):

@@ -220,13 +220,6 @@ class TestOracleRealizedPatterns:
         assert verdicts == {True, False}
 
 
-class TestOracleReport:
-    def test_agree_semantics(self):
-        r = pl.OracleReport("vc", "s1", 2, 2)
-        assert r.agree
-        assert not pl.OracleReport("vc", "s1", 2, 3).agree
-
-
 class TestOracleUnknownParameters:
     # an unknown parameter is the subject's error, never a negative index
     # into a row or a bare IndexError

@@ -486,6 +486,10 @@ def test_extension_pair_matches_full_scan(s, arity, data):
         config = config.extended(pair)
     size = len(s.base_set)
     for k_sat in (ALL, size, size + 1, 1, 2):
+        if k_sat == 0:  # |B| = 0 is no strength
+            with pytest.raises(ValueError, match=r"^k must be >= 1 or ALL$"):
+                pl.find_extension_pair(s, config, k_sat, family)
+            continue
         expected = reference_find_extension_pair(s, config, k_sat, family)
         if arity and (k_sat is ALL or k_sat >= size):
             assert expected is None
