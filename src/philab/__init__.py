@@ -19,7 +19,6 @@ from .errors import (
     ArityMismatchError,
     InvariantError,
     LiteralClashError,
-    NotWitnessedError,
     PhilabError,
     PreconditionError,
     ResourceLimitError,

@@ -43,14 +43,3 @@ class PreconditionError(PhilabError):
 
 class InvariantError(PhilabError):
     """A certificate failed its own soundness check: a bug, not bad input."""
-
-
-class NotWitnessedError(PhilabError):
-    """No literal set eliminates every base parameter; the finite structure
-    lacks the separating witnesses a saturated extension would provide."""
-
-    def __init__(self, surviving: tuple):
-        super().__init__(
-            "base parameters %r satisfy every existential condition" % (surviving,)
-        )
-        self.surviving = surviving

@@ -115,11 +115,12 @@ def is_good_configuration(
             if pair[t] not in struct.theta_set:
                 return ConfigCheck("i", (j, t))
 
-    try:
-        p_c = extend_type(candidate.base_type, pairs)
-    except LiteralClashError:
-        return ConfigCheck("ii")
-    if not struct.is_consistent(p_c):
+    # (ii) on one realizer mask: a sign clash, inside a pair or with the
+    # base type, leaves it empty
+    mask = struct.type_mask(candidate.base_type)
+    for c0, c1 in pairs:
+        mask &= struct.literal_mask(c0, 0) & struct.literal_mask(c1, 1)
+    if not mask:
         return ConfigCheck("ii")
 
     base = struct.base_set
@@ -159,12 +160,13 @@ def find_extension_pair(
       (iv)  d0's delta-type over that domain finitely satisfiable in
             base_set at strength k_sat.
 
-    Diagonal pairs are skipped: both signs on one parameter can never
-    satisfy (ii).  Nothing qualifies when the base is empty, or at arity >= 1
-    when k_sat is at least |base|, ALL included (proof below), and nothing
-    is scanned.  Elsewhere the conditions need not transfer the clauses, so
-    each hit is re-verified with is_good_configuration before it is returned.
-    k_sat is checked first: ValueError unless it is ALL or an int >= 1.
+    A diagonal pair (d, d) fails (ii) in the scan: d's sign-0 and sign-1
+    literal masks are disjoint.  Nothing qualifies when
+    the base is empty, or at arity >= 1 when k_sat is at least |base|, ALL
+    included (proof below), and nothing is scanned.  Elsewhere the
+    conditions need not transfer the clauses, so each hit is re-verified
+    with is_good_configuration before it is returned.  k_sat is checked
+    first: ValueError unless it is ALL or an int >= 1.
     """
     _check_k(k_sat)
     if family is None:
@@ -188,8 +190,6 @@ def find_extension_pair(
         if not mask0:
             continue
         for d1 in theta:
-            if d1 == d0:
-                continue
             if not mask0 & struct.literal_mask(d1, 1):
                 continue  # (ii)
             if not delta_equal_over(struct, family, d0, d1, domain):
@@ -214,7 +214,10 @@ def build_maximal(
     the maximum-size configuration, lexicographically least among ties; the
     oracle suite checks it against oracle_all_good_configs.  It raises
     ResourceLimitError when |theta| exceeds DEFAULT_EXHAUSTIVE_THETA_LIMIT,
-    and takes no extension steps, so it accepts k_sat=ALL only.
+    and takes no extension steps, so it accepts k_sat=ALL only.  k_sat is
+    checked first, for both strategies: ValueError unless it is ALL or an
+    int >= 1; exhaustive then refuses a valid finite k with
+    PreconditionError.
 
     The exhaustive search enters strictly increasing pair lists only, in
     lexicographic preorder, and keeps the first list of each new size.
@@ -234,11 +237,14 @@ def build_maximal(
         the child L + (q,).
     Each list carries its realizer mask down, and a candidate whose clause
     (ii) mask, that mask AND its pair's literal masks, is empty is dropped
-    unchecked.  is_good_configuration still accepts every list returned.
+    unchecked; so is every diagonal pair.  is_good_configuration accepts
+    every nonempty list returned, and the empty list needs no check: p is
+    consistent, and clauses (i) and (iii) ask nothing of no pairs.
     At arity >= 1 the pairs of a good list hold distinct parameters from
     theta, so its size stays at most |theta| / 2 <= 6 and
     DEFAULT_CHECK_LIMIT, first passed at size 9, is never reached.
     """
+    _check_k(k_sat)
     if not struct.is_consistent(p):
         raise PreconditionError("base type must be consistent")
     if not set(p.domain) <= struct.base_set:
@@ -264,16 +270,13 @@ def build_maximal(
             f" exceeds {DEFAULT_EXHAUSTIVE_THETA_LIMIT}"
         )
     best = GoodConfiguration((), p)
-    if not is_good_configuration(struct, best, family=family):
-        raise PreconditionError("empty configuration fails the checker")
     lits = {d: (struct.literal_mask(d, 0), struct.literal_mask(d, 1)) for d in theta}
     # each pair with its clause-(ii) mask: the elements giving d0 sign 0
-    # and d1 sign 1
+    # and d1 sign 1, empty for a diagonal pair
     all_pairs = [
         ((d0, d1), lits[d0][0] & lits[d1][1])
         for d0 in theta
         for d1 in theta
-        if d0 != d1
     ]
 
     def descend(config: GoodConfiguration, mask: int, candidates: list) -> None:
@@ -304,10 +307,6 @@ def config_certificate(
     """JSON-ready certificate: pairs, size, dimension, bound check, and the
     per-clause checker verdicts."""
     check = is_good_configuration(struct, config)
-    clauses = {"i": True, "ii": True, "iii": True}
-    if not check.ok:
-        for name in clauses:
-            clauses[name] = name != check.clause
     return {
         "pairs": [list(pair) for pair in config.pairs],
         "size": config.size,
@@ -315,13 +314,7 @@ def config_certificate(
         "bound_ok": config.size <= cached_dimension(struct),
         "checker": {
             "ok": check.ok,
-            "clauses": clauses,
-            "witness": _jsonable(check.witness),
+            "clauses": {name: name != check.clause for name in ("i", "ii", "iii")},
+            "witness": check.witness,
         },
     }
-
-
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    return value

@@ -26,9 +26,8 @@ the trace algebra is the whole definable closure available here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import chain, combinations
-from operator import or_
 from typing import Optional
 
 from .cover import least_or_greedy_cover
@@ -42,7 +41,6 @@ from .delta import (
 from .errors import (
     ArityMismatchError,
     InvariantError,
-    NotWitnessedError,
     PreconditionError,
     ResourceLimitError,
 )
@@ -223,11 +221,10 @@ def gamma_certificate(
     every induced existential condition (lexicographically least among
     minimum ones; an inclusion-minimal set past DEFAULT_COVER_LIMIT
     candidates); those literals plus the configuration literals form gamma,
-    and entailment of the extended type is checked on every return.  When
-    some base parameter survives even the full trace (impossible here
-    whenever the base parameters' own literals appear in the trace, but kept
-    as a defensive diagnostic), the finite structure cannot witness the
-    separation and NotWitnessedError carries the survivors.
+    and entailment of the extended type is checked on every return.  Such a
+    set always exists: the trace holds each base parameter b's own literal,
+    whose sign clashes with one of b's two signs, so that literal alone
+    eliminates b.
     """
     p_c = extend_type(config.base_type, config)
     struct.check_element(a)
@@ -246,9 +243,6 @@ def gamma_certificate(
                               if neg & lit == 0 or pos & lit == 0))
     need = (1 << len(base)) - 1
     chosen, _ = least_or_greedy_cover(eliminates, need)
-    if chosen is None:
-        covered = reduce(or_, eliminates, 0)
-        raise NotWitnessedError(tuple(b for j, b in enumerate(base) if not covered >> j & 1))
     gamma = _pick(trace, chosen).union(extend_type(PhiType(), config))
     if not struct.entails(gamma, p_c):
         raise InvariantError("gamma fails to entail the extended type")
@@ -263,8 +257,7 @@ def psi_disjunction(
     configuration's extended type, whose realizer sets jointly cover exactly
     those realizers; a minimal subfamily is extracted by direct cover search
     (smallest, then lexicographically least by class index; an
-    inclusion-minimal subfamily past DEFAULT_COVER_LIMIT candidates).
-    NotWitnessedError from any class propagates."""
+    inclusion-minimal subfamily past DEFAULT_COVER_LIMIT candidates)."""
     p_c = extend_type(config.base_type, config)
     if not struct.is_consistent(p_c):
         raise PreconditionError("extended type must be consistent")
@@ -334,11 +327,6 @@ class QType:
     @property
     def component_count(self) -> int:
         return len(self.generating)
-
-
-def _component_literals(components: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    # component order (c_{0,0}, c_{0,1}, c_{1,0}, ...): sign = index parity
-    return tuple((c, j % 2) for j, c in enumerate(components))
 
 
 def q_type(
@@ -477,7 +465,7 @@ def q_harness(struct: BipartiteStructure, config: GoodConfiguration) -> QHarness
     reference = find_isolating_subtype(struct, extend_type(p, config)).size
     passing = []
     for candidate in _q_realizers(struct, q, (theta,) * q.component_count):
-        p_cand = p.union(PhiType(_component_literals(candidate)))
+        p_cand = extend_type(p, zip(candidate[::2], candidate[1::2]))
         passing.append((candidate, find_isolating_subtype(struct, p_cand).size))
     checked = len(theta) ** q.component_count
     return QHarnessReport(reference, checked, tuple(passing))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from typing import Iterable
 
-from .errors import PreconditionError, ResourceLimitError
+from .errors import InvariantError, PreconditionError, ResourceLimitError
 from .goodconfig import GoodConfiguration, build_maximal
 from .isolation import embed_trace, find_isolating_subtype, isolated_extension, q_harness
 from .oracle import oracle_all_good_configs, oracle_min_isolating, oracle_vc
@@ -130,18 +130,24 @@ def remark_suite(structures: Iterable[Named]) -> dict:
 def defining_suite(structures: Iterable[Named]) -> dict:
     """Defining formulas from the pipeline reproduce each row on the base
     set.  embed_trace checks its row and raises InvariantError on a
-    disagreement; rows with one base trace share the formula, so it runs
-    once per distinct trace, on the trace's first row."""
+    disagreement, which becomes a counterexample naming the element and the
+    error; rows with one base trace share the formula, so it runs once per
+    distinct trace, on the trace's first row."""
+    failures = []
     rows_checked = 0
-    for _, struct in structures:
+    for name, struct in structures:
         base = struct.base_members()
         firsts: dict[PhiType, int] = {}
         for a in range(struct.m):
             firsts.setdefault(struct.trace(a, base), a)
         for a in firsts.values():
-            embed_trace(struct, a)
+            try:
+                embed_trace(struct, a)
+            except InvariantError as exc:
+                detail = {"element": a, "error": str(exc)}
+                failures.append(_counterexample(name, struct, detail))
         rows_checked += struct.m
-    return _report("defining", [], rows_checked=rows_checked)
+    return _report("defining", failures, rows_checked=rows_checked)
 
 
 def oracle_suite(structures: Iterable[Named]) -> dict:

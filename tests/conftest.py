@@ -8,7 +8,7 @@ from philab.cover import least_cover
 from philab.delta import ALL, DeltaFamily, _positional_signature
 from philab import goodconfig
 from philab.goodconfig import GoodConfiguration, extend_type
-from philab.isolation import QHarnessReport, _component_literals
+from philab.isolation import QHarnessReport
 from philab.vc import cached_dimension
 
 S1_TEXT = """# phi-structure v1
@@ -229,13 +229,18 @@ def reference_oracle_all_good_configs_naive(s, p, max_k):
 # -- the q-type's product loop, kept as a reference for its pruned search ---
 
 
+def reference_component_literals(candidate):
+    """Component order (c_{0,0}, c_{0,1}, c_{1,0}, ...): sign = index parity."""
+    return tuple((c, j % 2) for j, c in enumerate(candidate))
+
+
 def reference_check_q_realizer(s, q, candidate):
     """check_q_realizer with q'' read as every sub-conjunction of the base
     type, each checked on its own with the candidate's signed literals, and
     q''' as the candidate's whole signatures."""
     if any(c not in s.theta_set for c in candidate):
         return False
-    literals = _component_literals(candidate)
+    literals = reference_component_literals(candidate)
     for size in range(len(q.base_type) + 1):
         for conj in combinations(q.base_type.items, size):
             try:
@@ -260,7 +265,8 @@ def reference_q_harness(s, config):
     for candidate in product(s.theta_members(), repeat=q.component_count):
         checked += 1
         if reference_check_q_realizer(s, q, candidate):
-            p_cand = p.union(pl.PhiType(_component_literals(candidate)))
+            literals = reference_component_literals(candidate)
+            p_cand = p.union(pl.PhiType(literals))
             passing.append((candidate, pl.find_isolating_subtype(s, p_cand).size))
     return QHarnessReport(reference, checked, tuple(passing))
 

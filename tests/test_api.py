@@ -1,8 +1,11 @@
-"""The public API keeps one guard mechanism: module constants."""
+"""The public API keeps one guard mechanism, module constants, and no
+check that `python -O` would strip."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import philab
 from philab.structure import BipartiteStructure
@@ -31,5 +34,18 @@ def test_no_per_call_limit_or_sample_parameters():
         for where, func in functions
         for param in inspect.signature(func).parameters
         if param in ("budget", "limit", "sample") or param.endswith("_limit")
+    ]
+    assert offenders == []
+
+
+def test_no_assert_statements_in_the_package():
+    # soundness checks raise errors; an assert disappears under python -O
+    sources = sorted(Path(philab.__file__).parent.rglob("*.py"))
+    assert len(sources) > 10
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
     ]
     assert offenders == []

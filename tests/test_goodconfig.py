@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 import philab as pl
@@ -53,6 +55,13 @@ class TestChecker:
         # pair (0, 1) forces 0 -> 0 against p = {0 -> 1}
         check = pl.is_good_configuration(s1, GoodConfiguration(((0, 1),), pl.PhiType({0: 1})))
         assert not check and check.clause == "ii"
+
+    def test_diagonal_pair_fails_clause_ii(self):
+        # (d, d) asks d for both signs, so no element realizes the pair
+        s = pl.gen_linear_order(12, [0, 4, 8])
+        for d in s.theta_members():
+            check = pl.is_good_configuration(s, GoodConfiguration(((d, d),), pl.EMPTY_TYPE))
+            assert not check and check.clause == "ii" and check.witness is None
 
     def test_identical_columns_never_form_a_pair(self):
         # both signs of one column content are contradictory, so a pair of
@@ -269,10 +278,17 @@ class TestExhaustiveAgainstEveryPermutation:
         self.assert_same(wide, [pl.EMPTY_TYPE])
         assert _outcome(_exhaustive, wide, pl.EMPTY_TYPE)[0] is pl.ResourceLimitError
         s = pl.gen_random_bounded(19, 20, 6, pl.generators.UNIONS)
-        # a finite k at or past |B| decides what ALL does, but is refused
-        for k_sat in (1, len(s.base_set), len(s.base_set) + 1):
+        # a valid finite k at or past |B| = 0 decides what ALL does, but is
+        # refused; an invalid k is a ValueError for either strategy
+        assert not s.base_set
+        for k_sat in (1, 2):
             self.assert_same(s, [pl.EMPTY_TYPE], k_sat=k_sat)
             assert _outcome(_exhaustive, s, pl.EMPTY_TYPE, k_sat)[0] is pl.PreconditionError
+        for struct in (s, parse_generator_spec("shattered:2")):
+            for k_sat in (0, -3, 1.5):
+                for strategy in ("greedy", "exhaustive"):
+                    with pytest.raises(ValueError, match="k must be >= 1 or ALL"):
+                        pl.build_maximal(struct, pl.EMPTY_TYPE, strategy, k_sat)
         chain = pl.gen_linear_order(5, [1, 3])
         unrealized = pl.PhiType({1: 1, 3: 0})  # x < 1 but not x < 3
         self.assert_same(chain, [unrealized])
@@ -325,3 +341,12 @@ def test_certificate_payload():
     assert payload["bound_ok"]
     assert payload["checker"]["ok"]
     assert set(payload["checker"]["clauses"]) == {"i", "ii", "iii"}
+
+
+def test_certificate_json_of_a_clause_iii_failure():
+    s = parse_generator_spec("linear:5:b=0,2")
+    payload = config_certificate(s, GoodConfiguration(((1, 3),), pl.EMPTY_TYPE))
+    assert json.dumps(payload, sort_keys=True) == (
+        '{"bound_ok": true, "checker": {"clauses": {"i": true, "ii": true, "iii": false},'
+        ' "ok": false, "witness": [0, [0]]}, "id": 1, "pairs": [[1, 3]], "size": 1}'
+    )

@@ -5,6 +5,7 @@ import pytest
 
 import philab as pl
 from philab import cover, delta, isolation
+from philab.cli import parse_generator_spec
 from philab.goodconfig import GoodConfiguration, extend_type
 from philab.isolation import SATURATION_DEFICIT, q_harness
 
@@ -183,6 +184,23 @@ class TestGammaCertificate:
         for a in gap_chain.realizers(p_c):
             gamma = pl.gamma_certificate(gap_chain, a, config)
             assert gap_chain.entails(gamma, p_c)
+
+    @pytest.mark.parametrize("spec", [
+        *(f"random:{family}:{seed}:20:6"
+          for family in ("intervals", "unions2") for seed in range(10)),
+        "linear:12:b=0,4,8",
+        "eqrel:1,1",
+    ])
+    def test_every_realizer_has_a_gamma(self, spec):
+        # each base parameter's own literal lies in the full trace and covers
+        # its bit, so a cover exists for every realizer; the empty
+        # configurations reach every element
+        s = parse_generator_spec(spec)
+        for p in set(s.trace(a, s.base_members()) for a in range(s.m)):
+            for config in (GoodConfiguration((), p), pl.build_maximal(s, p, "greedy", 1)):
+                p_c = extend_type(p, config)
+                for a in s.realizers(p_c):
+                    assert s.entails(pl.gamma_certificate(s, a, config), p_c)
 
     def test_non_realizer_rejected(self, s1):
         p = pl.PhiType({0: 1, 1: 1})

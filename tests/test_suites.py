@@ -117,9 +117,15 @@ def test_budget_reports_an_overrun(capsys, monkeypatch):
 def test_defining_stops_at_a_lying_formula(capsys, monkeypatch):
     real = pl.DefiningFormula.holds
     monkeypatch.setattr(pl.DefiningFormula, "holds", lambda f, b: not real(f, b))
-    code, out, err = verify(capsys, "defining")
-    assert code == 1 and out == ""
-    assert err.startswith("invariant violation:")
+    code, out, _ = verify(capsys, "defining", SPEC, "--format", "json")
+    report = json.loads(out)
+    assert code == 1
+    assert report["suite"] == "defining" and report["ok"] is False
+    assert report["rows_checked"] == 20 and report["counterexamples"]
+    for ce in report["counterexamples"]:
+        assert set(ce) == {"instance", "structure", "element", "error"}
+        assert ce["instance"] == SPEC
+        assert ce["error"] == "defining formula disagrees on domain"
 
 
 def test_text_mode_shows_three_counterexamples(capsys, monkeypatch):
