@@ -142,7 +142,7 @@ def parse_over(struct: BipartiteStructure, over: str) -> tuple[int, ...]:
         raise CliSpecError(f"bad --over spec {over!r}") from None
     if len(set(domain)) != len(domain):
         raise CliSpecError(f"--over {over!r} repeats an index")
-    return domain
+    return tuple(sorted(domain))
 
 
 def parse_lits(spec: str) -> PhiType:

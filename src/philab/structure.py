@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     LiteralClashError,
@@ -144,7 +144,8 @@ class BipartiteStructure:
     theta_set: frozenset[int]
     meta: Optional[Mapping] = field(default=None, compare=False, repr=False, hash=False)
     #: per-structure memo of derived values (dimension, delta signatures,
-    #: closed packs); sound because the structure is immutable
+    #: closed packs, literal columns); sound because the structure is
+    #: immutable
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -199,6 +200,21 @@ class BipartiteStructure:
                 raise UnknownParameterError(f"unknown parameter {b!r}")
         return params
 
+    def _sorted_params(self, params: Iterable[int]) -> tuple[Sequence[int], bool]:
+        """Checked parameters as a strictly increasing sequence, and True
+        when params already are plain ints in strictly increasing order.
+        One pass tells that case, and params are then used as given; any
+        other list (unsorted, repeated, holding a bool or an unknown
+        parameter) goes through _checked_params and _domain, which raise or
+        sort."""
+        params = tuple(params)
+        prev, n = -1, self.n
+        for b in params:
+            if not (type(b) is int and prev < b < n):
+                return _domain(self._checked_params(params)), False
+            prev = b
+        return params, True
+
     def column_mask(self, b: int) -> int:
         self.check_parameter(b)
         return self._column_masks[b]
@@ -237,7 +253,7 @@ class BipartiteStructure:
         """The type of element a over the given parameters, read off the
         matrix.  trace(a, D) is always consistent: a realizes it."""
         self.check_element(a)
-        params = _domain(self._checked_params(params))
+        params, _ = self._sorted_params(params)
         columns = self._columns
         return PhiType._checked(tuple([(b, columns[b][a]) for b in params]))
 
@@ -256,20 +272,45 @@ class BipartiteStructure:
     def type_space(self, params: Iterable[int]) -> tuple[PhiType, ...]:
         """All realized types over the given parameters: the distinct traces
         of elements, ordered by first realizing element."""
-        params = _domain(self._checked_params(params))
+        params, plain = self._sorted_params(params)
         if not params:
             return (EMPTY_TYPE,)  # X is nonempty
-        columns = self._columns
-        # rows keyed by their values on params; dicts keep first-seen order
-        classes = dict.fromkeys(zip(*[columns[b] for b in params]))
+        if plain:
+            # rows keyed by their literals on params, which are each type's
+            # items as they stand; dicts keep first-seen order
+            items = dict.fromkeys(zip(*self._literal_columns(params)))
+        else:
+            # pair each parameter as passed (so True stays True) with the
+            # row values of each distinct row
+            columns = self._columns
+            classes = dict.fromkeys(zip(*[columns[b] for b in params]))
+            items = [tuple(zip(params, values)) for values in classes]
         # each type built as PhiType._checked builds it, inline: a call per
         # type costs more than building its items
         new, out = object.__new__, []
-        for values in classes:
+        for literals in items:
             t = new(PhiType)
-            _set_items(t, tuple(zip(params, values)))
+            _set_items(t, literals)
             out.append(t)
         return tuple(out)
+
+    def _literal_columns(self, params: Sequence[int]) -> list[tuple[tuple[int, int], ...]]:
+        """The columns params (checked plain ints) as tuples of m literals
+        (b, sign), each memoized the first time a type space reads it: its
+        entries are references to two shared pairs, and no other column is
+        built."""
+        table = self._memo.get("literal_columns")
+        if table is None:
+            table = self._memo["literal_columns"] = [None] * self.n
+        out = []
+        for b in params:
+            column = table[b]
+            if column is None:
+                column = table[b] = tuple(
+                    map(((b, 0), (b, 1)).__getitem__, self._columns[b])
+                )
+            out.append(column)
+        return out
 
     def entails(self, p0: PhiType, p: PhiType) -> bool:
         """Structure-relative entailment: every realizer of p0 realizes p."""

@@ -98,6 +98,22 @@ class TestIsolate:
         assert code == 0
 
 
+class TestTypes:
+    def test_unsorted_over_labels_each_sign_column(self, capsys):
+        # the header and `domain` list the columns in the order the signs
+        # are printed, however --over lists them
+        code, out, _ = run(capsys, "types", "--gen", "linear:4:b=1", "--over", "3,0")
+        assert code == 0
+        assert out.splitlines() == ["2 types over [0, 3] (not independent)",
+                                    "  01", "  00"]
+        assert run(capsys, "types", "--gen", "linear:4:b=1", "--over", "0,3")[1] == out
+        code, out, _ = run(capsys, "types", "--gen", "linear:4:b=1", "--over", "3,0",
+                           "--format", "json")
+        payload = json.loads(out)
+        assert payload["domain"] == [0, 3]
+        assert payload["types"] == [[[0, 0], [3, 1]], [[0, 0], [3, 0]]]
+
+
 class TestConfigDefineEmbed:
     def test_config_bound_ok(self, capsys):
         code, out, _ = run(capsys, "config", "--gen", "linear:12:b=0,4,8",

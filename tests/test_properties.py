@@ -295,6 +295,52 @@ def test_type_space_types_behave_as_constructed_ones(s, data):
             assert clone == t and hash(clone) == hash(t) and repr(clone) == repr(t)
 
 
+def type_space_arguments(n):
+    # (kind, entries): strictly increasing tuples, ranges, generators, and
+    # lists that are unsorted, repeated, or hold True, False or an unknown
+    known = st.integers(0, n - 1) if n else st.nothing()
+    increasing = st.sets(known, max_size=6).map(sorted) if n else st.just([])
+    flags = st.lists(st.one_of(known, st.sampled_from([True, False])), max_size=6)
+    return st.one_of(
+        st.tuples(st.just("tuple"), increasing),
+        st.tuples(st.just("range"), st.lists(st.integers(0, n), min_size=2, max_size=2)),
+        st.tuples(st.just("generator"), parameter_lists(n)),
+        st.tuples(st.just("list"), st.one_of(parameter_lists(n), flags)),
+    )
+
+
+MAKE_ARGUMENT = {
+    "tuple": tuple,
+    "range": lambda ends: range(*ends),
+    "generator": lambda entries: (b for b in entries),
+    "list": list,
+}
+
+
+def assert_type_spaces_match_fresh_scans(s, calls):
+    # each argument is made twice, so a generator is not shared
+    for kind, entries in calls:
+        make = MAKE_ARGUMENT[kind]
+        assert outcome(lambda: s.type_space(make(entries))) == outcome(
+            lambda: checked_reference_type_space(s, make(entries)))
+
+
+@given(mixed_structures(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_type_space_memo_leaks_nothing_into_later_calls(s, data):
+    # one structure for every call: a literal column memoized by one call
+    # must not give a later call a stale sign or an earlier call's True
+    calls = data.draw(st.lists(type_space_arguments(s.n), min_size=1, max_size=8))
+    assert_type_spaces_match_fresh_scans(s, calls)
+
+
+@pytest.mark.parametrize("first, second", [([True, 2], [1, 2]), ([1, 2], [True, 2])])
+def test_type_space_keeps_true_and_one_apart_across_calls(first, second):
+    s = pl.BipartiteStructure(((0, True, 1.0), (1, False, 0.0), (True, 1, 0)),
+                              frozenset(), frozenset())
+    assert_type_spaces_match_fresh_scans(s, [("list", first), ("list", second)])
+
+
 @given(structures(max_n=4), st.integers(0, 2))
 @settings(max_examples=40)
 def test_delta_equal_is_equivalence(s, arity):

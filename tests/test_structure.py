@@ -187,6 +187,16 @@ class TestCoreOps:
         assert s1._memo and not fresh._memo
         assert s1 == fresh and hash(s1) == hash(fresh) and repr(s1) == repr(fresh)
 
+    def test_type_space_builds_only_the_literal_columns_it_reads(self):
+        # a table of literals for every column doubled the time of a one-shot
+        # type space on a 4096x512 structure
+        s = pl.gen_random_bounded(1, 400, 100, pl.generators.UNIONS)
+        s.type_space((0, 1))
+        s.type_space([5, True])  # a bool parameter is read unmemoized
+        table = s._memo["literal_columns"]
+        assert [b for b, column in enumerate(table) if column is not None] == [0, 1]
+        assert len(table[0]) == len(table[1]) == 400
+
 
 def masks_by_cell(truth, base_set, theta_set):
     """Reference construction: checks and column masks as one cell at a time."""
