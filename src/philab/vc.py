@@ -8,11 +8,16 @@ cell into its positive and negative part, and C is independent iff no cell
 is empty, which needs at least 2^|C| rows.  The dimension search is exact
 and depth-first: supersets of a dependent set are never independent, so
 only an independent set's cells are split, and only by the later columns
-that split every cell of its parent.  It keeps the current path's cells and
-each path set's list of such columns, and it leaves a branch once even all
-of that branch's columns could not beat the best size found.  A finite
-structure always has a finite dimension; the `capped` flag records that the
-search was cut off below |Y| and some larger independent set exists.
+that split every cell of its parent.  It filters that column list one cell
+at a time and leaves a set as soon as too few columns remain to beat the
+best size found.  It keeps the current path's cells and each path set's
+list of such columns.  It also stops once it has found a set as large as
+the change bound: k columns whose values change t_1..t_k times between
+neighbouring rows cut the rows into at most 1 + sum t_i runs, so they
+realize at most that many patterns, and an independent k-set needs
+2^k <= 1 + the sum of the k largest change counts.  A finite structure
+always has a finite dimension; the `capped` flag records that the search
+was cut off below |Y| and some larger independent set exists.
 """
 
 from __future__ import annotations
@@ -63,6 +68,23 @@ def is_phi_independent(struct: BipartiteStructure, params) -> bool:
     return True
 
 
+def _change_bound(struct: BipartiteStructure) -> int:
+    """The largest k with 2^k <= 1 + the sum of the k largest column change
+    counts: no independent set is larger.  A column's changes are the
+    neighbouring rows whose entries differ, read off its mask shifted by
+    one row."""
+    inner = (1 << (struct.m - 1)) - 1
+    counts = [((mask ^ (mask >> 1)) & inner).bit_count() for mask in struct._column_masks]
+    # each count taken is at most the mean of those before it, so once 2^k
+    # exceeds the run count it stays ahead and the first k that fails ends it
+    runs = 1
+    for k, t in enumerate(sorted(counts, reverse=True)):
+        runs += t
+        if 1 << (k + 1) > runs:
+            return k
+    return len(counts)
+
+
 def independence_dimension(
     struct: BipartiteStructure, cap: int | None = None
 ) -> IndependenceReport:
@@ -86,26 +108,36 @@ def independence_dimension(
         raise ValueError("cap must be >= 0")
 
     cols = struct.column_masks(range(n))
+    bound = _change_bound(struct)
+    # no set beyond the bound is independent, so once one of its size is
+    # found no larger one can be; at cap + 1 the search stops anyway
+    stop = min(bound, cap + 1)
     firsts = [()]  # the first independent set reached at each size
     tried = 0
 
     def grow(c, cells, later):
-        """True as soon as an independent extension of c exceeds cap.
-        `later` holds the columns after c's last that split every cell of
-        c's parent: a column leaving some cell unsplit leaves every part of
-        that cell unsplit, so no other column can extend c."""
+        """True as soon as an independent extension of c exceeds cap, or a
+        set of size `stop` is found.  `later` holds the columns after c's
+        last that split every cell of c's parent: a column leaving some cell
+        unsplit leaves every part of that cell unsplit, so no other column
+        can extend c."""
         nonlocal tried
+        if len(firsts) > stop:
+            return True
         tried += len(later)
         if tried > DIMENSION_NODE_LIMIT:
             raise ResourceLimitError(
                 f"dimension search past {DIMENSION_NODE_LIMIT} extensions")
         size = len(c)
-        viable = []
-        for j in later:
-            if _split(cells, cols[j]) is not None:
-                if size == cap:
-                    return True
-                viable.append(j)
+        # a child needs this many viable columns to beat the best size
+        need = len(firsts) - size
+        viable = later
+        for cell in cells:
+            viable = [j for j in viable if 0 != cell & cols[j] != cell]
+            if len(viable) < need:
+                return False
+        if size == cap:
+            return True
         for i, j in enumerate(viable):
             # c plus every viable column from j on is the largest set this
             # branch can reach; stop once it cannot beat the best size
@@ -120,7 +152,8 @@ def independence_dimension(
                 return True
         return False
 
-    capped = grow((), [(1 << struct.m) - 1], range(n))
+    # a stop below cap + 1 proves that no (cap+1)-set is independent
+    capped = grow((), [(1 << struct.m) - 1], range(n)) and bound > cap
     return IndependenceReport(len(firsts) - 1, firsts[-1], capped)
 
 

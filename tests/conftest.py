@@ -84,6 +84,52 @@ def reference_finitely_satisfiable(s, family, c, domain, base, k=ALL):
     return least_cover(disagree, (1 << len(base)) - 1, min(k, len(disagree))) is None
 
 
+# -- the dimension search that tests every candidate column on all cells at
+# once and never stops before its last node, kept as a reference for the
+# cell-by-cell filter and the change bound ---------------------------------
+
+
+def reference_independence_dimension(s, cap=None):
+    """(report, tried): independence_dimension's answer from a column-major
+    search with no change bound and no node guard, and the count of
+    one-column extensions it tried, which the guard is checked against."""
+    cap = s.n if cap is None else cap
+    cols = s.column_masks(range(s.n))
+    firsts = [()]
+    tried = 0
+
+    def split(cells, col):
+        out = []
+        for cell in cells:
+            pos = cell & col
+            if not pos or pos == cell:
+                return None
+            out += (pos, cell ^ pos)
+        return out
+
+    def grow(c, cells, later):
+        nonlocal tried
+        tried += len(later)
+        viable = []
+        for j in later:
+            if split(cells, cols[j]) is not None:
+                if len(c) == cap:
+                    return True
+                viable.append(j)
+        for i, j in enumerate(viable):
+            if len(c) + len(viable) - i < len(firsts):
+                break
+            child = c + (j,)
+            if len(child) == len(firsts):
+                firsts.append(child)
+            if grow(child, split(cells, cols[j]), viable[i + 1:]):
+                return True
+        return False
+
+    capped = grow((), [(1 << s.m) - 1], range(s.n))
+    return pl.IndependenceReport(len(firsts) - 1, firsts[-1], capped), tried
+
+
 # -- the row-scan oracle core, kept as a reference for the oracle's row sets,
 # projection counting and realized-pattern sets ---------------------------
 

@@ -59,6 +59,19 @@ class TestId:
         code, out, _ = run(capsys, "id", "--gen", "shattered:4", "--cap", "full")
         assert code == 0 and out.startswith("ID = 4")
 
+    def test_change_bound_ends_a_search_past_the_guard(self, capsys):
+        # proving that no 5-set is independent here takes more than
+        # DIMENSION_NODE_LIMIT extensions; the change bound is 4, so the
+        # search stops at the first 4-set instead
+        code, out, _ = run(capsys, "id", "--gen", "random:unions2:1:4096:512",
+                           "--cap", "full", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload == {"capped": False, "id": 4, "witness": [2, 12, 238, 304]}
+        s = generators.gen_random_bounded(1, 4096, 512, generators.UNIONS)
+        patterns = {tuple(row[b] for b in payload["witness"]) for row in s.truth}
+        assert len(patterns) == 16
+
 
 class TestDeterminism:
     def test_byte_identical_json(self, capsys):

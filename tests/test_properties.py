@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import philab as pl
-from philab import cover
+from philab import cover, vc
 from philab.delta import ALL, DeltaFamily
 from philab.goodconfig import GoodConfiguration, extend_type
 from philab.isolation import q_harness
@@ -27,6 +27,7 @@ from conftest import (
     reference_check_q_realizer,
     reference_clauses_hold,
     reference_finitely_satisfiable,
+    reference_independence_dimension,
     reference_oracle_all_good_configs,
     reference_oracle_finitely_satisfiable,
     reference_oracle_min_isolating,
@@ -137,8 +138,12 @@ def reference_type_space(s, params):
 @settings(max_examples=80, deadline=None)
 def test_dimension_matches_sign_pattern_search(s):
     for cap in range(s.n + 2):
-        assert pl.independence_dimension(s, cap) == reference_dimension(s, cap)
+        report = pl.independence_dimension(s, cap)
+        assert report == reference_dimension(s, cap)
+        assert report == reference_independence_dimension(s, cap)[0]
     assert pl.independence_dimension(s) == reference_dimension(s, s.n)
+    # the change bound is sound: no independent set is larger
+    assert vc._change_bound(s) >= reference_dimension(s, s.n).id_value
 
 
 @st.composite
@@ -172,7 +177,10 @@ def test_dimension_on_wide_structures_matches_sign_pattern_search(s):
     # copied, complemented and constant columns split no cell of some
     # independent set, so they drop out of its children's candidates
     for cap in range(s.n + 2):
-        assert pl.independence_dimension(s, cap) == reference_dimension(s, cap)
+        report = pl.independence_dimension(s, cap)
+        assert report == reference_dimension(s, cap)
+        assert report == reference_independence_dimension(s, cap)[0]
+    assert vc._change_bound(s) >= reference_dimension(s, s.n).id_value
 
 
 @given(structures(min_n=1, max_n=5), st.data())

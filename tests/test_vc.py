@@ -5,6 +5,9 @@ import pytest
 
 import philab as pl
 from philab import vc
+from philab.cli import parse_generator_spec
+
+from conftest import reference_independence_dimension
 
 
 def test_s1_by_construction(s1):
@@ -157,3 +160,90 @@ def test_search_keeps_only_the_current_path():
         tracemalloc.stop()
     assert report.id_value == 4
     assert peak < 1 << 20
+
+
+# -- the search against the column-major reference with no change bound -----
+
+#: perfbench/workloads.py's COLD_RUNGS: (points, columns, |B| range, core
+#: instances, instances from generator seed 1000 on at workload seed 0)
+COLD_RUNGS = (
+    (50, 12, (4, 4), 22, 8),
+    (100, 16, (5, 5), 9, 3),
+    (200, 24, (6, 7), 3, 1),
+)
+
+
+def assert_matches_reference(s):
+    for cap in range(s.n + 2):
+        assert pl.independence_dimension(s, cap) == reference_independence_dimension(s, cap)[0]
+
+
+def test_search_matches_reference_on_corpus(corpus):
+    for _, s in corpus:
+        assert_matches_reference(s)
+
+
+def test_search_matches_reference_on_the_cold_instances():
+    # every structure in a rung's |B| range up to the last one the benchmark
+    # keeps, which it keeps at dimension 3
+    kept = 0
+    for x, y, (lo, hi), core, share in COLD_RUNGS:
+        for g, count in ((0, core), (1000, share)):
+            found = 0
+            while found < count:
+                s = pl.gen_random_bounded(g, x, y, pl.generators.UNIONS)
+                if lo <= len(s.base_set) <= hi:
+                    assert_matches_reference(s)
+                    found += reference_independence_dimension(s)[0].id_value == 3
+                g += 1
+            kept += found
+    assert kept == 46
+
+
+@pytest.mark.parametrize("spec", [f"shattered:{k}" for k in range(6)]
+                         + [f"linear:{n}" for n in range(1, 21)])
+def test_search_matches_reference_on_shattered_and_linear(spec):
+    assert_matches_reference(parse_generator_spec(spec))
+
+
+@pytest.mark.parametrize(
+    "spec", ["random:intervals:32:20:6", "random:unions2:6:50:12", "random:unions2:22:200:24"])
+def test_node_guard_trips_where_the_reference_does(monkeypatch, spec):
+    # the bound is above the dimension here, so it ends no search early and
+    # every node the reference enters is entered
+    s = parse_generator_spec(spec)
+    report, tried = reference_independence_dimension(s)
+    assert vc._change_bound(s) > report.id_value
+    monkeypatch.setattr(vc, "DIMENSION_NODE_LIMIT", tried)
+    assert pl.independence_dimension(s) == report
+    monkeypatch.setattr(vc, "DIMENSION_NODE_LIMIT", tried - 1)
+    with pytest.raises(pl.ResourceLimitError):
+        pl.independence_dimension(s)
+
+
+# -- the change bound --------------------------------------------------------
+
+
+def test_change_bound_is_tight_on_linear_and_shattered():
+    for n in range(4, 21):
+        s = parse_generator_spec(f"linear:{n}")
+        assert vc._change_bound(s) == pl.independence_dimension(s).id_value == 1
+        # read bottom up, every column ends on a 1, which is no change
+        flipped = pl.BipartiteStructure(s.truth[::-1], s.base_set, s.theta_set)
+        assert vc._change_bound(flipped) == 1
+    for k in range(1, 6):
+        s = pl.gen_shattered(k)
+        assert vc._change_bound(s) == pl.independence_dimension(s).id_value == k
+
+
+def test_change_bound_certifies_the_random_families(corpus):
+    # an interval column changes at most twice and a union of two at most
+    # four times: 2^k <= 1 + 2k holds up to k = 2, and 2^k <= 1 + 4k up to 4
+    limit = {pl.generators.INTERVALS: 2, pl.generators.UNIONS: 4}
+    cases = [(name.split(":")[0], s) for name, s in corpus if name.split(":")[0] in limit]
+    for x, y in ((800, 48), (1600, 96), (4096, 256)):
+        for family in limit:
+            cases.append((family, pl.gen_random_bounded(1, x, y, family)))
+    assert len(cases) == 206
+    for family, s in cases:
+        assert vc._change_bound(s) <= limit[family]
