@@ -171,8 +171,7 @@ def resolve_type(struct: BipartiteStructure, args) -> PhiType:
         raise CliSpecError("give exactly one of --of and --lits")
     if args.lits:
         p = parse_lits(args.lits)
-        for b in p.domain:
-            struct.check_parameter(b)
+        struct._checked_params(p.domain)
         return p
     if args.of is not None:
         return struct.trace(args.of, parse_over(struct, args.over))

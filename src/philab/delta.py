@@ -31,14 +31,14 @@ component over the base parameters followed by the components.  Finite
 satisfiability reads closed packs, the table on strictly increasing z-tuples
 of every length 1..r (0 at arity 0): full-table entries with contradictory
 repeated z's are false for every parameter, and every other entry repeats a
-closed one.  One private routine, _pack, fills signatures, closed packs, full
-tables and the q-type's signatures from the z-tuples each passes, and it
-raises ResourceLimitError past DEFAULT_TABLE_LIMIT entries, read at each
-build; the q-type's search packs its candidates' signature blocks with the
-same bit loop under the same guard.  Signatures, packs and cached_delta_type
-tables are memoized per structure; a memo hit builds nothing, so no guard
-sees it.
-delta_eval is the one-entry reference.
+closed one.  One private routine, _pack_literals, fills signatures, closed
+packs and the q-type's signature blocks from the z-tuples each passes; every
+build raises ResourceLimitError past DEFAULT_TABLE_LIMIT entries, read at
+each build.  delta_eval is the one-entry reference, and delta_type reads
+each entry of a full table through it, so the full table shares no packing
+code with the signatures it is checked against.  Signatures, packs and
+cached_delta_type tables are memoized per structure; a memo hit builds
+nothing, so no guard sees it.
 """
 
 from __future__ import annotations
@@ -113,20 +113,11 @@ def _check_table_size(entries: int) -> None:
         )
 
 
-def _pack(struct: BipartiteStructure, c: int, cols: tuple[int, ...],
-          ztuples: Iterable[tuple[int, ...]], entries: int) -> int:
-    """c's table over z-tuples drawn from checked cols, packed as an int in
-    canonical order (z-tuples as given, then t, then s; first entry in the
-    highest bit); raises ResourceLimitError once its entry count passes
-    DEFAULT_TABLE_LIMIT."""
-    _check_table_size(entries)
-    lits = {b: (struct.literal_mask(b, 0), struct.literal_mask(b, 1)) for b in (c, *cols)}
-    return _pack_literals(lits, c, ztuples)
-
-
 def _pack_literals(lits, c, ztuples: Iterable[tuple]) -> int:
-    """_pack's bits, with lits[key] the (sign 0, sign 1) literal masks of
-    the parameter that c and each z-tuple entry name."""
+    """c's table over the z-tuples, packed as an int in canonical order
+    (z-tuples as given, then t, then s; first entry in the highest bit),
+    with lits[key] the (sign 0, sign 1) literal masks of the parameter that
+    c and each z-tuple entry name."""
     bits = []
     for zs in ztuples:
         for level in lits[c]:
@@ -144,16 +135,16 @@ def delta_type(
     domain: Iterable[int],
 ) -> DeltaType:
     """Full table of the subject c over the domain (sorted canonically),
-    keyed in canonical order: z-tuples, then t, then s."""
-    dom = tuple(sorted(set(domain)))
-    for b in (c, *dom):
-        struct.check_parameter(b)
+    keyed in canonical order: z-tuples, then t, then s; each entry is read
+    through delta_eval."""
+    struct.check_parameter(c)
+    dom = struct._domain(domain)
     n = family.arity
-    size = len(dom) ** n * 2 ** (n + 1)
-    bits = format(_pack(struct, c, dom, product(dom, repeat=n), size), f"0{size}b")
-    keys = ((zs, t, s) for zs in product(dom, repeat=n)
-            for t in (0, 1) for s in product((0, 1), repeat=n))
-    return DeltaType(c, dom, n, {key: bit == "1" for key, bit in zip(keys, bits)})
+    _check_table_size(len(dom) ** n * 2 ** (n + 1))
+    table = {(zs, t, s): delta_eval(struct, family, c, zs, t, s)
+             for zs in product(dom, repeat=n)
+             for t in (0, 1) for s in product((0, 1), repeat=n)}
+    return DeltaType(c, dom, n, table)
 
 
 def _positional_signature(struct: BipartiteStructure, family: DeltaFamily, c: int,
@@ -164,9 +155,10 @@ def _positional_signature(struct: BipartiteStructure, family: DeltaFamily, c: in
         return 0
     r = min(family.arity, len(cols))
     lengths = range(1, r + 1) if closed and r else (r,)
-    entries = sum(comb(len(cols), i) * 2 ** (i + 1) for i in lengths)
+    _check_table_size(sum(comb(len(cols), i) * 2 ** (i + 1) for i in lengths))
+    lits = dict(zip((c, *cols), struct._literal_pairs((c, *cols))))
     ztuples = chain.from_iterable(combinations(cols, i) for i in lengths)
-    return _pack(struct, c, cols, ztuples, entries)
+    return _pack_literals(lits, c, ztuples)
 
 
 def _signature(struct: BipartiteStructure, family: DeltaFamily, c: int,
@@ -187,9 +179,9 @@ def delta_equal(
 ) -> bool:
     """Table equality of two subjects over the domain, decided on their
     signatures."""
-    dom = tuple(sorted(set(domain)))
-    for b in (c0, c1, *dom):
-        struct.check_parameter(b)
+    struct.check_parameter(c0)
+    struct.check_parameter(c1)
+    dom = struct._domain(domain)
     return _signature(struct, family, c0, dom) == _signature(struct, family, c1, dom)
 
 
@@ -201,7 +193,8 @@ def cached_delta_type(
 ) -> DeltaType:
     """delta_type with a per-structure memo, for external callers; structures
     are immutable so a table never goes stale.  Races at worst recompute."""
-    dom = tuple(sorted(set(domain)))
+    struct.check_parameter(c)
+    dom = struct._domain(domain)
     key = ("delta_type", family.arity, c, dom)
     hit = struct._memo.get(key)
     if hit is None:
@@ -248,10 +241,9 @@ def finitely_satisfiable_in(
     ResourceLimitError.
     """
     _check_k(k)
-    dom = tuple(sorted(set(domain)))
-    base = tuple(sorted(set(base)))
-    for b in (c, *dom, *base):
-        struct.check_parameter(b)
+    struct.check_parameter(c)
+    dom = struct._domain(domain)
+    base = struct._domain(base)
     if not base:
         return False
     pack = _signature(struct, family, c, dom, closed=True)

@@ -270,7 +270,7 @@ def build_maximal(
             f" exceeds {DEFAULT_EXHAUSTIVE_THETA_LIMIT}"
         )
     best = GoodConfiguration((), p)
-    lits = {d: (struct.literal_mask(d, 0), struct.literal_mask(d, 1)) for d in theta}
+    lits = dict(zip(theta, struct._literal_pairs(theta)))
     # each pair with its clause-(ii) mask: the elements giving d0 sign 0
     # and d1 sign 1, empty for a diagonal pair
     all_pairs = [

@@ -232,7 +232,7 @@ def gamma_certificate(
         raise PreconditionError(f"element {a} does not realize the extended type")
     trace = struct.full_trace(a)
     base = struct.base_members()
-    base_masks = [(struct.literal_mask(b, 0), struct.literal_mask(b, 1)) for b in base]
+    base_masks = struct._literal_pairs(base)
 
     # literal (c, sign) of the trace covers bit j when for some t no element
     # has sign t at base[j] and sign `sign` at c
@@ -271,8 +271,6 @@ def psi_disjunction(
     if any(mask & ~target_mask for mask in masks):
         raise InvariantError("gamma realizers leak outside the type")
     chosen, _ = least_or_greedy_cover(masks, target_mask)
-    if chosen is None:
-        raise InvariantError("disjunction does not match the extended type")
     return tuple(gammas[i] for i in chosen)
 
 
@@ -363,9 +361,9 @@ def _q_realizers(
     Components are placed one at a time, with the realizer mask of the base
     type and the literals placed so far: a zero mask (which includes every
     sign clash) prunes the subtree.  Each generating signature is cut into
-    its blocks of 2^(r+1) bits, one per z-position tuple in _pack's order;
-    a block is compared as soon as its component and every component it
-    reads are placed, and a mismatch prunes the subtree.  A leaf has had
+    its blocks of 2^(r+1) bits, one per z-position tuple in _pack_literals'
+    order; a block is compared as soon as its component and every component
+    it reads are placed, and a mismatch prunes the subtree.  A leaf has had
     every block compared, so it has the generating tuple's signatures."""
     base = struct.base_members()
     slots = len(base) + q.component_count
@@ -383,10 +381,10 @@ def _q_realizers(
             shift -= width
             depth = max([j, *(z - len(base) for z in zs)]) + 1
             ready[depth].append((len(base) + j, zs, signature >> shift & (1 << width) - 1))
-    lits = {c: (struct.literal_mask(c, 0), struct.literal_mask(c, 1))
-            for c in set(chain.from_iterable(choices))}
+    used = tuple(set(chain.from_iterable(choices)))
+    lits = dict(zip(used, struct._literal_pairs(used)))
     # slot_lits[i]: the literal masks of slot i, base members then placed components
-    slot_lits = [(struct.literal_mask(b, 0), struct.literal_mask(b, 1)) for b in base]
+    slot_lits = struct._literal_pairs(base)
     placed: list[int] = []
     found: list[tuple[int, ...]] = []
 
@@ -416,17 +414,15 @@ def _q_realizers(
 def check_q_realizer(
     struct: BipartiteStructure, q: QType, candidate: tuple[int, ...]
 ) -> bool:
-    """Decide candidate |= q.  The arity first, then each component is a
-    known parameter and lies in theta; the rest is q's search with each
-    position held to the candidate's component."""
+    """Decide candidate |= q.  The arity first, then every component is a
+    known parameter, and then every one lies in theta; the rest is q's
+    search with each position held to the candidate's component."""
     if len(candidate) != q.component_count:
         raise ArityMismatchError(
             f"expected {q.component_count} components, got {len(candidate)}"
         )
-    for c in candidate:
-        struct.check_parameter(c)
-        if c not in struct.theta_set:
-            return False
+    if not struct.theta_set.issuperset(struct._checked_params(candidate)):
+        return False
     return bool(_q_realizers(struct, q, tuple((c,) for c in candidate)))
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     LiteralClashError,
@@ -90,12 +90,6 @@ class PhiType:
 
     def __len__(self) -> int:
         return len(self.items)
-
-    def __contains__(self, param: int) -> bool:
-        return any(p == param for p, _ in self.items)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.items)
 
     def __repr__(self) -> str:
         body = ", ".join(f"{p}↦{s}" for p, s in self.items)
@@ -203,17 +197,35 @@ class BipartiteStructure:
     def _sorted_params(self, params: Iterable[int]) -> tuple[Sequence[int], bool]:
         """Checked parameters as a strictly increasing sequence, and True
         when params already are plain ints in strictly increasing order.
-        One pass tells that case, and params are then used as given; any
-        other list (unsorted, repeated, holding a bool or an unknown
-        parameter) goes through _checked_params and _domain, which raise or
-        sort."""
+        With _checked_params, _domain and _literal_pairs it is the one owner
+        of parameter checks, canonical domains and literal-mask pairs; no
+        other subject module checks or sorts a caller's list.  One pass
+        tells the plain case, and params are then used as given; any other
+        list (unsorted, repeated, holding a bool or an unknown parameter) is
+        checked by _checked_params, which raises, and then sorted.  A row
+        has one value per column, so a repeated parameter cannot clash and a
+        duplicate column splits no rows: a trace, type space or delta table
+        over params equals the one over its domain.  Of two equal parameters
+        (1 and True) the set keeps the first, as the public PhiType
+        constructor does."""
         params = tuple(params)
         prev, n = -1, self.n
         for b in params:
             if not (type(b) is int and prev < b < n):
-                return _domain(self._checked_params(params)), False
+                return sorted(set(self._checked_params(params))), False
             prev = b
         return params, True
+
+    def _domain(self, params: Iterable[int]) -> tuple[int, ...]:
+        """_sorted_params' checked parameters as a strictly increasing
+        tuple: the canonical domain of a delta table or signature."""
+        return tuple(self._sorted_params(params)[0])
+
+    def _literal_pairs(self, params: Iterable[int]) -> list[tuple[int, int]]:
+        """The (sign 0, sign 1) literal masks of each of params, in order;
+        every parameter is checked before any mask is read."""
+        masks, full = self._column_masks, self._full_mask
+        return [(masks[b] ^ full, masks[b]) for b in self._checked_params(params)]
 
     def column_mask(self, b: int) -> int:
         self.check_parameter(b)
@@ -321,15 +333,6 @@ class BipartiteStructure:
 
     def base_members(self) -> tuple[int, ...]:
         return tuple(sorted(self.base_set))
-
-
-def _domain(params: tuple[int, ...]) -> list[int]:
-    """Checked parameters as a strictly increasing list.  A row has one value
-    per column, so a repeated parameter cannot clash and a duplicate column
-    splits no rows: a trace or type space over params equals the one over
-    its domain.  Of two equal parameters (1 and True) the set keeps the
-    first, as the public PhiType constructor does."""
-    return sorted(set(params))
 
 
 # -- file format -----------------------------------------------------------

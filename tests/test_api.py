@@ -49,3 +49,19 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert offenders == []
+
+
+def test_only_the_structure_and_the_oracle_canonicalize_parameter_lists():
+    # structure._sorted_params is the one owner of checked, sorted parameter
+    # lists; the oracle keeps its own checks so that it shares no code
+    sources = sorted(Path(philab.__file__).parent.rglob("*.py"))
+    calls = [
+        (path.name, node.lineno)
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name) and node.func.id == "sorted"
+        and node.args and isinstance(node.args[0], ast.Call)
+        and isinstance(node.args[0].func, ast.Name) and node.args[0].func.id == "set"
+    ]
+    assert {name for name, _ in calls} == {"structure.py", "oracle.py"}, calls

@@ -248,3 +248,27 @@ class TestFinitelySatisfiable:
         for k, base in product((0, -3, 1.5, "2", None), ([], [0], [0, 1])):
             with pytest.raises(ValueError, match=r"^k must be >= 1 or ALL$"):
                 pl.finitely_satisfiable_in(s1, DeltaFamily(1), 0, [0, 1], base, k)
+
+
+ENTRY_POINTS = {
+    "delta_type": lambda s, f, bad: pl.delta_type(s, f, 0, bad),
+    "cached_delta_type": lambda s, f, bad: cached_delta_type(s, f, 0, bad),
+    "delta_equal": lambda s, f, bad: pl.delta_equal(s, f, 0, 1, bad),
+    "finitely_satisfiable_in domain":
+        lambda s, f, bad: pl.finitely_satisfiable_in(s, f, 0, bad, [1]),
+    "finitely_satisfiable_in base":
+        lambda s, f, bad: pl.finitely_satisfiable_in(s, f, 0, [1], bad),
+}
+
+
+class TestParameterChecks:
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("bad, name", [
+        pytest.param([0, "a"], "'a'", id="str"),
+        pytest.param([0, None], "None", id="none"),
+        pytest.param([[0]], r"\[0\]", id="list"),
+    ])
+    def test_non_int_and_unhashable_parameters_are_unknown(self, s1, entry, bad, name):
+        # a list that cannot be sorted or hashed is checked before the sort
+        with pytest.raises(pl.UnknownParameterError, match=f"^unknown parameter {name}$"):
+            ENTRY_POINTS[entry](s1, DeltaFamily(1), bad)

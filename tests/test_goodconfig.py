@@ -128,6 +128,13 @@ class TestExtensionPair:
             if pair is not None:
                 assert pl.is_good_configuration(s, config.extended(pair))
 
+    def test_configuration_clashing_with_its_type_rejected(self, s1):
+        # the pair gives parameter 0 sign 0, the type gives it sign 1
+        config = GoodConfiguration(((0, 1),), pl.PhiType({0: 1}))
+        with pytest.raises(pl.PreconditionError,
+                           match="^configuration clashes with its type$"):
+            pl.find_extension_pair(s1, config, 1)
+
     def test_empty_theta_effect(self):
         s = pl.gen_linear_order(4, [], fill_gaps=False)
         assert pl.find_extension_pair(s, empty_config(), ALL) is None

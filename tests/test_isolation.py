@@ -147,6 +147,34 @@ class TestIsolatedExtension:
                     assert result.certificate == expected
         assert steps == 6
 
+    @pytest.mark.parametrize("d, n, theta_cuts, histogram", [
+        pytest.param(2, 8, range(1, 7), {0: 4, 1: 4, 2: 1}, id="8^2"),
+        pytest.param(3, 7, range(1, 8), {0: 8, 1: 12, 2: 6, 3: 1}, id="7^3"),
+    ])
+    def test_grid_steps_reach_twice_the_dimension(self, d, n, theta_cuts, histogram):
+        # rows {0..n-1}^d; column (i, t) holds x_i < t, theta is every column
+        # and B the cuts 3 and 6; at k = 1 the largest configuration has ID
+        # pairs, so 2K = 2 ID is reached and the bound is checked where it bites
+        cols = [(i, t) for i in range(d) for t in theta_cuts]
+        rows = tuple(tuple(int(x[i] < t) for i, t in cols)
+                     for x in product(range(n), repeat=d))
+        base = frozenset(j for j, (_, t) in enumerate(cols) if t in (3, 6))
+        s = pl.BipartiteStructure(rows, base, frozenset(range(len(cols))))
+        assert pl.independence_dimension(s).id_value == d
+        sizes = {}
+        for p in s.type_space(s.base_members()):
+            result = pl.isolated_extension(s, p, 1)
+            extension = extend_type(p, result.configuration)
+            assert result.budget_ok and result.two_id == 2 * d
+            assert result.added_params <= result.two_k
+            assert result.extension == extension
+            assert s.entails(result.certificate.subtype, extension)
+            assert result.certificate.subtype.is_subtype_of(extension)
+            size = result.configuration.size
+            sizes[size] = sizes.get(size, 0) + 1
+        assert sizes == histogram
+        assert max(sizes) == d
+
     @pytest.mark.parametrize("k, pairs, searches", [(delta.ALL, 0, 1), (1, 1, 2)])
     def test_one_cover_search_without_a_step(self, gap_chain, monkeypatch, k, pairs, searches):
         calls = []
@@ -276,15 +304,21 @@ class TestQType:
             assert pl.check_q_realizer(s, q, config.components)
 
     def test_membership_clause(self):
-        s = pl.gen_random_bounded(3, 12, 5, pl.generators.INTERVALS)
+        # B is empty and theta {0..4} leaves out column 5: the candidate
+        # (5, 1) realizes the q-type built with every column in theta, so
+        # only q' rejects it on the restricted structure
+        s = parse_generator_spec("random:unions2:8:20:6")
         smaller_theta = pl.BipartiteStructure(
-            s.truth, s.base_set & frozenset({0}), frozenset({0, 1, 2})
+            s.truth, s.base_set, frozenset(range(5)) | s.base_set
         )
         config = self._maximal_config(smaller_theta, pl.EMPTY_TYPE)
-        if config.size:
-            q = pl.q_type(smaller_theta, config)
-            outside = (4,) * len(config.components)
-            assert not pl.check_q_realizer(smaller_theta, q, outside)
+        assert config.pairs == ((0, 1),)
+        assert pl.check_q_realizer(s, pl.q_type(s, config), (5, 1))
+        q = pl.q_type(smaller_theta, config)
+        assert not pl.check_q_realizer(smaller_theta, q, (5, 1))
+        # every component is checked before any is tested against theta
+        with pytest.raises(pl.UnknownParameterError, match="^unknown parameter 99$"):
+            pl.check_q_realizer(smaller_theta, q, (5, 99))
 
     def test_duplicate_column_copy_passes(self):
         # duplicate every column, then any generating tuple's twin passes
@@ -396,7 +430,13 @@ class TestQType:
         monkeypatch.setattr(delta, "DEFAULT_TABLE_LIMIT", 48)
         assert pl.check_q_realizer(s1, q, q.generating)
 
-    def test_harness_guards(self, s1):
+    def test_harness_guards(self, s1, monkeypatch):
         big = GoodConfiguration(((0, 1),) * 3, pl.EMPTY_TYPE)
         with pytest.raises(pl.ResourceLimitError):
             q_harness(s1, big)
+        small = GoodConfiguration(((0, 1),), pl.EMPTY_TYPE)
+        assert q_harness(s1, small).ok
+        monkeypatch.setattr(isolation, "Q_THETA_LIMIT", 1)
+        with pytest.raises(pl.ResourceLimitError,
+                           match=r"^harness guard: \|theta\| = 2 > 1$"):
+            q_harness(s1, small)

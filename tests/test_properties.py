@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import philab as pl
 from philab import cover, vc
-from philab.delta import ALL, DeltaFamily
+from philab.delta import ALL, DeltaFamily, cached_delta_type
 from philab.goodconfig import GoodConfiguration, extend_type
 from philab.isolation import q_harness
 from philab.oracle import (
@@ -252,6 +252,44 @@ def outcome(call):
     return "ok", repr(result)
 
 
+def checked_reference_domain(s, params):
+    # each parameter checked in the order given, and only then sorted
+    params = tuple(params)
+    for b in params:
+        s.check_parameter(b)
+    return tuple(sorted(set(params)))
+
+
+def checked_reference_delta_calls(s, c, c1, params, base):
+    # the delta entry points as calls on lists checked, subject first, and
+    # sorted by checked_reference_domain
+    family = DeltaFamily(1)
+
+    def checked(*subjects, lists=(params,)):
+        for b in subjects:
+            s.check_parameter(b)
+        return [checked_reference_domain(s, entries) for entries in lists]
+
+    return {
+        "delta_type": lambda: vars(pl.delta_type(s, family, c, *checked(c))),
+        "cached_delta_type": lambda: vars(cached_delta_type(s, family, c, *checked(c))),
+        "delta_equal": lambda: pl.delta_equal(s, family, c, c1, *checked(c, c1)),
+        "finitely_satisfiable_in": lambda: pl.finitely_satisfiable_in(
+            s, family, c, *checked(c, lists=(params, base))),
+    }
+
+
+def delta_calls(s, c, c1, params, base):
+    family = DeltaFamily(1)
+    return {
+        "delta_type": lambda: vars(pl.delta_type(s, family, c, params)),
+        "cached_delta_type": lambda: vars(cached_delta_type(s, family, c, params)),
+        "delta_equal": lambda: pl.delta_equal(s, family, c, c1, params),
+        "finitely_satisfiable_in":
+            lambda: pl.finitely_satisfiable_in(s, family, c, params, base),
+    }
+
+
 def assert_int_signs(types):
     for t in types:
         assert all(type(sign) is int for _, sign in t.items), t.items
@@ -274,6 +312,14 @@ def test_type_space_and_trace_match_the_public_constructor(s, data):
         assert trace == outcome(lambda: checked_reference_trace(s, a, params))
         if trace[0] == "ok":
             assert_int_signs([s.trace(a, params)])
+        # the delta entry points check their lists as type_space does:
+        # every parameter first, then the sort
+        base = data.draw(parameter_lists(s.n))
+        c, c1 = data.draw(st.integers(-1, s.n)), data.draw(st.integers(-1, s.n))
+        got = delta_calls(s, c, c1, params, base)
+        expected = checked_reference_delta_calls(s, c, c1, params, base)
+        for name, call in got.items():
+            assert outcome(call) == outcome(expected[name]), name
     if 0 <= a < s.m:
         full = s.full_trace(a)
         assert full == checked_reference_trace(s, a, range(s.n))

@@ -10,7 +10,7 @@ import dataclasses
 import json
 
 import philab as pl
-from philab import suites
+from philab import goodconfig, isolation, suites
 from philab.cli import main, parse_generator_spec
 
 SPEC = "random:intervals:0:20:6"
@@ -141,3 +141,26 @@ def test_text_mode_shows_three_counterexamples(capsys, monkeypatch):
         *shown[:3],
         "... and 7 more (use --format json for all)",
     ]
+
+
+def test_remark_counts_the_harness_runs_its_guard_skips(capsys, monkeypatch):
+    code, out, _ = verify(capsys, "remark", SPEC, "--format", "json")
+    runs = json.loads(out)["harness_runs"]
+    assert code == 0 and runs >= 1
+    monkeypatch.setattr(isolation, "Q_THETA_LIMIT", 0)
+    code, out, _ = verify(capsys, "remark", SPEC, "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and report["ok"] is True
+    assert (report["harness_runs"], report["skipped_by_guard"]) == (0, runs)
+
+
+def test_oracle_skips_the_max_config_comparison_past_its_guard(capsys, monkeypatch):
+    code, out, _ = verify(capsys, "oracle", SPEC, "--format", "json")
+    ops = [json.loads(line)["operation"] for line in json.loads(out)["log"]]
+    assert code == 0 and ops[-1] == "max_config"
+    monkeypatch.setattr(goodconfig, "DEFAULT_EXHAUSTIVE_THETA_LIMIT", 0)
+    code, out, _ = verify(capsys, "oracle", SPEC, "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and report["ok"] is True
+    assert [json.loads(line)["operation"] for line in report["log"]] == ops[:-1]
+    assert report["comparisons"] == len(ops) - 1
