@@ -185,12 +185,13 @@ def find_extension_pair(
     theta = struct.theta_members()
     domain = tuple(sorted(base | set(config.components)))
     p_c_mask = struct.type_mask(p_c)
-    for d0 in theta:
-        mask0 = p_c_mask & struct.literal_mask(d0, 0)
+    lits = struct._literal_pairs(theta)
+    for d0, (neg0, _) in zip(theta, lits):
+        mask0 = p_c_mask & neg0
         if not mask0:
             continue
-        for d1 in theta:
-            if not mask0 & struct.literal_mask(d1, 1):
+        for d1, (_, pos1) in zip(theta, lits):
+            if not mask0 & pos1:
                 continue  # (ii)
             if not delta_equal_over(struct, family, d0, d1, domain):
                 continue  # (iii)

@@ -143,23 +143,32 @@ class BipartiteStructure:
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not self.truth:
+        truth = self.truth
+        if not truth:
             raise ValueError("X must be nonempty")
-        width = len(self.truth[0])
-        for i, row in enumerate(self.truth):
-            if len(row) != width:
-                raise ValueError(f"row {i} has length {len(row)}, expected {width}")
-            if not _is_boolean_row(row):
-                raise ValueError(f"row {i} contains non-boolean entries")
+        width = len(truth[0])
+        # _columns[b][i] is truth[i][b] as the int 0 or 1, whatever 0/1-valued
+        # type the matrix holds; every row has `width` entries by then, so zip
+        # truncates nothing.  Bit i of _column_masks[b] is the same entry: a
+        # column read from its last row up is the mask's binary numeral.
+        try:  # read in C when the rows have one length and hold ints or bools
+            one_length = len(set(map(len, truth))) == 1
+            columns = tuple(map(bytes, zip(*truth))) if one_length else None
+        except (TypeError, ValueError):  # a row with no length, or an entry bytes() refuses
+            columns = None
+        if columns is None or b"".join(columns).translate(None, b"\x00\x01"):
+            # the row loop names the first bad row; a matrix that passes it
+            # holds entries equal to 0 or 1 that bytes() refuses, as 1.0 does
+            for i, row in enumerate(truth):
+                if len(row) != width:
+                    raise ValueError(f"row {i} has length {len(row)}, expected {width}")
+                if not _is_boolean_row(row):
+                    raise ValueError(f"row {i} contains non-boolean entries")
+            columns = tuple(map(_column_bits, zip(*truth)))
         if not self.base_set <= self.theta_set:
             raise ValueError("base_set must be contained in theta_set")
         if self.theta_set and not self.theta_set <= set(range(width)):
             raise ValueError("theta_set contains unknown parameters")
-        # _columns[b][i] is truth[i][b] as the int 0 or 1, whatever 0/1-valued
-        # type the matrix holds; every row has `width` entries by now, so zip
-        # truncates nothing.  Bit i of _column_masks[b] is the same entry: a
-        # column read from its last row up is the mask's binary numeral.
-        columns = tuple(map(_column_bits, zip(*self.truth)))
         object.__setattr__(self, "_columns", columns)
         object.__setattr__(
             self, "_column_masks",

@@ -15,15 +15,21 @@ list of such columns.  It also stops once it has found a set as large as
 the change bound: k columns whose values change t_1..t_k times between
 neighbouring rows cut the rows into at most 1 + sum t_i runs, so they
 realize at most that many patterns, and an independent k-set needs
-2^k <= 1 + the sum of the k largest change counts.  A finite structure
-always has a finite dimension; the `capped` flag records that the search
-was cut off below |Y| and some larger independent set exists.
+2^k <= 1 + the sum of the k largest change counts.  The same count prunes
+every node: a set whose columns change between `seen` pairs of
+neighbouring rows, plus r more columns, cuts the rows into at most
+1 + seen + (the sum of the r largest change counts) runs, so the search
+leaves a set once that falls short of 2^(its size + r) for the r columns
+it needs to beat the best size found.  A finite structure always has a
+finite dimension; the `capped` flag records that the search was cut off
+below |Y| and some larger independent set exists.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import ResourceLimitError
 from .structure import BipartiteStructure
@@ -68,21 +74,34 @@ def is_phi_independent(struct: BipartiteStructure, params) -> bool:
     return True
 
 
-def _change_bound(struct: BipartiteStructure) -> int:
-    """The largest k with 2^k <= 1 + the sum of the k largest column change
-    counts: no independent set is larger.  A column's changes are the
-    neighbouring rows whose entries differ, read off its mask shifted by
-    one row."""
+def _too_few_runs(seen: int, top: list[int], size: int, more: int) -> bool:
+    """True when `size` columns whose change masks OR to `seen`, plus any
+    `more` columns, cannot be independent: they cut the rows into at most
+    1 + |seen| + top[more] runs, and so realize at most that many of the
+    2^(size + more) sign patterns."""
+    return 1 + seen.bit_count() + top[more] < 1 << (size + more)
+
+
+def _change_counts(struct: BipartiteStructure) -> tuple[list[int], list[int], int]:
+    """(changes, top, U).  Bit i of a column's change mask is set when rows
+    i and i + 1 differ in it, read off its mask shifted by one row; top[r]
+    is the sum of the r largest change counts, for r = 0..|Y|; U is the
+    change bound, the largest k with 2^k <= 1 + top[k]: no independent set
+    is larger."""
     inner = (1 << (struct.m - 1)) - 1
-    counts = [((mask ^ (mask >> 1)) & inner).bit_count() for mask in struct._column_masks]
+    changes = [(mask ^ (mask >> 1)) & inner for mask in struct._column_masks]
+    top = list(accumulate(sorted(map(int.bit_count, changes), reverse=True), initial=0))
     # each count taken is at most the mean of those before it, so once 2^k
     # exceeds the run count it stays ahead and the first k that fails ends it
-    runs = 1
-    for k, t in enumerate(sorted(counts, reverse=True)):
-        runs += t
-        if 1 << (k + 1) > runs:
-            return k
-    return len(counts)
+    bound = 0
+    while bound < len(changes) and not _too_few_runs(0, top, 0, bound + 1):
+        bound += 1
+    return changes, top, bound
+
+
+def _change_bound(struct: BipartiteStructure) -> int:
+    """The change bound U of _change_counts."""
+    return _change_counts(struct)[2]
 
 
 def independence_dimension(
@@ -108,19 +127,19 @@ def independence_dimension(
         raise ValueError("cap must be >= 0")
 
     cols = struct.column_masks(range(n))
-    bound = _change_bound(struct)
+    changes, top, bound = _change_counts(struct)
     # no set beyond the bound is independent, so once one of its size is
     # found no larger one can be; at cap + 1 the search stops anyway
     stop = min(bound, cap + 1)
     firsts = [()]  # the first independent set reached at each size
     tried = 0
 
-    def grow(c, cells, later):
+    def grow(c, cells, later, seen):
         """True as soon as an independent extension of c exceeds cap, or a
         set of size `stop` is found.  `later` holds the columns after c's
         last that split every cell of c's parent: a column leaving some cell
         unsplit leaves every part of that cell unsplit, so no other column
-        can extend c."""
+        can extend c.  `seen` is the OR of c's change masks."""
         nonlocal tried
         if len(firsts) > stop:
             return True
@@ -129,8 +148,14 @@ def independence_dimension(
             raise ResourceLimitError(
                 f"dimension search past {DIMENSION_NODE_LIMIT} extensions")
         size = len(c)
-        # a child needs this many viable columns to beat the best size
+        # a child needs this many viable columns to beat the best size; no
+        # superset of that size is independent when its columns' changes
+        # leave too few runs, nor any larger one: 2^(size + r) doubles with
+        # each column and top[r] grows by at most top[1] <= top[need].  Here
+        # need <= stop <= U <= |Y|, so top[need] exists
         need = len(firsts) - size
+        if _too_few_runs(seen, top, size, need):
+            return False
         viable = later
         for cell in cells:
             viable = [j for j in viable if 0 != cell & cols[j] != cell]
@@ -148,12 +173,12 @@ def independence_dimension(
                 firsts.append(child)
             # split again rather than keep every viable column's cells
             # while its earlier siblings' subtrees run
-            if grow(child, _split(cells, cols[j]), viable[i + 1:]):
+            if grow(child, _split(cells, cols[j]), viable[i + 1:], seen | changes[j]):
                 return True
         return False
 
     # a stop below cap + 1 proves that no (cap+1)-set is independent
-    capped = grow((), [(1 << struct.m) - 1], range(n)) and bound > cap
+    capped = grow((), [(1 << struct.m) - 1], range(n), 0) and bound > cap
     return IndependenceReport(len(firsts) - 1, firsts[-1], capped)
 
 

@@ -130,6 +130,30 @@ def reference_independence_dimension(s, cap=None):
     return pl.IndependenceReport(len(firsts) - 1, firsts[-1], capped), tried
 
 
+# -- the row-by-row matrix check, kept as a reference for the check that
+# reads whole columns in C ---------------------------------------------------
+
+
+def reference_matrix_columns(truth):
+    """(columns, masks) as BipartiteStructure builds them after checking
+    the matrix one row at a time; raises what that check raises."""
+    if not truth:
+        raise ValueError("X must be nonempty")
+    width = len(truth[0])
+    for i, row in enumerate(truth):
+        if len(row) != width:
+            raise ValueError(f"row {i} has length {len(row)}, expected {width}")
+        try:
+            boolean = frozenset((0, 1)).issuperset(row)
+        except TypeError:
+            boolean = False
+        if not (boolean or all(v in (0, 1) for v in row)):
+            raise ValueError(f"row {i} contains non-boolean entries")
+    columns = tuple(bytes([1 if v else 0 for v in column]) for column in zip(*truth))
+    masks = tuple(sum(1 << i for i, v in enumerate(column) if v) for column in columns)
+    return columns, masks
+
+
 # -- the row-scan oracle core, kept as a reference for the oracle's row sets,
 # projection counting and realized-pattern sets ---------------------------
 

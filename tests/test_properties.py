@@ -28,6 +28,7 @@ from conftest import (
     reference_clauses_hold,
     reference_finitely_satisfiable,
     reference_independence_dimension,
+    reference_matrix_columns,
     reference_oracle_all_good_configs,
     reference_oracle_finitely_satisfiable,
     reference_oracle_min_isolating,
@@ -134,16 +135,22 @@ def reference_type_space(s, params):
     return tuple(out)
 
 
-@given(structures(max_m=16, max_n=6))
+@given(structures(max_m=16, max_n=6), st.data())
 @settings(max_examples=80, deadline=None)
-def test_dimension_matches_sign_pattern_search(s):
+def test_dimension_matches_sign_pattern_search(s, data):
+    # the same matrix with its rows permuted has the same answers, but its
+    # change counts, and so the change and node bounds, differ
+    order = data.draw(st.permutations(range(s.m)))
+    permuted = pl.BipartiteStructure(tuple(s.truth[i] for i in order), s.base_set, s.theta_set)
     for cap in range(s.n + 2):
         report = pl.independence_dimension(s, cap)
         assert report == reference_dimension(s, cap)
         assert report == reference_independence_dimension(s, cap)[0]
-    assert pl.independence_dimension(s) == reference_dimension(s, s.n)
-    # the change bound is sound: no independent set is larger
-    assert vc._change_bound(s) >= reference_dimension(s, s.n).id_value
+        assert pl.independence_dimension(permuted, cap) == report
+    full = reference_dimension(s, s.n)
+    assert pl.independence_dimension(s) == full
+    # the change bound is sound in either row order: no independent set is larger
+    assert min(vc._change_bound(s), vc._change_bound(permuted)) >= full.id_value
 
 
 @st.composite
@@ -202,6 +209,42 @@ def test_type_space_is_a_row_trace_scan(s, data):
     params = data.draw(st.lists(st.integers(0, s.n - 1), max_size=6))
     assert s.type_space(params) == reference_type_space(s, params)
     assert s.type_space(iter(params)) == reference_type_space(s, params)
+
+
+# -- the matrix check against the row-by-row loop ----------------------------
+
+
+@st.composite
+def odd_matrices(draw, max_m=8, max_n=5):
+    """0/1 matrices of ints, with a wrong row length and entries 2, -1, 0.5,
+    1.0, True and None put in at random rows now and then."""
+    m, n = draw(st.integers(1, max_m)), draw(st.integers(0, max_n))
+    rows = [[draw(st.integers(0, 1)) for _ in range(n)] for _ in range(m)]
+    for _ in range(draw(st.integers(0, 3))):
+        row = rows[draw(st.integers(0, m - 1))]
+        if not row or draw(st.integers(0, 4)) == 0:
+            if not row or draw(st.booleans()):
+                row.append(0)
+            else:
+                row.pop()
+        else:
+            row[draw(st.integers(0, len(row) - 1))] = draw(
+                st.sampled_from([2, -1, 0.5, 1.0, True, None]))
+    return tuple(tuple(row) if draw(st.booleans()) else row for row in rows)
+
+
+@given(odd_matrices())
+@settings(max_examples=300, deadline=None)
+def test_matrix_check_matches_the_row_loop(truth):
+    try:
+        expected = reference_matrix_columns(truth)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            pl.BipartiteStructure(truth, frozenset(), frozenset())
+        assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+        return
+    s = pl.BipartiteStructure(truth, frozenset(), frozenset())
+    assert (s._columns, s._column_masks) == expected
 
 
 # -- type_space and trace against the public PhiType constructor ------------

@@ -206,19 +206,55 @@ def test_search_matches_reference_on_shattered_and_linear(spec):
     assert_matches_reference(parse_generator_spec(spec))
 
 
+def own_node_count(monkeypatch, s, most):
+    """The least DIMENSION_NODE_LIMIT at which the search on s passes, found
+    by bisection below `most`, a limit at which it passes."""
+    lo, hi = 0, most
+    while lo < hi:
+        mid = (lo + hi) // 2
+        monkeypatch.setattr(vc, "DIMENSION_NODE_LIMIT", mid)
+        try:
+            pl.independence_dimension(s)
+            hi = mid
+        except pl.ResourceLimitError:
+            lo = mid + 1
+    return lo
+
+
 @pytest.mark.parametrize(
     "spec", ["random:intervals:32:20:6", "random:unions2:6:50:12", "random:unions2:22:200:24"])
 def test_node_guard_trips_where_the_reference_does(monkeypatch, spec):
-    # the bound is above the dimension here, so it ends no search early and
-    # every node the reference enters is entered
+    # the change bound is above the dimension here, so it ends no search
+    # early; the node bound never enters a node the reference does not, and
+    # on the unions2 instances it skips some the reference enters
     s = parse_generator_spec(spec)
     report, tried = reference_independence_dimension(s)
     assert vc._change_bound(s) > report.id_value
     monkeypatch.setattr(vc, "DIMENSION_NODE_LIMIT", tried)
     assert pl.independence_dimension(s) == report
-    monkeypatch.setattr(vc, "DIMENSION_NODE_LIMIT", tried - 1)
+    count = own_node_count(monkeypatch, s, tried)
+    monkeypatch.setattr(vc, "DIMENSION_NODE_LIMIT", count)
+    assert pl.independence_dimension(s) == report
+    monkeypatch.setattr(vc, "DIMENSION_NODE_LIMIT", count - 1)
     with pytest.raises(pl.ResourceLimitError):
         pl.independence_dimension(s)
+    assert count <= tried
+    if spec.startswith("random:unions2"):
+        assert count < tried
+
+
+@pytest.mark.parametrize("spec, expected", [
+    ("random:unions2:0:800:48", (3, (0, 1, 42))),
+    ("random:unions2:1:800:48", (3, (0, 1, 12))),
+    ("random:unions2:2:800:48", (3, (1, 3, 39))),
+    ("random:unions2:1:1600:96", (4, (32, 39, 67, 72))),
+])
+def test_node_bound_keeps_the_answers_at_scale(spec, expected):
+    # the answers the search gave before the node bound, at --cap full; the
+    # change bound is 4 on each, so the node bound does the pruning
+    s = parse_generator_spec(spec)
+    assert vc._change_bound(s) == 4
+    assert pl.independence_dimension(s, s.n) == pl.IndependenceReport(*expected, False)
 
 
 # -- the change bound --------------------------------------------------------

@@ -1,0 +1,132 @@
+"""A standing mutant check of the dimension search and the structure layer.
+
+Each mutant is one textual edit of a subject module: a prune made unsound,
+a comparison moved by one, a sign swapped, a check dropped.  The script
+applies each to a fresh temporary copy of `src/` and `tests/`, runs that
+mutant's fast test subset there, and counts the mutant killed when the
+subset fails.  Each subset is first run on an unmutated copy, and must
+pass there.  It prints one line per mutant, the survivors and the kill
+rate, and exits 1 when a mutant survives or no longer applies (its text is
+gone from the module, or is there more than once), and 2 when a subset
+fails unmutated or a mutant name is unknown.
+
+    python tools/mutants.py            # every mutant
+    python tools/mutants.py node-le    # the named mutants only
+
+It is not part of the test suite: each mutant costs a pytest run.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+VC = "src/philab/vc.py"
+STRUCTURE = "src/philab/structure.py"
+PROPERTIES = "tests/test_properties.py::test_"
+VC_TESTS = ("tests/test_vc.py",
+            PROPERTIES + "dimension_matches_sign_pattern_search",
+            PROPERTIES + "dimension_on_wide_structures_matches_sign_pattern_search",
+            PROPERTIES + "independence_matches_sign_patterns")
+STRUCTURE_TESTS = ("tests/test_structure.py",
+                   PROPERTIES + "matrix_check_matches_the_row_loop",
+                   PROPERTIES + "type_space_and_trace_match_the_public_constructor")
+
+#: (name, module, text, replacement, test arguments)
+MUTANTS = [
+    ("node-le", VC,
+     "top[more] < 1 << (size + more)", "top[more] <= 1 << (size + more)", VC_TESTS),
+    ("node-seen-not-ored", VC,
+     "viable[i + 1:], seen | changes[j])", "viable[i + 1:], seen)", VC_TESTS),
+    ("node-top-one-short", VC,
+     "top[more] < 1 << (size + more)", "top[more - 1] < 1 << (size + more)", VC_TESTS),
+    ("stop-at-bound-minus-one", VC,
+     "stop = min(bound, cap + 1)", "stop = min(bound - 1, cap + 1)", VC_TESTS),
+    ("change-bound-one-more-row", VC,
+     "inner = (1 << (struct.m - 1)) - 1", "inner = (1 << struct.m) - 1", VC_TESTS),
+    ("capped-at-cap", VC,
+     "and bound > cap", "and bound >= cap", VC_TESTS),
+    ("viable-le-need", VC,
+     "if len(viable) < need:", "if len(viable) <= need:", VC_TESTS),
+    ("sibling-break-le", VC,
+     "if size + len(viable) - i < len(firsts):", "if size + len(viable) - i <= len(firsts):",
+     VC_TESTS),
+    ("split-keeps-full-part", VC,
+     "if not pos or pos == cell:", "if not pos:", VC_TESTS),
+    ("pigeonhole-off-by-one", VC,
+     "if 1 << len(params) > struct.m:", "if 1 << len(params) >= struct.m:", VC_TESTS),
+    ("skip-translate-check", STRUCTURE,
+     'if columns is None or b"".join(columns).translate(None, b"\\x00\\x01"):',
+     "if columns is None:", STRUCTURE_TESTS),
+    ("skip-row-length-check", STRUCTURE,
+     "if one_length else None", "", STRUCTURE_TESTS),
+    ("masks-read-top-down", STRUCTURE,
+     "int(c[::-1].translate(_BITS_TO_TEXT), 2)", "int(c.translate(_BITS_TO_TEXT), 2)",
+     STRUCTURE_TESTS),
+    ("literal-pairs-swapped", STRUCTURE,
+     "(masks[b] ^ full, masks[b])", "(masks[b], masks[b] ^ full)",
+     ("tests/test_goodconfig.py", "tests/test_isolation.py", "tests/test_delta.py")),
+    ("sorted-params-allow-repeats", STRUCTURE,
+     "type(b) is int and prev < b < n", "type(b) is int and prev <= b < n", STRUCTURE_TESTS),
+    ("check-parameter-past-end", STRUCTURE,
+     "0 <= b < self.n)", "0 <= b <= self.n)", STRUCTURE_TESTS),
+    ("literals-mask-sign-swapped", STRUCTURE,
+     "mask &= masks[b] if sign else masks[b] ^ full",
+     "mask &= masks[b] ^ full if sign else masks[b]", STRUCTURE_TESTS),
+]
+
+
+def run_tests(tests: tuple[str, ...], edit: tuple[str, str, str] | None = None) -> str:
+    """'passed' or 'failed': the tests run on a fresh copy of the tree with
+    `edit`, a (module, text, replacement), applied; 'stale' when the text is
+    not in the module exactly once."""
+    with tempfile.TemporaryDirectory(prefix="philab-mutant-") as tmp:
+        copy = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, copy / name, ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        if edit is not None:
+            module, text, replacement = edit
+            path = copy / module
+            source = path.read_text()
+            if source.count(text) != 1:
+                return "stale"
+            path.write_text(source.replace(text, replacement))
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            cwd=copy, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+    return "passed" if result.returncode == 0 else "failed"
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or m[0] in argv]
+    unknown = set(argv) - {m[0] for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    # a subset that fails on the unmutated tree would kill every mutant
+    for tests in dict.fromkeys(m[4] for m in chosen):
+        if run_tests(tests) != "passed":
+            print(f"fails unmutated: {' '.join(tests)}", file=sys.stderr)
+            return 2
+    outcomes = {}
+    for name, module, text, replacement, tests in chosen:
+        outcome = run_tests(tests, (module, text, replacement))
+        outcomes[name] = {"failed": "killed", "passed": "survived"}.get(outcome, outcome)
+        print(f"{outcomes[name]:8}  {name}  ({module})", flush=True)
+    survivors = [name for name, outcome in outcomes.items() if outcome != "killed"]
+    killed = len(outcomes) - len(survivors)
+    print(f"killed {killed} of {len(outcomes)}"
+          + (f"; not killed: {', '.join(survivors)}" if survivors else ""))
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
