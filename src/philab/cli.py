@@ -107,7 +107,10 @@ def parse_generator_spec(spec: str) -> BipartiteStructure:
                 raise CliSpecError("eqrel needs at least one pick count")
             return gen_eqrel(EqRelSpec([p + 1 for p in picks], picks))
         if head == "random":
-            family, seed, x_size, y_size = rest.split(":")
+            fields = rest.split(":")
+            if len(fields) != 4:
+                raise CliSpecError("random takes the form random:FAMILY:SEED:X:Y")
+            family, seed, x_size, y_size = fields
             family = {"intervals": INTERVALS, "unions2": UNIONS}.get(family)
             if family is None:
                 raise CliSpecError("random family must be intervals or unions2")

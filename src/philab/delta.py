@@ -32,13 +32,15 @@ satisfiability reads closed packs, the table on strictly increasing z-tuples
 of every length 1..r (0 at arity 0): full-table entries with contradictory
 repeated z's are false for every parameter, and every other entry repeats a
 closed one.  One private routine, _pack_literals, fills signatures, closed
-packs and the q-type's signature blocks from the z-tuples each passes; every
-build raises ResourceLimitError past DEFAULT_TABLE_LIMIT entries, read at
-each build.  delta_eval is the one-entry reference, and delta_type reads
-each entry of a full table through it, so the full table shares no packing
-code with the signatures it is checked against.  Signatures, packs and
-cached_delta_type tables are memoized per structure; a memo hit builds
-nothing, so no guard sees it.
+packs and the q-type's signature blocks from the z-tuples each passes: it
+expands each z-tuple from the subject's literal pair into realizer masks and
+reads them as binary digits in one bytes pass.  Every build raises
+ResourceLimitError past DEFAULT_TABLE_LIMIT entries, read at each build.
+delta_eval is the one-entry reference, and delta_type reads each entry of a
+full table through it, so the full table shares no packing code with the
+signatures it is checked against.  Signatures, packs and cached_delta_type
+tables are memoized per structure; a memo hit builds nothing, so no guard
+sees it.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from typing import Iterable
 
 from .cover import least_cover
 from .errors import ArityMismatchError, ResourceLimitError
-from .structure import BipartiteStructure
+from .structure import _BITS_TO_TEXT, BipartiteStructure
 
 DEFAULT_TABLE_LIMIT = 1 << 20
 
@@ -117,15 +119,17 @@ def _pack_literals(lits, c, ztuples: Iterable[tuple]) -> int:
     """c's table over the z-tuples, packed as an int in canonical order
     (z-tuples as given, then t, then s; first entry in the highest bit),
     with lits[key] the (sign 0, sign 1) literal masks of the parameter that
-    c and each z-tuple entry name."""
-    bits = []
+    c and each z-tuple entry name.  Each z-tuple expands c's literal pair
+    into its 2^(len(zs)+1) realizer masks, t first; the masks become digits
+    in one bytes pass."""
+    subject = lits[c]
+    masks = []
     for zs in ztuples:
-        for level in lits[c]:
-            level = [level]
-            for z in zs:
-                level = [mask & lit for mask in level for lit in lits[z]]
-            bits.extend("1" if mask else "0" for mask in level)
-    return int("".join(bits) or "0", 2)
+        level = subject
+        for z in zs:
+            level = [mask & lit for mask in level for lit in lits[z]]
+        masks.extend(level)
+    return int(bytes(map(bool, masks)).translate(_BITS_TO_TEXT) or b"0", 2)
 
 
 def delta_type(

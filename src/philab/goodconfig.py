@@ -20,6 +20,11 @@ of each dropped pair), where delta-equality over the larger domain gives it
 over the smaller.  Prefix closure makes greedy one-pair-at-a-time
 construction sound, and closure under sorting lets the exhaustive search
 enter increasing lists only.
+
+Both searches filter their candidates on clauses (i) and (ii) before they
+check one, so they enter the checker through a private entry that starts at
+clause (iii), under the same DEFAULT_CHECK_LIMIT guard;
+is_good_configuration checks all three clauses and ends in that entry.
 """
 
 from __future__ import annotations
@@ -102,13 +107,7 @@ def is_good_configuration(
     pairs = candidate.pairs
     if family is None:
         family = DeltaFamily(cached_dimension(struct))
-    k = len(pairs)
-    comparisons = 2**k * max(k, 1)
-    if comparisons > DEFAULT_CHECK_LIMIT:
-        raise ResourceLimitError(
-            f"clause (iii) needs {comparisons} comparisons,"
-            f" over the limit {DEFAULT_CHECK_LIMIT}"
-        )
+    _check_comparisons(len(pairs))
 
     for j, pair in enumerate(pairs):
         for t in (0, 1):
@@ -122,7 +121,29 @@ def is_good_configuration(
         mask &= struct.literal_mask(c0, 0) & struct.literal_mask(c1, 1)
     if not mask:
         return ConfigCheck("ii")
+    return _check_clause_iii(struct, family, pairs)
 
+
+def _check_comparisons(k: int) -> None:
+    """The checker guard, read before a list of k pairs is checked."""
+    comparisons = 2**k * max(k, 1)
+    if comparisons > DEFAULT_CHECK_LIMIT:
+        raise ResourceLimitError(
+            f"clause (iii) needs {comparisons} comparisons,"
+            f" over the limit {DEFAULT_CHECK_LIMIT}"
+        )
+
+
+def _check_clause_iii(
+    struct: BipartiteStructure,
+    family: DeltaFamily,
+    pairs: tuple[Pair, ...],
+) -> ConfigCheck:
+    """is_good_configuration from clause (iii) on, for a pair list whose
+    caller has proved clauses (i) and (ii): the same guard, the same scan
+    and the same verdict."""
+    k = len(pairs)
+    _check_comparisons(k)
     base = struct.base_set
     for s in product((0, 1), repeat=k):
         for j in range(k):
@@ -165,8 +186,11 @@ def find_extension_pair(
     the base is empty, or at arity >= 1 when k_sat is at least |base|, ALL
     included (proof below), and nothing is scanned.  Elsewhere the
     conditions need not transfer the clauses, so each hit is re-verified
-    with is_good_configuration before it is returned.  k_sat is checked
-    first: ValueError unless it is ALL or an int >= 1.
+    before it is returned, from clause (iii) on: the scan has proved (i) for
+    the new pair and (ii) for the extended list.  A configuration with a
+    component outside theta fails (i) with every pair, so nothing is
+    scanned for it either.  k_sat is checked first: ValueError unless it is
+    ALL or an int >= 1.
     """
     _check_k(k_sat)
     if family is None:
@@ -185,6 +209,8 @@ def find_extension_pair(
     theta = struct.theta_members()
     domain = tuple(sorted(base | set(config.components)))
     p_c_mask = struct.type_mask(p_c)
+    if not struct.theta_set.issuperset(config.components):
+        return None  # (i)
     lits = struct._literal_pairs(theta)
     for d0, (neg0, _) in zip(theta, lits):
         mask0 = p_c_mask & neg0
@@ -197,7 +223,7 @@ def find_extension_pair(
                 continue  # (iii)
             if not finitely_satisfiable_in(struct, family, d0, domain, base, k_sat):
                 break  # (iv) depends on d0 only
-            if is_good_configuration(struct, config.extended((d0, d1)), family=family):
+            if _check_clause_iii(struct, family, config.pairs + ((d0, d1),)):
                 return (d0, d1)
     return None
 
@@ -238,9 +264,11 @@ def build_maximal(
         the child L + (q,).
     Each list carries its realizer mask down, and a candidate whose clause
     (ii) mask, that mask AND its pair's literal masks, is empty is dropped
-    unchecked; so is every diagonal pair.  is_good_configuration accepts
-    every nonempty list returned, and the empty list needs no check: p is
-    consistent, and clauses (i) and (iii) ask nothing of no pairs.
+    unchecked; so is every diagonal pair.  Every other candidate is built
+    from theta, so it has passed (i) and (ii) and is checked from clause
+    (iii) on.  is_good_configuration accepts every nonempty list returned,
+    and the empty list needs no check: p is consistent, and clauses (i) and
+    (iii) ask nothing of no pairs.
     At arity >= 1 the pairs of a good list hold distinct parameters from
     theta, so its size stays at most |theta| / 2 <= 6 and
     DEFAULT_CHECK_LIMIT, first passed at size 9, is never reached.
@@ -287,9 +315,7 @@ def build_maximal(
         later = []
         for pair, pair_mask in candidates:
             below = mask & pair_mask
-            if below and is_good_configuration(
-                struct, config.extended(pair), family=family
-            ):
+            if below and _check_clause_iii(struct, family, config.pairs + (pair,)):
                 later.append((pair, pair_mask, below))
         for i, (pair, _, below) in enumerate(later):
             cand = config.extended(pair)

@@ -187,13 +187,17 @@ def isolated_extension(
     inside base_set.  An empty configuration extends p to p itself, so the
     base certificate is reused as the extension's rather than searched for
     twice; that is every run at k = ALL with arity >= 1, where no step can
-    exist.
+    exist.  After a step, InvariantError is raised unless the extension's
+    certificate targets p plus the configuration literals.
     """
     config = build_maximal(struct, p, "greedy", k_sat)
     base_cert = find_isolating_subtype(struct, p)
     if config.pairs:
         extension = extend_type(p, config)
         cert = find_isolating_subtype(struct, extension)
+        if cert.target != extension:
+            raise InvariantError("extension certificate targets a type other than p"
+                                 " plus its configuration")
     else:
         extension, cert = p, base_cert
     return IsolatedExtensionResult(

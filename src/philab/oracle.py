@@ -62,18 +62,22 @@ def _distinct_columns(struct: BipartiteStructure) -> tuple:
 
 
 def _rows_satisfying(struct: BipartiteStructure, rows, literals) -> frozenset:
-    return frozenset(range(struct.m)).intersection(
-        *(rows[b][sign] for b, sign in literals)
-    )
+    """The rows meeting every literal; every row when there is none."""
+    sets = [rows[b][sign] for b, sign in literals]
+    if not sets:
+        return frozenset(range(struct.m))
+    return sets[0].intersection(*sets[1:])
 
 
 def oracle_vc(struct: BipartiteStructure) -> int:
-    """Maximum size of an independent parameter set, by checking every
-    nonempty subset of Y with no pruning: a subset is independent when the
-    rows show all 2^size sign patterns on it.  Subsets and the distinct
-    rows are bitmasks over Y (bit b is column b), so a row's pattern on a
-    subset is row & subset.  The empty set is independent because X is
-    nonempty."""
+    """Maximum size of an independent parameter set, by checking the
+    nonempty subsets of Y: a subset is independent when the rows show all
+    2^size sign patterns on it.  Subsets and the distinct rows are bitmasks
+    over Y (bit b is column b), so a row's pattern on a subset is
+    row & subset.  Two kinds of subset are skipped unchecked, since neither
+    can raise the answer: those no larger than the best found so far, and
+    those whose 2^size patterns outnumber the distinct rows (pigeonhole).
+    The empty set is independent because X is nonempty."""
     n = struct.n
     if n > VC_Y_LIMIT:
         raise ResourceLimitError(f"oracle_vc guard: |Y| = {n} > {VC_Y_LIMIT}")
@@ -82,8 +86,10 @@ def oracle_vc(struct: BipartiteStructure) -> int:
     best = 0
     for subset in range(1, 1 << n):
         size = subset.bit_count()
+        if size <= best or 1 << size > len(rows):
+            continue
         if len({row & subset for row in rows}) == 1 << size:
-            best = max(best, size)
+            best = size
     return best
 
 
@@ -191,8 +197,9 @@ def oracle_all_good_configs(
     Children are visited in theta-pair order, so the output is the
     lexicographic order of checking every list; the row-scan and naive
     generate-and-test references in the tests cross-check this.  Each list
-    carries its realizer set down, and each (pair, domain) equality is
-    decided once per call.
+    carries its realizer set down, and each equality of an unordered pair
+    over a domain is decided once per call: c0 and c1 realize the same
+    patterns exactly when c1 and c0 do.
     """
     theta = tuple(sorted(struct.theta_set))
     if len(theta) > GOODCONFIG_THETA_LIMIT:
@@ -213,14 +220,17 @@ def oracle_all_good_configs(
     found: list[tuple[tuple[int, int], ...]] = [()]
     columns = _distinct_columns(struct)
     memo: dict = {}
-    # (pair, selected members) -> clause-(iii) verdict over B + those
-    # members; at most |theta|^2 * (1 + |theta| + C(|theta|, 2)) entries
+    # (unordered pair, selected members) -> clause-(iii) verdict over B +
+    # those members, which is symmetric in the pair; a diagonal pair never
+    # reaches it, so at most C(|theta|, 2) * (1 + |theta| + C(|theta|, 2))
+    # entries
     equal: dict = {}
 
     def clause_iii(pairs: tuple[tuple[int, int], ...]) -> bool:
         for j, pair in enumerate(pairs):
+            unordered = pair if pair[0] < pair[1] else pair[::-1]
             for selection in product(*pairs[:j], *pairs[j + 1:]):
-                key = (pair, frozenset(selection))
+                key = (unordered, frozenset(selection))
                 verdict = equal.get(key)
                 if verdict is None:
                     domain = tuple(sorted(struct.base_set.union(selection)))

@@ -182,6 +182,34 @@ def reference_oracle_vc(s):
     return best
 
 
+def reference_oracle_vc_unpruned(s):
+    """The bitmask loop over every nonempty subset of Y, with no subset
+    skipped: the oracle's dimension before it skipped subsets that cannot
+    raise the answer."""
+    rows = {sum(1 << b for b, value in enumerate(row) if value)
+            for row in dict.fromkeys(s.truth)}
+    best = 0
+    for subset in range(1, 1 << s.n):
+        size = subset.bit_count()
+        if len({row & subset for row in rows}) == 1 << size:
+            best = max(best, size)
+    return best
+
+
+def reference_pack_literals(lits, c, ztuples):
+    """The delta packer before it built its bits in one bytes pass: each
+    entry becomes a "0" or "1" string, subject sign by subject sign, and the
+    joined string is read in base 2."""
+    bits = []
+    for zs in ztuples:
+        for level in lits[c]:
+            level = [level]
+            for z in zs:
+                level = [mask & lit for mask in level for lit in lits[z]]
+            bits.extend("1" if mask else "0" for mask in level)
+    return int("".join(bits) or "0", 2)
+
+
 def reference_oracle_min_isolating(s, p):
     target = reference_rows_satisfying(s, p.items)
     for size in range(len(p.domain) + 1):

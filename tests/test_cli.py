@@ -282,6 +282,15 @@ class TestExitCodes:
         assert code == 4
         assert err.startswith("bad spec:")
 
+    @pytest.mark.parametrize("spec", [
+        "random:intervals:3", "random:unions2:0:20:6:1", "random:", "random",
+    ])
+    def test_random_field_count_names_the_form(self, capsys, spec):
+        code, out, err = run(capsys, "id", "--gen", spec)
+        assert code == 4 and out == ""
+        assert err == (f"bad spec: bad generator spec {spec!r}:"
+                       " random takes the form random:FAMILY:SEED:X:Y\n")
+
     @pytest.mark.parametrize("argv", [
         ["isolate", "--gen", "shattered:2", "--of", "abc"],
         ["frob"],

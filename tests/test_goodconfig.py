@@ -102,6 +102,16 @@ class TestChecker:
         with pytest.raises(pl.ResourceLimitError, match="needs 1 comparisons"):
             pl.is_good_configuration(s1, empty_config())
 
+    def test_clause_iii_entry_keeps_the_guard(self, s1, monkeypatch):
+        # the searches' entry reads the same limit, before any comparison
+        monkeypatch.setattr(goodconfig, "DEFAULT_CHECK_LIMIT", 8)
+        with pytest.raises(pl.ResourceLimitError, match="needs 24 comparisons"):
+            goodconfig._check_clause_iii(s1, DeltaFamily(2), ((0, 1),) * 3)
+        pairs = ((0, 1),) * 2
+        expected = pl.is_good_configuration(s1, GoodConfiguration(pairs, pl.EMPTY_TYPE),
+                                            DeltaFamily(2))
+        assert goodconfig._check_clause_iii(s1, DeltaFamily(2), pairs) == expected
+
 
 class TestExtensionPair:
     def test_no_pair_at_full_strength(self, gap_chain):

@@ -191,6 +191,23 @@ class TestIsolatedExtension:
         assert len(calls) == searches
         assert result.certificate == search(gap_chain, extend_type(p, result.configuration))
 
+    def test_stale_certificate_after_a_step_is_rejected(self, gap_chain, monkeypatch):
+        # a certificate search that hands back p's certificate for the
+        # extension too must not pass as the extension's own
+        search = isolation.find_isolating_subtype
+        first = []
+
+        def stale(struct, p):
+            if not first:
+                first.append(search(struct, p))
+            return first[0]
+
+        monkeypatch.setattr(isolation, "find_isolating_subtype", stale)
+        p = gap_chain.trace(6, gap_chain.base_members())
+        with pytest.raises(pl.InvariantError, match="other than p plus its configuration"):
+            pl.isolated_extension(gap_chain, p, 1)
+        assert len(first) == 1
+
 
 class TestGammaCertificate:
     def test_s1_pair_example(self, s1):

@@ -14,6 +14,7 @@ from conftest import (
     reference_oracle_all_good_configs_naive,
     reference_oracle_finitely_satisfiable,
     reference_oracle_vc,
+    reference_oracle_vc_unpruned,
     reference_same_delta_type,
 )
 
@@ -38,11 +39,18 @@ class TestOracleVc:
         ((True, 1.0, 0), (0.0, False, 1), (1, True, 1), (0, 0, 0.0)),
         ((), (), ()),
         ((1, 0, 1, 1),) * 4,
-        *(pl.gen_shattered(k).truth for k in range(1, 5)),
-    ], ids=["repeated", "bool-float", "n0", "constant", *(f"shattered:{k}" for k in range(1, 5))])
+        *(pl.gen_shattered(k).truth for k in range(6)),
+        *(pl.gen_shattered(k).truth * 2 for k in range(6)),
+        *(tuple(row + (1,) for row in pl.gen_shattered(k).truth) for k in range(6)),
+    ], ids=["repeated", "bool-float", "n0", "constant",
+            *(f"shattered:{k}{variant}" for variant in ("", "-rows-twice", "-constant-column")
+              for k in range(6))])
     def test_matches_row_scans(self, rows):
+        # shattered:k has exactly 2^k distinct rows, the edge of the
+        # pigeonhole skip; repeated rows must not count, and a constant
+        # column adds a (k+1)-set that the skip passes over
         s = pl.BipartiteStructure(rows, frozenset(), frozenset())
-        assert pl.oracle_vc(s) == reference_oracle_vc(s)
+        assert pl.oracle_vc(s) == reference_oracle_vc(s) == reference_oracle_vc_unpruned(s)
 
 
 class TestOracleMinIsolating:

@@ -13,8 +13,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import philab as pl
 from philab import cover, vc
-from philab.delta import ALL, DeltaFamily, cached_delta_type
-from philab.goodconfig import GoodConfiguration, extend_type
+from philab.delta import ALL, DeltaFamily, _pack_literals, cached_delta_type
+from philab.goodconfig import GoodConfiguration, _check_clause_iii, extend_type
 from philab.isolation import q_harness
 from philab.oracle import (
     oracle_all_good_configs,
@@ -33,6 +33,8 @@ from conftest import (
     reference_oracle_finitely_satisfiable,
     reference_oracle_min_isolating,
     reference_oracle_vc,
+    reference_oracle_vc_unpruned,
+    reference_pack_literals,
     reference_q_harness,
 )
 
@@ -754,6 +756,18 @@ def test_oracle_vc_matches_row_scans(s):
     assert oracle_vc(s) == reference_oracle_vc(s)
 
 
+def with_repeated_rows(s, count):
+    """s with its first `count` rows appended once more."""
+    return pl.BipartiteStructure(s.truth + s.truth[:count], s.base_set, s.theta_set)
+
+
+@given(oracle_structures, st.integers(0, 12))
+@settings(max_examples=150, deadline=None)
+def test_oracle_vc_matches_the_unpruned_loop(s, repeats):
+    s = with_repeated_rows(s, repeats)
+    assert oracle_vc(s) == reference_oracle_vc_unpruned(s)
+
+
 @given(oracle_structures, st.data())
 @settings(max_examples=150, deadline=None)
 def test_oracle_min_isolating_matches_row_scans(s, data):
@@ -902,3 +916,58 @@ def test_q_harness_matches_the_product_loop(s, pair_count, data):
                       if pair_count else st.just([]))
     config = GoodConfiguration(tuple(pairs), p)
     assert q_harness(s, config) == reference_q_harness(s, config)
+
+
+# -- the delta packer and the checker's clause-(iii) entry against the code
+# they replace -----------------------------------------------------------
+
+
+@given(structures_with_copies(max_m=8, max_n=5), st.integers(0, 3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_pack_literals_matches_the_string_packer(s, arity, data):
+    # z-tuples of any length up to the arity, () included, repeating
+    # columns or naming the subject, as a list or a one-shot iterator
+    assume(s.n)
+    s = with_repeated_rows(s, data.draw(st.integers(0, s.m)))
+    params = tuple(range(s.n))
+    lits = dict(zip(params, s._literal_pairs(params)))
+    c = data.draw(st.sampled_from(params))
+    ztuple = st.lists(st.sampled_from(params), max_size=arity).map(tuple)
+    ztuples = data.draw(st.lists(ztuple, max_size=6))
+    expected = reference_pack_literals(lits, c, ztuples)
+    assert _pack_literals(lits, c, ztuples) == expected
+    assert _pack_literals(lits, c, iter(ztuples)) == expected
+
+
+@pytest.mark.parametrize("ztuples", [[], [()], [(), ()], [(0,), (1,)], [(1, 0), (0, 0)]])
+def test_pack_literals_edges(s1, ztuples):
+    # no z-tuple packs to 0; an arity-0 z-tuple packs c's two sign bits
+    lits = dict(zip((0, 1), s1._literal_pairs((0, 1))))
+    for c in (0, 1):
+        assert _pack_literals(lits, c, ztuples) == reference_pack_literals(lits, c, ztuples)
+    assert (_pack_literals(lits, 0, ztuples) == 0) == (ztuples == [])
+
+
+@given(uniform_structures(max_m=10, max_n=6), st.integers(0, 3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_clause_iii_entry_matches_the_checker(s, arity, data):
+    # random pair lists over theta that pass clause (ii), each pair drawn
+    # from those that keep a realizer; the verdicts must agree, witness
+    # included
+    family = DeltaFamily(arity)
+    theta = s.theta_members()
+    a = data.draw(st.integers(0, s.m - 1))
+    p = s.trace(a, [b for b in s.base_members() if data.draw(st.booleans())])
+    pairs = ()
+    mask = s.type_mask(p)
+    for _ in range(data.draw(st.integers(1, 3))):
+        masks = {(c0, c1): mask & s.literal_mask(c0, 0) & s.literal_mask(c1, 1)
+                 for c0 in theta for c1 in theta}
+        passing = sorted(pair for pair, below in masks.items() if below)
+        if not passing:
+            break
+        pair = data.draw(st.sampled_from(passing))
+        pairs, mask = pairs + (pair,), masks[pair]
+    expected = pl.is_good_configuration(s, GoodConfiguration(pairs, p), family)
+    assert expected.clause != "i" and expected.clause != "ii"
+    assert _check_clause_iii(s, family, pairs) == expected

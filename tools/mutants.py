@@ -1,4 +1,6 @@
-"""A standing mutant check of the dimension search and the structure layer.
+"""A standing mutant check of the dimension search, the structure layer and
+the exact skips in the oracle, the good-configuration checker and the delta
+packer.
 
 Each mutant is one textual edit of a subject module: a prune made unsound,
 a comparison moved by one, a sign swapped, a check dropped.  The script
@@ -28,11 +30,22 @@ ROOT = Path(__file__).resolve().parent.parent
 
 VC = "src/philab/vc.py"
 STRUCTURE = "src/philab/structure.py"
+ORACLE = "src/philab/oracle.py"
+GOODCONFIG = "src/philab/goodconfig.py"
+DELTA = "src/philab/delta.py"
 PROPERTIES = "tests/test_properties.py::test_"
 VC_TESTS = ("tests/test_vc.py",
             PROPERTIES + "dimension_matches_sign_pattern_search",
             PROPERTIES + "dimension_on_wide_structures_matches_sign_pattern_search",
             PROPERTIES + "independence_matches_sign_patterns")
+ORACLE_TESTS = ("tests/test_oracle.py",
+                PROPERTIES + "oracle_vc_matches_the_unpruned_loop",
+                PROPERTIES + "oracle_good_configs_match_row_scans")
+GOODCONFIG_TESTS = ("tests/test_goodconfig.py",
+                    PROPERTIES + "clause_iii_entry_matches_the_checker")
+DELTA_TESTS = ("tests/test_delta.py",
+               PROPERTIES + "pack_literals_matches_the_string_packer",
+               PROPERTIES + "pack_literals_edges")
 STRUCTURE_TESTS = ("tests/test_structure.py",
                    PROPERTIES + "matrix_check_matches_the_row_loop",
                    PROPERTIES + "type_space_and_trace_match_the_public_constructor")
@@ -78,6 +91,16 @@ MUTANTS = [
     ("literals-mask-sign-swapped", STRUCTURE,
      "mask &= masks[b] if sign else masks[b] ^ full",
      "mask &= masks[b] ^ full if sign else masks[b]", STRUCTURE_TESTS),
+    ("vc-pigeonhole-ge", ORACLE,
+     "1 << size > len(rows)", "1 << size >= len(rows)", ORACLE_TESTS),
+    ("vc-skip-best-plus-one", ORACLE,
+     "if size <= best or", "if size <= best + 1 or", ORACLE_TESTS),
+    ("verdict-key-drops-selection", ORACLE,
+     "key = (unordered, frozenset(selection))", "key = (unordered,)", ORACLE_TESTS),
+    ("clause-iii-skips-last-pair", GOODCONFIG,
+     "for j in range(k):", "for j in range(k - 1):", GOODCONFIG_TESTS),
+    ("pack-bits-reversed", DELTA,
+     "bytes(map(bool, masks))", "bytes(map(bool, masks[::-1]))", DELTA_TESTS),
 ]
 
 
