@@ -142,7 +142,7 @@ def delta_type(
     keyed in canonical order: z-tuples, then t, then s; each entry is read
     through delta_eval."""
     struct.check_parameter(c)
-    dom = struct._domain(domain)
+    dom = struct._sorted_params(domain)[0]
     n = family.arity
     _check_table_size(len(dom) ** n * 2 ** (n + 1))
     table = {(zs, t, s): delta_eval(struct, family, c, zs, t, s)
@@ -185,7 +185,7 @@ def delta_equal(
     signatures."""
     struct.check_parameter(c0)
     struct.check_parameter(c1)
-    dom = struct._domain(domain)
+    dom = struct._sorted_params(domain)[0]
     return _signature(struct, family, c0, dom) == _signature(struct, family, c1, dom)
 
 
@@ -198,7 +198,7 @@ def cached_delta_type(
     """delta_type with a per-structure memo, for external callers; structures
     are immutable so a table never goes stale.  Races at worst recompute."""
     struct.check_parameter(c)
-    dom = struct._domain(domain)
+    dom = struct._sorted_params(domain)[0]
     key = ("delta_type", family.arity, c, dom)
     hit = struct._memo.get(key)
     if hit is None:
@@ -246,8 +246,8 @@ def finitely_satisfiable_in(
     """
     _check_k(k)
     struct.check_parameter(c)
-    dom = struct._domain(domain)
-    base = struct._domain(base)
+    dom = struct._sorted_params(domain)[0]
+    base = struct._sorted_params(base)[0]
     if not base:
         return False
     pack = _signature(struct, family, c, dom, closed=True)

@@ -88,8 +88,8 @@ def find_isolating_subtype(struct: BipartiteStructure, p: PhiType) -> IsolationC
     # non-realizer of p: literal i covers the non-realizers violating it,
     # which inside `need` are the rows with the other sign in its column
     need = ((1 << struct.m) - 1) ^ struct.type_mask(p)
-    masks = struct.column_masks(p.domain)
-    excluded = [~mask if sign else mask for mask, (_, sign) in zip(masks, p.items)]
+    lits = struct._literal_pairs(p.domain)
+    excluded = [pair[1 - sign] for pair, (_, sign) in zip(lits, p.items)]
     chosen, minimal = least_or_greedy_cover(excluded, need)
     return IsolationCertificate(p, _pick(p, chosen), minimal)
 
@@ -117,7 +117,7 @@ class DefiningFormula:
         return self.struct.type_mask(self.gamma)
 
     def holds(self, b: int) -> bool:
-        return self._gamma_mask & ~self.struct.column_mask(b) == 0
+        return self._gamma_mask & self.struct.literal_mask(b, 0) == 0
 
 
 def phi_defining_formula(

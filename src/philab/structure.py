@@ -203,11 +203,11 @@ class BipartiteStructure:
                 raise UnknownParameterError(f"unknown parameter {b!r}")
         return params
 
-    def _sorted_params(self, params: Iterable[int]) -> tuple[Sequence[int], bool]:
-        """Checked parameters as a strictly increasing sequence, and True
+    def _sorted_params(self, params: Iterable[int]) -> tuple[tuple[int, ...], bool]:
+        """Checked parameters as a strictly increasing tuple, and True
         when params already are plain ints in strictly increasing order.
-        With _checked_params, _domain and _literal_pairs it is the one owner
-        of parameter checks, canonical domains and literal-mask pairs; no
+        With _checked_params and _literal_pairs it is the one owner of
+        parameter checks, canonical domains and literal-mask pairs; no
         other subject module checks or sorts a caller's list.  One pass
         tells the plain case, and params are then used as given; any other
         list (unsorted, repeated, holding a bool or an unknown parameter) is
@@ -221,14 +221,9 @@ class BipartiteStructure:
         prev, n = -1, self.n
         for b in params:
             if not (type(b) is int and prev < b < n):
-                return sorted(set(self._checked_params(params))), False
+                return tuple(sorted(set(self._checked_params(params)))), False
             prev = b
         return params, True
-
-    def _domain(self, params: Iterable[int]) -> tuple[int, ...]:
-        """_sorted_params' checked parameters as a strictly increasing
-        tuple: the canonical domain of a delta table or signature."""
-        return tuple(self._sorted_params(params)[0])
 
     def _literal_pairs(self, params: Iterable[int]) -> list[tuple[int, int]]:
         """The (sign 0, sign 1) literal masks of each of params, in order;
@@ -236,19 +231,10 @@ class BipartiteStructure:
         masks, full = self._column_masks, self._full_mask
         return [(masks[b] ^ full, masks[b]) for b in self._checked_params(params)]
 
-    def column_mask(self, b: int) -> int:
-        self.check_parameter(b)
-        return self._column_masks[b]
-
-    def column_masks(self, params: Iterable[int]) -> tuple[int, ...]:
-        """The column masks of params, in order; raises UnknownParameterError
-        before returning anything if any parameter is unknown."""
-        masks = self._column_masks
-        return tuple([masks[b] for b in self._checked_params(params)])
-
     def literal_mask(self, b: int, sign: int) -> int:
         """Bitmask of elements satisfying phi(x; b)^sign."""
-        mask = self.column_mask(b)
+        self.check_parameter(b)
+        mask = self._column_masks[b]
         return mask if sign else mask ^ self._full_mask
 
     def type_mask(self, p: PhiType) -> int:

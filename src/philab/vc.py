@@ -99,11 +99,6 @@ def _change_counts(struct: BipartiteStructure) -> tuple[list[int], list[int], in
     return changes, top, bound
 
 
-def _change_bound(struct: BipartiteStructure) -> int:
-    """The change bound U of _change_counts."""
-    return _change_counts(struct)[2]
-
-
 def independence_dimension(
     struct: BipartiteStructure, cap: int | None = None
 ) -> IndependenceReport:
@@ -126,7 +121,7 @@ def independence_dimension(
     if cap < 0:
         raise ValueError("cap must be >= 0")
 
-    cols = struct.column_masks(range(n))
+    cols = struct._column_masks
     changes, top, bound = _change_counts(struct)
     # no set beyond the bound is independent, so once one of its size is
     # found no larger one can be; at cap + 1 the search stops anyway

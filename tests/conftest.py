@@ -94,7 +94,7 @@ def reference_independence_dimension(s, cap=None):
     search with no change bound and no node guard, and the count of
     one-column extensions it tried, which the guard is checked against."""
     cap = s.n if cap is None else cap
-    cols = s.column_masks(range(s.n))
+    cols = [s.literal_mask(b, 1) for b in range(s.n)]
     firsts = [()]
     tried = 0
 

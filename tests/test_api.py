@@ -52,8 +52,9 @@ def test_no_assert_statements_in_the_package():
 
 
 def test_only_the_structure_and_the_oracle_canonicalize_parameter_lists():
-    # structure._sorted_params is the one owner of checked, sorted parameter
-    # lists; the oracle keeps its own checks so that it shares no code
+    # structure._sorted_params is the one owner of canonical domains, as
+    # _checked_params is of checked lists and _literal_pairs of their masks;
+    # the oracle keeps its own checks so that it shares no code
     sources = sorted(Path(philab.__file__).parent.rglob("*.py"))
     calls = [
         (path.name, node.lineno)

@@ -390,3 +390,24 @@ def test_python_m_philab_runs_main(capsys):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == run(capsys, *argv)[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["isolate", "--gen", "random:intervals:4:60:16", "--of", "0", "--k-sat", "1",
+     "--format", "json"],
+    ["verify", "--suite", "oracle", "--gen", "random", "--seeds", "0..4", "--format", "json"],
+], ids=["isolate", "verify"])
+def test_stdout_is_the_same_under_two_hash_seeds(argv):
+    # str hashes, and so the iteration order of sets of strs, change with
+    # PYTHONHASHSEED; stdout must not
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "philab", *argv],
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            capture_output=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] != b""

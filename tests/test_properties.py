@@ -103,7 +103,7 @@ def reference_is_phi_independent(s, params):
     cols = []
     for b in params:
         s.check_parameter(b)
-        cols.append(s.column_mask(b))
+        cols.append(s.literal_mask(b, 1))
     full = (1 << s.m) - 1
     for signs in product((1, 0), repeat=len(cols)):
         mask = full
@@ -152,7 +152,7 @@ def test_dimension_matches_sign_pattern_search(s, data):
     full = reference_dimension(s, s.n)
     assert pl.independence_dimension(s) == full
     # the change bound is sound in either row order: no independent set is larger
-    assert min(vc._change_bound(s), vc._change_bound(permuted)) >= full.id_value
+    assert min(vc._change_counts(s)[2], vc._change_counts(permuted)[2]) >= full.id_value
 
 
 @st.composite
@@ -189,7 +189,7 @@ def test_dimension_on_wide_structures_matches_sign_pattern_search(s):
         report = pl.independence_dimension(s, cap)
         assert report == reference_dimension(s, cap)
         assert report == reference_independence_dimension(s, cap)[0]
-    assert vc._change_bound(s) >= reference_dimension(s, s.n).id_value
+    assert vc._change_counts(s)[2] >= reference_dimension(s, s.n).id_value
 
 
 @given(structures(min_n=1, max_n=5), st.data())
@@ -373,6 +373,39 @@ def test_type_space_and_trace_match_the_public_constructor(s, data):
         subtype = pl.find_isolating_subtype(s, full).subtype
         assert subtype.items == pl.PhiType(subtype.items).items
         assert set(subtype.items) <= set(full.items)
+
+
+@pytest.mark.parametrize("params", [[8, 0], [9, 1, 8], [8, 0, 8], [11, 3, True, 8]])
+def test_unsorted_lists_over_wide_structures_match_the_public_constructor(params):
+    # a set of small ints iterates in sorted order only while no two collide
+    # in its table: {8, 0} iterates as 8, 0, so these lists need the sort
+    s = pl.gen_random_bounded(3, 20, 12, pl.generators.UNIONS)
+    for a in range(s.m):
+        assert outcome(lambda: s.trace(a, params)) == outcome(
+            lambda: checked_reference_trace(s, a, params))
+    assert outcome(lambda: s.type_space(params)) == outcome(
+        lambda: checked_reference_type_space(s, params))
+    base = params[::-1] + [2]
+    got = delta_calls(s, 0, 8, params, base)
+    expected = checked_reference_delta_calls(s, 0, 8, params, base)
+    for name, call in got.items():
+        assert outcome(call) == outcome(expected[name]), name
+
+
+def checked_reference_literal_pairs(s, params):
+    # each parameter checked in the order given, then its two literal masks
+    params = tuple(params)
+    for b in params:
+        s.check_parameter(b)
+    return [(s.literal_mask(b, 0), s.literal_mask(b, 1)) for b in params]
+
+
+@given(mixed_structures(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_literal_pairs_match_checked_literal_masks(s, data):
+    params = data.draw(parameter_lists(s.n))
+    assert outcome(lambda: s._literal_pairs(params)) == outcome(
+        lambda: checked_reference_literal_pairs(s, params))
 
 
 @given(mixed_structures(), st.data())

@@ -264,3 +264,16 @@ def test_column_masks_match_the_cell_by_cell_construction(case):
         return
     s = pl.BipartiteStructure(truth, base, theta)
     assert (s._column_masks, s._full_mask, s.n) == expected
+
+
+def test_literal_pairs_checks_every_parameter_first(s1):
+    # a repeated 0 is no error; 99 is named before any mask is returned
+    with pytest.raises(pl.UnknownParameterError, match="unknown parameter 99"):
+        s1._literal_pairs([0, 0, 99])
+    with pytest.raises(pl.UnknownParameterError):
+        s1._literal_pairs([1.0])
+    # a bool is an int, so True reads column 1, as literal_mask does
+    assert s1._literal_pairs([True, 0]) == [
+        (s1.literal_mask(1, 0), s1.literal_mask(1, 1)),
+        (s1.literal_mask(0, 0), s1.literal_mask(0, 1)),
+    ]

@@ -33,15 +33,6 @@ def test_unknown_parameter_raises_before_any_split(s1):
         pl.is_phi_independent(s1, [0, 0, 99])
 
 
-def test_column_masks_checks_every_parameter_first(s1):
-    with pytest.raises(pl.UnknownParameterError, match="unknown parameter 99"):
-        s1.column_masks([0, 0, 99])
-    with pytest.raises(pl.UnknownParameterError):
-        s1.column_masks([1.0])
-    # a bool is an int, so True reads column 1, as column_mask does
-    assert s1.column_masks([True, 0]) == (s1.column_mask(1), s1.column_mask(0))
-
-
 def test_single_row_dimension_zero():
     s = pl.BipartiteStructure(((0, 1, 0),), frozenset(), frozenset(range(3)))
     assert pl.independence_dimension(s).id_value == 0
@@ -229,7 +220,7 @@ def test_node_guard_trips_where_the_reference_does(monkeypatch, spec):
     # on the unions2 instances it skips some the reference enters
     s = parse_generator_spec(spec)
     report, tried = reference_independence_dimension(s)
-    assert vc._change_bound(s) > report.id_value
+    assert vc._change_counts(s)[2] > report.id_value
     monkeypatch.setattr(vc, "DIMENSION_NODE_LIMIT", tried)
     assert pl.independence_dimension(s) == report
     count = own_node_count(monkeypatch, s, tried)
@@ -253,7 +244,7 @@ def test_node_bound_keeps_the_answers_at_scale(spec, expected):
     # the answers the search gave before the node bound, at --cap full; the
     # change bound is 4 on each, so the node bound does the pruning
     s = parse_generator_spec(spec)
-    assert vc._change_bound(s) == 4
+    assert vc._change_counts(s)[2] == 4
     assert pl.independence_dimension(s, s.n) == pl.IndependenceReport(*expected, False)
 
 
@@ -263,13 +254,13 @@ def test_node_bound_keeps_the_answers_at_scale(spec, expected):
 def test_change_bound_is_tight_on_linear_and_shattered():
     for n in range(4, 21):
         s = parse_generator_spec(f"linear:{n}")
-        assert vc._change_bound(s) == pl.independence_dimension(s).id_value == 1
+        assert vc._change_counts(s)[2] == pl.independence_dimension(s).id_value == 1
         # read bottom up, every column ends on a 1, which is no change
         flipped = pl.BipartiteStructure(s.truth[::-1], s.base_set, s.theta_set)
-        assert vc._change_bound(flipped) == 1
+        assert vc._change_counts(flipped)[2] == 1
     for k in range(1, 6):
         s = pl.gen_shattered(k)
-        assert vc._change_bound(s) == pl.independence_dimension(s).id_value == k
+        assert vc._change_counts(s)[2] == pl.independence_dimension(s).id_value == k
 
 
 def test_change_bound_certifies_the_random_families(corpus):
@@ -282,4 +273,4 @@ def test_change_bound_certifies_the_random_families(corpus):
             cases.append((family, pl.gen_random_bounded(1, x, y, family)))
     assert len(cases) == 206
     for family, s in cases:
-        assert vc._change_bound(s) <= limit[family]
+        assert vc._change_counts(s)[2] <= limit[family]

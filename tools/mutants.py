@@ -1,6 +1,6 @@
-"""A standing mutant check of the dimension search, the structure layer and
-the exact skips in the oracle, the good-configuration checker and the delta
-packer.
+"""A standing mutant check of the dimension search, the structure layer, the
+exact skips in the oracle and the good-configuration checker, the delta
+packer, the isolating-subtype search and the cover kernel.
 
 Each mutant is one textual edit of a subject module: a prune made unsound,
 a comparison moved by one, a sign swapped, a check dropped.  The script
@@ -33,6 +33,8 @@ STRUCTURE = "src/philab/structure.py"
 ORACLE = "src/philab/oracle.py"
 GOODCONFIG = "src/philab/goodconfig.py"
 DELTA = "src/philab/delta.py"
+ISOLATION = "src/philab/isolation.py"
+COVER = "src/philab/cover.py"
 PROPERTIES = "tests/test_properties.py::test_"
 VC_TESTS = ("tests/test_vc.py",
             PROPERTIES + "dimension_matches_sign_pattern_search",
@@ -48,7 +50,11 @@ DELTA_TESTS = ("tests/test_delta.py",
                PROPERTIES + "pack_literals_edges")
 STRUCTURE_TESTS = ("tests/test_structure.py",
                    PROPERTIES + "matrix_check_matches_the_row_loop",
-                   PROPERTIES + "type_space_and_trace_match_the_public_constructor")
+                   PROPERTIES + "type_space_and_trace_match_the_public_constructor",
+                   PROPERTIES + "unsorted_lists_over_wide_structures_match_the_public_constructor",
+                   PROPERTIES + "literal_pairs_match_checked_literal_masks")
+ISOLATION_TESTS = ("tests/test_isolation.py",)
+COVER_TESTS = ("tests/test_cover.py",)
 
 #: (name, module, text, replacement, test arguments)
 MUTANTS = [
@@ -91,6 +97,9 @@ MUTANTS = [
     ("literals-mask-sign-swapped", STRUCTURE,
      "mask &= masks[b] if sign else masks[b] ^ full",
      "mask &= masks[b] ^ full if sign else masks[b]", STRUCTURE_TESTS),
+    ("domain-left-unsorted", STRUCTURE,
+     "tuple(sorted(set(self._checked_params(params))))",
+     "tuple(set(self._checked_params(params)))", STRUCTURE_TESTS),
     ("vc-pigeonhole-ge", ORACLE,
      "1 << size > len(rows)", "1 << size >= len(rows)", ORACLE_TESTS),
     ("vc-skip-best-plus-one", ORACLE,
@@ -101,6 +110,14 @@ MUTANTS = [
      "for j in range(k):", "for j in range(k - 1):", GOODCONFIG_TESTS),
     ("pack-bits-reversed", DELTA,
      "bytes(map(bool, masks))", "bytes(map(bool, masks[::-1]))", DELTA_TESTS),
+    ("excluded-by-own-sign", ISOLATION,
+     "pair[1 - sign]", "pair[sign]", ISOLATION_TESTS),
+    ("holds-reads-positive-literal", ISOLATION,
+     "literal_mask(b, 0) == 0", "literal_mask(b, 1) == 0", ISOLATION_TESTS),
+    ("cover-keeps-last-index", COVER,
+     "least.setdefault(mask & need, i)", "least[mask & need] = i", COVER_TESTS),
+    ("cover-limit-ge", COVER,
+     "tried > DEFAULT_COVER_LIMIT", "tried >= DEFAULT_COVER_LIMIT", COVER_TESTS),
 ]
 
 
