@@ -263,14 +263,13 @@ def psi_disjunction(
     (smallest, then lexicographically least by class index; an
     inclusion-minimal subfamily past DEFAULT_COVER_LIMIT candidates)."""
     p_c = extend_type(config.base_type, config)
-    if not struct.is_consistent(p_c):
-        raise PreconditionError("extended type must be consistent")
-    # the first realizer of each full-trace class, keyed on its truth row
-    reps: dict[tuple[int, ...], int] = {}
-    for a in struct.realizers(p_c):
-        reps.setdefault(struct.truth[a], a)
-    gammas = [gamma_certificate(struct, a, config) for a in reps.values()]
     target_mask = struct.type_mask(p_c)
+    if not target_mask:
+        raise PreconditionError("extended type must be consistent")
+    # the first realizer of each full-trace class: realizing p_c depends on
+    # the row alone, so these are the first occurrences of the realizers' rows
+    reps = [a for a in struct._distinct_rows() if target_mask >> a & 1]
+    gammas = [gamma_certificate(struct, a, config) for a in reps]
     masks = [struct.type_mask(g) for g in gammas]
     if any(mask & ~target_mask for mask in masks):
         raise InvariantError("gamma realizers leak outside the type")

@@ -11,7 +11,8 @@ read as bitmasks over Y, project onto it in 2^size distinct sign patterns
 (t, s) patterns the rows realize (not the delta module's tables or
 signatures), read by zipping the columns of the distinct rows, transposed
 once per public call.  A repeated row adds no pattern, so reading distinct
-rows only changes no answer.  Guards are hard errors, never silent
+rows only changes no answer; rows are told apart by the truth of each
+entry, as the row sets read it.  Guards are hard errors, never silent
 truncation, and an unknown parameter is an error, never a negative index.
 These back every derived expected value and the differential acceptance
 suite.
@@ -37,6 +38,9 @@ GOODCONFIG_MAX_K_LIMIT = 3
 FINSAT_ENTRY_LIMIT = 12
 FINSAT_K_LIMIT = 4
 
+#: turns a row's bytes 0 and 1 into the text "0" and "1"
+_BITS_TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+
 
 def _check_parameters(struct: BipartiteStructure, params) -> None:
     for b in params:
@@ -55,10 +59,22 @@ def _row_sets(struct: BipartiteStructure, params) -> dict[int, tuple[frozenset, 
     return out
 
 
+def _distinct_rows(struct: BipartiteStructure) -> list[bytes]:
+    """The matrix's distinct rows as bytes of 0s and 1s, in first-seen
+    order; a repeated row realizes no new pattern.  Raw rows are not keys:
+    an entry may equal 0 and still be true, or be unhashable.  A matrix of
+    ints and bools is read in C; any other is read entry by entry, by truth
+    value as _row_sets reads it."""
+    try:
+        rows = list(map(bytes, struct.truth))
+    except TypeError:  # floats and other entries equal to 0 or 1
+        rows = [bytes(map(bool, row)) for row in struct.truth]
+    return list(dict.fromkeys(rows))
+
+
 def _distinct_columns(struct: BipartiteStructure) -> tuple:
-    """columns[b]: column b of the matrix's distinct rows, in first-seen
-    order; a repeated row realizes no new pattern."""
-    return tuple(zip(*dict.fromkeys(struct.truth)))
+    """columns[b]: column b of the matrix's distinct rows."""
+    return tuple(zip(*_distinct_rows(struct)))
 
 
 def _rows_satisfying(struct: BipartiteStructure, rows, literals) -> frozenset:
@@ -81,8 +97,9 @@ def oracle_vc(struct: BipartiteStructure) -> int:
     n = struct.n
     if n > VC_Y_LIMIT:
         raise ResourceLimitError(f"oracle_vc guard: |Y| = {n} > {VC_Y_LIMIT}")
-    rows = {sum(1 << b for b, value in enumerate(row) if value)
-            for row in dict.fromkeys(struct.truth)}
+    # a row read from its last column back is its mask's binary numeral
+    rows = {int(b"0" + row[::-1].translate(_BITS_TO_TEXT), 2)
+            for row in _distinct_rows(struct)}
     best = 0
     for subset in range(1, 1 << n):
         size = subset.bit_count()

@@ -138,8 +138,8 @@ class BipartiteStructure:
     theta_set: frozenset[int]
     meta: Optional[Mapping] = field(default=None, compare=False, repr=False, hash=False)
     #: per-structure memo of derived values (dimension, delta signatures,
-    #: closed packs, literal columns); sound because the structure is
-    #: immutable
+    #: closed packs, literal columns, distinct rows); sound because the
+    #: structure is immutable
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -283,8 +283,8 @@ class BipartiteStructure:
         if not params:
             return (EMPTY_TYPE,)  # X is nonempty
         if plain:
-            # rows keyed by their literals on params, which are each type's
-            # items as they stand; dicts keep first-seen order
+            # distinct rows keyed by their literals on params, which are each
+            # type's items as they stand; dicts keep first-seen order
             items = dict.fromkeys(zip(*self._literal_columns(params)))
         else:
             # pair each parameter as passed (so True stays True) with the
@@ -302,22 +302,40 @@ class BipartiteStructure:
         return tuple(out)
 
     def _literal_columns(self, params: Sequence[int]) -> list[tuple[tuple[int, int], ...]]:
-        """The columns params (checked plain ints) as tuples of m literals
-        (b, sign), each memoized the first time a type space reads it: its
-        entries are references to two shared pairs, and no other column is
-        built."""
+        """The columns params (checked plain ints) as tuples of literals
+        (b, sign), one per distinct row, each memoized the first time a type
+        space reads it: its entries are references to two shared pairs, and
+        no other column is built.  Grouping these rows gives the type space
+        in first-realizer order, since the first row with a given projection
+        is the first occurrence of its whole row."""
         table = self._memo.get("literal_columns")
         if table is None:
             table = self._memo["literal_columns"] = [None] * self.n
+        rows = self._distinct_rows()
         out = []
         for b in params:
             column = table[b]
             if column is None:
                 column = table[b] = tuple(
-                    map(((b, 0), (b, 1)).__getitem__, self._columns[b])
+                    map(((b, 0), (b, 1)).__getitem__, map(self._columns[b].__getitem__, rows))
                 )
             out.append(column)
         return out
+
+    def _distinct_rows(self) -> tuple[int, ...]:
+        """The first index of each distinct row, in increasing order,
+        memoized.  Rows are keyed on their 0/1 values as _columns holds
+        them, never on raw truth rows: an entry equal to 0 but truthy is a
+        1 there, and raw equality would merge its row with a row of 0s.
+        Row i is the slice [i::m] of the columns joined end to end."""
+        rows = self._memo.get("distinct_rows")
+        if rows is None:
+            m, flat = self.m, b"".join(self._columns)
+            firsts: dict[bytes, int] = {}
+            for i in range(m):
+                firsts.setdefault(flat[i::m], i)
+            rows = self._memo["distinct_rows"] = tuple(firsts.values())
+        return rows
 
     def entails(self, p0: PhiType, p: PhiType) -> bool:
         """Structure-relative entailment: every realizer of p0 realizes p."""

@@ -132,13 +132,14 @@ def defining_suite(structures: Iterable[Named]) -> dict:
     set.  embed_trace checks its row and raises InvariantError on a
     disagreement, which becomes a counterexample naming the element and the
     error; rows with one base trace share the formula, so it runs once per
-    distinct trace, on the trace's first row."""
+    distinct trace, on the trace's first row, which is the first occurrence
+    of its whole row."""
     failures = []
     rows_checked = 0
     for name, struct in structures:
         base = struct.base_members()
         firsts: dict[PhiType, int] = {}
-        for a in range(struct.m):
+        for a in struct._distinct_rows():
             firsts.setdefault(struct.trace(a, base), a)
         for a in firsts.values():
             try:

@@ -67,6 +67,39 @@ def corpus():
     return build_corpus()
 
 
+# -- entries the matrix check accepts that are not the ints 0 and 1 ---------
+
+
+class EqualsZero:
+    """Unhashable, equal to 0 and truthy: accepted, and sets its bit."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        return other == 0
+
+
+class TruthyZero:
+    """Hashable, equal to 0 and truthy: accepted, and sets its bit, but a
+    row holding it equals, as a tuple, the row with 0 in its place."""
+
+    def __eq__(self, other):
+        return other == 0
+
+    def __hash__(self):
+        return hash(0)
+
+
+def row_bits(row):
+    """A matrix row as the 0/1 ints the structure reads it as."""
+    return tuple(1 if v else 0 for v in row)
+
+
+def as_bits(s):
+    """The structure over the 0/1 ints that s holds."""
+    return pl.BipartiteStructure(tuple(map(row_bits, s.truth)), s.base_set, s.theta_set)
+
+
 def reference_finitely_satisfiable(s, family, c, domain, base, k=ALL):
     """Finite satisfiability on full dict tables: one disagreement set per
     table entry, and k holds iff no cover of the base by at most k of them

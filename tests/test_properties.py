@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import philab as pl
-from philab import cover, vc
+from philab import cover, suites, vc
 from philab.delta import ALL, DeltaFamily, _pack_literals, cached_delta_type
 from philab.goodconfig import GoodConfiguration, _check_clause_iii, extend_type
 from philab.isolation import q_harness
@@ -24,6 +24,8 @@ from philab.oracle import (
 )
 
 from conftest import (
+    EqualsZero,
+    TruthyZero,
     reference_check_q_realizer,
     reference_clauses_hold,
     reference_finitely_satisfiable,
@@ -36,6 +38,7 @@ from conftest import (
     reference_oracle_vc_unpruned,
     reference_pack_literals,
     reference_q_harness,
+    row_bits,
 )
 
 
@@ -471,6 +474,94 @@ def test_type_space_keeps_true_and_one_apart_across_calls(first, second):
     s = pl.BipartiteStructure(((0, True, 1.0), (1, False, 0.0), (True, 1, 0)),
                               frozenset(), frozenset())
     assert_type_spaces_match_fresh_scans(s, [("list", first), ("list", second)])
+
+
+# -- distinct rows against row scans over all m rows ------------------------
+
+
+#: entries read as 1 and as 0 other than the ints themselves
+ODD_ONES = (True, 1.0, TruthyZero(), EqualsZero())
+ODD_ZEROS = (False, 0.0)
+
+
+@st.composite
+def pooled_structures(draw, max_m=12, max_n=5):
+    """Rows drawn from a pool of at most four, so repeats are common; now
+    and then an entry is written as an odd 0 or 1 (a truthy entry equal to
+    0 among them, hashable or not) and a row is a list."""
+    n = draw(st.integers(0, max_n))
+    pool = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                         min_size=1, max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(1, max_m))):
+        row = list(draw(st.sampled_from(pool)))
+        for b in range(n):
+            if draw(st.integers(0, 4)) == 0:
+                row[b] = draw(st.sampled_from(ODD_ONES if row[b] else ODD_ZEROS))
+        rows.append(row if draw(st.booleans()) else tuple(row))
+    theta = frozenset(b for b in range(n) if draw(st.booleans()))
+    base = frozenset(b for b in theta if draw(st.booleans()))
+    return pl.BipartiteStructure(tuple(rows), base, theta)
+
+
+def scanned_first_rows(s, columns=None):
+    # the first index of each distinct 0/1 row, or of each of its
+    # projections onto columns, over all m rows
+    firsts = {}
+    for a, row in enumerate(s.truth):
+        bits = row_bits(row)
+        firsts.setdefault(bits if columns is None else tuple(bits[b] for b in columns), a)
+    return tuple(firsts.values())
+
+
+def scanned_type_space(s, params):
+    # every row's literals on the checked params, in first-seen order
+    params = tuple(params)
+    for b in params:
+        s.check_parameter(b)
+    rows = dict.fromkeys(tuple(row_bits(row)[b] for b in params) for row in s.truth)
+    return tuple(pl.PhiType(zip(params, values)) for values in rows)
+
+
+def scanned_psi_disjunction(s, config):
+    # one gamma per distinct 0/1 row among the realizers, then the cover
+    p_c = extend_type(config.base_type, config)
+    reps = {}
+    for a in s.realizers(p_c):
+        reps.setdefault(row_bits(s.truth[a]), a)
+    gammas = [pl.gamma_certificate(s, a, config) for a in reps.values()]
+    masks = [s.type_mask(g) for g in gammas]
+    chosen, _ = cover.least_or_greedy_cover(masks, s.type_mask(p_c))
+    return tuple(gammas[i] for i in chosen)
+
+
+@given(pooled_structures(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_distinct_rows_and_type_spaces_match_row_scans(s, data):
+    assert s._distinct_rows() == scanned_first_rows(s)
+    known = st.sampled_from(range(s.n)) if s.n else st.nothing()
+    plain = st.sets(known, max_size=5).map(sorted) if s.n else st.just([])
+    # unsorted, repeated or holding True: the route that reads every row
+    other = st.lists(st.one_of(known, st.just(True)), max_size=5) if s.n > 1 else plain
+    for params in (data.draw(plain), data.draw(other), range(s.n)):
+        assert outcome(lambda: s.type_space(params)) == outcome(
+            lambda: scanned_type_space(s, params))
+
+
+@given(pooled_structures(max_m=10, max_n=4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_defining_and_psi_match_references_over_distinct_rows(s, data):
+    base = s.base_members()
+    with mock.patch.object(suites, "embed_trace", wraps=suites.embed_trace) as embed:
+        report = suites.defining_suite([("pooled", s)])
+    assert report == {"suite": "defining", "rows_checked": s.m, "ok": True,
+                      "counterexamples": []}
+    # embed_trace runs once per base trace, on the first row that has it
+    assert tuple(call.args[1] for call in embed.call_args_list) == scanned_first_rows(s, base)
+    a = data.draw(st.integers(0, s.m - 1))
+    p = s.trace(a, [b for b in base if data.draw(st.booleans())])
+    for config in (GoodConfiguration((), p), pl.build_maximal(s, p, "greedy", 1)):
+        assert pl.psi_disjunction(s, config) == scanned_psi_disjunction(s, config)
 
 
 @given(structures(max_n=4), st.integers(0, 2))

@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import philab as pl
+from philab.goodconfig import GoodConfiguration
+from philab.oracle import oracle_all_good_configs, oracle_vc
 from philab.structure import serialize_structure
 
-from conftest import S1_TEXT
+from conftest import S1_TEXT, EqualsZero, TruthyZero, as_bits
 
 
 class TestParsing:
@@ -195,7 +197,9 @@ class TestCoreOps:
         s.type_space([5, True])  # a bool parameter is read unmemoized
         table = s._memo["literal_columns"]
         assert [b for b, column in enumerate(table) if column is not None] == [0, 1]
-        assert len(table[0]) == len(table[1]) == 400
+        # one literal per distinct row: 190 of the 400 rows
+        assert len(s._distinct_rows()) == 190
+        assert len(table[0]) == len(table[1]) == 190
 
 
 def masks_by_cell(truth, base_set, theta_set):
@@ -222,17 +226,51 @@ def masks_by_cell(truth, base_set, theta_set):
     return tuple(masks), (1 << len(truth)) - 1, width
 
 
-class EqualsZero:
-    """Unhashable, equal to 0 and truthy: accepted, and sets its bit."""
-
-    __hash__ = None
-
-    def __eq__(self, other):
-        return other == 0
-
-
 ENTRIES = [0, 1, True, False, 0.0, 1.0, 2, -1, 0.5, None, "1", float("nan"), [0],
            EqualsZero()]
+
+
+#: two small matrices whose rows 0 and 1 differ only at the odd entry, read
+#: as 1; keyed on raw rows, the two rows merge or the key raises TypeError
+ODD_MATRICES = {
+    "two-rows": lambda odd: pl.BipartiteStructure(((0, 1), (odd(), 1)), {0}, {0, 1}),
+    "three-rows": lambda odd: pl.BipartiteStructure(
+        ((0, 0, 1), [odd(), 0, 1], (1, 1, 1)), frozenset(), frozenset({0, 1, 2})),
+}
+
+
+@pytest.mark.parametrize("make", ODD_MATRICES.values(), ids=ODD_MATRICES)
+@pytest.mark.parametrize("odd", [TruthyZero, EqualsZero])
+class TestOddEntries:
+    """Every answer is the one for the 0/1 matrix the structure holds."""
+
+    def test_type_space(self, odd, make):
+        s = make(odd)
+        assert s._distinct_rows() == tuple(range(s.m))
+        for params in ((0, 1), [1, 0, True]):
+            space = s.type_space(params)
+            assert space == as_bits(s).type_space(params)
+            assert space[:2] == (pl.PhiType({0: 0, 1: s.truth[0][1]}),
+                                 pl.PhiType({0: 1, 1: s.truth[0][1]}))
+
+    def test_psi_disjunction(self, odd, make):
+        s = make(odd)
+        config = GoodConfiguration((), pl.EMPTY_TYPE)
+        disjuncts = pl.psi_disjunction(s, config)
+        assert disjuncts == pl.psi_disjunction(as_bits(s), config)
+        assert set().union(*map(s.realizers, disjuncts)) == set(range(s.m))
+
+    def test_oracle_vc(self, odd, make):
+        s = make(odd)
+        assert oracle_vc(s) == pl.independence_dimension(s).id_value == 1
+
+    def test_oracle_all_good_configs(self, odd, make):
+        s = make(odd)
+        configs = oracle_all_good_configs(s, pl.EMPTY_TYPE, 2)
+        assert configs == oracle_all_good_configs(as_bits(s), pl.EMPTY_TYPE, 2)
+        if s.n == 3:
+            # merged rows lose a pattern and let ((1, 0), (1, 0)) through
+            assert configs == [(), ((0, 2),), ((1, 0),), ((1, 2),)]
 
 
 @st.composite

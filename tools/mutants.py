@@ -52,7 +52,9 @@ STRUCTURE_TESTS = ("tests/test_structure.py",
                    PROPERTIES + "matrix_check_matches_the_row_loop",
                    PROPERTIES + "type_space_and_trace_match_the_public_constructor",
                    PROPERTIES + "unsorted_lists_over_wide_structures_match_the_public_constructor",
-                   PROPERTIES + "literal_pairs_match_checked_literal_masks")
+                   PROPERTIES + "literal_pairs_match_checked_literal_masks",
+                   PROPERTIES + "distinct_rows_and_type_spaces_match_row_scans",
+                   PROPERTIES + "defining_and_psi_match_references_over_distinct_rows")
 ISOLATION_TESTS = ("tests/test_isolation.py",)
 COVER_TESTS = ("tests/test_cover.py",)
 
@@ -100,12 +102,21 @@ MUTANTS = [
     ("domain-left-unsorted", STRUCTURE,
      "tuple(sorted(set(self._checked_params(params))))",
      "tuple(set(self._checked_params(params)))", STRUCTURE_TESTS),
+    ("distinct-rows-keep-last", STRUCTURE,
+     "firsts.setdefault(flat[i::m], i)", "firsts[flat[i::m]] = i", STRUCTURE_TESTS),
+    ("distinct-rows-keyed-on-truth", STRUCTURE,
+     "firsts.setdefault(flat[i::m], i)", "firsts.setdefault(tuple(self.truth[i]), i)",
+     STRUCTURE_TESTS),
+    ("distinct-rows-read-across", STRUCTURE,
+     "flat[i::m]", "flat[i:i + m]", STRUCTURE_TESTS),
     ("vc-pigeonhole-ge", ORACLE,
      "1 << size > len(rows)", "1 << size >= len(rows)", ORACLE_TESTS),
     ("vc-skip-best-plus-one", ORACLE,
      "if size <= best or", "if size <= best + 1 or", ORACLE_TESTS),
     ("verdict-key-drops-selection", ORACLE,
      "key = (unordered, frozenset(selection))", "key = (unordered,)", ORACLE_TESTS),
+    ("oracle-rows-keyed-on-raw-values", ORACLE,
+     "bytes(map(bool, row))", "tuple(row)", ORACLE_TESTS + ("tests/test_structure.py",)),
     ("clause-iii-skips-last-pair", GOODCONFIG,
      "for j in range(k):", "for j in range(k - 1):", GOODCONFIG_TESTS),
     ("pack-bits-reversed", DELTA,
