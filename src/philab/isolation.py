@@ -291,7 +291,7 @@ def embed_trace(
     result = isolated_extension(struct, p, k_sat)
     formula = phi_defining_formula(struct, result.certificate)
     for b in struct.base_members():
-        if formula.holds(b) != bool(struct.truth[a][b]):
+        if formula.holds(b) != struct.truth[a][b]:
             raise InvariantError("defining formula disagrees with the row on the base set")
     return formula, result
 

@@ -1,21 +1,20 @@
 """Independent brute-force reference implementations.
 
 Everything here re-derives its answers straight from the definitions by
-exhaustive enumeration over the raw truth matrix, deliberately sharing no
-code with the subject modules.  Each question reads the matrix once per
-public call, and builds nothing it keeps on the structure: realizer sets
-are intersections of per-column row sets (not bitmasks), built for the
-columns the call reads; a subset is independent when the distinct rows,
-read as bitmasks over Y, project onto it in 2^size distinct sign patterns
-(not cell splitting); and a delta question about (c, zs) is one set of the
-(t, s) patterns the rows realize (not the delta module's tables or
-signatures), read by zipping the columns of the distinct rows, transposed
-once per public call.  A repeated row adds no pattern, so reading distinct
-rows only changes no answer; rows are told apart by the truth of each
-entry, as the row sets read it.  Guards are hard errors, never silent
-truncation, and an unknown parameter is an error, never a negative index.
-These back every derived expected value and the differential acceptance
-suite.
+exhaustive enumeration over the truth matrix (never the structure's columns
+or masks), deliberately sharing no code with the subject modules.  Each
+question reads the matrix once per public call, and builds nothing it keeps
+on the structure: realizer sets are intersections of per-column row sets
+(not bitmasks), built for the columns the call reads; a subset is
+independent when the distinct rows, read as bitmasks over Y, project onto
+it in 2^size distinct sign patterns (not cell splitting); and a delta
+question about (c, zs) is one set of the (t, s) patterns the rows realize
+(not the delta module's tables or signatures), read by zipping the columns
+of the distinct rows, transposed once per public call.  A repeated row adds
+no pattern, so reading distinct rows only changes no answer.  Guards are
+hard errors, never silent truncation, and an unknown parameter is an error,
+never a negative index.  These back every derived expected value and the
+differential acceptance suite.
 
 The good-configuration enumeration skips only lists that cannot pass: every
 sub-list of a good configuration, in any order, is good (each clause only
@@ -61,15 +60,8 @@ def _row_sets(struct: BipartiteStructure, params) -> dict[int, tuple[frozenset, 
 
 def _distinct_rows(struct: BipartiteStructure) -> list[bytes]:
     """The matrix's distinct rows as bytes of 0s and 1s, in first-seen
-    order; a repeated row realizes no new pattern.  Raw rows are not keys:
-    an entry may equal 0 and still be true, or be unhashable.  A matrix of
-    ints and bools is read in C; any other is read entry by entry, by truth
-    value as _row_sets reads it."""
-    try:
-        rows = list(map(bytes, struct.truth))
-    except TypeError:  # floats and other entries equal to 0 or 1
-        rows = [bytes(map(bool, row)) for row in struct.truth]
-    return list(dict.fromkeys(rows))
+    order; a repeated row realizes no new pattern."""
+    return list(dict.fromkeys(map(bytes, struct.truth)))
 
 
 def _distinct_columns(struct: BipartiteStructure) -> tuple:

@@ -101,16 +101,8 @@ EMPTY_TYPE = PhiType()
 
 
 _BOOLEANS = frozenset((0, 1))
-#: turns a column's bytes 0 and 1 into the text "0" and "1"
+#: turns the bytes 0 and 1 into the text "0" and "1"
 _BITS_TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _column_bits(column: tuple) -> bytes:
-    """A checked column's entries as the bytes 0 and 1."""
-    try:
-        return bytes(column)  # int and bool entries, read in C
-    except TypeError:  # floats and other entries equal to 0 or 1
-        return bytes([1 if v else 0 for v in column])
 
 
 def _is_boolean_row(row) -> bool:
@@ -129,6 +121,8 @@ class BipartiteStructure:
 
     Invariants enforced at construction: the matrix is total, X is nonempty
     (so the empty type is consistent), and base_set <= theta_set <= Y.
+    After construction truth is a tuple of n-tuples of 0/1 ints (bools
+    included), so equal structures give equal answers.
     Rows and columns are identified by 0-based indices; results with set
     semantics are returned in declared index order for reproducibility.
     """
@@ -147,24 +141,29 @@ class BipartiteStructure:
         if not truth:
             raise ValueError("X must be nonempty")
         width = len(truth[0])
-        # _columns[b][i] is truth[i][b] as the int 0 or 1, whatever 0/1-valued
-        # type the matrix holds; every row has `width` entries by then, so zip
-        # truncates nothing.  Bit i of _column_masks[b] is the same entry: a
-        # column read from its last row up is the mask's binary numeral.
-        try:  # read in C when the rows have one length and hold ints or bools
-            one_length = len(set(map(len, truth))) == 1
-            columns = tuple(map(bytes, zip(*truth))) if one_length else None
-        except (TypeError, ValueError):  # a row with no length, or an entry bytes() refuses
+        # This is the one place that reads a raw entry.  A tuple of tuples of
+        # one length, holding ints or bools equal to 0 or 1, is kept as it
+        # is; any other accepted matrix is rebuilt as tuples of the ints 0
+        # and 1, each entry read by its truth value.  _columns[b][i] is then
+        # truth[i][b] as a byte, and bit i of _column_masks[b] is the same
+        # entry: a column read from its last row up is the mask's numeral.
+        try:  # read in C when the rows are tuples of one length
+            plain = type(truth) is tuple and set(map(type, truth)) == {tuple}
+            columns = tuple(map(bytes, zip(*truth, strict=True))) if plain else None
+        except (TypeError, ValueError):  # unequal lengths, or an entry bytes() refuses
             columns = None
         if columns is None or b"".join(columns).translate(None, b"\x00\x01"):
             # the row loop names the first bad row; a matrix that passes it
-            # holds entries equal to 0 or 1 that bytes() refuses, as 1.0 does
+            # holds list rows, or entries equal to 0 or 1 that bytes()
+            # refuses, as 1.0 does
             for i, row in enumerate(truth):
                 if len(row) != width:
                     raise ValueError(f"row {i} has length {len(row)}, expected {width}")
                 if not _is_boolean_row(row):
                     raise ValueError(f"row {i} contains non-boolean entries")
-            columns = tuple(map(_column_bits, zip(*truth)))
+            truth = tuple(tuple([1 if v else 0 for v in row]) for row in truth)
+            object.__setattr__(self, "truth", truth)
+            columns = tuple(map(bytes, zip(*truth)))
         if not self.base_set <= self.theta_set:
             raise ValueError("base_set must be contained in theta_set")
         if self.theta_set and not self.theta_set <= set(range(width)):
@@ -324,10 +323,9 @@ class BipartiteStructure:
 
     def _distinct_rows(self) -> tuple[int, ...]:
         """The first index of each distinct row, in increasing order,
-        memoized.  Rows are keyed on their 0/1 values as _columns holds
-        them, never on raw truth rows: an entry equal to 0 but truthy is a
-        1 there, and raw equality would merge its row with a row of 0s.
-        Row i is the slice [i::m] of the columns joined end to end."""
+        memoized.  Rows are keyed on bytes, row i being the slice [i::m]
+        of the columns joined end to end, which hashes faster than the
+        tuple rows of truth on wide matrices."""
         rows = self._memo.get("distinct_rows")
         if rows is None:
             m, flat = self.m, b"".join(self._columns)
@@ -453,6 +451,6 @@ def serialize_structure(struct: BipartiteStructure) -> str:
         t = " ".join(str(i) for i in struct.theta_members())
         lines.append(f"THETA {t}".rstrip())
     lines.append("MATRIX")
-    for row in struct.truth:
-        lines.append("".join(str(v) for v in row))
+    # every entry is 0 or 1 as an int or a bool, so bytes() reads it
+    lines.extend(bytes(row).translate(_BITS_TO_TEXT).decode() for row in struct.truth)
     return "\n".join(lines) + "\n"

@@ -95,11 +95,6 @@ def row_bits(row):
     return tuple(1 if v else 0 for v in row)
 
 
-def as_bits(s):
-    """The structure over the 0/1 ints that s holds."""
-    return pl.BipartiteStructure(tuple(map(row_bits, s.truth)), s.base_set, s.theta_set)
-
-
 def reference_finitely_satisfiable(s, family, c, domain, base, k=ALL):
     """Finite satisfiability on full dict tables: one disagreement set per
     table entry, and k holds iff no cover of the base by at most k of them

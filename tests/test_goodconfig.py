@@ -194,6 +194,22 @@ class TestBuildMaximal:
             )
             assert subject == oracle
 
+    def test_greedy_at_finite_k_is_in_the_oracle_enumeration(self, corpus):
+        # every configuration the greedy search builds at k = 1, 2, 3, for
+        # the empty type and each base trace of the 20x6 random corpus, is a
+        # good list the oracle enumerates; a few take a step, so it bites
+        checks = steps = 0
+        for name, s in corpus[:200]:
+            assert name.split(":")[0] in (pl.generators.INTERVALS, pl.generators.UNIONS)
+            for p in (pl.EMPTY_TYPE, *s.type_space(s.base_members())):
+                for k in (1, 2, 3):
+                    config = pl.build_maximal(s, p, "greedy", k)
+                    good = pl.oracle_all_good_configs(s, p, max(config.size, 1))
+                    assert config.pairs in good, (name, p, k)
+                    checks += 1
+                    steps += config.size > 0
+        assert (checks, steps) == (3570, 12)
+
     def test_exhaustive_guard(self):
         s = pl.gen_linear_order(13, [0])
         with pytest.raises(pl.ResourceLimitError):

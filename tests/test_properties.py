@@ -222,8 +222,11 @@ def test_type_space_is_a_row_trace_scan(s, data):
 @st.composite
 def odd_matrices(draw, max_m=8, max_n=5):
     """0/1 matrices of ints, with a wrong row length and entries 2, -1, 0.5,
-    1.0, True and None put in at random rows now and then."""
+    1.0, True and None put in at random rows now and then; every row is a
+    tuple in half the matrices, and each row is a tuple or a list at random
+    in the rest."""
     m, n = draw(st.integers(1, max_m)), draw(st.integers(0, max_n))
+    as_tuple = st.just(True) if draw(st.booleans()) else st.booleans()
     rows = [[draw(st.integers(0, 1)) for _ in range(n)] for _ in range(m)]
     for _ in range(draw(st.integers(0, 3))):
         row = rows[draw(st.integers(0, m - 1))]
@@ -235,7 +238,7 @@ def odd_matrices(draw, max_m=8, max_n=5):
         else:
             row[draw(st.integers(0, len(row) - 1))] = draw(
                 st.sampled_from([2, -1, 0.5, 1.0, True, None]))
-    return tuple(tuple(row) if draw(st.booleans()) else row for row in rows)
+    return tuple(tuple(row) if draw(as_tuple) else row for row in rows)
 
 
 @given(odd_matrices())
@@ -485,10 +488,11 @@ ODD_ZEROS = (False, 0.0)
 
 
 @st.composite
-def pooled_structures(draw, max_m=12, max_n=5):
-    """Rows drawn from a pool of at most four, so repeats are common; now
-    and then an entry is written as an odd 0 or 1 (a truthy entry equal to
-    0 among them, hashable or not) and a row is a list."""
+def pooled_matrices(draw, max_m=12, max_n=5):
+    """(rows, base, theta), the rows drawn from a pool of at most four, so
+    repeats are common; now and then an entry is written as an odd 0 or 1
+    (a truthy entry equal to 0 among them, hashable or not) and a row is a
+    list."""
     n = draw(st.integers(0, max_n))
     pool = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
                          min_size=1, max_size=4))
@@ -501,7 +505,56 @@ def pooled_structures(draw, max_m=12, max_n=5):
         rows.append(row if draw(st.booleans()) else tuple(row))
     theta = frozenset(b for b in range(n) if draw(st.booleans()))
     base = frozenset(b for b in theta if draw(st.booleans()))
-    return pl.BipartiteStructure(tuple(rows), base, theta)
+    return tuple(rows), base, theta
+
+
+def pooled_structures(**sizes):
+    return pooled_matrices(**sizes).map(lambda case: pl.BipartiteStructure(*case))
+
+
+def accepted_structures():
+    """(raw rows, structure) for every matrix of odd_matrices (over an empty
+    base and theta) and pooled_matrices that the constructor accepts."""
+    def build(case):
+        try:
+            return case[0], pl.BipartiteStructure(*case)
+        except ValueError:
+            return None
+
+    cases = st.one_of(odd_matrices().map(lambda rows: (rows, frozenset(), frozenset())),
+                      pooled_matrices())
+    return cases.map(build).filter(bool)
+
+
+@given(accepted_structures())
+@settings(max_examples=300, deadline=None)
+def test_truth_holds_tuples_of_0_1_ints(case):
+    rows, s = case
+    assert type(s.truth) is tuple and s.truth == tuple(map(row_bits, rows))
+    for row in s.truth:
+        assert type(row) is tuple and len(row) == s.n
+        assert all(isinstance(v, int) and v in (0, 1) for v in row)
+
+
+@given(accepted_structures())
+@settings(max_examples=300, deadline=None)
+def test_serialize_round_trips_every_accepted_matrix(case):
+    _, s = case
+    back = pl.parse_structure(pl.serialize_structure(s))
+    assert back == s and back._column_masks == s._column_masks
+
+
+@given(pooled_structures())
+@settings(max_examples=50, deadline=None)
+def test_a_defining_counterexample_parses_back_to_its_structure(s):
+    # every embed_trace call fails, so each distinct base trace gives a
+    # counterexample carrying the structure's text
+    failing = mock.patch.object(suites, "embed_trace", side_effect=pl.InvariantError("forced"))
+    with failing:
+        report = suites.defining_suite([("pooled", s)])
+    assert not report["ok"] and report["counterexamples"]
+    for counterexample in report["counterexamples"]:
+        assert pl.parse_structure(counterexample["structure"]) == s
 
 
 def scanned_first_rows(s, columns=None):

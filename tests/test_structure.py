@@ -6,7 +6,7 @@ from philab.goodconfig import GoodConfiguration
 from philab.oracle import oracle_all_good_configs, oracle_vc
 from philab.structure import serialize_structure
 
-from conftest import S1_TEXT, EqualsZero, TruthyZero, as_bits
+from conftest import S1_TEXT, EqualsZero, TruthyZero
 
 
 class TestParsing:
@@ -146,6 +146,38 @@ class TestCoreOps:
             assert p == expected and p.items == ((0, 1), (1, 0))
             assert [type(sign) for _, sign in p.items] == [int, int]
 
+    @pytest.mark.parametrize("truth", [((True, 0.0), (0, 1)), ((True, False), (0, True))])
+    def test_odd_entries_serialize_as_0_and_1(self, truth):
+        s = pl.BipartiteStructure(truth, frozenset(), frozenset())
+        text = serialize_structure(s)
+        assert text.endswith("MATRIX\n10\n01\n")
+        assert pl.parse_structure(text) == s
+
+    def test_a_truthy_zero_differs_from_its_zero_twin(self):
+        def make(v):
+            return pl.BipartiteStructure(((v, 0), (0, 1)), frozenset(), frozenset({0, 1}))
+
+        odd, zero, one = make(TruthyZero()), make(0), make(1)
+        assert odd != zero and hash(odd) != hash(zero)
+        assert odd == one and hash(odd) == hash(one)
+        assert odd.type_space([0]) == one.type_space([0]) != zero.type_space([0])
+
+    def test_list_rows_are_copied_at_construction(self):
+        rows = [[0, 1], [1, 1], [1, 0]]
+        s = pl.BipartiteStructure(rows, frozenset({0}), frozenset({0, 1}))
+        assert s.truth == ((0, 1), (1, 1), (1, 0)) and type(s.truth[0]) is tuple
+        assert hash(s) == hash(pl.BipartiteStructure(s.truth, s.base_set, s.theta_set))
+
+        def answers():
+            return (s.truth, s.type_space([0, 1]), s.trace(0, [0, 1]), oracle_vc(s),
+                    oracle_all_good_configs(s, pl.EMPTY_TYPE, 1), serialize_structure(s))
+
+        before = answers()
+        rows[0][0] = 1
+        rows[1][:] = [0, 0]
+        rows.append([0, 0])
+        assert answers() == before
+
     def test_entails(self, s1, s2):
         assert s2.entails(pl.PhiType({0: 1}), s2.trace(0, range(4)))
         assert not s1.entails(pl.PhiType({0: 1}), pl.PhiType({0: 1, 1: 1}))
@@ -230,44 +262,51 @@ ENTRIES = [0, 1, True, False, 0.0, 1.0, 2, -1, 0.5, None, "1", float("nan"), [0]
            EqualsZero()]
 
 
-#: two small matrices whose rows 0 and 1 differ only at the odd entry, read
-#: as 1; keyed on raw rows, the two rows merge or the key raises TypeError
+#: two small matrices whose rows 0 and 1 differ only at the entry passed,
+#: an odd one read as 1; the same matrix with the int 1 there is the
+#: reference.  Keyed on raw rows, the two rows merge or the key raises
+#: TypeError
 ODD_MATRICES = {
-    "two-rows": lambda odd: pl.BipartiteStructure(((0, 1), (odd(), 1)), {0}, {0, 1}),
-    "three-rows": lambda odd: pl.BipartiteStructure(
-        ((0, 0, 1), [odd(), 0, 1], (1, 1, 1)), frozenset(), frozenset({0, 1, 2})),
+    "two-rows": lambda v: pl.BipartiteStructure(((0, 1), (v, 1)), {0}, {0, 1}),
+    "three-rows": lambda v: pl.BipartiteStructure(
+        ((0, 0, 1), [v, 0, 1], (1, 1, 1)), frozenset(), frozenset({0, 1, 2})),
 }
 
 
 @pytest.mark.parametrize("make", ODD_MATRICES.values(), ids=ODD_MATRICES)
 @pytest.mark.parametrize("odd", [TruthyZero, EqualsZero])
 class TestOddEntries:
-    """Every answer is the one for the 0/1 matrix the structure holds."""
+    """Every answer is the one for the literal 0/1 matrix."""
+
+    def test_truth(self, odd, make):
+        s, ref = make(odd()), make(1)
+        assert s == ref and s.truth == ref.truth
+        assert [type(v) for row in s.truth for v in row] == [int] * (s.m * s.n)
 
     def test_type_space(self, odd, make):
-        s = make(odd)
+        s, ref = make(odd()), make(1)
         assert s._distinct_rows() == tuple(range(s.m))
         for params in ((0, 1), [1, 0, True]):
             space = s.type_space(params)
-            assert space == as_bits(s).type_space(params)
-            assert space[:2] == (pl.PhiType({0: 0, 1: s.truth[0][1]}),
-                                 pl.PhiType({0: 1, 1: s.truth[0][1]}))
+            assert space == ref.type_space(params)
+            assert space[:2] == (pl.PhiType({0: 0, 1: ref.truth[0][1]}),
+                                 pl.PhiType({0: 1, 1: ref.truth[0][1]}))
 
     def test_psi_disjunction(self, odd, make):
-        s = make(odd)
+        s = make(odd())
         config = GoodConfiguration((), pl.EMPTY_TYPE)
         disjuncts = pl.psi_disjunction(s, config)
-        assert disjuncts == pl.psi_disjunction(as_bits(s), config)
+        assert disjuncts == pl.psi_disjunction(make(1), config)
         assert set().union(*map(s.realizers, disjuncts)) == set(range(s.m))
 
     def test_oracle_vc(self, odd, make):
-        s = make(odd)
+        s = make(odd())
         assert oracle_vc(s) == pl.independence_dimension(s).id_value == 1
 
     def test_oracle_all_good_configs(self, odd, make):
-        s = make(odd)
+        s = make(odd())
         configs = oracle_all_good_configs(s, pl.EMPTY_TYPE, 2)
-        assert configs == oracle_all_good_configs(as_bits(s), pl.EMPTY_TYPE, 2)
+        assert configs == oracle_all_good_configs(make(1), pl.EMPTY_TYPE, 2)
         if s.n == 3:
             # merged rows lose a pattern and let ((1, 0), (1, 0)) through
             assert configs == [(), ((0, 2),), ((1, 0),), ((1, 2),)]
@@ -276,14 +315,16 @@ class TestOddEntries:
 @st.composite
 def matrices(draw):
     """Mostly well-formed 0/1 matrices, with a ragged row, an odd entry, an
-    empty matrix or a base or theta out of range mixed in."""
+    empty matrix or a base or theta out of range mixed in; every row is a
+    tuple in half the matrices."""
     m, width = draw(st.integers(0, 9)), draw(st.integers(0, 6))
+    as_tuple = st.just(True) if draw(st.booleans()) else st.booleans()
     rows = []
     for _ in range(m):
         length = width if draw(st.integers(0, 7)) else draw(st.integers(0, 7))
         cells = st.integers(0, 1) if draw(st.integers(0, 3)) else st.sampled_from(ENTRIES)
         row = draw(st.lists(cells, min_size=length, max_size=length))
-        rows.append(tuple(row) if draw(st.booleans()) else row)
+        rows.append(tuple(row) if draw(as_tuple) else row)
     theta = draw(st.frozensets(st.integers(0, width if width else 1), max_size=width + 1))
     base = draw(st.frozensets(st.sampled_from(sorted(theta | {0})), max_size=3))
     return tuple(rows), base, theta

@@ -1,6 +1,7 @@
 """A standing mutant check of the dimension search, the structure layer, the
 exact skips in the oracle and the good-configuration checker, the delta
-packer, the isolating-subtype search and the cover kernel.
+packer, the isolating-subtype search, the cover kernel, the suites, the
+generators and the command line.
 
 Each mutant is one textual edit of a subject module: a prune made unsound,
 a comparison moved by one, a sign swapped, a check dropped.  The script
@@ -35,6 +36,9 @@ GOODCONFIG = "src/philab/goodconfig.py"
 DELTA = "src/philab/delta.py"
 ISOLATION = "src/philab/isolation.py"
 COVER = "src/philab/cover.py"
+SUITES = "src/philab/suites.py"
+GENERATORS = "src/philab/generators.py"
+CLI = "src/philab/cli.py"
 PROPERTIES = "tests/test_properties.py::test_"
 VC_TESTS = ("tests/test_vc.py",
             PROPERTIES + "dimension_matches_sign_pattern_search",
@@ -50,6 +54,8 @@ DELTA_TESTS = ("tests/test_delta.py",
                PROPERTIES + "pack_literals_edges")
 STRUCTURE_TESTS = ("tests/test_structure.py",
                    PROPERTIES + "matrix_check_matches_the_row_loop",
+                   PROPERTIES + "truth_holds_tuples_of_0_1_ints",
+                   PROPERTIES + "serialize_round_trips_every_accepted_matrix",
                    PROPERTIES + "type_space_and_trace_match_the_public_constructor",
                    PROPERTIES + "unsorted_lists_over_wide_structures_match_the_public_constructor",
                    PROPERTIES + "literal_pairs_match_checked_literal_masks",
@@ -57,6 +63,10 @@ STRUCTURE_TESTS = ("tests/test_structure.py",
                    PROPERTIES + "defining_and_psi_match_references_over_distinct_rows")
 ISOLATION_TESTS = ("tests/test_isolation.py",)
 COVER_TESTS = ("tests/test_cover.py",)
+SUITES_TESTS = ("tests/test_suites.py",
+                PROPERTIES + "defining_and_psi_match_references_over_distinct_rows")
+GENERATORS_TESTS = ("tests/test_generators.py",)
+CLI_TESTS = ("tests/test_cli.py",)
 
 #: (name, module, text, replacement, test arguments)
 MUTANTS = [
@@ -85,7 +95,14 @@ MUTANTS = [
      'if columns is None or b"".join(columns).translate(None, b"\\x00\\x01"):',
      "if columns is None:", STRUCTURE_TESTS),
     ("skip-row-length-check", STRUCTURE,
-     "if one_length else None", "", STRUCTURE_TESTS),
+     "zip(*truth, strict=True)", "zip(*truth)", STRUCTURE_TESTS),
+    ("list-rows-take-fast-path", STRUCTURE,
+     "plain = type(truth) is tuple and set(map(type, truth)) == {tuple}", "plain = True",
+     STRUCTURE_TESTS),
+    ("truth-read-by-equality", STRUCTURE,
+     "[1 if v else 0 for v in row]", "[1 if v == 1 else 0 for v in row]", STRUCTURE_TESTS),
+    ("truth-not-stored", STRUCTURE,
+     'object.__setattr__(self, "truth", truth)', "pass", STRUCTURE_TESTS),
     ("masks-read-top-down", STRUCTURE,
      "int(c[::-1].translate(_BITS_TO_TEXT), 2)", "int(c.translate(_BITS_TO_TEXT), 2)",
      STRUCTURE_TESTS),
@@ -104,9 +121,6 @@ MUTANTS = [
      "tuple(set(self._checked_params(params)))", STRUCTURE_TESTS),
     ("distinct-rows-keep-last", STRUCTURE,
      "firsts.setdefault(flat[i::m], i)", "firsts[flat[i::m]] = i", STRUCTURE_TESTS),
-    ("distinct-rows-keyed-on-truth", STRUCTURE,
-     "firsts.setdefault(flat[i::m], i)", "firsts.setdefault(tuple(self.truth[i]), i)",
-     STRUCTURE_TESTS),
     ("distinct-rows-read-across", STRUCTURE,
      "flat[i::m]", "flat[i:i + m]", STRUCTURE_TESTS),
     ("vc-pigeonhole-ge", ORACLE,
@@ -115,8 +129,6 @@ MUTANTS = [
      "if size <= best or", "if size <= best + 1 or", ORACLE_TESTS),
     ("verdict-key-drops-selection", ORACLE,
      "key = (unordered, frozenset(selection))", "key = (unordered,)", ORACLE_TESTS),
-    ("oracle-rows-keyed-on-raw-values", ORACLE,
-     "bytes(map(bool, row))", "tuple(row)", ORACLE_TESTS + ("tests/test_structure.py",)),
     ("clause-iii-skips-last-pair", GOODCONFIG,
      "for j in range(k):", "for j in range(k - 1):", GOODCONFIG_TESTS),
     ("pack-bits-reversed", DELTA,
@@ -129,6 +141,13 @@ MUTANTS = [
      "least.setdefault(mask & need, i)", "least[mask & need] = i", COVER_TESTS),
     ("cover-limit-ge", COVER,
      "tried > DEFAULT_COVER_LIMIT", "tried >= DEFAULT_COVER_LIMIT", COVER_TESTS),
+    ("defining-keeps-last-row", SUITES,
+     "firsts.setdefault(struct.trace(a, base), a)", "firsts[struct.trace(a, base)] = a",
+     SUITES_TESTS),
+    ("linear-order-not-strict", GENERATORS,
+     "1 if a < b else 0", "1 if a <= b else 0", GENERATORS_TESTS),
+    ("seeds-guard-ge", CLI,
+     "if count > SEEDS_LIMIT:", "if count >= SEEDS_LIMIT:", CLI_TESTS),
 ]
 
 
