@@ -293,12 +293,14 @@ def cmd_config(args) -> int:
     p = resolve_type(struct, args)
     config = build_maximal(struct, p, args.strategy, parse_k_sat(args.k_sat))
     payload = config_certificate(struct, config)
+    ok = payload["checker"]["ok"]
     text = (
         f"size {payload['size']} configuration, pairs {payload['pairs']}, "
         f"ID = {payload['id']}, bound {'ok' if payload['bound_ok'] else 'VIOLATED'}"
+        + ("" if ok else ", certificate check FAILED")
     )
     emit(args, payload, text)
-    return EXIT_OK if payload["bound_ok"] else EXIT_VIOLATION
+    return EXIT_OK if payload["bound_ok"] and ok else EXIT_VIOLATION
 
 
 def cmd_define(args) -> int:

@@ -71,8 +71,13 @@ class DeltaFamily:
     arity: int
 
     def __post_init__(self):
-        if self.arity < 0:
-            raise ValueError("arity must be >= 0")
+        try:
+            arity = operator.index(self.arity)
+        except TypeError:
+            arity = -1
+        if arity < 0:
+            raise ValueError("arity must be an int >= 0")
+        object.__setattr__(self, "arity", arity)
 
 
 @dataclass
@@ -142,7 +147,7 @@ def delta_type(
     keyed in canonical order: z-tuples, then t, then s; each entry is read
     through delta_eval."""
     struct.check_parameter(c)
-    dom = struct._sorted_params(domain)[0]
+    dom = struct._sorted_params(domain)
     n = family.arity
     _check_table_size(len(dom) ** n * 2 ** (n + 1))
     table = {(zs, t, s): delta_eval(struct, family, c, zs, t, s)
@@ -185,7 +190,7 @@ def delta_equal(
     signatures."""
     struct.check_parameter(c0)
     struct.check_parameter(c1)
-    dom = struct._sorted_params(domain)[0]
+    dom = struct._sorted_params(domain)
     return _signature(struct, family, c0, dom) == _signature(struct, family, c1, dom)
 
 
@@ -198,7 +203,7 @@ def cached_delta_type(
     """delta_type with a per-structure memo, for external callers; structures
     are immutable so a table never goes stale.  Races at worst recompute."""
     struct.check_parameter(c)
-    dom = struct._sorted_params(domain)[0]
+    dom = struct._sorted_params(domain)
     key = ("delta_type", family.arity, c, dom)
     hit = struct._memo.get(key)
     if hit is None:
@@ -246,8 +251,8 @@ def finitely_satisfiable_in(
     """
     _check_k(k)
     struct.check_parameter(c)
-    dom = struct._sorted_params(domain)[0]
-    base = struct._sorted_params(base)[0]
+    dom = struct._sorted_params(domain)
+    base = struct._sorted_params(base)
     if not base:
         return False
     pack = _signature(struct, family, c, dom, closed=True)

@@ -332,8 +332,9 @@ def config_certificate(
     config: GoodConfiguration,
 ) -> dict:
     """JSON-ready certificate: pairs, size, dimension, bound check, and the
-    per-clause checker verdicts."""
+    checker's verdict per clause, None for the unchecked ones after a failure."""
     check = is_good_configuration(struct, config)
+    failed = ("i", "ii", "iii", None).index(check.clause)
     return {
         "pairs": [list(pair) for pair in config.pairs],
         "size": config.size,
@@ -341,7 +342,7 @@ def config_certificate(
         "bound_ok": config.size <= cached_dimension(struct),
         "checker": {
             "ok": check.ok,
-            "clauses": {name: name != check.clause for name in ("i", "ii", "iii")},
+            "clauses": dict(zip(("i", "ii", "iii"), (True,) * failed + (False, None, None))),
             "witness": check.witness,
         },
     }

@@ -193,7 +193,8 @@ def oracle_all_good_configs(
     lexicographic order: (i) each pair lies in theta; (ii) p plus the
     literals c_j^0 -> 0, c_j^1 -> 1 has a realizer; (iii) for each j and
     each selection s of the other pairs' members, c_j^0 and c_j^1 realize
-    the same (t, s) patterns on every arity-tuple over B + {c_i^{s_i} : i != j}.
+    the same (t, s) patterns on every arity-tuple over B + {c_i^{s_i} : i != j},
+    where arity defaults to oracle_vc(struct).
 
     Every sub-list of a good list, in any order, is good: it draws from the
     same theta, its fewer literals keep every realizer of the full list,
@@ -221,7 +222,7 @@ def oracle_all_good_configs(
         )
     _check_parameters(struct, p.domain)
     if arity is None:
-        arity = _oracle_dimension(struct)
+        arity = oracle_vc(struct)
     rows = _row_sets(struct, set(theta).union(p.domain))
     realizers = _rows_satisfying(struct, rows, p.items)
     if not realizers:
@@ -271,11 +272,3 @@ def oracle_all_good_configs(
     if max_k > 0:
         descend((), realizers, [(c0, c1) for c0 in theta for c1 in theta])
     return found
-
-
-def _oracle_dimension(struct: BipartiteStructure) -> int:
-    value = getattr(struct, "_oracle_id_cache", None)
-    if value is None:
-        value = oracle_vc(struct)
-        object.__setattr__(struct, "_oracle_id_cache", value)
-    return value

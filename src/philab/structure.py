@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from operator import index
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -33,11 +34,11 @@ class PhiType:
     """A partial sign assignment to parameters: ``{b: sign}`` encodes the
     literal phi(x; b)^sign for each b in the domain.
 
-    Immutable and hashable; the literal list is kept sorted by parameter so
-    equal assignments compare and hash equal.  The one field lives in a
-    slot, so a type carries no instance dict.  The slot is declared here,
-    not by ``slots=True``, which would rebuild the class and leave its frozen
-    __setattr__ raising TypeError for unknown names.
+    Immutable and hashable; literals are (plain int, 0 or 1) pairs sorted by
+    parameter, so equal assignments compare and hash equal.  The one field
+    lives in a slot, so a type carries no instance dict.  The slot is declared
+    here, not by ``slots=True``, which would rebuild the class and leave its
+    frozen __setattr__ raising TypeError for unknown names.
     """
 
     __slots__ = ("items",)
@@ -47,7 +48,7 @@ class PhiType:
         pairs = literals.items() if isinstance(literals, Mapping) else literals
         seen: dict[int, int] = {}
         for param, sign in pairs:
-            sign = int(sign)
+            param, sign = index(param), int(sign)
             if sign not in (0, 1):
                 raise ValueError(f"sign must be 0 or 1, got {sign!r}")
             if param in seen and seen[param] != sign:
@@ -60,8 +61,8 @@ class PhiType:
     @classmethod
     def _checked(cls, items: tuple[tuple[int, int], ...]) -> "PhiType":
         """The type holding `items` as they are, with no check.  Private:
-        callers pass a tuple whose parameters are strictly increasing and
-        whose signs are the ints 0 or 1, which is what the constructor would
+        callers pass a tuple of plain int parameters, strictly increasing,
+        with signs the ints 0 or 1, which is what the constructor would
         have made of it.  The slot's own setter skips the frozen
         __setattr__ and the constructor's sort and checks."""
         self = object.__new__(cls)
@@ -122,7 +123,8 @@ class BipartiteStructure:
     Invariants enforced at construction: the matrix is total, X is nonempty
     (so the empty type is consistent), and base_set <= theta_set <= Y.
     After construction truth is a tuple of n-tuples of 0/1 ints (bools
-    included), so equal structures give equal answers.
+    included), and base_set and theta_set are frozensets of plain ints, so
+    equal structures give equal answers.
     Rows and columns are identified by 0-based indices; results with set
     semantics are returned in declared index order for reproducibility.
     """
@@ -166,8 +168,14 @@ class BipartiteStructure:
             columns = tuple(map(bytes, zip(*truth)))
         if not self.base_set <= self.theta_set:
             raise ValueError("base_set must be contained in theta_set")
-        if self.theta_set and not self.theta_set <= set(range(width)):
-            raise ValueError("theta_set contains unknown parameters")
+        known = set(range(width))
+        for name in ("theta_set", "base_set"):  # the one reader of raw members of B and theta
+            params = getattr(self, name)
+            plain = type(params) is frozenset and {int}.issuperset(map(type, params))
+            if not (plain or all(isinstance(b, int) for b in params)) or not params <= known:
+                raise ValueError(f"{name} contains unknown parameters")
+            if not plain:  # each member passed the test check_parameter makes
+                object.__setattr__(self, name, frozenset(map(index, params)))
         object.__setattr__(self, "_columns", columns)
         object.__setattr__(
             self, "_column_masks",
@@ -202,27 +210,22 @@ class BipartiteStructure:
                 raise UnknownParameterError(f"unknown parameter {b!r}")
         return params
 
-    def _sorted_params(self, params: Iterable[int]) -> tuple[tuple[int, ...], bool]:
-        """Checked parameters as a strictly increasing tuple, and True
-        when params already are plain ints in strictly increasing order.
-        With _checked_params and _literal_pairs it is the one owner of
-        parameter checks, canonical domains and literal-mask pairs; no
-        other subject module checks or sorts a caller's list.  One pass
-        tells the plain case, and params are then used as given; any other
-        list (unsorted, repeated, holding a bool or an unknown parameter) is
-        checked by _checked_params, which raises, and then sorted.  A row
-        has one value per column, so a repeated parameter cannot clash and a
-        duplicate column splits no rows: a trace, type space or delta table
-        over params equals the one over its domain.  Of two equal parameters
-        (1 and True) the set keeps the first, as the public PhiType
-        constructor does."""
+    def _sorted_params(self, params: Iterable[int]) -> tuple[int, ...]:
+        """The canonical domain of params: checked plain ints, strictly
+        increasing.  With _checked_params and _literal_pairs it is the one
+        owner of parameter checks, canonical domains and literal-mask pairs;
+        no other subject module checks or sorts a caller's list.  A list
+        already canonical is used as given; any other is checked by
+        _checked_params, which raises, and read as a sorted set of plain
+        ints (True is 1): a row has one value per column, so no trace, type
+        space or delta table changes."""
         params = tuple(params)
         prev, n = -1, self.n
         for b in params:
             if not (type(b) is int and prev < b < n):
-                return tuple(sorted(set(self._checked_params(params)))), False
+                return tuple(sorted(set(map(index, self._checked_params(params)))))
             prev = b
-        return params, True
+        return params
 
     def _literal_pairs(self, params: Iterable[int]) -> list[tuple[int, int]]:
         """The (sign 0, sign 1) literal masks of each of params, in order;
@@ -259,7 +262,7 @@ class BipartiteStructure:
         """The type of element a over the given parameters, read off the
         matrix.  trace(a, D) is always consistent: a realizes it."""
         self.check_element(a)
-        params, _ = self._sorted_params(params)
+        params = self._sorted_params(params)
         columns = self._columns
         return PhiType._checked(tuple([(b, columns[b][a]) for b in params]))
 
@@ -278,19 +281,12 @@ class BipartiteStructure:
     def type_space(self, params: Iterable[int]) -> tuple[PhiType, ...]:
         """All realized types over the given parameters: the distinct traces
         of elements, ordered by first realizing element."""
-        params, plain = self._sorted_params(params)
+        params = self._sorted_params(params)
         if not params:
             return (EMPTY_TYPE,)  # X is nonempty
-        if plain:
-            # distinct rows keyed by their literals on params, which are each
-            # type's items as they stand; dicts keep first-seen order
-            items = dict.fromkeys(zip(*self._literal_columns(params)))
-        else:
-            # pair each parameter as passed (so True stays True) with the
-            # row values of each distinct row
-            columns = self._columns
-            classes = dict.fromkeys(zip(*[columns[b] for b in params]))
-            items = [tuple(zip(params, values)) for values in classes]
+        # distinct rows keyed by their literals on params, which are each
+        # type's items as they stand; dicts keep first-seen order
+        items = dict.fromkeys(zip(*self._literal_columns(params)))
         # each type built as PhiType._checked builds it, inline: a call per
         # type costs more than building its items
         new, out = object.__new__, []

@@ -92,9 +92,11 @@ def remark_suite(structures: Iterable[Named]) -> dict:
     skipped = 0
     for name, struct in structures:
         dim = cached_dimension(struct)
+        oracle_id = None  # read once per structure, unless its guard raises
         for p in (PhiType(),) + struct.type_space(struct.base_members())[:1]:
             try:
-                configs = oracle_all_good_configs(struct, p, min(2, dim + 1))
+                oracle_id = oracle_vc(struct) if oracle_id is None else oracle_id
+                configs = oracle_all_good_configs(struct, p, min(2, dim + 1), oracle_id)
             except ResourceLimitError:
                 skipped += 1
                 continue

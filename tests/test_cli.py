@@ -8,6 +8,7 @@ import pytest
 
 from philab import cli, delta, generators, isolation, vc
 from philab.cli import main
+from philab.goodconfig import GoodConfiguration
 
 from conftest import S1_TEXT
 
@@ -135,6 +136,19 @@ class TestConfigDefineEmbed:
         payload = json.loads(out)
         assert payload["bound_ok"] and payload["checker"]["ok"]
         assert payload["size"] == len(payload["pairs"]) == 1
+
+    def test_failed_certificate_check_exits_1(self, capsys, monkeypatch):
+        # the payload is still printed, and names the failing clause
+        monkeypatch.setattr(cli, "build_maximal",
+                            lambda struct, p, *args: GoodConfiguration(((2, 1),), p))
+        code, out, _ = run(capsys, "config", "--gen", "shattered:3", "--of", "0",
+                           "--format", "json")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["bound_ok"] and not payload["checker"]["ok"]
+        assert payload["checker"]["clauses"] == {"i": True, "ii": False, "iii": None}
+        code, out, _ = run(capsys, "config", "--gen", "shattered:3", "--of", "0")
+        assert code == 1 and out.rstrip().endswith("certificate check FAILED")
 
     def test_define(self, capsys, s1_file):
         code, out, _ = run(capsys, "define", "-i", s1_file,

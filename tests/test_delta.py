@@ -33,6 +33,17 @@ class TestDeltaEval:
         with pytest.raises(pl.ArityMismatchError):
             pl.delta_eval(s1, DeltaFamily(2), 0, (1,), 1, (1,))
 
+    @pytest.mark.parametrize("arity", [1.5, -1, "1", None])
+    def test_arity_must_be_an_int_at_least_0(self, arity):
+        with pytest.raises(ValueError, match="arity must be an int >= 0"):
+            DeltaFamily(arity)
+
+    def test_a_bool_arity_is_stored_as_its_int(self, s1):
+        family = DeltaFamily(True)
+        assert type(family.arity) is int and family == DeltaFamily(1)
+        assert pl.delta_equal(s1, family, 0, 1, [0, 1]) == pl.delta_equal(
+            s1, DeltaFamily(1), 0, 1, [0, 1])
+
     def test_matches_consistency_of_literals(self, corpus):
         # cross-module identity on non-contradictory literal sets
         for _, s in corpus[:3]:

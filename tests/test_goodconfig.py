@@ -383,3 +383,13 @@ def test_certificate_json_of_a_clause_iii_failure():
         '{"bound_ok": true, "checker": {"clauses": {"i": true, "ii": true, "iii": false},'
         ' "ok": false, "witness": [0, [0]]}, "id": 1, "pairs": [[1, 3]], "size": 1}'
     )
+
+
+def test_certificate_json_of_a_clause_i_failure():
+    # the checker stops at clause (i), so (ii) and (iii) were never checked
+    s = pl.BipartiteStructure(((0, 1, 0), (1, 0, 1)), frozenset(), frozenset({0, 1}))
+    payload = config_certificate(s, GoodConfiguration(((0, 2),), pl.EMPTY_TYPE))
+    assert json.dumps(payload, sort_keys=True) == (
+        '{"bound_ok": true, "checker": {"clauses": {"i": false, "ii": null, "iii": null},'
+        ' "ok": false, "witness": [0, 1]}, "id": 1, "pairs": [[0, 2]], "size": 1}'
+    )

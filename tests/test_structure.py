@@ -86,6 +86,54 @@ class TestPhiType:
         with pytest.raises(pl.LiteralClashError):
             pl.PhiType({0: 1}).union(pl.PhiType({0: 0}))
 
+    def test_parameters_are_plain_ints(self):
+        for p in (pl.PhiType({True: 1}), pl.PhiType([(True, 1), (1, 1)])):
+            assert p.items == ((1, 1),) and repr(p) == "PhiType({1↦1})"
+            assert [type(param) for param in p.domain] == [int]
+        with pytest.raises(TypeError):
+            pl.PhiType({1.0: 1})
+
+
+class TestParameterSets:
+    """B and theta are checked and frozen at construction."""
+
+    def test_sets_are_frozen_at_construction(self):
+        base, theta = {0}, {0, 1}
+        s = pl.BipartiteStructure(((0, 1), (1, 1)), base, theta)
+        twin = pl.BipartiteStructure(((0, 1), (1, 1)), frozenset({0}), frozenset({0, 1}))
+        assert s == twin and hash(s) == hash(twin)
+        assert type(s.base_set) is type(s.theta_set) is frozenset
+        base.add(1)
+        theta.add(5)
+        assert s.base_members() == (0,) and s.theta_members() == (0, 1)
+        assert s == twin
+
+    @pytest.mark.parametrize("base, theta", [
+        ({0.0}, {0.0, 1.0}),
+        ({0.0}, {0, 1}),
+        (set(), {1.0}),
+        (set(), {"0"}),
+        (set(), {-1}),
+        (set(), {2}),
+    ])
+    def test_a_non_int_or_unknown_member_is_refused(self, base, theta):
+        with pytest.raises(ValueError, match="contains unknown parameters"):
+            pl.BipartiteStructure(((0, 1), (1, 1)), base, theta)
+
+    def test_bool_members_are_stored_as_ints(self):
+        s = pl.BipartiteStructure(((0, 1), (1, 1)), frozenset({True}), {False, True})
+        assert s.base_set == {1} and s.theta_set == {0, 1}
+        members = (*s.base_set, *s.theta_set, *s.base_members(), *s.theta_members())
+        assert {type(b) for b in members} == {int}
+        assert pl.isolated_extension(s, s.trace(0, s.base_members())).budget_ok
+        for p in s.type_space(s.base_members()) + s.type_space([1, True, 0]):
+            assert {type(param) for param in p.domain} == {int}
+
+    def test_plain_frozensets_are_kept_as_given(self):
+        base, theta = frozenset({0}), frozenset({0, 1})
+        s = pl.BipartiteStructure(((0, 1), (1, 1)), base, theta)
+        assert s.base_set is base and s.theta_set is theta
+
 
 class TestCoreOps:
     def test_trace_readoff(self, s1):
@@ -226,9 +274,9 @@ class TestCoreOps:
         # type space on a 4096x512 structure
         s = pl.gen_random_bounded(1, 400, 100, pl.generators.UNIONS)
         s.type_space((0, 1))
-        s.type_space([5, True])  # a bool parameter is read unmemoized
+        s.type_space([5, True])  # True is parameter 1, already built
         table = s._memo["literal_columns"]
-        assert [b for b, column in enumerate(table) if column is not None] == [0, 1]
+        assert [b for b, column in enumerate(table) if column is not None] == [0, 1, 5]
         # one literal per distinct row: 190 of the 400 rows
         assert len(s._distinct_rows()) == 190
         assert len(table[0]) == len(table[1]) == 190

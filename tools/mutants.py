@@ -117,8 +117,15 @@ MUTANTS = [
      "mask &= masks[b] if sign else masks[b] ^ full",
      "mask &= masks[b] ^ full if sign else masks[b]", STRUCTURE_TESTS),
     ("domain-left-unsorted", STRUCTURE,
-     "tuple(sorted(set(self._checked_params(params))))",
-     "tuple(set(self._checked_params(params)))", STRUCTURE_TESTS),
+     "tuple(sorted(set(map(index, self._checked_params(params)))))",
+     "tuple(set(map(index, self._checked_params(params))))", STRUCTURE_TESTS),
+    ("parameter-sets-kept-as-passed", STRUCTURE,
+     "object.__setattr__(self, name, frozenset(map(index, params)))", "pass",
+     STRUCTURE_TESTS),
+    ("parameter-set-check-skipped", STRUCTURE,
+     'raise ValueError(f"{name} contains unknown parameters")', "pass", STRUCTURE_TESTS),
+    ("phitype-keeps-raw-parameter", STRUCTURE,
+     "param, sign = index(param), int(sign)", "sign = int(sign)", STRUCTURE_TESTS),
     ("distinct-rows-keep-last", STRUCTURE,
      "firsts.setdefault(flat[i::m], i)", "firsts[flat[i::m]] = i", STRUCTURE_TESTS),
     ("distinct-rows-read-across", STRUCTURE,
