@@ -173,9 +173,7 @@ def resolve_type(struct: BipartiteStructure, args) -> PhiType:
     if args.lits and args.of is not None:
         raise CliSpecError("give exactly one of --of and --lits")
     if args.lits:
-        p = parse_lits(args.lits)
-        struct._checked_params(p.domain)
-        return p
+        return parse_lits(args.lits)
     if args.of is not None:
         return struct.trace(args.of, parse_over(struct, args.over))
     raise CliSpecError("a type spec is required (--of or --lits)")
@@ -347,7 +345,7 @@ def cmd_gen(args) -> int:
             "family": meta.pop("family", None),
             "x": struct.m,
             "y": struct.n,
-            "detail": {k: _meta_jsonable(v) for k, v in meta.items()},
+            "detail": meta,
         }
         try:
             Path(args.out).write_text(text)
@@ -360,14 +358,6 @@ def cmd_gen(args) -> int:
     else:
         sys.stdout.write(text)
     return EXIT_OK
-
-
-def _meta_jsonable(value):
-    if isinstance(value, tuple):
-        return [_meta_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _meta_jsonable(v) for k, v in value.items()}
-    return value
 
 
 def _expand_seeds(spec: str) -> list[int]:

@@ -87,7 +87,7 @@ def find_isolating_subtype(struct: BipartiteStructure, p: PhiType) -> IsolationC
     # a subset keeps p's realizer set iff its literals jointly exclude every
     # non-realizer of p: literal i covers the non-realizers violating it,
     # which inside `need` are the rows with the other sign in its column
-    need = ((1 << struct.m) - 1) ^ struct.type_mask(p)
+    need = struct._full_mask ^ struct.type_mask(p)
     lits = struct._literal_pairs(p.domain)
     excluded = [pair[1 - sign] for pair, (_, sign) in zip(lits, p.items)]
     chosen, minimal = least_or_greedy_cover(excluded, need)
@@ -286,7 +286,6 @@ def embed_trace(
     pipeline.  The formula provably reproduces the element's truth row on
     the base set; the agreement is checked on every run.  The pipeline
     result rides along so callers see any saturation-deficit diagnostic."""
-    struct.check_element(a)
     p = struct.trace(a, struct.base_members())
     result = isolated_extension(struct, p, k_sat)
     formula = phi_defining_formula(struct, result.certificate)

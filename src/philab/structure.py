@@ -48,7 +48,7 @@ class PhiType:
         pairs = literals.items() if isinstance(literals, Mapping) else literals
         seen: dict[int, int] = {}
         for param, sign in pairs:
-            param, sign = index(param), int(sign)
+            param, sign = index(param), index(sign)
             if sign not in (0, 1):
                 raise ValueError(f"sign must be 0 or 1, got {sign!r}")
             if param in seen and seen[param] != sign:

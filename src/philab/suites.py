@@ -134,16 +134,13 @@ def defining_suite(structures: Iterable[Named]) -> dict:
     set.  embed_trace checks its row and raises InvariantError on a
     disagreement, which becomes a counterexample naming the element and the
     error; rows with one base trace share the formula, so it runs once per
-    distinct trace, on the trace's first row, which is the first occurrence
-    of its whole row."""
+    type over B, on the type's first realizer."""
     failures = []
     rows_checked = 0
     for name, struct in structures:
-        base = struct.base_members()
-        firsts: dict[PhiType, int] = {}
-        for a in struct._distinct_rows():
-            firsts.setdefault(struct.trace(a, base), a)
-        for a in firsts.values():
+        for p in struct.type_space(struct.base_members()):
+            mask = struct.type_mask(p)
+            a = (mask & -mask).bit_length() - 1
             try:
                 embed_trace(struct, a)
             except InvariantError as exc:

@@ -173,7 +173,7 @@ def independence_dimension(
         return False
 
     # a stop below cap + 1 proves that no (cap+1)-set is independent
-    capped = grow((), [(1 << struct.m) - 1], range(n), 0) and bound > cap
+    capped = grow((), [struct._full_mask], range(n), 0) and bound > cap
     return IndependenceReport(len(firsts) - 1, firsts[-1], capped)
 
 

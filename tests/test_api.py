@@ -66,3 +66,17 @@ def test_only_the_structure_and_the_oracle_canonicalize_parameter_lists():
         and isinstance(node.args[0].func, ast.Name) and node.args[0].func.id == "set"
     ]
     assert {name for name, _ in calls} == {"structure.py", "oracle.py"}, calls
+
+
+def test_the_cli_suites_oracle_and_generators_read_no_private_attribute():
+    # the structure owns its checks, masks and caches; the layers above it
+    # use the public library only (dunders such as object.__setattr__ aside)
+    package = Path(philab.__file__).parent
+    reads = [
+        f"{name}:{node.lineno} {node.attr}"
+        for name in ("cli.py", "suites.py", "oracle.py", "generators.py")
+        for node in ast.walk(ast.parse((package / name).read_text(), name))
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+        and not (node.attr.startswith("__") and node.attr.endswith("__"))
+    ]
+    assert reads == []

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -99,6 +100,21 @@ class TestIsolate:
         assert code == 4
         assert "bad spec" in err
 
+    @pytest.mark.parametrize("command", ["isolate", "config", "define"])
+    def test_unknown_lits_parameter_names_the_least(self, capsys, command):
+        # the library checks the type's parameters in increasing order
+        code, out, err = run(capsys, command, "--gen", "shattered:2",
+                             "--lits", "0=1,9=1,7=0")
+        assert code == 4 and out == ""
+        assert err == "bad spec: unknown parameter 7\n"
+
+    @pytest.mark.parametrize("command", ["isolate", "config"])
+    def test_bad_k_sat_is_reported_before_unknown_lits(self, capsys, command):
+        code, _, err = run(capsys, command, "--gen", "shattered:2",
+                           "--lits", "9=1", "--k-sat", "0")
+        assert code == 4
+        assert err == "bad spec: --k-sat must be >= 1\n"
+
     def test_gap_chain_budget(self, capsys):
         code, out, _ = run(capsys, "isolate", "--gen", "linear:12:b=0,4,8",
                            "--of", "6", "--k-sat", "1", "--format", "json")
@@ -188,6 +204,17 @@ class TestGen:
         sidecar = json.loads((tmp_path / "e.meta.json").read_text())
         assert sidecar["family"] == "eqrel"
         assert sidecar["detail"]["class_sizes"] == [2]
+
+    def test_ten_element_sidecar_bytes(self, capsys, tmp_path):
+        # eqrel:4,4 is a 10-element model: its int-keyed maps hold keys 0..9,
+        # which sort_keys orders the same as numbers and as strings
+        out_path = tmp_path / "e.phi"
+        code, _, _ = run(capsys, "gen", "--gen", "eqrel:4,4", "-o", str(out_path))
+        assert code == 0
+        sidecar = (tmp_path / "e.meta.json").read_bytes()
+        assert json.loads(sidecar)["detail"]["model_size"] == 10
+        assert hashlib.sha256(sidecar).hexdigest() == (
+            "51717346ed23f5ab15263f4c373276129e342c077eacd055ca54bbd6c435d56d")
 
     def test_bad_spec(self, capsys):
         code, _, err = run(capsys, "gen", "--gen", "pentagon:5")

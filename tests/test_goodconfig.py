@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import pytest
 
@@ -157,6 +158,21 @@ class TestExtensionPair:
         config = GoodConfiguration((), p)
         for k_sat in (1, ALL):
             assert pl.find_extension_pair(s, config, k_sat) is None
+
+    def test_component_outside_theta_fails_clause_i(self):
+        # the 8x8 grid: column (i, t) holds x_i < t for t = 1..6, B the cuts
+        # 3 and 6, theta every column but 3; the configuration's pair (3, 4)
+        # leaves theta, so no pair extends it, though (9, 10) passes the
+        # other clauses
+        cols = [(i, t) for i in range(2) for t in range(1, 7)]
+        rows = tuple(tuple(int(x[i] < t) for i, t in cols)
+                     for x in product(range(8), repeat=2))
+        s = pl.BipartiteStructure(rows, frozenset({2, 5, 8, 11}),
+                                  frozenset(range(len(cols))) - {3})
+        p = pl.PhiType({2: 0, 5: 1, 8: 0, 11: 1})
+        config = GoodConfiguration(((3, 4),), p)
+        assert pl.find_extension_pair(s, config, 1) is None
+        assert pl.is_good_configuration(s, config.extended((9, 10))).clause == "i"
 
 
 class TestBuildMaximal:

@@ -93,6 +93,21 @@ class TestPhiType:
         with pytest.raises(TypeError):
             pl.PhiType({1.0: 1})
 
+    @pytest.mark.parametrize("sign", [1.7, 0.4, 1.0, "1"])
+    def test_a_non_int_sign_is_refused(self, sign):
+        with pytest.raises(TypeError):
+            pl.PhiType({0: sign})
+
+    @pytest.mark.parametrize("sign", [2, -1])
+    def test_a_sign_other_than_0_or_1_is_refused(self, sign):
+        with pytest.raises(ValueError, match="sign must be 0 or 1"):
+            pl.PhiType({0: sign})
+
+    def test_signs_are_plain_ints(self):
+        for p in (pl.PhiType({0: True, 1: False}), pl.PhiType([(0, True), (1, 0)])):
+            assert p.items == ((0, 1), (1, 0)) and repr(p) == "PhiType({0↦1, 1↦0})"
+            assert [type(sign) for _, sign in p.items] == [int, int]
+
 
 class TestParameterSets:
     """B and theta are checked and frozen at construction."""

@@ -125,7 +125,9 @@ MUTANTS = [
     ("parameter-set-check-skipped", STRUCTURE,
      'raise ValueError(f"{name} contains unknown parameters")', "pass", STRUCTURE_TESTS),
     ("phitype-keeps-raw-parameter", STRUCTURE,
-     "param, sign = index(param), int(sign)", "sign = int(sign)", STRUCTURE_TESTS),
+     "param, sign = index(param), index(sign)", "sign = index(sign)", STRUCTURE_TESTS),
+    ("phitype-truncates-sign", STRUCTURE,
+     "index(sign)", "int(sign)", STRUCTURE_TESTS),
     ("distinct-rows-keep-last", STRUCTURE,
      "firsts.setdefault(flat[i::m], i)", "firsts[flat[i::m]] = i", STRUCTURE_TESTS),
     ("distinct-rows-read-across", STRUCTURE,
@@ -138,6 +140,8 @@ MUTANTS = [
      "key = (unordered, frozenset(selection))", "key = (unordered,)", ORACLE_TESTS),
     ("clause-iii-skips-last-pair", GOODCONFIG,
      "for j in range(k):", "for j in range(k - 1):", GOODCONFIG_TESTS),
+    ("extension-scan-ignores-theta", GOODCONFIG,
+     "return None  # (i)", "pass  # (i)", GOODCONFIG_TESTS),
     ("pack-bits-reversed", DELTA,
      "bytes(map(bool, masks))", "bytes(map(bool, masks[::-1]))", DELTA_TESTS),
     ("excluded-by-own-sign", ISOLATION,
@@ -148,9 +152,8 @@ MUTANTS = [
      "least.setdefault(mask & need, i)", "least[mask & need] = i", COVER_TESTS),
     ("cover-limit-ge", COVER,
      "tried > DEFAULT_COVER_LIMIT", "tried >= DEFAULT_COVER_LIMIT", COVER_TESTS),
-    ("defining-keeps-last-row", SUITES,
-     "firsts.setdefault(struct.trace(a, base), a)", "firsts[struct.trace(a, base)] = a",
-     SUITES_TESTS),
+    ("defining-reads-last-realizer", SUITES,
+     "(mask & -mask).bit_length() - 1", "mask.bit_length() - 1", SUITES_TESTS),
     ("linear-order-not-strict", GENERATORS,
      "1 if a < b else 0", "1 if a <= b else 0", GENERATORS_TESTS),
     ("seeds-guard-ge", CLI,
