@@ -11,7 +11,14 @@ table must be realized by a single base column, which forces content
 duplication and therefore no extension ever fires; at strength 1, each
 table entry may be matched by a different base column, and the straddling
 pair around the cut qualifies.
+
+On a chain a step adds one pair, well short of the budget.  On a grid, one
+chain per coordinate, the budget is met exactly: a type cut in both
+coordinates takes one step per coordinate, K = ID pairs, 2K = 2*ID
+parameters.
 """
+
+from itertools import product
 
 import philab as pl
 from philab.delta import ALL
@@ -59,3 +66,21 @@ print("\ndisjunction covering the extension's realizers, one per trace class:")
 disjuncts = pl.psi_disjunction(chain, result.configuration)
 for g in disjuncts:
     print("  ", g, "-> realizers", chain.realizers(g))
+
+print("\ngrid 8x8, column (i, t) holds x_i < t for t = 1..6, base cuts {3, 6}:")
+cols = [(i, t) for i in range(2) for t in range(1, 7)]
+rows = tuple(tuple(int(x[i] < t) for i, t in cols) for x in product(range(8), repeat=2))
+base = frozenset(j for j, (_, t) in enumerate(cols) if t in (3, 6))
+grid = pl.BipartiteStructure(rows, base, frozenset(range(len(cols))))
+dim = pl.independence_dimension(grid).id_value
+print(f"  {grid.m} x {grid.n}, ID = {dim}")
+steps = {}
+for q in grid.type_space(grid.base_members()):
+    run = pl.isolated_extension(grid, q, k_sat=1)
+    steps.setdefault(run.configuration.size, []).append(run)
+print("  K histogram at strength 1:", {k: len(runs) for k, runs in sorted(steps.items())})
+[top] = steps[dim]
+print("  the type reaching K = ID:", top.configuration.base_type)
+print("  configuration pairs:", top.configuration.pairs)
+print("  budget: added", top.added_params, "params, 2K =", top.two_k,
+      "<= 2*ID =", top.two_id, "->", top.budget_ok)

@@ -60,11 +60,12 @@ def gen_eqrel(spec: EqRelSpec) -> BipartiteStructure:
     """Compile the equivalence-relation model.
 
     Rows are model elements grouped by class.  Columns are all triples
-    (y, z, w) over the model, index (y*M + z)*M + w.  The base set holds,
-    for every picked element b, the equality-coding triple (b, 0, 0) and the
-    equivalence-coding triple (b, 0, 1); theta adds the same two triples for
-    every non-picked element, the stand-in for an extension's fresh
-    parameters.
+    (y, z, w) over the model, index (y*M + z)*M + w.  Each class's picked
+    elements are its first b_picks members.  The base set holds, for every
+    picked element b, the equality-coding triple (b, 0, 0) and the
+    equivalence-coding triple (b, 0, 1); theta holds the same two triples
+    for every element, so the non-picked ones add the stand-ins for an
+    extension's fresh parameters.
     """
     sizes = spec.class_sizes
     total = sum(sizes)
@@ -73,42 +74,24 @@ def gen_eqrel(spec: EqRelSpec) -> BipartiteStructure:
             f"model of size {total} yields {total ** 3} triples,"
             f" over the limit {EQREL_MODEL_CUBED_LIMIT}"
         )
-    class_of = []
-    for ci, size in enumerate(sizes):
-        class_of.extend([ci] * size)
-    class_members: list[list[int]] = [[] for _ in sizes]
-    for x, ci in enumerate(class_of):
-        class_members[ci].append(x)
-
-    picked: list[int] = []
-    for ci, picks in enumerate(spec.b_picks):
-        picked.extend(class_members[ci][:picks])
-    picked_set = set(picked)
-    fresh = [x for x in range(total) if x not in picked_set]
+    class_of = [ci for ci, size in enumerate(sizes) for _ in range(size)]
+    # x - class_of.index(ci) is x's position within its class
+    picked = [x for x, ci in enumerate(class_of)
+              if x - class_of.index(ci) < spec.b_picks[ci]]
 
     def tindex(y: int, z: int, w: int) -> int:
         return (y * total + z) * total + w
 
-    rows = []
-    for x in range(total):
-        row = []
-        for y in range(total):
-            for z in range(total):
-                for w in range(total):
-                    if z == w:
-                        row.append(1 if x == y else 0)
-                    else:
-                        row.append(1 if class_of[x] == class_of[y] else 0)
-        rows.append(tuple(row))
+    rows = tuple(
+        tuple(int(x == y if z == w else class_of[x] == class_of[y])
+              for y in range(total) for z in range(total) for w in range(total))
+        for x in range(total))
 
     def coding_params(element: int) -> list[int]:
-        params = [tindex(element, 0, 0)]
-        if total >= 2:
-            params.append(tindex(element, 0, 1))
-        return params
+        return [tindex(element, 0, w) for w in range(min(2, total))]
 
     base = frozenset(p for b in picked for p in coding_params(b))
-    theta = base | frozenset(p for f in fresh for p in coding_params(f))
+    theta = frozenset(p for x in range(total) for p in coding_params(x))
 
     meta = {
         "family": "eqrel",
@@ -120,7 +103,7 @@ def gen_eqrel(spec: EqRelSpec) -> BipartiteStructure:
         "eq_param": {e: tindex(e, 0, 0) for e in range(total)},
         "e_param": {e: tindex(e, 0, 1) for e in range(total) if total >= 2},
     }
-    return BipartiteStructure(tuple(rows), base, theta, meta)
+    return BipartiteStructure(rows, base, theta, meta)
 
 
 def eqrel_triple_of(struct: BipartiteStructure, param: int) -> tuple[int, int, int]:

@@ -82,12 +82,12 @@ def find_isolating_subtype(struct: BipartiteStructure, p: PhiType) -> IsolationC
     non-minimum certificate.  A consistent p always isolates itself, so this
     never fails.
     """
-    if not struct.is_consistent(p):
+    if not (mask := struct.type_mask(p)):
         raise PreconditionError("type must be consistent")
     # a subset keeps p's realizer set iff its literals jointly exclude every
     # non-realizer of p: literal i covers the non-realizers violating it,
     # which inside `need` are the rows with the other sign in its column
-    need = struct._full_mask ^ struct.type_mask(p)
+    need = struct._full_mask ^ mask
     lits = struct._literal_pairs(p.domain)
     excluded = [pair[1 - sign] for pair, (_, sign) in zip(lits, p.items)]
     chosen, minimal = least_or_greedy_cover(excluded, need)

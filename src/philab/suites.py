@@ -2,10 +2,10 @@
 tests.
 
 Each suite takes named structures and returns a JSON-ready report: the suite
-name, its counters, an `ok` flag and, on failure, minimized counterexamples
-(the serialized structure plus the offending object).  Suites only ever
-compare computed values; expected quantities come from the brute-force
-oracles.
+name, its counters, an `ok` flag and, on failure, counterexamples: each holds
+the instance's whole serialized structure, not yet minimized, plus the
+offending object.  Suites only ever compare computed values; expected
+quantities come from the brute-force oracles.
 
 The bound suite enumerates configurations of the empty type: any
 configuration good for some type is good for the empty type (its clause-(ii)
@@ -85,18 +85,22 @@ def shatter_suite(structures: Iterable[Named]) -> dict:
 def remark_suite(structures: Iterable[Named]) -> dict:
     """Every tuple realizing a maximal configuration's q-type isolates at
     most as hard as the configuration itself.  The types tried, the empty
-    type and the first base trace, are realized, so each has a configuration
-    (the empty one at least)."""
+    type and row 0's base trace (the base type space's first), are realized,
+    so each has a configuration (the empty one at least).  The oracle's
+    dimension sizes the enumeration and is its arity; past its guard, both
+    types are skipped."""
     failures = []
     harness_runs = 0
     skipped = 0
     for name, struct in structures:
-        dim = cached_dimension(struct)
-        oracle_id = None  # read once per structure, unless its guard raises
-        for p in (PhiType(),) + struct.type_space(struct.base_members())[:1]:
+        try:
+            arity = oracle_vc(struct)
+        except ResourceLimitError:
+            skipped += 2
+            continue
+        for p in (PhiType(), struct.trace(0, struct.base_members())):
             try:
-                oracle_id = oracle_vc(struct) if oracle_id is None else oracle_id
-                configs = oracle_all_good_configs(struct, p, min(2, dim + 1), oracle_id)
+                configs = oracle_all_good_configs(struct, p, min(2, arity + 1), arity)
             except ResourceLimitError:
                 skipped += 1
                 continue
@@ -184,7 +188,7 @@ def oracle_suite(structures: Iterable[Named]) -> dict:
             oracle_max = max(
                 len(c)
                 for c in oracle_all_good_configs(
-                    struct, PhiType(), min(3, subject_id + 1), oracle_id
+                    struct, PhiType(), min(3, oracle_id + 1), oracle_id
                 )
             )
         except ResourceLimitError:

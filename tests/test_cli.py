@@ -14,6 +14,10 @@ from philab.goodconfig import GoodConfiguration
 from conftest import S1_TEXT
 
 
+#: a 2x2 structure file: its matrix rows are lines 7 and 8
+TWO_ROWS = "# phi-structure v1\nX 2\nY 2\nB 0\nTHETA ALL\nMATRIX\n01\n10\n"
+
+
 @pytest.fixture
 def s1_file(tmp_path):
     path = tmp_path / "s1.phi"
@@ -376,6 +380,49 @@ class TestExitCodes:
         code, out, err = run(capsys, "id", "-i", str(bad))
         assert code == 2 and out == ""
         assert err.startswith("parse error:")
+
+    @pytest.mark.parametrize("text, first_line", [
+        (TWO_ROWS.replace("10\n", ""), "parse error: line 8: unexpected end of file"),
+        (TWO_ROWS.replace("X 2", "X"), "parse error: line 2: expected `X <count>`"),
+        (TWO_ROWS.replace("B 0", "B q"), "parse error: line 4: bad B index 'q'"),
+        (TWO_ROWS.replace("B 0", "BASE 0"), "parse error: line 4: expected `B <indices>`"),
+        (TWO_ROWS.replace("THETA", "TH"),
+         "parse error: line 5: expected `THETA ALL` or `THETA <indices>`"),
+        (TWO_ROWS.replace("MATRIX", "ROWS"), "parse error: line 6: expected `MATRIX`"),
+        (TWO_ROWS + "11\n", "parse error: line 9: unexpected content after matrix"),
+    ], ids=["missing-row", "x-without-count", "bad-b-index", "base-keyword",
+            "th-keyword", "rows-keyword", "extra-row"])
+    def test_each_parse_error_exits_2_naming_its_line(self, capsys, tmp_path, text, first_line):
+        path = tmp_path / "bad.phi"
+        path.write_text(text)
+        code, out, err = run(capsys, "id", "-i", str(path))
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == first_line and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, first_line", [
+        (["id", "--gen", "linear:"],
+         "bad generator spec 'linear:': linear needs a point count"),
+        (["id", "--gen", "linear:5:x"],
+         "bad generator spec 'linear:5:x': unknown linear option 'x'"),
+        (["id", "--gen", "random:foo:0:5:3"],
+         "bad generator spec 'random:foo:0:5:3': random family must be intervals or unions2"),
+        (["types", "--gen", "shattered:2", "--over", "a"], "bad --over spec 'a'"),
+        (["isolate", "--gen", "shattered:2", "--of", "0", "--lits", "0=1"],
+         "give exactly one of --of and --lits"),
+        (["verify", "--suite", "bound"], "verify needs -i or --gen"),
+        (["verify", "--suite", "bound", "--gen", "linear:3", "--seeds", "0..1"],
+         "--seeds only applies to random generators"),
+        (["isolate", "--gen", "shattered:2", "--of", "0", "--k-sat", "x"],
+         "--k-sat must be `all` or a positive integer"),
+    ], ids=["linear-no-count", "linear-bad-option", "random-bad-family", "over-not-int",
+            "of-and-lits", "verify-no-source", "seeds-not-random", "k-sat-not-int"])
+    def test_each_bad_spec_exits_4_with_its_message(self, capsys, argv, first_line):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err.splitlines()[0] == "bad spec: " + first_line and "Traceback" not in err
+
+    def test_linear_nofill_option_is_accepted(self, capsys):
+        assert run(capsys, "id", "--gen", "linear:5:nofill") == (0, "ID = 1, witness = [1]\n", "")
 
     def test_seeds_with_input_exits_4(self, capsys, s1_file):
         code, out, err = run(capsys, "verify", "--suite", "bound", "-i", s1_file,

@@ -210,6 +210,19 @@ class TestFinitelySatisfiable:
                     for k in (1, 2, 3):
                         assert pl.finitely_satisfiable_in(s, fam, c, base, base, k)
 
+    def test_closed_packs_are_not_read_from_the_signature_memo(self, corpus):
+        # at arity 2 over two or more parameters a closed pack holds entries
+        # a signature lacks; with every signature over the base memoized
+        # first, finite k must still read the closed packs
+        fam = DeltaFamily(2)
+        for _, s in corpus[:40]:
+            base = s.base_members()
+            for c, b in product(range(s.n), base):
+                pl.delta_equal(s, fam, c, b, base)
+            for c, k in product(range(s.n), (1, 2)):
+                assert pl.finitely_satisfiable_in(s, fam, c, base, base, k) == (
+                    reference_finitely_satisfiable(s, fam, c, base, base, k))
+
     def test_cover_search_guard(self):
         # Rows: all-zero; R_j = {b_j} + {d_i : i != j}; Z_j = {b_j}; the
         # subject c is 1 on R_0, R_1 and Z_0.  Base b_j's table over the d's

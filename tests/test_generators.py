@@ -42,6 +42,14 @@ class TestEqRel:
         for f in fresh:
             assert meta["eq_param"][f] in s.theta_set
 
+    def test_picks_are_each_class_first_members_and_theta_every_element(self):
+        s = pl.gen_eqrel(pl.EqRelSpec([3, 2, 1], [2, 0, 1]))
+        meta = s.meta
+        assert meta["picked"] == (0, 1, 5)
+        coding = {x: {meta["eq_param"][x], meta["e_param"][x]} for x in range(6)}
+        assert s.base_set == set().union(*(coding[x] for x in meta["picked"]))
+        assert s.theta_set == set().union(*coding.values())
+
     def test_target_trace(self):
         # non-picked class member: equality literal 0, equivalence literal 1
         s = pl.gen_eqrel(pl.EqRelSpec([2], [1]))

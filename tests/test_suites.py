@@ -10,7 +10,7 @@ import dataclasses
 import json
 
 import philab as pl
-from philab import goodconfig, isolation, suites
+from philab import goodconfig, isolation, suites, vc
 from philab.cli import main, parse_generator_spec
 
 SPEC = "random:intervals:0:20:6"
@@ -152,6 +152,33 @@ def test_remark_counts_the_harness_runs_its_guard_skips(capsys, monkeypatch):
     report = json.loads(out)
     assert code == 0 and report["ok"] is True
     assert (report["harness_runs"], report["skipped_by_guard"]) == (0, runs)
+
+
+def test_remark_tries_the_empty_type_and_the_first_base_type(monkeypatch):
+    real, tried = suites.oracle_all_good_configs, []
+
+    def recording(struct, p, max_k, arity):
+        tried.append((p, max_k, arity))
+        return real(struct, p, max_k, arity)
+
+    monkeypatch.setattr(suites, "oracle_all_good_configs", recording)
+    for seed in range(5):
+        struct = parse_generator_spec(f"random:intervals:{seed}:20:6")
+        first = struct.type_space(struct.base_members())[0]
+        dim = pl.independence_dimension(struct).id_value
+        tried.clear()
+        assert suites.remark_suite([("s", struct)])["ok"]
+        assert tried == [(pl.PhiType(), min(2, dim + 1), dim), (first, min(2, dim + 1), dim)]
+
+
+def test_remark_skips_both_types_past_the_oracle_dimension_guard(capsys, monkeypatch):
+    # past the oracle's |Y| guard the subject's dimension search is not run
+    # either, so its own guard cannot end the suite
+    monkeypatch.setattr(vc, "DIMENSION_NODE_LIMIT", 0)
+    code, out, _ = verify(capsys, "remark", "random:intervals:0:20:12", "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and report["ok"] is True
+    assert (report["harness_runs"], report["skipped_by_guard"]) == (0, 2)
 
 
 def test_oracle_skips_the_max_config_comparison_past_its_guard(capsys, monkeypatch):

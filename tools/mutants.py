@@ -144,6 +144,12 @@ MUTANTS = [
      "return None  # (i)", "pass  # (i)", GOODCONFIG_TESTS),
     ("pack-bits-reversed", DELTA,
      "bytes(map(bool, masks))", "bytes(map(bool, masks[::-1]))", DELTA_TESTS),
+    ("signature-memo-ignores-closed", DELTA,
+     'key = ("signature", family.arity, c, domain, closed)',
+     'key = ("signature", family.arity, c, domain)', DELTA_TESTS),
+    ("closed-packs-from-length-2", DELTA,
+     "lengths = range(1, r + 1) if closed and r else (r,)",
+     "lengths = range(2, r + 1) if closed and r else (r,)", DELTA_TESTS),
     ("excluded-by-own-sign", ISOLATION,
      "pair[1 - sign]", "pair[sign]", ISOLATION_TESTS),
     ("holds-reads-positive-literal", ISOLATION,
@@ -154,8 +160,14 @@ MUTANTS = [
      "tried > DEFAULT_COVER_LIMIT", "tried >= DEFAULT_COVER_LIMIT", COVER_TESTS),
     ("defining-reads-last-realizer", SUITES,
      "(mask & -mask).bit_length() - 1", "mask.bit_length() - 1", SUITES_TESTS),
+    ("remark-reads-last-row", SUITES,
+     "struct.trace(0, struct.base_members())", "struct.trace(struct.m - 1, struct.base_members())",
+     SUITES_TESTS),
     ("linear-order-not-strict", GENERATORS,
      "1 if a < b else 0", "1 if a <= b else 0", GENERATORS_TESTS),
+    ("eqrel-picks-one-more", GENERATORS,
+     "x - class_of.index(ci) < spec.b_picks[ci]", "x - class_of.index(ci) <= spec.b_picks[ci]",
+     GENERATORS_TESTS),
     ("seeds-guard-ge", CLI,
      "if count > SEEDS_LIMIT:", "if count >= SEEDS_LIMIT:", CLI_TESTS),
 ]
