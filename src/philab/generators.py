@@ -149,11 +149,10 @@ def gen_linear_order(
         if not 0 <= b < points:
             raise ValueError(f"base index {b} out of range")
     theta = frozenset(range(points)) if fill_gaps else base
-    rows = tuple(
-        tuple(1 if a < b else 0 for b in range(points)) for a in range(points)
-    )
+    # column b holds a < b: b ones, then zeros
+    columns = [b"\x01" * b + bytes(points - b) for b in range(points)]
     meta = {"family": "linear_order", "points": points, "fill_gaps": fill_gaps}
-    return BipartiteStructure(rows, base, theta, meta)
+    return BipartiteStructure.from_columns(points, columns, base, theta, meta)
 
 
 def gen_shattered(k: int) -> BipartiteStructure:
@@ -188,21 +187,16 @@ def gen_random_bounded(
     if not 0 <= y_size <= RANDOM_Y_LIMIT:
         raise ValueError(f"y_size must be in 0..{RANDOM_Y_LIMIT}")
     rng = random.Random(f"{family}:{seed}:{x_size}:{y_size}")
-
-    def mark_interval(column: bytearray) -> None:
-        lo, hi = sorted((rng.randrange(x_size), rng.randrange(x_size)))
-        column[lo:hi + 1] = b"\x01" * (hi + 1 - lo)
-
+    draws = range(2 if family == UNIONS else 1)
     columns = []
     for _ in range(y_size):
         column = bytearray(x_size)
-        mark_interval(column)
-        if family == UNIONS:
-            mark_interval(column)
+        for _ in draws:  # mark the points lo..hi, drawn lo first
+            lo, hi = rng.randrange(x_size), rng.randrange(x_size)
+            if hi < lo:
+                lo, hi = hi, lo
+            column[lo:hi + 1] = b"\x01" * (hi + 1 - lo)
         columns.append(column)
-    # a bytearray yields its entries as the ints 0 and 1; with no columns,
-    # zip would give no rows at all, not x_size empty ones
-    rows = tuple(zip(*columns)) if columns else ((),) * x_size
     base = frozenset(b for b in range(y_size) if rng.random() < 0.5)
     meta = {"family": family, "seed": seed}
-    return BipartiteStructure(rows, base, frozenset(range(y_size)), meta)
+    return BipartiteStructure.from_columns(x_size, columns, base, frozenset(range(y_size)), meta)

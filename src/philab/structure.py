@@ -104,6 +104,7 @@ EMPTY_TYPE = PhiType()
 _BOOLEANS = frozenset((0, 1))
 #: turns the bytes 0 and 1 into the text "0" and "1"
 _BITS_TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+_TEXT_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _is_boolean_row(row) -> bool:
@@ -120,8 +121,10 @@ def _is_boolean_row(row) -> bool:
 class BipartiteStructure:
     """Total truth matrix of phi(x; y) with designated B and theta sets.
 
-    Invariants enforced at construction: the matrix is total, X is nonempty
-    (so the empty type is consistent), and base_set <= theta_set <= Y.
+    Built from rows by the constructor, or from 0/1 byte columns by
+    from_columns; both end in one finishing step.  Invariants enforced at
+    construction: the matrix is total, X is nonempty (so the empty type is
+    consistent), and base_set <= theta_set <= Y.
     After construction truth is a tuple of n-tuples of 0/1 ints (bools
     included), and base_set and theta_set are frozensets of plain ints, so
     equal structures give equal answers.
@@ -143,12 +146,13 @@ class BipartiteStructure:
         if not truth:
             raise ValueError("X must be nonempty")
         width = len(truth[0])
-        # This is the one place that reads a raw entry.  A tuple of tuples of
-        # one length, holding ints or bools equal to 0 or 1, is kept as it
-        # is; any other accepted matrix is rebuilt as tuples of the ints 0
-        # and 1, each entry read by its truth value.  _columns[b][i] is then
-        # truth[i][b] as a byte, and bit i of _column_masks[b] is the same
-        # entry: a column read from its last row up is the mask's numeral.
+        # This and from_columns are the two readers of raw entries.  A tuple
+        # of tuples of one length, holding ints or bools equal to 0 or 1, is
+        # kept as it is; any other accepted matrix is rebuilt as tuples of
+        # the ints 0 and 1, each entry read by its truth value.
+        # _columns[b][i] is then truth[i][b] as a byte, and bit i of
+        # _column_masks[b] is the same entry: a column read from its last
+        # row up is the mask's numeral.
         try:  # read in C when the rows are tuples of one length
             plain = type(truth) is tuple and set(map(type, truth)) == {tuple}
             columns = tuple(map(bytes, zip(*truth, strict=True))) if plain else None
@@ -166,23 +170,68 @@ class BipartiteStructure:
             truth = tuple(tuple([1 if v else 0 for v in row]) for row in truth)
             object.__setattr__(self, "truth", truth)
             columns = tuple(map(bytes, zip(*truth)))
-        if not self.base_set <= self.theta_set:
-            raise ValueError("base_set must be contained in theta_set")
-        known = set(range(width))
+        self._finish(columns)
+
+    @classmethod
+    def from_columns(cls, m: int, columns: Iterable, base_set: Iterable[int],
+                     theta_set: Iterable[int], meta: Optional[Mapping] = None,
+                     ) -> "BipartiteStructure":
+        """The structure over m elements whose column b is columns[b]: a
+        bytes-like object of m bytes, each 0 or 1, with truth[i][b] =
+        columns[b][i].  It reads whole columns where the constructor reads
+        rows, keeps its own bytes of each column, so a later edit of a
+        caller's bytearray changes nothing, and ends in the constructor's
+        own checks of B and theta and its derivations."""
+        if not isinstance(m, int):
+            raise ValueError(f"m must be an int, got {m!r}")
+        if m < 1:
+            raise ValueError("X must be nonempty")
+        try:  # join takes any buffer, and no int, str or list of ints
+            columns = tuple(columns)
+            flat = b"".join(columns)
+        except TypeError:
+            raise ValueError("columns must be bytes-like objects") from None
+        columns = tuple(map(bytes, columns))
+        if not {m}.issuperset(map(len, columns)) or flat.translate(None, b"\x00\x01"):
+            for b, column in enumerate(columns):  # names the first bad column
+                if len(column) != m:
+                    raise ValueError(f"column {b} has length {len(column)}, expected {m}")
+                if column.translate(None, b"\x00\x01"):
+                    raise ValueError(f"column {b} contains non-boolean entries")
+        self = object.__new__(cls)
+        # a bytes column yields its entries as the ints 0 and 1; with no
+        # columns, zip would give no rows at all, not m empty ones
+        truth = tuple(zip(*columns)) if columns else ((),) * m
+        for name, value in (("truth", truth), ("base_set", base_set),
+                            ("theta_set", theta_set), ("meta", meta), ("_memo", {})):
+            object.__setattr__(self, name, value)
+        self._finish(columns)
+        return self
+
+    def _finish(self, columns: tuple[bytes, ...]) -> None:
+        """The step both constructors end in, given the checked columns:
+        B and theta are checked and frozen, and the columns, their masks,
+        the full mask and n are stored."""
         for name in ("theta_set", "base_set"):  # the one reader of raw members of B and theta
             params = getattr(self, name)
-            plain = type(params) is frozenset and {int}.issuperset(map(type, params))
-            if not (plain or all(isinstance(b, int) for b in params)) or not params <= known:
-                raise ValueError(f"{name} contains unknown parameters")
-            if not plain:  # each member passed the test check_parameter makes
+            if not (type(params) is frozenset and {int}.issuperset(map(type, params))):
+                params = tuple(params)  # an iterator is read once
+                if not all(isinstance(b, int) for b in params):
+                    raise ValueError(f"{name} contains unknown parameters")
+                # each member passed the test check_parameter makes
                 object.__setattr__(self, name, frozenset(map(index, params)))
+        # both are frozen now, so B is compared with theta as a set
+        if not self.base_set <= self.theta_set:
+            raise ValueError("base_set must be contained in theta_set")
+        if not self.theta_set <= frozenset(range(len(columns))):
+            raise ValueError("theta_set contains unknown parameters")
         object.__setattr__(self, "_columns", columns)
         object.__setattr__(
             self, "_column_masks",
-            tuple(int(c[::-1].translate(_BITS_TO_TEXT), 2) for c in columns),
+            tuple([int(c[::-1].translate(_BITS_TO_TEXT), 2) for c in columns]),
         )
         object.__setattr__(self, "_full_mask", (1 << len(self.truth)) - 1)
-        object.__setattr__(self, "n", width)  # |Y|, read by every parameter check
+        object.__setattr__(self, "n", len(columns))  # |Y|, read by every parameter check
 
     @property
     def m(self) -> int:
@@ -424,17 +473,17 @@ def parse_structure(text: str) -> BipartiteStructure:
             raise StructureParseError(
                 f"matrix row has length {len(row)}, expected {n}", lineno
             )
-        for ch in row:
-            if ch not in "01":
-                raise StructureParseError(
-                    f"invalid matrix character {ch!r}", lineno
-                )
-        rows.append(tuple(int(ch) for ch in row))
+        if row.strip("01"):  # some character is not 0 or 1: name the first
+            bad = next(ch for ch in row if ch not in "01")
+            raise StructureParseError(f"invalid matrix character {bad!r}", lineno)
+        rows.append(row)
     for extra in range(6 + m, len(lines)):
         if lines[extra].strip():
             raise StructureParseError("unexpected content after matrix", extra + 1)
 
-    return BipartiteStructure(tuple(rows), base, theta)
+    # row i is bits[i * n:(i + 1) * n], so column b is every n-th byte from b
+    bits = "".join(rows).encode().translate(_TEXT_TO_BITS)
+    return BipartiteStructure.from_columns(m, [bits[b::n] for b in range(n)], base, theta)
 
 
 def serialize_structure(struct: BipartiteStructure) -> str:

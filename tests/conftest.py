@@ -464,3 +464,84 @@ def reference_gen_random_bounded(seed, x_size, y_size, family=pl.generators.INTE
     base = frozenset(b for b in range(y_size) if rng.random() < 0.5)
     meta = {"family": family, "seed": seed}
     return pl.BipartiteStructure(rows, base, frozenset(range(y_size)), meta)
+
+
+# -- the row-route linear generator and parser, kept as references for the
+# ones that hand byte columns to BipartiteStructure.from_columns ----------
+
+
+def reference_gen_linear_order(points, b_indices=(), fill_gaps=True):
+    """gen_linear_order building its rows one entry at a time."""
+    base = frozenset(b_indices)
+    theta = frozenset(range(points)) if fill_gaps else base
+    rows = tuple(tuple(1 if a < b else 0 for b in range(points)) for a in range(points))
+    meta = {"family": "linear_order", "points": points, "fill_gaps": fill_gaps}
+    return pl.BipartiteStructure(rows, base, theta, meta)
+
+
+def reference_parse_structure(text):
+    """parse_structure reading the matrix one character at a time."""
+    lines = text.splitlines()
+
+    def get(i):
+        if i >= len(lines):
+            raise pl.StructureParseError("unexpected end of file", i + 1)
+        return lines[i].rstrip()
+
+    if get(0) != pl.structure.FILE_HEADER:
+        raise pl.StructureParseError(f"expected header {pl.structure.FILE_HEADER!r}", 1)
+
+    def parse_count(i, tag, minimum):
+        parts = get(i).split()
+        if len(parts) != 2 or parts[0] != tag:
+            raise pl.StructureParseError(f"expected `{tag} <count>`", i + 1)
+        try:
+            value = int(parts[1])
+        except ValueError:
+            raise pl.StructureParseError(f"bad {tag} count {parts[1]!r}", i + 1) from None
+        if value < minimum:
+            raise pl.StructureParseError(f"{tag} count must be >= {minimum}", i + 1)
+        return value
+
+    m = parse_count(1, "X", 1)
+    n = parse_count(2, "Y", 0)
+    b_line = get(3)
+    if b_line != "B" and not b_line.startswith("B "):
+        raise pl.StructureParseError("expected `B <indices>`", 4)
+    base = pl.structure._parse_indices(b_line[1:], n, 4, "B")
+    t_line = get(4)
+    if t_line != "THETA" and not t_line.startswith("THETA "):
+        raise pl.StructureParseError("expected `THETA ALL` or `THETA <indices>`", 5)
+    t_body = t_line[len("THETA"):].strip()
+    if t_body == "ALL":
+        theta = frozenset(range(n))
+    else:
+        theta = pl.structure._parse_indices(t_body, n, 5, "THETA")
+    if not base <= theta:
+        raise pl.StructureParseError("B is not contained in THETA", 5)
+    if get(5) != "MATRIX":
+        raise pl.StructureParseError("expected `MATRIX`", 6)
+    rows = []
+    for i in range(m):
+        lineno = 7 + i
+        row = get(6 + i)
+        if len(row) != n:
+            raise pl.StructureParseError(
+                f"matrix row has length {len(row)}, expected {n}", lineno
+            )
+        for ch in row:
+            if ch not in "01":
+                raise pl.StructureParseError(f"invalid matrix character {ch!r}", lineno)
+        rows.append(tuple(int(ch) for ch in row))
+    for extra in range(6 + m, len(lines)):
+        if lines[extra].strip():
+            raise pl.StructureParseError("unexpected content after matrix", extra + 1)
+    return pl.BipartiteStructure(tuple(rows), base, theta)
+
+
+def same_structure(s, ref):
+    """s equals ref, and so do the columns, masks, n and meta it derived."""
+    return (s == ref and s.meta == ref.meta and s.n == ref.n
+            and s._columns == ref._columns and s._column_masks == ref._column_masks
+            and s._full_mask == ref._full_mask
+            and [type(v) for row in s.truth for v in row] == [int] * (s.m * s.n))

@@ -18,7 +18,9 @@ def public_functions():
             if inspect.isfunction(obj) and obj.__module__ == module.__name__:
                 if not name.startswith("_"):
                     yield f"{module.__name__}.{name}", obj
-    for name, obj in inspect.getmembers(BipartiteStructure, inspect.isfunction):
+    # methods and classmethods alike, such as the from_columns constructor
+    for name, obj in inspect.getmembers(
+            BipartiteStructure, lambda o: inspect.isfunction(o) or inspect.ismethod(o)):
         if not name.startswith("_"):
             yield f"BipartiteStructure.{name}", obj
 
@@ -36,6 +38,11 @@ def test_no_per_call_limit_or_sample_parameters():
         if param in ("budget", "limit", "sample") or param.endswith("_limit")
     ]
     assert offenders == []
+
+
+def test_public_functions_include_the_structure_classmethods():
+    names = {name for name, _ in public_functions()}
+    assert {"BipartiteStructure.from_columns", "BipartiteStructure.trace"} <= names
 
 
 def test_no_assert_statements_in_the_package():

@@ -220,6 +220,25 @@ class TestGen:
         assert hashlib.sha256(sidecar).hexdigest() == (
             "51717346ed23f5ab15263f4c373276129e342c077eacd055ca54bbd6c435d56d")
 
+    @pytest.mark.parametrize("spec, phi, sidecar", [
+        ("random:unions2:1:200:24",
+         "d86a98698dedd4635aeea0bd535b72d0223e73b35eabe73f3ae021863e64752f",
+         "75c91aa5e0e758f9218ef2f96229757c12b9a11a5c11f2acb5d872fdea1331ee"),
+        ("random:intervals:0:1:0",
+         "2d3b283966364ce821e71edf0bc326a2a465237e99d6bf4eb81783c130cef7c4",
+         "84c7ddc78ad1a21ba0103a61b95663e7eb9137b74136e8a2a1c2865a34c8ed9f"),
+        ("linear:9:b=2,5",
+         "66a7ea636fb6b1006a5175700f6c76663c2a3de08a56feb76586dfebf96a5810",
+         "940aa34ab042497e3ee63b63ee63699c8ed0fd9cd9697114df0bdfd5375b8f4d"),
+    ])
+    def test_generated_file_and_sidecar_bytes(self, capsys, tmp_path, spec, phi, sidecar):
+        # the digests of the row-built generators' output
+        out_path = tmp_path / "g.phi"
+        code, _, _ = run(capsys, "gen", "--gen", spec, "-o", str(out_path))
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == phi
+        assert hashlib.sha256((tmp_path / "g.meta.json").read_bytes()).hexdigest() == sidecar
+
     def test_bad_spec(self, capsys):
         code, _, err = run(capsys, "gen", "--gen", "pentagon:5")
         assert code == 4

@@ -5,7 +5,11 @@ import pytest
 import philab as pl
 from philab.generators import INTERVALS, UNIONS
 
-from conftest import reference_gen_random_bounded
+from conftest import (
+    reference_gen_linear_order,
+    reference_gen_random_bounded,
+    same_structure,
+)
 
 
 class TestEqRel:
@@ -94,6 +98,16 @@ class TestLinearOrder:
                 # needing x < small while x >= large is impossible
                 assert not s.is_consistent(pl.PhiType({small: 1, large: 0}))
 
+    @pytest.mark.parametrize("fill", [True, False])
+    @pytest.mark.parametrize("points, base", [
+        (1, []), (1, [0]), (2, [1]), (7, [0, 3, 6]), (12, [0, 4, 8]), (64, range(0, 64, 5)),
+        (1024, [0, 511, 1023]),
+    ])
+    def test_columns_match_the_row_construction(self, points, base, fill):
+        s = pl.gen_linear_order(points, base, fill)
+        ref = reference_gen_linear_order(points, base, fill)
+        assert same_structure(s, ref)
+
     def test_nofill_theta(self):
         s = pl.gen_linear_order(6, [2, 4], fill_gaps=False)
         assert s.theta_set == {2, 4}
@@ -153,14 +167,15 @@ class TestRandomBounded:
             pl.gen_random_bounded(0, 5, 5, "squares")
 
     @pytest.mark.parametrize("family", [INTERVALS, UNIONS])
-    @pytest.mark.parametrize("x_size, y_size", [(20, 6), (50, 12), (200, 24), (1, 5), (3, 0)])
+    @pytest.mark.parametrize("x_size, y_size", [
+        (1, 0), (1, 1), (1, 5), (3, 0), (20, 6), (50, 12), (200, 24), (4096, 16),
+    ])
     def test_columns_first_matches_sets(self, family, x_size, y_size):
-        # same draws in the same order; every entry stays the int 0 or 1,
-        # which `gen -o` writes digit by digit
-        for seed in range(40):
+        # same draws in the same order, and every derived value is the row
+        # route's; every entry stays the int 0 or 1, which `gen -o` writes
+        # digit by digit
+        for seed in range(200):
             s = pl.gen_random_bounded(seed, x_size, y_size, family)
             ref = reference_gen_random_bounded(seed, x_size, y_size, family)
-            assert s.truth == ref.truth and len(s.truth) == x_size
-            assert s.base_set == ref.base_set and s.theta_set == ref.theta_set
-            assert s.meta == ref.meta
-            assert all(type(v) is int for row in s.truth for v in row)
+            assert len(s.truth) == x_size
+            assert same_structure(s, ref), (seed, x_size, y_size, family)

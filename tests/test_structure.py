@@ -6,7 +6,30 @@ from philab.goodconfig import GoodConfiguration
 from philab.oracle import oracle_all_good_configs, oracle_vc
 from philab.structure import serialize_structure
 
-from conftest import S1_TEXT, EqualsZero, TruthyZero
+from conftest import (
+    S1_TEXT,
+    EqualsZero,
+    TruthyZero,
+    reference_gen_random_bounded,
+    reference_parse_structure,
+    same_structure,
+)
+
+
+def transpose(rows):
+    """A 0/1 matrix as byte columns, one bytes object per parameter."""
+    return [bytes(column) for column in zip(*rows)]
+
+
+#: the two constructors, each given rows
+CONSTRUCTORS = {
+    "rows": pl.BipartiteStructure,
+    "columns": lambda rows, base, theta: pl.BipartiteStructure.from_columns(
+        len(rows), transpose(rows), base, theta),
+}
+
+#: a 2x3 matrix whose every column is known to B and theta tests
+THREE_COLUMNS = ((0, 1, 1), (1, 1, 0))
 
 
 class TestParsing:
@@ -148,6 +171,130 @@ class TestParameterSets:
         base, theta = frozenset({0}), frozenset({0, 1})
         s = pl.BipartiteStructure(((0, 1), (1, 1)), base, theta)
         assert s.base_set is base and s.theta_set is theta
+
+    @pytest.mark.parametrize("make", CONSTRUCTORS.values(), ids=CONSTRUCTORS)
+    @pytest.mark.parametrize("base, theta", [
+        (frozenset({0}), range(3)),
+        ([0, 2], [0, 1, 2]),
+        ((), [2, 0]),
+    ])
+    def test_b_and_theta_of_any_iterable_type_are_compared_as_sets(self, make, base, theta):
+        # a frozenset against a range raised TypeError, and [0, 2] <= [0, 1, 2]
+        # is False between lists
+        s = make(THREE_COLUMNS, base, theta)
+        assert s.base_set == frozenset(base) and s.theta_set == frozenset(theta)
+        assert type(s.base_set) is type(s.theta_set) is frozenset
+
+    @pytest.mark.parametrize("make", CONSTRUCTORS.values(), ids=CONSTRUCTORS)
+    def test_iterators_are_read_once(self, make):
+        # the member test once used up an iterator, leaving the set empty
+        s = make(THREE_COLUMNS, (b for b in [0, 2]), iter(range(3)))
+        assert s.base_set == {0, 2} and s.theta_set == {0, 1, 2}
+
+    @pytest.mark.parametrize("make", CONSTRUCTORS.values(), ids=CONSTRUCTORS)
+    @pytest.mark.parametrize("base, theta", [
+        ([0], [1]),
+        ({0}, {1, 2}),
+        (frozenset({0, 2}), range(2)),
+        ((1,), ()),
+    ])
+    def test_b_outside_theta_is_named_as_such(self, make, base, theta):
+        # [0] <= [1] is True between lists, so the subset test once let
+        # this pass and failed later, if at all
+        with pytest.raises(ValueError, match="^base_set must be contained in theta_set$"):
+            make(THREE_COLUMNS, base, theta)
+
+    @pytest.mark.parametrize("make", CONSTRUCTORS.values(), ids=CONSTRUCTORS)
+    @pytest.mark.parametrize("base", [{0.5}, {"a"}])
+    def test_a_non_int_b_member_is_named_before_b_outside_theta(self, make, base):
+        # members are tested as ints before B is compared with theta, so a
+        # non-int B outside theta is refused as unknown, not as outside theta
+        with pytest.raises(ValueError, match="^base_set contains unknown parameters$"):
+            make(THREE_COLUMNS, base, {0})
+
+
+class TestFromColumns:
+    """from_columns checks what the row constructor checks, with its
+    exception type, and derives the same values."""
+
+    def test_equals_the_row_constructor(self):
+        rows = ((0, 1, 1), (1, 1, 0), (0, 0, 1))
+        meta = {"family": "test"}
+        s = pl.BipartiteStructure.from_columns(
+            3, [b"\x00\x01\x00", bytearray(b"\x01\x01\x00"), memoryview(b"\x01\x00\x01")],
+            {1}, [0, 1], meta)
+        assert same_structure(s, pl.BipartiteStructure(rows, frozenset({1}), {0, 1}, meta))
+        assert s.truth == rows and s.meta is meta and s.m == 3 and s.n == 3
+        assert [type(c) for c in s._columns] == [bytes] * 3
+
+    def test_unequal_column_lengths(self):
+        with pytest.raises(ValueError, match="^column 1 has length 2, expected 3$"):
+            pl.BipartiteStructure.from_columns(3, [b"\x00" * 3, b"\x00" * 2], (), ())
+        with pytest.raises(ValueError, match="^column 0 has length 4, expected 3$"):
+            pl.BipartiteStructure.from_columns(3, [b"\x00" * 4], (), ())
+
+    @pytest.mark.parametrize("column", [b"\x00\x02", b"\x01\xff", b"01", b"\x01 "])
+    def test_a_byte_other_than_0_or_1(self, column):
+        columns = [b"\x00\x01", column]
+        with pytest.raises(ValueError, match="^column 1 contains non-boolean entries$"):
+            pl.BipartiteStructure.from_columns(2, columns, (), ())
+
+    @pytest.mark.parametrize("columns", [[], [b""]])
+    def test_no_elements(self, columns):
+        with pytest.raises(ValueError, match="^X must be nonempty$"):
+            pl.BipartiteStructure.from_columns(0, columns, (), ())
+
+    @pytest.mark.parametrize("m", [2.0, "2", None])
+    def test_a_non_int_element_count(self, m):
+        with pytest.raises(ValueError, match="^m must be an int"):
+            pl.BipartiteStructure.from_columns(m, [b"\x00\x01"], (), ())
+
+    @pytest.mark.parametrize("columns", [["01"], [2], [[0, 1]], 5, [None]])
+    def test_a_column_that_is_not_bytes_like(self, columns):
+        # bytes(2) would be two zero bytes, a column the caller never wrote
+        with pytest.raises(ValueError, match="^columns must be bytes-like objects$"):
+            pl.BipartiteStructure.from_columns(2, columns, (), ())
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_no_columns(self, m):
+        s = pl.BipartiteStructure.from_columns(m, [], (), ())
+        assert s.truth == ((),) * m and s.m == m and s.n == 0
+        assert same_structure(s, pl.BipartiteStructure(((),) * m, frozenset(), frozenset()))
+        assert pl.independence_dimension(s).id_value == 0
+
+    @pytest.mark.parametrize("base, theta", [
+        ({0.0}, {0.0, 1.0}),
+        ({0.0}, {0, 1}),
+        (set(), {1.0}),
+        (set(), {"0"}),
+        (set(), {-1}),
+        (set(), {2}),
+        ({2}, {0, 1, 2}),
+    ])
+    def test_a_non_int_or_unknown_member(self, base, theta):
+        with pytest.raises(ValueError, match="contains unknown parameters"):
+            pl.BipartiteStructure.from_columns(2, [b"\x00\x01", b"\x01\x01"], base, theta)
+
+    def test_bool_members_are_stored_as_ints(self):
+        s = pl.BipartiteStructure.from_columns(
+            2, [b"\x00\x01", b"\x01\x01"], frozenset({True}), {False, True})
+        assert s.base_set == {1} and s.theta_set == {0, 1}
+        assert {type(b) for b in (*s.base_set, *s.theta_set)} == {int}
+
+    def test_a_caller_bytearray_edited_afterwards(self):
+        columns = [bytearray(b"\x00\x01\x01"), bytearray(b"\x01\x01\x00")]
+        s = pl.BipartiteStructure.from_columns(3, columns, {0}, {0, 1})
+
+        def answers():
+            return (s.truth, s._columns, s._column_masks, s.type_space([0, 1]),
+                    s.trace(0, [0, 1]), oracle_vc(s), serialize_structure(s))
+
+        before = answers()
+        columns[0][0] = 1
+        columns[1][:] = b"\x00\x00\x00"
+        columns.append(bytearray(3))
+        assert answers() == before
+        assert s == pl.BipartiteStructure(((0, 1), (1, 1), (1, 0)), {0}, {0, 1})
 
 
 class TestCoreOps:
@@ -419,3 +566,90 @@ def test_literal_pairs_checks_every_parameter_first(s1):
         (s1.literal_mask(1, 0), s1.literal_mask(1, 1)),
         (s1.literal_mask(0, 0), s1.literal_mask(0, 1)),
     ]
+
+
+@st.composite
+def column_matrices(draw):
+    """A 0/1 matrix of one to nine rows, with B and theta that may name a
+    parameter out of range or put B outside theta."""
+    m, width = draw(st.integers(1, 9)), draw(st.integers(0, 6))
+    rows = tuple(tuple(draw(st.lists(st.integers(0, 1), min_size=width, max_size=width)))
+                 for _ in range(m))
+    theta = draw(st.frozensets(st.integers(0, width), max_size=width + 1))
+    base = draw(st.frozensets(st.sampled_from(sorted(theta | {0})), max_size=3))
+    return rows, base, theta
+
+
+@given(case=column_matrices())
+@settings(max_examples=200, deadline=None)
+def test_from_columns_matches_the_row_constructor(case):
+    rows, base, theta = case
+    try:
+        expected = pl.BipartiteStructure(rows, base, theta)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            pl.BipartiteStructure.from_columns(len(rows), transpose(rows), base, theta)
+        assert str(raised.value) == str(exc)
+        return
+    s = pl.BipartiteStructure.from_columns(len(rows), transpose(rows), list(base), list(theta))
+    assert same_structure(s, expected)
+
+
+@pytest.mark.parametrize("family", [pl.generators.INTERVALS, pl.generators.UNIONS])
+@pytest.mark.parametrize("x_size, y_size",
+                         [(1, 0), (1, 1), (20, 6), (50, 12), (200, 24), (4096, 16)])
+def test_parse_matches_the_row_parser(family, x_size, y_size):
+    # the character-by-character reference takes 16 ms a file at 4096x16
+    for seed in range(25 if x_size == 4096 else 200):
+        text = serialize_structure(
+            reference_gen_random_bounded(seed, x_size, y_size, family))
+        assert same_structure(pl.parse_structure(text), reference_parse_structure(text))
+
+
+@pytest.mark.parametrize("fill", [True, False])
+def test_parse_matches_the_row_parser_on_linear_orders(fill):
+    for points in (1, 2, 7, 64, 300):
+        text = serialize_structure(pl.gen_linear_order(points, range(0, points, 3), fill))
+        assert same_structure(pl.parse_structure(text), reference_parse_structure(text))
+
+
+@st.composite
+def broken_files(draw):
+    """A structure file with at most one matrix fault: a short or long row,
+    a character other than 0 or 1, a missing row, trailing content, or
+    trailing blanks that are no fault."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(0, 5))
+    rows = ["".join(draw(st.lists(st.sampled_from("01"), min_size=n, max_size=n)))
+            for _ in range(m)]
+    i = draw(st.integers(0, m - 1))
+    fault = draw(st.sampled_from(
+        ["none", "short", "long", "char", "missing", "trailing", "blanks"]))
+    if fault == "short" and n:
+        rows[i] = rows[i][:-1]
+    elif fault == "long":
+        rows[i] += draw(st.sampled_from("01 2"))
+    elif fault == "char" and n:
+        j = draw(st.integers(0, n - 1))
+        rows[i] = rows[i][:j] + draw(st.sampled_from("2x \t")) + rows[i][j + 1:]
+    elif fault == "missing":
+        del rows[i]
+    elif fault == "trailing":
+        rows += [""] * draw(st.integers(0, 2)) + [draw(st.sampled_from(["0", "1", "x", " 01"]))]
+    elif fault == "blanks":
+        rows[i] += " "
+        rows.append("  ")
+    head = ["# phi-structure v1", f"X {m}", f"Y {n}", "B", "THETA ALL", "MATRIX"]
+    return "\n".join(head + rows) + draw(st.sampled_from(["\n", ""]))
+
+
+@given(text=broken_files())
+@settings(max_examples=300, deadline=None)
+def test_parse_errors_match_the_row_parser(text):
+    try:
+        expected = reference_parse_structure(text)
+    except pl.StructureParseError as exc:
+        with pytest.raises(pl.StructureParseError) as raised:
+            pl.parse_structure(text)
+        assert (str(raised.value), raised.value.line) == (str(exc), exc.line)
+        return
+    assert same_structure(pl.parse_structure(text), expected)

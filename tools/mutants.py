@@ -132,6 +132,17 @@ MUTANTS = [
      "firsts.setdefault(flat[i::m], i)", "firsts[flat[i::m]] = i", STRUCTURE_TESTS),
     ("distinct-rows-read-across", STRUCTURE,
      "flat[i::m]", "flat[i:i + m]", STRUCTURE_TESTS),
+    ("from-columns-skips-bit-check", STRUCTURE,
+     ' or flat.translate(None, b"\\x00\\x01"):', ":", STRUCTURE_TESTS),
+    ("from-columns-skips-length-check", STRUCTURE,
+     "not {m}.issuperset(map(len, columns)) or ", "", STRUCTURE_TESTS),
+    ("theta-range-check-skipped", STRUCTURE,
+     'raise ValueError("theta_set contains unknown parameters")', "pass", STRUCTURE_TESTS),
+    ("parse-skips-character-check", STRUCTURE,
+     'if row.strip("01"):', "if False:", STRUCTURE_TESTS),
+    ("parse-reads-columns-across", STRUCTURE,
+     "[bits[b::n] for b in range(n)]", "[bits[b * m:(b + 1) * m] for b in range(n)]",
+     STRUCTURE_TESTS),
     ("vc-pigeonhole-ge", ORACLE,
      "1 << size > len(rows)", "1 << size >= len(rows)", ORACLE_TESTS),
     ("vc-skip-best-plus-one", ORACLE,
@@ -164,10 +175,13 @@ MUTANTS = [
      "struct.trace(0, struct.base_members())", "struct.trace(struct.m - 1, struct.base_members())",
      SUITES_TESTS),
     ("linear-order-not-strict", GENERATORS,
-     "1 if a < b else 0", "1 if a <= b else 0", GENERATORS_TESTS),
+     'b"\\x01" * b + bytes(points - b)', 'b"\\x01" * (b + 1) + bytes(points - b - 1)',
+     GENERATORS_TESTS),
     ("eqrel-picks-one-more", GENERATORS,
      "x - class_of.index(ci) < spec.b_picks[ci]", "x - class_of.index(ci) <= spec.b_picks[ci]",
      GENERATORS_TESTS),
+    ("random-marks-keep-hi-below-lo", GENERATORS,
+     "lo, hi = hi, lo", "pass", GENERATORS_TESTS),
     ("seeds-guard-ge", CLI,
      "if count > SEEDS_LIMIT:", "if count >= SEEDS_LIMIT:", CLI_TESTS),
 ]
