@@ -11,7 +11,11 @@ name, an empty seed list, or an unwritable output path).
 
 `main` builds the argparse tree on its first call in a process and reuses it
 for every later call there, dispatching through `COMMANDS` by command name;
-a fresh `philab` process still builds it once.
+a fresh `philab` process still builds it once.  When the first argument names
+a command, that command's own parser reads the rest alone, so the top-level
+parser does not scan every token first; it still reports unrecognized
+arguments, and every other command line (none, `-h`, an unknown command) goes
+through the whole tree.
 """
 
 from __future__ import annotations
@@ -470,6 +474,12 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     """A fresh parser for the `philab` command line; `main` keeps one."""
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its map of command name -> that command's
+    parser, the `choices` of its subparsers action."""
     parser = _Parser(
         prog="philab",
         description="finite laboratory for partitioned-formula types",
@@ -513,19 +523,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--suite", required=True, help="|".join(sorted(SUITES)))
     sub.add_argument("--seeds", help="seed range for random generators, e.g. 0..99")
 
-    return parser
+    return parser, subs.choices
 
 
 _parser: Optional[argparse.ArgumentParser] = None
+_commands: dict = {}  # command name -> its parser in _parser's tree
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    global _parser
+    global _parser, _commands
     if _parser is None:
         # built on the first call, not at import; later calls in the same
-        # process reuse it (parsing leaves no state on the parser)
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+        # process reuse it (parsing leaves no state on a parser)
+        _parser, _commands = _build_parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _commands.get(argv[0]) if argv else None
+    if command is None:
+        args = _parser.parse_args(argv)
+    else:
+        # what the tree does for a known command, minus its scan of the
+        # whole argv: the command's parser reads the rest, and the top-level
+        # parser reports what that parser did not recognize
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:
+            _parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return COMMANDS[args.command](args)
     except StructureParseError as exc:

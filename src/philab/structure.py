@@ -215,7 +215,10 @@ class BipartiteStructure:
         for name in ("theta_set", "base_set"):  # the one reader of raw members of B and theta
             params = getattr(self, name)
             if not (type(params) is frozenset and {int}.issuperset(map(type, params))):
-                params = tuple(params)  # an iterator is read once
+                try:
+                    params = tuple(params)  # an iterator is read once
+                except TypeError:
+                    raise ValueError(f"{name} is not an iterable of parameters") from None
                 if not all(isinstance(b, int) for b in params):
                     raise ValueError(f"{name} contains unknown parameters")
                 # each member passed the test check_parameter makes

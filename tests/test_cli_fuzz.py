@@ -117,7 +117,11 @@ def outcome(entry, argv):
 
 
 # a usage error (exit 4), help (exit 0), and the two commands whose --over
-# defaults differ (B for isolate, ALL for types), each run with that default
+# defaults differ (B for isolate, ALL for types), each run with that default;
+# then command lines of both routes through `main`: the whole tree (no
+# command first) and a command's own parser, where an unrecognized argument,
+# a `--`, an abbreviated option, a missing required option and a bad value
+# are each reported as the whole tree reports them
 FIXED = [
     ["isolate", "--gen", "shattered:2", "--of", "1", "--format", "json"],
     ["types", "--gen", "shattered:2", "--format", "json"],
@@ -125,6 +129,14 @@ FIXED = [
     ["types", "--over"],
     ["--help"],
     ["isolate", "--help"],
+    [],
+    ["--", "isolate"],
+    ["-h", "isolate"],
+    ["isolate", "--gen", "shattered:2", "--of", "1", "--bogus"],
+    ["isolate", "--", "--gen", "shattered:2"],
+    ["isolate", "--form", "json", "--gen", "shattered:2", "--of", "1"],
+    ["embed", "--gen", "shattered:2"],
+    ["isolate", "--gen", "shattered:2", "--of", "x"],
 ]
 
 
@@ -133,3 +145,46 @@ FIXED = [
 def test_shared_parser_answers_like_a_fresh_one(workdir, argv_list):
     for argv in argv_list:
         assert outcome(main, argv) == outcome(main_with_fresh_parser, argv), argv
+
+
+@pytest.mark.parametrize("argv", FIXED)
+def test_main_without_arguments_reads_sys_argv(workdir, monkeypatch, argv):
+    monkeypatch.setattr(sys, "argv", ["philab", *argv])
+    assert outcome(lambda _: main(), None) == outcome(main_with_fresh_parser, argv)
+
+
+@pytest.fixture
+def parser_calls(monkeypatch):
+    """(method, prog) for each parse_known_args and error call on any parser
+    of the tree."""
+    calls = []
+    parser_class = type(build_parser())  # every parser of the tree is one
+    for method in ("parse_known_args", "error"):
+        def spy(self, *args, _method=method, _original=getattr(parser_class, method)):
+            calls.append((_method, self.prog))
+            return _original(self, *args)
+        monkeypatch.setattr(parser_class, method, spy)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["isolate", "--gen", "shattered:2", "--of", "1", "--format", "json"],
+    ["verify", "--suite", "bound", "--gen", "shattered:2"],
+    ["id", "--gen", "shattered:1", "--cap", "full"],
+])
+def test_a_known_command_is_read_by_its_parser_alone(parser_calls, argv):
+    assert outcome(main, argv)[0] == 0
+    assert parser_calls == [("parse_known_args", f"philab {argv[0]}")]
+
+
+def test_unrecognized_arguments_are_reported_by_the_top_level_parser(parser_calls):
+    code, out, err = outcome(main, ["isolate", "--gen", "shattered:2", "--bogus", "x"])
+    assert (code, out) == (EXIT_BAD_SPEC, "")
+    assert err.endswith("philab: error: unrecognized arguments: --bogus x\n")
+    assert parser_calls == [("parse_known_args", "philab isolate"), ("error", "philab")]
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["nope", "--gen", "shattered:2"]])
+def test_a_line_without_a_known_command_goes_through_the_whole_tree(parser_calls, argv):
+    assert outcome(main, argv)[0] in (0, 4)
+    assert parser_calls[0] == ("parse_known_args", "philab")

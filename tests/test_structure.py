@@ -205,6 +205,18 @@ class TestParameterSets:
             make(THREE_COLUMNS, base, theta)
 
     @pytest.mark.parametrize("make", CONSTRUCTORS.values(), ids=CONSTRUCTORS)
+    @pytest.mark.parametrize("base, theta, name", [
+        (5, {0, 1}, "base_set"),
+        (None, {0, 1}, "base_set"),
+        ({0}, 5, "theta_set"),
+        ({0}, None, "theta_set"),
+    ])
+    def test_a_non_iterable_set_is_named(self, make, base, theta, name):
+        # tuple(5) once escaped as a bare TypeError
+        with pytest.raises(ValueError, match=f"^{name} is not an iterable of parameters$"):
+            make(THREE_COLUMNS, base, theta)
+
+    @pytest.mark.parametrize("make", CONSTRUCTORS.values(), ids=CONSTRUCTORS)
     @pytest.mark.parametrize("base", [{0.5}, {"a"}])
     def test_a_non_int_b_member_is_named_before_b_outside_theta(self, make, base):
         # members are tested as ints before B is compared with theta, so a

@@ -66,7 +66,11 @@ COVER_TESTS = ("tests/test_cover.py",)
 SUITES_TESTS = ("tests/test_suites.py",
                 PROPERTIES + "defining_and_psi_match_references_over_distinct_rows")
 GENERATORS_TESTS = ("tests/test_generators.py",)
-CLI_TESTS = ("tests/test_cli.py",)
+CLI_FUZZ = "tests/test_cli_fuzz.py::test_"
+CLI_TESTS = ("tests/test_cli.py",
+             CLI_FUZZ + "shared_parser_answers_like_a_fresh_one",
+             CLI_FUZZ + "a_known_command_is_read_by_its_parser_alone",
+             CLI_FUZZ + "unrecognized_arguments_are_reported_by_the_top_level_parser")
 
 #: (name, module, text, replacement, test arguments)
 MUTANTS = [
@@ -184,6 +188,10 @@ MUTANTS = [
      "lo, hi = hi, lo", "pass", GENERATORS_TESTS),
     ("seeds-guard-ge", CLI,
      "if count > SEEDS_LIMIT:", "if count >= SEEDS_LIMIT:", CLI_TESTS),
+    ("dispatch-ignores-unrecognized", CLI,
+     "if extras:", "if False:", CLI_TESTS),
+    ("dispatch-reports-with-command-parser", CLI,
+     "_parser.error(f\"unrecognized", "command.error(f\"unrecognized", CLI_TESTS),
 ]
 
 
