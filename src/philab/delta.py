@@ -49,7 +49,8 @@ import operator
 from dataclasses import dataclass, field
 from itertools import chain, combinations, product
 from math import comb, inf
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .cover import least_cover
 from .errors import ArityMismatchError, ResourceLimitError
@@ -80,14 +81,16 @@ class DeltaFamily:
         object.__setattr__(self, "arity", arity)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeltaType:
-    """Truth table of the family for one subject parameter over a domain."""
+    """Truth table of the family for one subject parameter over a domain.
+    Frozen, with a read-only table, so a memoized one cannot be changed
+    through the value handed out."""
 
     subject: int
     domain: tuple[int, ...]
     arity: int
-    table: dict[Entry, bool] = field(repr=False)
+    table: Mapping[Entry, bool] = field(repr=False)
 
 
 def delta_eval(
@@ -153,7 +156,7 @@ def delta_type(
     table = {(zs, t, s): delta_eval(struct, family, c, zs, t, s)
              for zs in product(dom, repeat=n)
              for t in (0, 1) for s in product((0, 1), repeat=n)}
-    return DeltaType(c, dom, n, table)
+    return DeltaType(c, dom, n, MappingProxyType(table))
 
 
 def _positional_signature(struct: BipartiteStructure, family: DeltaFamily, c: int,

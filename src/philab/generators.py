@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable
 
 from .errors import ResourceLimitError
@@ -41,8 +42,11 @@ class EqRelSpec:
     b_picks: tuple[int, ...]
 
     def __init__(self, class_sizes: Iterable[int], b_picks: Iterable[int]):
-        object.__setattr__(self, "class_sizes", tuple(class_sizes))
-        object.__setattr__(self, "b_picks", tuple(b_picks))
+        try:  # each read as an index, so True is 1 and 1.5 is refused
+            object.__setattr__(self, "class_sizes", tuple(map(index, class_sizes)))
+            object.__setattr__(self, "b_picks", tuple(map(index, b_picks)))
+        except TypeError:
+            raise ValueError("class sizes and picks must be ints") from None
         if len(self.class_sizes) != len(self.b_picks):
             raise ValueError("class_sizes and b_picks must have equal length")
         if not self.class_sizes:
@@ -82,10 +86,10 @@ def gen_eqrel(spec: EqRelSpec) -> BipartiteStructure:
     def tindex(y: int, z: int, w: int) -> int:
         return (y * total + z) * total + w
 
-    rows = tuple(
-        tuple(int(x == y if z == w else class_of[x] == class_of[y])
-              for y in range(total) for z in range(total) for w in range(total))
-        for x in range(total))
+    # column (y, z, w) is y's equality column when z == w, else y's class column
+    codes = [(bytes([x == y for x in range(total)]),
+              bytes([class_of[x] == class_of[y] for x in range(total)])) for y in range(total)]
+    columns = [codes[y][z != w] for y in range(total) for z in range(total) for w in range(total)]
 
     def coding_params(element: int) -> list[int]:
         return [tindex(element, 0, w) for w in range(min(2, total))]
@@ -103,7 +107,7 @@ def gen_eqrel(spec: EqRelSpec) -> BipartiteStructure:
         "eq_param": {e: tindex(e, 0, 0) for e in range(total)},
         "e_param": {e: tindex(e, 0, 1) for e in range(total) if total >= 2},
     }
-    return BipartiteStructure(rows, base, theta, meta)
+    return BipartiteStructure.from_columns(total, columns, base, theta, meta)
 
 
 def eqrel_triple_of(struct: BipartiteStructure, param: int) -> tuple[int, int, int]:
@@ -162,12 +166,11 @@ def gen_shattered(k: int) -> BipartiteStructure:
         raise ValueError("k must be >= 0")
     if k > SHATTERED_K_LIMIT:
         raise ResourceLimitError(f"shattered k = {k} over the limit {SHATTERED_K_LIMIT}")
-    rows = tuple(
-        tuple(r >> (k - 1 - j) & 1 for j in range(k)) for r in range(2**k)
-    )
+    # column j holds bit k - 1 - j of each row index: row r reads r in binary
+    columns = [bytes([r >> (k - 1 - j) & 1 for r in range(2**k)]) for j in range(k)]
     everything = frozenset(range(k))
     meta = {"family": "shattered", "k": k}
-    return BipartiteStructure(rows, everything, everything, meta)
+    return BipartiteStructure.from_columns(2**k, columns, everything, everything, meta)
 
 
 def gen_random_bounded(

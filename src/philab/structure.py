@@ -125,9 +125,9 @@ class BipartiteStructure:
     from_columns; both end in one finishing step.  Invariants enforced at
     construction: the matrix is total, X is nonempty (so the empty type is
     consistent), and base_set <= theta_set <= Y.
-    After construction truth is a tuple of n-tuples of 0/1 ints (bools
-    included), and base_set and theta_set are frozensets of plain ints, so
-    equal structures give equal answers.
+    After construction truth is a tuple of n-tuples of the ints 0 and 1 (a
+    bool entry is stored as its int), and base_set and theta_set are
+    frozensets of plain ints, so equal structures give equal answers.
     Rows and columns are identified by 0-based indices; results with set
     semantics are returned in declared index order for reproducibility.
     """
@@ -146,31 +146,15 @@ class BipartiteStructure:
         if not truth:
             raise ValueError("X must be nonempty")
         width = len(truth[0])
-        # This and from_columns are the two readers of raw entries.  A tuple
-        # of tuples of one length, holding ints or bools equal to 0 or 1, is
-        # kept as it is; any other accepted matrix is rebuilt as tuples of
-        # the ints 0 and 1, each entry read by its truth value.
-        # _columns[b][i] is then truth[i][b] as a byte, and bit i of
-        # _column_masks[b] is the same entry: a column read from its last
-        # row up is the mask's numeral.
-        try:  # read in C when the rows are tuples of one length
-            plain = type(truth) is tuple and set(map(type, truth)) == {tuple}
-            columns = tuple(map(bytes, zip(*truth, strict=True))) if plain else None
-        except (TypeError, ValueError):  # unequal lengths, or an entry bytes() refuses
-            columns = None
-        if columns is None or b"".join(columns).translate(None, b"\x00\x01"):
-            # the row loop names the first bad row; a matrix that passes it
-            # holds list rows, or entries equal to 0 or 1 that bytes()
-            # refuses, as 1.0 does
-            for i, row in enumerate(truth):
-                if len(row) != width:
-                    raise ValueError(f"row {i} has length {len(row)}, expected {width}")
-                if not _is_boolean_row(row):
-                    raise ValueError(f"row {i} contains non-boolean entries")
-            truth = tuple(tuple([1 if v else 0 for v in row]) for row in truth)
-            object.__setattr__(self, "truth", truth)
-            columns = tuple(map(bytes, zip(*truth)))
-        self._finish(columns)
+        # This and from_columns are the two readers of raw entries; this
+        # loop names the first bad row.  Each entry of a matrix that passes
+        # it is read by its truth value into a 0/1 byte column.
+        for i, row in enumerate(truth):
+            if len(row) != width:
+                raise ValueError(f"row {i} has length {len(row)}, expected {width}")
+            if not _is_boolean_row(row):
+                raise ValueError(f"row {i} contains non-boolean entries")
+        self._finish(len(truth), tuple([bytes(map(bool, column)) for column in zip(*truth)]))
 
     @classmethod
     def from_columns(cls, m: int, columns: Iterable, base_set: Iterable[int],
@@ -199,19 +183,19 @@ class BipartiteStructure:
                 if column.translate(None, b"\x00\x01"):
                     raise ValueError(f"column {b} contains non-boolean entries")
         self = object.__new__(cls)
-        # a bytes column yields its entries as the ints 0 and 1; with no
-        # columns, zip would give no rows at all, not m empty ones
-        truth = tuple(zip(*columns)) if columns else ((),) * m
-        for name, value in (("truth", truth), ("base_set", base_set),
-                            ("theta_set", theta_set), ("meta", meta), ("_memo", {})):
+        for name, value in (("base_set", base_set), ("theta_set", theta_set),
+                            ("meta", meta), ("_memo", {})):
             object.__setattr__(self, name, value)
-        self._finish(columns)
+        self._finish(m, columns)
         return self
 
-    def _finish(self, columns: tuple[bytes, ...]) -> None:
-        """The step both constructors end in, given the checked columns:
-        B and theta are checked and frozen, and the columns, their masks,
-        the full mask and n are stored."""
+    def _finish(self, m: int, columns: tuple[bytes, ...]) -> None:
+        """The step both constructors end in, given the m-byte checked 0/1
+        columns: B and theta are checked and frozen, and every form of the
+        matrix is derived and stored here alone: truth, the columns, their
+        masks, the full mask and n.  _columns[b][i] is truth[i][b] as a
+        byte, and bit i of _column_masks[b] is the same entry: a column
+        read from its last row up is the mask's numeral."""
         for name in ("theta_set", "base_set"):  # the one reader of raw members of B and theta
             params = getattr(self, name)
             if not (type(params) is frozenset and {int}.issuperset(map(type, params))):
@@ -228,12 +212,15 @@ class BipartiteStructure:
             raise ValueError("base_set must be contained in theta_set")
         if not self.theta_set <= frozenset(range(len(columns))):
             raise ValueError("theta_set contains unknown parameters")
+        # a bytes column yields its entries as the ints 0 and 1; with no
+        # columns, zip would give no rows at all, not m empty ones
+        object.__setattr__(self, "truth", tuple(zip(*columns)) if columns else ((),) * m)
         object.__setattr__(self, "_columns", columns)
         object.__setattr__(
             self, "_column_masks",
             tuple([int(c[::-1].translate(_BITS_TO_TEXT), 2) for c in columns]),
         )
-        object.__setattr__(self, "_full_mask", (1 << len(self.truth)) - 1)
+        object.__setattr__(self, "_full_mask", (1 << m) - 1)
         object.__setattr__(self, "n", len(columns))  # |Y|, read by every parameter check
 
     @property
@@ -499,6 +486,6 @@ def serialize_structure(struct: BipartiteStructure) -> str:
         t = " ".join(str(i) for i in struct.theta_members())
         lines.append(f"THETA {t}".rstrip())
     lines.append("MATRIX")
-    # every entry is 0 or 1 as an int or a bool, so bytes() reads it
+    # every entry is the int 0 or 1, so bytes() reads it
     lines.extend(bytes(row).translate(_BITS_TO_TEXT).decode() for row in struct.truth)
     return "\n".join(lines) + "\n"

@@ -158,8 +158,8 @@ def reference_independence_dimension(s, cap=None):
     return pl.IndependenceReport(len(firsts) - 1, firsts[-1], capped), tried
 
 
-# -- the row-by-row matrix check, kept as a reference for the check that
-# reads whole columns in C ---------------------------------------------------
+# -- the row-by-row matrix check with masks summed bit by bit, kept as a
+# reference for the constructor's check and its derived columns -------------
 
 
 def reference_matrix_columns(truth):
@@ -477,6 +477,25 @@ def reference_gen_linear_order(points, b_indices=(), fill_gaps=True):
     rows = tuple(tuple(1 if a < b else 0 for b in range(points)) for a in range(points))
     meta = {"family": "linear_order", "points": points, "fill_gaps": fill_gaps}
     return pl.BipartiteStructure(rows, base, theta, meta)
+
+
+def reference_gen_shattered(k):
+    """gen_shattered building row r as r's k binary digits, high bit first."""
+    rows = tuple(tuple(r >> (k - 1 - j) & 1 for j in range(k)) for r in range(2**k))
+    everything = frozenset(range(k))
+    return pl.BipartiteStructure(rows, everything, everything, {"family": "shattered", "k": k})
+
+
+def reference_gen_eqrel(spec):
+    """gen_eqrel building its rows one entry at a time: column (y, z, w)
+    holds x == y when z == w, and x ~ y otherwise; meta is the generator's."""
+    s = pl.gen_eqrel(spec)
+    total, class_of = s.meta["model_size"], s.meta["class_of"]
+    rows = tuple(
+        tuple(int(x == y if z == w else class_of[x] == class_of[y])
+              for y, z, w in product(range(total), repeat=3))
+        for x in range(total))
+    return pl.BipartiteStructure(rows, s.base_set, s.theta_set, s.meta)
 
 
 def reference_parse_structure(text):

@@ -87,3 +87,18 @@ def test_the_cli_suites_oracle_and_generators_read_no_private_attribute():
         and not (node.attr.startswith("__") and node.attr.endswith("__"))
     ]
     assert reads == []
+
+
+def test_the_package_builds_every_structure_from_columns():
+    # the generators and the parser hand 0/1 byte columns to from_columns;
+    # the row constructor is for callers outside the package
+    sources = sorted(Path(philab.__file__).parent.rglob("*.py"))
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and "BipartiteStructure" in (getattr(node.func, "id", None),
+                                     getattr(node.func, "attr", None))
+    ]
+    assert calls == []

@@ -104,6 +104,11 @@ class TestIsolate:
         assert code == 4
         assert "bad spec" in err
 
+    def test_a_sign_other_than_0_or_1_is_a_bad_literal(self, capsys):
+        code, out, err = run(capsys, "isolate", "--gen", "shattered:2", "--lits", "3=2")
+        assert (code, out) == (4, "")
+        assert err == "bad spec: bad literal '3=2', expected <param>=0|1\n"
+
     @pytest.mark.parametrize("command", ["isolate", "config", "define"])
     def test_unknown_lits_parameter_names_the_least(self, capsys, command):
         # the library checks the type's parameters in increasing order
@@ -230,9 +235,36 @@ class TestGen:
         ("linear:9:b=2,5",
          "66a7ea636fb6b1006a5175700f6c76663c2a3de08a56feb76586dfebf96a5810",
          "940aa34ab042497e3ee63b63ee63699c8ed0fd9cd9697114df0bdfd5375b8f4d"),
+        ("shattered:0",
+         "2d3b283966364ce821e71edf0bc326a2a465237e99d6bf4eb81783c130cef7c4",
+         "e1cb7bbbb85b67d81b97207deb3db3ef68165cdcfe8cf9d8e4eadce176ce4c34"),
+        ("shattered:1",
+         "0dafce1b3d7ec8b122bb8ac9cad8b551d5bf924844a01cb9f683b2598ffedc9a",
+         "a450c24f02d6cac64cb7f492cb6b8740906a91f9b61d95cfb1f132819e47b351"),
+        ("shattered:2",
+         "2e012f4db908ff2f2c7eb8e49d177fe886d1ae711736d95da83af4750cb340c3",
+         "a189ef9475ba976d8959a098d47bb98963a0b2e8e21a74fe8e529f07d095e1b8"),
+        ("shattered:3",
+         "f833cbcd7a4765a95f3fbafdc8ab3a2dd6722958137dac97b72873781655c434",
+         "eefa918987472ba4858e302fa936f787c8a1c19db1ad282e932e270ef185f0fe"),
+        ("shattered:4",
+         "d37ba39772da2d4872db345d579db9883220c9fa83fc489457b266419b1f4830",
+         "28fe499076ca4ec3b8f46dc82c8f55b84522e63d5b2bfc88fd22a608d3afd464"),
+        ("shattered:5",
+         "fa39c9e0cda27cd10538ec93787d1747e024b843ea3d12e650581d8001f5cc65",
+         "18213c620f11da4ef78183036600a4ec0fdb747744cf8043098f1b2070f300b3"),
+        ("eqrel:2",
+         "bfb1ba23a3288350406b84dbb74e5bd5cc97aebd290530e9d9f98e62b0541aa3",
+         "2f8c8367bd5623f1e4563d4c5474ce472dc0b3b9315193bf5f0bb7bd18b228ba"),
+        ("eqrel:3,2,1",
+         "adbccd033d87fca325f7893fb24aff8a2f262ce0fa424931629ce2c511ffc65f",
+         "13e69681dfcafeaef304dcbf189e0a53be4a70617442869c06a75282c7061c4e"),
+        ("eqrel:4,4",
+         "917698f114767cc85889c180606544778923dfca9d53f377cbc4264e3b9124b1",
+         "51717346ed23f5ab15263f4c373276129e342c077eacd055ca54bbd6c435d56d"),
     ])
     def test_generated_file_and_sidecar_bytes(self, capsys, tmp_path, spec, phi, sidecar):
-        # the digests of the row-built generators' output
+        # the digests of the generators' output when each built its rows
         out_path = tmp_path / "g.phi"
         code, _, _ = run(capsys, "gen", "--gen", spec, "-o", str(out_path))
         assert code == 0
@@ -242,6 +274,15 @@ class TestGen:
     def test_bad_spec(self, capsys):
         code, _, err = run(capsys, "gen", "--gen", "pentagon:5")
         assert code == 4
+
+    def test_linear_fill_is_the_default(self, capsys, tmp_path):
+        written = []
+        for spec in ("linear:5", "linear:5:fill"):
+            out_path = tmp_path / f"{len(written)}.phi"
+            assert run(capsys, "gen", "--gen", spec, "-o", str(out_path))[0] == 0
+            written.append((out_path.read_bytes(),
+                            out_path.with_suffix(".meta.json").read_bytes()))
+        assert written[0] == written[1]
 
     def test_linear_guard_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(generators, "LINEAR_POINTS_LIMIT", 8)

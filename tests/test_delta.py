@@ -87,6 +87,20 @@ class TestDeltaType:
         b = cached_delta_type(s1, fam, 0, (1, 0))
         assert a is b  # domain canonicalization shares the entry
 
+    def test_cached_table_cannot_be_changed_through_a_returned_value(self):
+        s, fam = pl.gen_linear_order(4, [0, 2]), DeltaFamily(1)
+        t = cached_delta_type(s, fam, 1, [0, 2])
+        with pytest.raises(AttributeError):
+            t.table.clear()
+        with pytest.raises(TypeError):
+            t.table[next(iter(t.table))] = False
+        with pytest.raises(AttributeError):
+            t.table = {}
+        again = cached_delta_type(s, fam, 1, [0, 2])
+        assert len(again.table) == 8
+        assert vars(again) == vars(pl.delta_type(s, fam, 1, [0, 2]))
+        assert list(again.table) == list(pl.delta_type(s, fam, 1, [0, 2]).table)
+
 
 class TestDeltaEqual:
     def test_identity(self, s1):

@@ -6,10 +6,21 @@ import philab as pl
 from philab.generators import INTERVALS, UNIONS
 
 from conftest import (
+    reference_gen_eqrel,
     reference_gen_linear_order,
     reference_gen_random_bounded,
+    reference_gen_shattered,
     same_structure,
 )
+
+
+def eqrel_specs():
+    # every spec with 1-3 classes and picks 0-3, class sizes picks + 1, as
+    # the CLI's eqrel:P1,P2,... builds them, within the size guard
+    for classes in (1, 2, 3):
+        for picks in product(range(4), repeat=classes):
+            if sum(picks) + classes <= 10:
+                yield [p + 1 for p in picks], list(picks)
 
 
 class TestEqRel:
@@ -80,6 +91,47 @@ class TestEqRel:
         assert pl.eqrel_triple_of(s, s.meta["eq_param"][1]) == (1, 0, 0)
         assert pl.eqrel_triple_of(s, s.meta["e_param"][1]) == (1, 0, 1)
 
+    @pytest.mark.parametrize("sizes, picks", list(eqrel_specs()))
+    def test_columns_match_the_row_construction(self, sizes, picks):
+        spec = pl.EqRelSpec(sizes, picks)
+        assert same_structure(pl.gen_eqrel(spec), reference_gen_eqrel(spec))
+
+    def test_spec_reads_sizes_and_picks_as_indices(self):
+        spec = pl.EqRelSpec([True, 2], [0, True])
+        assert spec.class_sizes == (1, 2) and spec.b_picks == (0, 1)
+        assert [type(v) for v in spec.class_sizes + spec.b_picks] == [int] * 4
+        assert pl.gen_eqrel(spec).meta["picked"] == (1,)
+
+    @pytest.mark.parametrize("sizes, picks, message", [
+        ([2, 2], [1], "class_sizes and b_picks must have equal length"),
+        ([2, 0], [1, 0], "class sizes must be >= 1"),
+        # a float pick once passed, and gen_eqrel then picked both members
+        ([2], [1.5], "class sizes and picks must be ints"),
+        ([2.5], [1], "class sizes and picks must be ints"),
+        (["2"], [1], "class sizes and picks must be ints"),
+        ([2], [None], "class sizes and picks must be ints"),
+    ])
+    def test_spec_errors(self, sizes, picks, message):
+        with pytest.raises(ValueError) as raised:
+            pl.EqRelSpec(sizes, picks)
+        assert type(raised.value) is ValueError and str(raised.value) == message
+
+    def test_provenance_of_a_non_eqrel_structure_is_refused(self):
+        s = pl.gen_linear_order(3)
+        for ask in (lambda: pl.eqrel_triple_of(s, 0), lambda: pl.eqrel_target_element(s, 0)):
+            with pytest.raises(ValueError) as raised:
+                ask()
+            assert type(raised.value) is ValueError
+            assert str(raised.value) == "not an eqrel structure"
+
+    def test_a_class_of_picks_has_no_target(self):
+        s = pl.gen_eqrel(pl.EqRelSpec([1, 2], [1, 1]))
+        with pytest.raises(ValueError) as raised:
+            pl.eqrel_target_element(s, 0)
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == "class 0 has no non-picked member"
+        assert pl.eqrel_target_element(s, 1) == 2
+
 
 class TestLinearOrder:
     def test_matrix(self):
@@ -108,6 +160,16 @@ class TestLinearOrder:
         ref = reference_gen_linear_order(points, base, fill)
         assert same_structure(s, ref)
 
+    @pytest.mark.parametrize("points, base, message", [
+        (0, [], "points must be >= 1"),
+        (5, [1, 5], "base index 5 out of range"),
+        (5, [-1], "base index -1 out of range"),
+    ])
+    def test_input_errors(self, points, base, message):
+        with pytest.raises(ValueError) as raised:
+            pl.gen_linear_order(points, base)
+        assert type(raised.value) is ValueError and str(raised.value) == message
+
     def test_nofill_theta(self):
         s = pl.gen_linear_order(6, [2, 4], fill_gaps=False)
         assert s.theta_set == {2, 4}
@@ -133,6 +195,15 @@ class TestShattered:
     def test_guard(self):
         with pytest.raises(pl.ResourceLimitError):
             pl.gen_shattered(6)
+
+    def test_negative_k_is_refused(self):
+        with pytest.raises(ValueError) as raised:
+            pl.gen_shattered(-1)
+        assert type(raised.value) is ValueError and str(raised.value) == "k must be >= 0"
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_columns_match_the_row_construction(self, k):
+        assert same_structure(pl.gen_shattered(k), reference_gen_shattered(k))
 
 
 class TestRandomBounded:
@@ -165,6 +236,17 @@ class TestRandomBounded:
     def test_bad_family(self):
         with pytest.raises(ValueError):
             pl.gen_random_bounded(0, 5, 5, "squares")
+
+    @pytest.mark.parametrize("x_size, y_size, message", [
+        (0, 5, "x_size must be in 1..4096"),
+        (4097, 5, "x_size must be in 1..4096"),
+        (5, -1, "y_size must be in 0..512"),
+        (5, 513, "y_size must be in 0..512"),
+    ])
+    def test_size_errors(self, x_size, y_size, message):
+        with pytest.raises(ValueError) as raised:
+            pl.gen_random_bounded(0, x_size, y_size)
+        assert type(raised.value) is ValueError and str(raised.value) == message
 
     @pytest.mark.parametrize("family", [INTERVALS, UNIONS])
     @pytest.mark.parametrize("x_size, y_size", [

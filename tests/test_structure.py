@@ -368,6 +368,14 @@ class TestCoreOps:
             assert p == expected and p.items == ((0, 1), (1, 0))
             assert [type(sign) for _, sign in p.items] == [int, int]
 
+    def test_bool_entries_are_stored_as_ints(self):
+        s = pl.BipartiteStructure(((True, False), (False, True)), frozenset(), frozenset())
+        ints = pl.BipartiteStructure(((1, 0), (0, 1)), frozenset(), frozenset())
+        assert s.truth == ints.truth == ((1, 0), (0, 1))
+        assert [type(v) for row in s.truth for v in row] == [int] * 4
+        assert s == ints and hash(s) == hash(ints)
+        assert serialize_structure(s) == serialize_structure(ints)
+
     @pytest.mark.parametrize("truth", [((True, 0.0), (0, 1)), ((True, False), (0, True))])
     def test_odd_entries_serialize_as_0_and_1(self, truth):
         s = pl.BipartiteStructure(truth, frozenset(), frozenset())

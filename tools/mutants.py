@@ -95,18 +95,13 @@ MUTANTS = [
      "if not pos or pos == cell:", "if not pos:", VC_TESTS),
     ("pigeonhole-off-by-one", VC,
      "if 1 << len(params) > struct.m:", "if 1 << len(params) >= struct.m:", VC_TESTS),
-    ("skip-translate-check", STRUCTURE,
-     'if columns is None or b"".join(columns).translate(None, b"\\x00\\x01"):',
-     "if columns is None:", STRUCTURE_TESTS),
-    ("skip-row-length-check", STRUCTURE,
-     "zip(*truth, strict=True)", "zip(*truth)", STRUCTURE_TESTS),
-    ("list-rows-take-fast-path", STRUCTURE,
-     "plain = type(truth) is tuple and set(map(type, truth)) == {tuple}", "plain = True",
-     STRUCTURE_TESTS),
+    ("row-length-check-skipped", STRUCTURE,
+     "if len(row) != width:", "if False:", STRUCTURE_TESTS),
     ("truth-read-by-equality", STRUCTURE,
-     "[1 if v else 0 for v in row]", "[1 if v == 1 else 0 for v in row]", STRUCTURE_TESTS),
+     "bytes(map(bool, column))", "bytes([v == 1 for v in column])", STRUCTURE_TESTS),
     ("truth-not-stored", STRUCTURE,
-     'object.__setattr__(self, "truth", truth)', "pass", STRUCTURE_TESTS),
+     'object.__setattr__(self, "truth", tuple(zip(*columns)) if columns else ((),) * m)',
+     "pass", STRUCTURE_TESTS),
     ("masks-read-top-down", STRUCTURE,
      "int(c[::-1].translate(_BITS_TO_TEXT), 2)", "int(c.translate(_BITS_TO_TEXT), 2)",
      STRUCTURE_TESTS),
@@ -186,6 +181,14 @@ MUTANTS = [
      GENERATORS_TESTS),
     ("random-marks-keep-hi-below-lo", GENERATORS,
      "lo, hi = hi, lo", "pass", GENERATORS_TESTS),
+    ("shattered-bits-reversed", GENERATORS,
+     "r >> (k - 1 - j) & 1", "r >> j & 1", GENERATORS_TESTS),
+    ("eqrel-codes-swapped", GENERATORS,
+     "codes[y][z != w]", "codes[y][z == w]", GENERATORS_TESTS),
+    ("eqrel-picks-read-as-passed", GENERATORS,
+     "tuple(map(index, b_picks))", "tuple(b_picks)", GENERATORS_TESTS),
+    ("delta-table-writable", DELTA,
+     "MappingProxyType(table)", "table", DELTA_TESTS),
     ("seeds-guard-ge", CLI,
      "if count > SEEDS_LIMIT:", "if count >= SEEDS_LIMIT:", CLI_TESTS),
     ("dispatch-ignores-unrecognized", CLI,
