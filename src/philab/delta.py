@@ -26,21 +26,23 @@ are, except over D empty at arity >= 1: all tables are empty there, so the
 signature is the constant 0.
 
 The argument holds just as well for D read as a tuple of positions, repeats
-kept; the q-type compares candidate tuples this way, one signature per
-component over the base parameters followed by the components.  Finite
-satisfiability reads closed packs, the table on strictly increasing z-tuples
-of every length 1..r (0 at arity 0): full-table entries with contradictory
-repeated z's are false for every parameter, and every other entry repeats a
-closed one.  One private routine, _pack_literals, fills signatures, closed
-packs and the q-type's signature blocks from the z-tuples each passes: it
-expands each z-tuple from the subject's literal pair into realizer masks and
-reads them as binary digits in one bytes pass.  Every build raises
-ResourceLimitError past DEFAULT_TABLE_LIMIT entries, read at each build.
-delta_eval is the one-entry reference, and delta_type reads each entry of a
-full table through it, so the full table shares no packing code with the
-signatures it is checked against.  Signatures, packs and cached_delta_type
-tables are memoized per structure; a memo hit builds nothing, so no guard
-sees it.
+kept, and _signature reads every parameter tuple so, a sorted domain being
+one such tuple.  The q-type compares candidate tuples this way, one
+signature per component over the base parameters followed by the
+components, each read as blocks: the signature over the parameters at one
+r-tuple of positions.  Finite satisfiability reads closed packs, the table
+on strictly increasing z-tuples of every length 1..r (0 at arity 0):
+full-table entries with contradictory repeated z's are false for every
+parameter, and every other entry repeats a closed one.  _signature is the
+one builder of signatures, blocks and closed packs; its private routine
+_pack_literals expands each z-tuple from the subject's literal pair into
+realizer masks and reads them as binary digits in one bytes pass, so only
+this module knows the packed layout.  Every build raises ResourceLimitError
+past DEFAULT_TABLE_LIMIT entries, read at each build.  delta_eval is the
+one-entry reference, and delta_type reads each entry of a full table
+through it, so the full table shares no packing code with the signatures it
+is checked against.  Signatures, blocks, packs and cached_delta_type tables
+are memoized per structure; a memo hit builds nothing, so no guard sees it.
 """
 
 from __future__ import annotations
@@ -159,27 +161,23 @@ def delta_type(
     return DeltaType(c, dom, n, MappingProxyType(table))
 
 
-def _positional_signature(struct: BipartiteStructure, family: DeltaFamily, c: int,
-                          cols: tuple[int, ...], closed: bool = False) -> int:
-    """c's signature (closed: its closed pack) over a tuple of checked
-    parameters read position by position, repeats kept; not memoized."""
-    if family.arity and not cols:
-        return 0
-    r = min(family.arity, len(cols))
-    lengths = range(1, r + 1) if closed and r else (r,)
-    _check_table_size(sum(comb(len(cols), i) * 2 ** (i + 1) for i in lengths))
-    lits = dict(zip((c, *cols), struct._literal_pairs((c, *cols))))
-    ztuples = chain.from_iterable(combinations(cols, i) for i in lengths)
-    return _pack_literals(lits, c, ztuples)
-
-
 def _signature(struct: BipartiteStructure, family: DeltaFamily, c: int,
-               domain: tuple[int, ...], closed: bool = False) -> int:
-    """_positional_signature over a sorted domain, memoized per structure."""
-    key = ("signature", family.arity, c, domain, closed)
-    if key not in struct._memo:
-        struct._memo[key] = _positional_signature(struct, family, c, domain, closed)
-    return struct._memo[key]
+               cols: tuple[int, ...], closed: bool = False) -> int:
+    """c's signature (closed: its closed pack) over a tuple of checked
+    parameters read position by position, repeats kept, memoized per
+    structure; a sorted domain is one such tuple."""
+    key = ("signature", family.arity, c, cols, closed)
+    hit = struct._memo.get(key)
+    if hit is None:
+        r = min(family.arity, len(cols))
+        lengths = range(1, r + 1) if closed and r else (r,)
+        if family.arity and not cols:
+            lengths = ()  # every table over no parameter is empty
+        _check_table_size(sum(comb(len(cols), i) * 2 ** (i + 1) for i in lengths))
+        lits = dict(zip((c, *cols), struct._literal_pairs((c, *cols))))
+        ztuples = chain.from_iterable(combinations(cols, i) for i in lengths)
+        hit = struct._memo[key] = _pack_literals(lits, c, ztuples)
+    return hit
 
 
 def delta_equal(

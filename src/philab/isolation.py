@@ -31,13 +31,7 @@ from itertools import chain, combinations
 from typing import Optional
 
 from .cover import least_or_greedy_cover
-from .delta import (
-    ALL,
-    DeltaFamily,
-    _check_table_size,
-    _pack_literals,
-    _positional_signature,
-)
+from .delta import ALL, DeltaFamily, _check_table_size, _signature
 from .errors import (
     ArityMismatchError,
     InvariantError,
@@ -316,7 +310,9 @@ class QType:
 
     Candidates are decided by one depth-first search over the components
     (_q_realizers), which prunes on q_double_prime's realizer mask and on
-    q_triple_prime read as blocks, one per component and z-position tuple.
+    the third part read as blocks, one per component and z-position tuple,
+    built from the generating tuple (not read from q_triple_prime) through
+    delta's memoized signatures.
     """
 
     family: DeltaFamily
@@ -346,8 +342,7 @@ def q_type(
         family=family,
         generating=components,
         base_type=config.base_type,
-        q_triple_prime=tuple(_positional_signature(struct, family, c, params)
-                             for c in components),
+        q_triple_prime=tuple(_signature(struct, family, c, params) for c in components),
     )
     if not check_q_realizer(struct, q, components):
         raise InvariantError("generating tuple fails its own type")
@@ -362,50 +357,52 @@ def _q_realizers(
 
     Components are placed one at a time, with the realizer mask of the base
     type and the literals placed so far: a zero mask (which includes every
-    sign clash) prunes the subtree.  Each generating signature is cut into
-    its blocks of 2^(r+1) bits, one per z-position tuple in _pack_literals'
-    order; a block is compared as soon as its component and every component
-    it reads are placed, and a mismatch prunes the subtree.  A leaf has had
-    every block compared, so it has the generating tuple's signatures."""
+    sign clash) prunes the subtree.  The third part is read as blocks, one
+    per component j and tuple zs of r positions among the base members and
+    the components: j's signature over the parameters at zs.  The
+    generating tuple's blocks are read over the base members followed by
+    the generating tuple; a block is compared as soon as component j and
+    every component zs reads are placed, and a mismatch prunes the subtree.
+    A leaf has had every block compared, so it has the generating tuple's
+    signatures."""
     base = struct.base_members()
-    slots = len(base) + q.component_count
-    r = min(q.family.arity, slots)
-    ztuples = tuple(combinations(range(slots), r))
-    width = 1 << (r + 1)
+    generating = (*base, *q.generating)
+    r = min(q.family.arity, len(generating))
+    ztuples = tuple(combinations(range(len(generating)), r))
     if q.component_count:
-        _check_table_size(len(ztuples) * width)
-    # ready[d]: (subject slot, z slots, generating bits) of each block that
-    # reads nothing past the first d components
+        # the entries of one component's signature, all its blocks together
+        _check_table_size(len(ztuples) * 2 ** (r + 1))
+    # ready[d]: (subject position, z positions, generating block) of each
+    # block that reads nothing past the first d components
     ready: list[list] = [[] for _ in range(q.component_count + 1)]
-    for j, signature in enumerate(q.q_triple_prime):
-        shift = len(ztuples) * width
+    for j in range(q.component_count):
+        subject = len(base) + j
         for zs in ztuples:
-            shift -= width
             depth = max([j, *(z - len(base) for z in zs)]) + 1
-            ready[depth].append((len(base) + j, zs, signature >> shift & (1 << width) - 1))
+            block = _signature(struct, q.family, generating[subject],
+                               tuple([generating[z] for z in zs]))
+            ready[depth].append((subject, zs, block))
     used = tuple(set(chain.from_iterable(choices)))
     lits = dict(zip(used, struct._literal_pairs(used)))
-    # slot_lits[i]: the literal masks of slot i, base members then placed components
-    slot_lits = struct._literal_pairs(base)
-    placed: list[int] = []
+    # the base members, then the components placed so far
+    params = list(base)
     found: list[tuple[int, ...]] = []
 
     def place(mask: int) -> None:
-        d = len(placed)
+        d = len(params) - len(base)
         if d == len(choices):
-            found.append(tuple(placed))
+            found.append(tuple(params[len(base):]))
             return
         for c in choices[d]:
             narrowed = mask & lits[c][d % 2]
             if not narrowed:
                 continue
-            placed.append(c)
-            slot_lits.append(lits[c])
-            if all(_pack_literals(slot_lits, subject, (zs,)) == bits
-                   for subject, zs, bits in ready[d + 1]):
+            params.append(c)
+            if all(_signature(struct, q.family, params[subject],
+                              tuple([params[z] for z in zs])) == block
+                   for subject, zs, block in ready[d + 1]):
                 place(narrowed)
-            placed.pop()
-            slot_lits.pop()
+            params.pop()
 
     mask = struct.type_mask(q.base_type)
     if mask:

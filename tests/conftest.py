@@ -5,7 +5,7 @@ import pytest
 
 import philab as pl
 from philab.cover import least_cover
-from philab.delta import ALL, DeltaFamily, _positional_signature
+from philab.delta import ALL, DeltaFamily, _signature
 from philab import goodconfig
 from philab.goodconfig import GoodConfiguration, extend_type
 from philab.isolation import QHarnessReport
@@ -376,7 +376,7 @@ def reference_check_q_realizer(s, q, candidate):
             if not s.is_consistent(combined):
                 return False
     params = (*s.base_members(), *candidate)
-    signatures = tuple(_positional_signature(s, q.family, c, params) for c in candidate)
+    signatures = tuple(_signature(s, q.family, c, params) for c in candidate)
     return signatures == q.q_triple_prime
 
 

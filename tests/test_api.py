@@ -75,6 +75,24 @@ def test_only_the_structure_and_the_oracle_canonicalize_parameter_lists():
     assert {name for name, _ in calls} == {"structure.py", "oracle.py"}, calls
 
 
+def test_only_delta_packs_signatures():
+    # delta._signature is the one memoized builder of signatures and their
+    # blocks, so only delta.py knows the packed layout that _pack_literals
+    # fills; the q-type search reads its blocks through _signature
+    sources = sorted(Path(philab.__file__).parent.rglob("*.py"))
+    calls = [
+        (path.name, node.lineno)
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and "_pack_literals" in (getattr(node.func, "id", None),
+                                 getattr(node.func, "attr", None))
+    ]
+    assert calls and {name for name, _ in calls} == {"delta.py"}, calls
+    assert [path.name for path in sources
+            if "_positional_signature" in path.read_text()] == []
+
+
 def test_the_cli_suites_oracle_and_generators_read_no_private_attribute():
     # the structure owns its checks, masks and caches; the layers above it
     # use the public library only (dunders such as object.__setattr__ aside)

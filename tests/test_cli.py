@@ -10,6 +10,7 @@ import pytest
 from philab import cli, delta, generators, isolation, vc
 from philab.cli import main
 from philab.goodconfig import GoodConfiguration
+from philab.structure import PhiType
 
 from conftest import S1_TEXT
 
@@ -135,6 +136,9 @@ class TestIsolate:
         code, out, _ = run(capsys, "isolate", "--gen", "linear:6:b=1,3",
                            "--lits", "1=0,3=1", "--format", "json")
         assert code == 0
+
+    def test_lits_skip_empty_tokens(self):
+        assert cli.parse_lits("3=1,,4=0") == cli.parse_lits("3=1,4=0") == PhiType({3: 1, 4: 0})
 
 
 class TestTypes:

@@ -97,6 +97,12 @@ class TestDefiningFormula:
         with pytest.raises(pl.PreconditionError):
             pl.phi_defining_formula(s1, bogus)
 
+    def test_subtype_outside_its_target_rejected(self, s1):
+        bogus = pl.IsolationCertificate(pl.PhiType({0: 1}), pl.PhiType({1: 0}), True)
+        with pytest.raises(pl.PreconditionError,
+                           match="^certificate subtype is not contained in its target$"):
+            pl.phi_defining_formula(s1, bogus)
+
 
 class TestIsolatedExtension:
     def test_budget_reported_and_ok(self, corpus):
@@ -283,6 +289,12 @@ class TestPsiDisjunction:
         if len(gap_chain.realizers(p_c)) == 1:
             assert len(pl.psi_disjunction(gap_chain, config)) == 1
 
+    def test_inconsistent_extended_type_rejected(self):
+        # on linear:4 no element has x < 1 (1=1) and not x < 2 (2=0)
+        s = parse_generator_spec("linear:4")
+        with pytest.raises(pl.PreconditionError, match="^extended type must be consistent$"):
+            pl.psi_disjunction(s, GoodConfiguration(((2, 1),), pl.EMPTY_TYPE))
+
 
 class TestEmbedTrace:
     def test_chain_example(self):
@@ -369,6 +381,14 @@ class TestQType:
         q = pl.q_type(s, GoodConfiguration(((1, 2),), p), family=pl.DeltaFamily(0))
         assert s.is_consistent(pl.PhiType({2: 0, 1: 1}))
         assert not pl.check_q_realizer(s, q, (2, 1))
+
+    def test_generating_tuple_outside_theta_fails_its_own_type(self):
+        # theta {0, 1} leaves out the component 2, so q' rejects the
+        # generating tuple itself
+        s = parse_generator_spec("shattered:3")
+        narrow = pl.BipartiteStructure(s.truth, frozenset({0, 1}), frozenset({0, 1}))
+        with pytest.raises(pl.InvariantError, match="^generating tuple fails its own type$"):
+            pl.q_type(narrow, GoodConfiguration(((1, 2),), pl.EMPTY_TYPE))
 
     def test_arity_mismatch(self, s1):
         q = pl.q_type(s1, GoodConfiguration((), pl.EMPTY_TYPE))

@@ -157,6 +157,11 @@ class TestOracleFinitelySatisfiable:
         with pytest.raises(pl.ResourceLimitError):
             oracle_finitely_satisfiable(s1, large.table, [0, 1], 1)
 
+    def test_k_below_one(self, s1):
+        small = pl.delta_type(s1, pl.DeltaFamily(1), 0, [0, 1])
+        with pytest.raises(ValueError, match="^k must be >= 1$"):
+            oracle_finitely_satisfiable(s1, small.table, [0, 1], 0)
+
 
 class TestOracleRealizedPatterns:
     # delta patterns come from zipped raw columns; arity 0 has no z-columns

@@ -10,7 +10,7 @@ import dataclasses
 import json
 
 import philab as pl
-from philab import goodconfig, isolation, suites, vc
+from philab import goodconfig, isolation, oracle, suites, vc
 from philab.cli import main, parse_generator_spec
 
 SPEC = "random:intervals:0:20:6"
@@ -176,6 +176,16 @@ def test_remark_skips_both_types_past_the_oracle_dimension_guard(capsys, monkeyp
     # either, so its own guard cannot end the suite
     monkeypatch.setattr(vc, "DIMENSION_NODE_LIMIT", 0)
     code, out, _ = verify(capsys, "remark", "random:intervals:0:20:12", "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and report["ok"] is True
+    assert (report["harness_runs"], report["skipped_by_guard"]) == (0, 2)
+
+
+def test_remark_skips_a_type_past_the_oracle_enumeration_guard(capsys, monkeypatch):
+    # oracle_vc's |Y| guard bounds |theta| by the enumeration's own guard,
+    # so only a lowered theta guard reaches this skip
+    monkeypatch.setattr(oracle, "GOODCONFIG_THETA_LIMIT", 0)
+    code, out, _ = verify(capsys, "remark", SPEC, "--format", "json")
     report = json.loads(out)
     assert code == 0 and report["ok"] is True
     assert (report["harness_runs"], report["skipped_by_guard"]) == (0, 2)

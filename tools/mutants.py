@@ -1,7 +1,7 @@
 """A standing mutant check of the dimension search, the structure layer, the
 exact skips in the oracle and the good-configuration checker, the delta
-packer, the isolating-subtype search, the cover kernel, the suites, the
-generators and the command line.
+packer, the isolating-subtype and q-type searches, the cover kernel, the
+suites, the generators and the command line.
 
 Each mutant is one textual edit of a subject module: a prune made unsound,
 a comparison moved by one, a sign swapped, a check dropped.  The script
@@ -62,6 +62,9 @@ STRUCTURE_TESTS = ("tests/test_structure.py",
                    PROPERTIES + "distinct_rows_and_type_spaces_match_row_scans",
                    PROPERTIES + "defining_and_psi_match_references_over_distinct_rows")
 ISOLATION_TESTS = ("tests/test_isolation.py",)
+Q_TESTS = ("tests/test_isolation.py",
+           PROPERTIES + "q_realizer_checks_the_base_type_once",
+           PROPERTIES + "q_harness_matches_the_product_loop")
 COVER_TESTS = ("tests/test_cover.py",)
 SUITES_TESTS = ("tests/test_suites.py",
                 PROPERTIES + "defining_and_psi_match_references_over_distinct_rows")
@@ -155,8 +158,8 @@ MUTANTS = [
     ("pack-bits-reversed", DELTA,
      "bytes(map(bool, masks))", "bytes(map(bool, masks[::-1]))", DELTA_TESTS),
     ("signature-memo-ignores-closed", DELTA,
-     'key = ("signature", family.arity, c, domain, closed)',
-     'key = ("signature", family.arity, c, domain)', DELTA_TESTS),
+     'key = ("signature", family.arity, c, cols, closed)',
+     'key = ("signature", family.arity, c, cols)', DELTA_TESTS),
     ("closed-packs-from-length-2", DELTA,
      "lengths = range(1, r + 1) if closed and r else (r,)",
      "lengths = range(2, r + 1) if closed and r else (r,)", DELTA_TESTS),
@@ -164,6 +167,11 @@ MUTANTS = [
      "pair[1 - sign]", "pair[sign]", ISOLATION_TESTS),
     ("holds-reads-positive-literal", ISOLATION,
      "literal_mask(b, 0) == 0", "literal_mask(b, 1) == 0", ISOLATION_TESTS),
+    ("q-node-reads-generating-z", ISOLATION,
+     "tuple([params[z] for z in zs])", "tuple([generating[z] for z in zs])", Q_TESTS),
+    ("q-node-reads-generating-subject", ISOLATION,
+     "_signature(struct, q.family, params[subject],",
+     "_signature(struct, q.family, generating[subject],", Q_TESTS),
     ("cover-keeps-last-index", COVER,
      "least.setdefault(mask & need, i)", "least[mask & need] = i", COVER_TESTS),
     ("cover-limit-ge", COVER,
