@@ -34,7 +34,8 @@ q = pl.q_type(s, config)
 print("\nq-type parts:")
 print("  components constrained to theta:", q.component_count)
 print("  base-type literals, checked once with each candidate's:", len(q.base_type))
-print("  delta signatures, one per component:", len(q.q_triple_prime))
+print("  delta signature blocks, one per component and z-position tuple:",
+      sum(map(len, q.blocks)))
 print("  positions each signature ranges over:", len(s.base_members()) + q.component_count)
 
 report = q_harness(s, config)

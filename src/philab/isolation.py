@@ -300,25 +300,26 @@ class QType:
     signed component literals.  base_type is finite, so it is one of those
     sub-conjunctions, and each has at least its realizers: the part is one
     consistency check of base_type plus the literals, and has no field.
-    q_triple_prime: one delta signature per component, over the positional
+    q_triple_prime: each component's delta signature over the positional
     tuple of the base parameters followed by all the components (components
     are re-substitutable positions, so the signature constrains the
-    candidate's mutual relations, not just its relations to the base); a
-    candidate's signatures over its own tuple must match the generating
-    tuple's.  The generating tuple itself satisfies all three parts by
+    candidate's mutual relations, not just its relations to the base) must
+    match the generating tuple's.  It is held as the generating tuple's
+    blocks, one per component j and tuple zs of r positions: j's signature
+    over the parameters at zs.  blocks[d] holds, as (subject position, z
+    positions, generating block), each block that reads nothing past the
+    first d components.  The generating tuple satisfies all three parts by
     construction, which is checked when the type is built.
 
     Candidates are decided by one depth-first search over the components
     (_q_realizers), which prunes on q_double_prime's realizer mask and on
-    the third part read as blocks, one per component and z-position tuple,
-    built from the generating tuple (not read from q_triple_prime) through
-    delta's memoized signatures.
+    the blocks.
     """
 
     family: DeltaFamily
     generating: tuple[int, ...]
     base_type: PhiType
-    q_triple_prime: tuple[int, ...]
+    blocks: tuple[tuple[tuple[int, tuple[int, ...], int], ...], ...]
 
     @property
     def component_count(self) -> int:
@@ -331,19 +332,30 @@ def q_type(
     family: Optional[DeltaFamily] = None,
 ) -> QType:
     """Materialize the three-part description of a maximal configuration's
-    tuple, over the configuration's base type.  Maximality of `config` is
-    the caller's obligation (it is what makes realizers of q useful);
-    goodness is implicit in the checked self-realization."""
+    tuple, over the configuration's base type, building the generating
+    tuple's blocks once through delta's memoized signatures; the table
+    guard is read first, on one whole component signature's entry count
+    (no component, no table).  Maximality of `config` is the caller's
+    obligation (it is what makes realizers of q useful); goodness is
+    implicit in the checked self-realization."""
     if family is None:
         family = DeltaFamily(cached_dimension(struct))
+    base = struct.base_members()
     components = config.components
-    params = (*struct.base_members(), *components)
-    q = QType(
-        family=family,
-        generating=components,
-        base_type=config.base_type,
-        q_triple_prime=tuple(_signature(struct, family, c, params) for c in components),
-    )
+    generating = (*base, *components)
+    r = min(family.arity, len(generating))
+    ztuples = tuple(combinations(range(len(generating)), r))
+    if components:
+        # the entries of one component's signature, all its blocks together
+        _check_table_size(len(ztuples) * 2 ** (r + 1))
+    blocks: list[list] = [[] for _ in range(len(components) + 1)]
+    for subject in range(len(base), len(generating)):
+        for zs in ztuples:
+            depth = max([subject, *zs]) - len(base) + 1
+            block = _signature(struct, family, generating[subject],
+                               tuple([generating[z] for z in zs]))
+            blocks[depth].append((subject, zs, block))
+    q = QType(family, components, config.base_type, tuple(map(tuple, blocks)))
     if not check_q_realizer(struct, q, components):
         raise InvariantError("generating tuple fails its own type")
     return q
@@ -357,31 +369,11 @@ def _q_realizers(
 
     Components are placed one at a time, with the realizer mask of the base
     type and the literals placed so far: a zero mask (which includes every
-    sign clash) prunes the subtree.  The third part is read as blocks, one
-    per component j and tuple zs of r positions among the base members and
-    the components: j's signature over the parameters at zs.  The
-    generating tuple's blocks are read over the base members followed by
-    the generating tuple; a block is compared as soon as component j and
-    every component zs reads are placed, and a mismatch prunes the subtree.
-    A leaf has had every block compared, so it has the generating tuple's
-    signatures."""
+    sign clash) prunes the subtree.  Placing component d compares each
+    generating block of q.blocks[d + 1] with the candidate's signature over
+    the placed parameters at its z positions, and a mismatch prunes the
+    subtree; a leaf has had every block compared."""
     base = struct.base_members()
-    generating = (*base, *q.generating)
-    r = min(q.family.arity, len(generating))
-    ztuples = tuple(combinations(range(len(generating)), r))
-    if q.component_count:
-        # the entries of one component's signature, all its blocks together
-        _check_table_size(len(ztuples) * 2 ** (r + 1))
-    # ready[d]: (subject position, z positions, generating block) of each
-    # block that reads nothing past the first d components
-    ready: list[list] = [[] for _ in range(q.component_count + 1)]
-    for j in range(q.component_count):
-        subject = len(base) + j
-        for zs in ztuples:
-            depth = max([j, *(z - len(base) for z in zs)]) + 1
-            block = _signature(struct, q.family, generating[subject],
-                               tuple([generating[z] for z in zs]))
-            ready[depth].append((subject, zs, block))
     used = tuple(set(chain.from_iterable(choices)))
     lits = dict(zip(used, struct._literal_pairs(used)))
     # the base members, then the components placed so far
@@ -400,7 +392,7 @@ def _q_realizers(
             params.append(c)
             if all(_signature(struct, q.family, params[subject],
                               tuple([params[z] for z in zs])) == block
-                   for subject, zs, block in ready[d + 1]):
+                   for subject, zs, block in q.blocks[d + 1]):
                 place(narrowed)
             params.pop()
 
@@ -445,7 +437,9 @@ def q_harness(struct: BipartiteStructure, config: GoodConfiguration) -> QHarness
     <=).  The tuples come from q's depth-first search with theta at every
     position, which prunes a prefix as soon as it fails q, so
     candidates_checked, |theta|^(2K), counts the tuples it decides rather
-    than visits.  Guarded to small configurations and theta sets."""
+    than visits.  The reference size is the generating tuple's entry, which
+    q_type's self-check puts among them (InvariantError if it is missing).
+    Guarded to small configurations and theta sets."""
     if config.size > Q_PAIR_LIMIT:
         raise ResourceLimitError(
             f"harness guard: {config.size} pairs > {Q_PAIR_LIMIT}"
@@ -457,10 +451,12 @@ def q_harness(struct: BipartiteStructure, config: GoodConfiguration) -> QHarness
         )
     q = q_type(struct, config)
     p = config.base_type
-    reference = find_isolating_subtype(struct, extend_type(p, config)).size
     passing = []
     for candidate in _q_realizers(struct, q, (theta,) * q.component_count):
         p_cand = extend_type(p, zip(candidate[::2], candidate[1::2]))
         passing.append((candidate, find_isolating_subtype(struct, p_cand).size))
+    reference = dict(passing).get(q.generating)
+    if reference is None:
+        raise InvariantError("the search over theta misses the generating tuple")
     checked = len(theta) ** q.component_count
     return QHarnessReport(reference, checked, tuple(passing))

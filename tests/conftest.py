@@ -363,7 +363,8 @@ def reference_component_literals(candidate):
 def reference_check_q_realizer(s, q, candidate):
     """check_q_realizer with q'' read as every sub-conjunction of the base
     type, each checked on its own with the candidate's signed literals, and
-    q''' as the candidate's whole signatures."""
+    q''' as the candidate's whole signatures against the generating tuple's,
+    each over the base members followed by its own tuple."""
     if any(c not in s.theta_set for c in candidate):
         return False
     literals = reference_component_literals(candidate)
@@ -375,9 +376,11 @@ def reference_check_q_realizer(s, q, candidate):
                 return False
             if not s.is_consistent(combined):
                 return False
-    params = (*s.base_members(), *candidate)
-    signatures = tuple(_signature(s, q.family, c, params) for c in candidate)
-    return signatures == q.q_triple_prime
+    def signatures(tup):
+        params = (*s.base_members(), *tup)
+        return tuple(_signature(s, q.family, c, params) for c in tup)
+
+    return signatures(candidate) == signatures(q.generating)
 
 
 def reference_q_harness(s, config):

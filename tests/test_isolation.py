@@ -1,5 +1,6 @@
 import operator
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,6 +9,8 @@ from philab import cover, delta, isolation
 from philab.cli import parse_generator_spec
 from philab.goodconfig import GoodConfiguration, extend_type
 from philab.isolation import SATURATION_DEFICIT, q_harness
+
+from conftest import reference_q_harness
 
 
 class TestFindIsolatingSubtype:
@@ -454,18 +457,84 @@ class TestQType:
 
     def test_search_reads_the_table_guard(self, s1, monkeypatch):
         # arity 2 over the base {0, 1} and two components: each component's
-        # signature has C(4, 2) * 2^3 = 48 entries; no component, no table
-        q = pl.q_type(s1, GoodConfiguration(((0, 1),), pl.EMPTY_TYPE),
-                      family=pl.DeltaFamily(2))
-        empty = pl.q_type(s1, GoodConfiguration((), pl.EMPTY_TYPE), family=pl.DeltaFamily(2))
+        # signature has C(4, 2) * 2^3 = 48 entries, which q_type reads
+        # before it builds the search's blocks; no component, no table
+        config = GoodConfiguration(((0, 1),), pl.EMPTY_TYPE)
+        family = pl.DeltaFamily(2)
         monkeypatch.setattr(delta, "DEFAULT_TABLE_LIMIT", 47)
         with pytest.raises(pl.ResourceLimitError,
                            match="^delta table would have 48 entries, over the limit 47$"):
-            pl.check_q_realizer(s1, q, q.generating)
+            pl.q_type(s1, config, family=family)
         monkeypatch.setattr(delta, "DEFAULT_TABLE_LIMIT", 0)
+        empty = pl.q_type(s1, GoodConfiguration((), pl.EMPTY_TYPE), family=family)
         assert pl.check_q_realizer(s1, empty, ())
         monkeypatch.setattr(delta, "DEFAULT_TABLE_LIMIT", 48)
+        q = pl.q_type(s1, config, family=family)
+        # the search reads the blocks q holds and builds none of its own
+        monkeypatch.setattr(delta, "DEFAULT_TABLE_LIMIT", 47)
         assert pl.check_q_realizer(s1, q, q.generating)
+
+    def test_harness_matches_the_product_loop_over_the_remark_corpus(self):
+        # every maximal configuration of the remark suite's enumeration (it
+        # runs the first two of each type) over the 50 seed-0 instances of
+        # the verify-corpus benchmark: both families, generator seeds 0..24
+        checked = 0
+        for g in range(25):
+            for family in ("intervals", "unions2"):
+                s = parse_generator_spec(f"random:{family}:{g}:20:6")
+                arity = pl.oracle_vc(s)
+                for p in (pl.EMPTY_TYPE, s.trace(0, s.base_members())):
+                    configs = pl.oracle_all_good_configs(s, p, min(2, arity + 1), arity)
+                    best = max(len(c) for c in configs)
+                    for pairs in configs:
+                        if len(pairs) == best:
+                            config = GoodConfiguration(pairs, p)
+                            assert q_harness(s, config) == reference_q_harness(s, config)
+                            checked += 1
+        assert checked == 227
+
+    def test_q_type_builds_no_whole_signature(self):
+        # empty base, dimension 2 and two pairs: the blocks read two
+        # positions each, a whole component signature all four
+        s = parse_generator_spec("random:unions2:19:20:6")
+        config = GoodConfiguration(((0, 2), (1, 3)), pl.EMPTY_TYPE)
+        q = pl.q_type(s, config)
+        params = (*s.base_members(), *config.components)
+        assert q.family.arity == 2 and len(params) == 4
+        assert sum(map(len, q.blocks)) == 4 * 6
+        assert not any(params in key for key in s._memo if isinstance(key, tuple))
+
+    def test_harness_reference_is_the_generating_tuples_entry(self, monkeypatch):
+        # ten theta tuples realize q, the generating (1, 0) third among them;
+        # every realizer isolates equally hard here, so the certificate
+        # search is patched to give each type it sees its own size
+        s = parse_generator_spec("random:unions2:8:20:6")
+        config = GoodConfiguration(((1, 0),), pl.EMPTY_TYPE)
+        sizes = {}
+
+        def certify(struct, p):
+            return SimpleNamespace(size=sizes.setdefault(p, len(sizes)))
+
+        monkeypatch.setattr(isolation, "find_isolating_subtype", certify)
+        report = q_harness(s, config)
+        assert [c for c, _ in report.passing][:3] == [(0, 1), (0, 4), (1, 0)]
+        assert report.reference_size == dict(report.passing)[(1, 0)]
+        assert report.reference_size != report.passing[0][1]
+        assert not report.ok
+
+    def test_harness_raises_when_its_search_misses_the_generating_tuple(self, monkeypatch):
+        s = parse_generator_spec("random:unions2:8:20:6")
+        search = isolation._q_realizers
+
+        def missing(struct, q, choices):
+            # the self-check, one choice per position, still finds it
+            return [t for t in search(struct, q, choices)
+                    if t != q.generating or max(map(len, choices)) == 1]
+
+        monkeypatch.setattr(isolation, "_q_realizers", missing)
+        with pytest.raises(pl.InvariantError,
+                           match="^the search over theta misses the generating tuple$"):
+            q_harness(s, GoodConfiguration(((1, 0),), pl.EMPTY_TYPE))
 
     def test_harness_guards(self, s1, monkeypatch):
         big = GoodConfiguration(((0, 1),) * 3, pl.EMPTY_TYPE)

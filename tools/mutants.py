@@ -168,10 +168,16 @@ MUTANTS = [
     ("holds-reads-positive-literal", ISOLATION,
      "literal_mask(b, 0) == 0", "literal_mask(b, 1) == 0", ISOLATION_TESTS),
     ("q-node-reads-generating-z", ISOLATION,
-     "tuple([params[z] for z in zs])", "tuple([generating[z] for z in zs])", Q_TESTS),
+     "tuple([params[z] for z in zs])", "tuple([(*base, *q.generating)[z] for z in zs])",
+     Q_TESTS),
     ("q-node-reads-generating-subject", ISOLATION,
      "_signature(struct, q.family, params[subject],",
-     "_signature(struct, q.family, generating[subject],", Q_TESTS),
+     "_signature(struct, q.family, (*base, *q.generating)[subject],", Q_TESTS),
+    # the last depth's blocks wrap round to depth 0, which no node reads
+    ("q-block-filed-one-depth-late", ISOLATION,
+     "blocks[depth].append(", "blocks[(depth + 1) % len(blocks)].append(", Q_TESTS),
+    ("q-harness-reference-from-first-passing", ISOLATION,
+     "dict(passing).get(q.generating)", "dict(passing).get(passing[0][0])", Q_TESTS),
     ("cover-keeps-last-index", COVER,
      "least.setdefault(mask & need, i)", "least[mask & need] = i", COVER_TESTS),
     ("cover-limit-ge", COVER,
