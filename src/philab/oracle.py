@@ -19,7 +19,11 @@ differential acceptance suite.
 The good-configuration enumeration skips only lists that cannot pass: every
 sub-list of a good configuration, in any order, is good (each clause only
 weakens on fewer pairs; `oracle_all_good_configs` gives the proof), so a
-list is extended only by pairs that extended its parent list.
+list is extended only by pairs that extended its parent list.  Only clause
+(ii) mentions the type, so a type's good lists are the empty type's good
+lists that it realizes together with their literals:
+`oracle_configs_realized` filters the empty type's enumeration down to a
+type's, with the proof in its docstring.
 """
 
 from __future__ import annotations
@@ -272,3 +276,34 @@ def oracle_all_good_configs(
     if max_k > 0:
         descend((), realizers, [(c0, c1) for c0 in theta for c1 in theta])
     return found
+
+
+def oracle_configs_realized(
+    struct: BipartiteStructure,
+    p: PhiType,
+    configs: list[tuple[tuple[int, int], ...]],
+) -> list[tuple[tuple[int, int], ...]]:
+    """The pair lists of configs, in their given order, for which p plus
+    the literals c_j^0 -> 0, c_j^1 -> 1 has a realizer: clause (ii) of
+    oracle_all_good_configs for p.
+
+    On configs = oracle_all_good_configs(struct, PhiType(), max_k, arity)
+    this is oracle_all_good_configs(struct, p, max_k, arity), list for list
+    and in the same lexicographic order.  Clauses (i) and (iii) do not
+    mention the type.  Clause (ii) for p implies clause (ii) for the empty
+    type, since a realizer of p plus the literals realizes the literals.  So
+    a list good for p is good for the empty type, and the empty type's
+    enumeration, complete up to max_k, holds it; a list in that enumeration
+    is good for p exactly when it passes clause (ii) for p.  Filtering keeps
+    the order, and the two enumerations list their lists in one order.
+    """
+    _check_parameters(struct, p.domain)
+    params = {c for pairs in configs for pair in pairs for c in pair}
+    _check_parameters(struct, params)
+    rows = _row_sets(struct, params.union(p.domain))
+
+    def realized(pairs: tuple[tuple[int, int], ...]) -> bool:
+        literals = [(c, sign) for pair in pairs for c, sign in zip(pair, (0, 1))]
+        return bool(_rows_satisfying(struct, rows, (*p.items, *literals)))
+
+    return [pairs for pairs in configs if realized(pairs)]

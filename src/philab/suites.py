@@ -21,7 +21,12 @@ from typing import Iterable
 from .errors import InvariantError, PreconditionError, ResourceLimitError
 from .goodconfig import GoodConfiguration, build_maximal
 from .isolation import embed_trace, find_isolating_subtype, isolated_extension, q_harness
-from .oracle import oracle_all_good_configs, oracle_min_isolating, oracle_vc
+from .oracle import (
+    oracle_all_good_configs,
+    oracle_configs_realized,
+    oracle_min_isolating,
+    oracle_vc,
+)
 from .structure import BipartiteStructure, PhiType, serialize_structure
 from .vc import cached_dimension
 
@@ -87,29 +92,41 @@ def remark_suite(structures: Iterable[Named]) -> dict:
     most as hard as the configuration itself.  The types tried, the empty
     type and row 0's base trace (the base type space's first), are realized,
     so each has a configuration (the empty one at least).  The oracle's
-    dimension sizes the enumeration and is its arity; past its guard, both
-    types are skipped."""
+    dimension sizes the enumeration and is its arity; past its guard, or the
+    enumeration's, both types are skipped.  The enumeration runs once, for
+    the empty type: the base trace's configurations are those it realizes
+    (`oracle_configs_realized`).  A harness runs once per distinct
+    configuration and type, so on an empty base, where the two types are
+    one, the base trace reuses the empty type's reports; each type still
+    counts its runs, its skips and its counterexamples."""
     failures = []
     harness_runs = 0
     skipped = 0
     for name, struct in structures:
         try:
             arity = oracle_vc(struct)
+            configs = oracle_all_good_configs(struct, PhiType(), min(2, arity + 1), arity)
         except ResourceLimitError:
             skipped += 2
             continue
-        for p in (PhiType(), struct.trace(0, struct.base_members())):
-            try:
-                configs = oracle_all_good_configs(struct, p, min(2, arity + 1), arity)
-            except ResourceLimitError:
-                skipped += 1
-                continue
-            max_size = max(len(c) for c in configs)
-            maximal = [c for c in configs if len(c) == max_size]
+        base_trace = struct.trace(0, struct.base_members())
+        # (pairs, type) -> its harness report, or None past the harness guard
+        reports: dict = {}
+        for p, good in (
+            (PhiType(), configs),
+            (base_trace, oracle_configs_realized(struct, base_trace, configs)),
+        ):
+            max_size = max(len(c) for c in good)
+            maximal = [c for c in good if len(c) == max_size]
             for pairs in maximal[:2]:
-                try:
-                    report = q_harness(struct, GoodConfiguration(pairs, p))
-                except ResourceLimitError:
+                key = (pairs, p)
+                if key not in reports:
+                    try:
+                        reports[key] = q_harness(struct, GoodConfiguration(pairs, p))
+                    except ResourceLimitError:
+                        reports[key] = None
+                report = reports[key]
+                if report is None:
                     skipped += 1
                     continue
                 harness_runs += 1

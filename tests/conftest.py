@@ -6,7 +6,7 @@ import pytest
 import philab as pl
 from philab.cover import least_cover
 from philab.delta import ALL, DeltaFamily, _signature
-from philab import goodconfig
+from philab import goodconfig, suites
 from philab.goodconfig import GoodConfiguration, extend_type
 from philab.isolation import QHarnessReport
 from philab.vc import cached_dimension
@@ -398,6 +398,54 @@ def reference_q_harness(s, config):
             p_cand = p.union(pl.PhiType(literals))
             passing.append((candidate, pl.find_isolating_subtype(s, p_cand).size))
     return QHarnessReport(reference, checked, tuple(passing))
+
+
+# -- the remark suite with one enumeration per type, kept as a reference
+# for the suite that filters the empty type's enumeration ----------------
+
+
+def reference_remark_suite(structures):
+    """remark_suite running the oracle's enumeration for each type and one
+    harness per configuration and type, reports reused nowhere."""
+    failures = []
+    harness_runs = 0
+    skipped = 0
+    for name, struct in structures:
+        try:
+            arity = pl.oracle_vc(struct)
+        except pl.ResourceLimitError:
+            skipped += 2
+            continue
+        for p in (pl.PhiType(), struct.trace(0, struct.base_members())):
+            try:
+                configs = pl.oracle_all_good_configs(struct, p, min(2, arity + 1), arity)
+            except pl.ResourceLimitError:
+                skipped += 1
+                continue
+            max_size = max(len(c) for c in configs)
+            maximal = [c for c in configs if len(c) == max_size]
+            for pairs in maximal[:2]:
+                try:
+                    report = pl.q_harness(struct, GoodConfiguration(pairs, p))
+                except pl.ResourceLimitError:
+                    skipped += 1
+                    continue
+                harness_runs += 1
+                if not report.ok:
+                    bad = [
+                        {"tuple": list(c), "size": size}
+                        for c, size in report.passing
+                        if size > report.reference_size
+                    ]
+                    detail = {
+                        "pairs": [list(x) for x in pairs],
+                        "reference_size": report.reference_size,
+                        "offenders": bad,
+                    }
+                    failures.append(suites._counterexample(name, struct, detail))
+    return suites._report(
+        "remark", failures, harness_runs=harness_runs, skipped_by_guard=skipped
+    )
 
 
 # -- the exhaustive configuration search over every permutation, kept as a

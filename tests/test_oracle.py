@@ -7,7 +7,8 @@ import pytest
 import philab as pl
 from philab.goodconfig import GoodConfiguration
 from philab import oracle
-from philab.oracle import oracle_finitely_satisfiable
+from philab.cli import parse_generator_spec
+from philab.oracle import oracle_configs_realized, oracle_finitely_satisfiable
 
 from conftest import (
     reference_oracle_all_good_configs,
@@ -147,6 +148,41 @@ class TestOracleGoodConfigs:
             pl.oracle_all_good_configs(wide, pl.EMPTY_TYPE, 2)
 
 
+class TestOracleConfigsRealized:
+    def test_filter_of_the_empty_types_list_is_the_types_own(self):
+        # every base type of the 50 verify-corpus instances (both families,
+        # generator seeds 0..24): the empty type's list filtered on p's
+        # realizers is p's own enumeration and its row-scan reference
+        checked, kept = 0, set()
+        for g in range(25):
+            for family in ("intervals", "unions2"):
+                s = parse_generator_spec(f"random:{family}:{g}:20:6")
+                arity = pl.oracle_vc(s)
+                for max_k in (1, 2, 3):
+                    empty = pl.oracle_all_good_configs(s, pl.EMPTY_TYPE, max_k, arity)
+                    for p in s.type_space(s.base_members()):
+                        got = oracle_configs_realized(s, p, empty)
+                        assert got == pl.oracle_all_good_configs(s, p, max_k, arity)
+                        assert got == reference_oracle_all_good_configs(s, p, max_k, arity)
+                        checked += 1
+                        kept.add(len(got) < len(empty))
+        assert checked == 3 * 255 and kept == {True, False}
+
+    @pytest.mark.parametrize("max_k", [0, 2])
+    def test_unrealized_type_keeps_no_list(self, s2, max_k):
+        # on the chain, column 0 true forces column 1 true
+        empty = pl.oracle_all_good_configs(s2, pl.EMPTY_TYPE, max_k)
+        assert empty and oracle_configs_realized(s2, pl.PhiType({0: 1, 1: 0}), empty) == []
+
+    def test_no_lists_keeps_none(self, s1):
+        assert oracle_configs_realized(s1, pl.PhiType({0: 1}), []) == []
+
+    def test_keeps_the_given_order(self, s1):
+        configs = [((1, 0),), (), ((0, 1),)]
+        assert oracle_configs_realized(s1, pl.EMPTY_TYPE, configs) == configs
+        assert oracle_configs_realized(s1, pl.PhiType({0: 1}), configs) == [((1, 0),), ()]
+
+
 class TestOracleFinitelySatisfiable:
     def test_guards(self, s1):
         small = pl.delta_type(s1, pl.DeltaFamily(1), 0, [0, 1])  # 8 entries
@@ -253,6 +289,15 @@ class TestOracleUnknownParameters:
             pl.oracle_all_good_configs(s, pl.PhiType({b: 0}), 1)
         with pytest.raises(pl.UnknownParameterError, match=f"^unknown parameter {b}$"):
             reference_oracle_all_good_configs_naive(s, pl.PhiType({b: 0}), 1)
+
+    @pytest.mark.parametrize("b", [-1, 3, 5])
+    def test_configs_realized(self, b):
+        s = pl.gen_shattered(3)
+        configs = pl.oracle_all_good_configs(s, pl.EMPTY_TYPE, 1)
+        with pytest.raises(pl.UnknownParameterError, match=f"^unknown parameter {b}$"):
+            oracle_configs_realized(s, pl.PhiType({b: 0}), configs)
+        with pytest.raises(pl.UnknownParameterError, match=f"^unknown parameter {b}$"):
+            oracle_configs_realized(s, pl.EMPTY_TYPE, [*configs, ((0, b),)])
 
     @pytest.mark.parametrize("b", [-1, 3, 5])
     def test_finitely_satisfiable_base(self, b):

@@ -9,9 +9,13 @@ structure and the suite's own detail keys.
 import dataclasses
 import json
 
+import pytest
+
 import philab as pl
 from philab import goodconfig, isolation, oracle, suites, vc
 from philab.cli import main, parse_generator_spec
+
+from conftest import reference_remark_suite
 
 SPEC = "random:intervals:0:20:6"
 
@@ -155,20 +159,61 @@ def test_remark_counts_the_harness_runs_its_guard_skips(capsys, monkeypatch):
 
 
 def test_remark_tries_the_empty_type_and_the_first_base_type(monkeypatch):
-    real, tried = suites.oracle_all_good_configs, []
+    # one enumeration per structure, for the empty type; a harness per
+    # distinct configuration and type, the first two maximal of each
+    real_enumeration, real_harness = suites.oracle_all_good_configs, suites.q_harness
+    enumerated, harnessed = [], []
 
-    def recording(struct, p, max_k, arity):
-        tried.append((p, max_k, arity))
-        return real(struct, p, max_k, arity)
+    def enumeration(struct, p, max_k, arity):
+        enumerated.append((p, max_k, arity))
+        return real_enumeration(struct, p, max_k, arity)
 
-    monkeypatch.setattr(suites, "oracle_all_good_configs", recording)
+    def harness(struct, config):
+        harnessed.append((config.pairs, config.base_type))
+        return real_harness(struct, config)
+
+    monkeypatch.setattr(suites, "oracle_all_good_configs", enumeration)
+    monkeypatch.setattr(suites, "q_harness", harness)
     for seed in range(5):
         struct = parse_generator_spec(f"random:intervals:{seed}:20:6")
         first = struct.type_space(struct.base_members())[0]
         dim = pl.independence_dimension(struct).id_value
-        tried.clear()
+        expected = []
+        for p in (pl.PhiType(), first):
+            configs = real_enumeration(struct, p, min(2, dim + 1), dim)
+            best = max(map(len, configs))
+            expected += [(c, p) for c in configs if len(c) == best][:2]
+        enumerated.clear()
+        harnessed.clear()
         assert suites.remark_suite([("s", struct)])["ok"]
-        assert tried == [(pl.PhiType(), min(2, dim + 1), dim), (first, min(2, dim + 1), dim)]
+        assert enumerated == [(pl.PhiType(), min(2, dim + 1), dim)]
+        assert harnessed == list(dict.fromkeys(expected))
+        assert {p for _, p in harnessed} == {pl.PhiType(), first}
+
+
+def test_remark_matches_the_suite_with_one_enumeration_per_type():
+    for family in ("intervals", "unions2"):
+        for seeds, size in ((range(100), "20:6"), (range(20), "40:8")):
+            for seed in seeds:
+                spec = f"random:{family}:{seed}:{size}"
+                named = [(spec, parse_generator_spec(spec))]
+                assert json.dumps(suites.remark_suite(named)) == json.dumps(
+                    reference_remark_suite(named)
+                )
+
+
+@pytest.mark.parametrize("spec", ["random:intervals:9:20:6", "random:unions2:19:20:6"])
+def test_remark_counts_reused_reports_on_an_empty_base(capsys, monkeypatch, spec):
+    # on an empty base the base trace is the empty type, whose harness
+    # reports it reuses, but each type still counts its runs and its skips
+    assert parse_generator_spec(spec).base_members() == ()
+    code, out, _ = verify(capsys, "remark", spec, "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and (report["harness_runs"], report["skipped_by_guard"]) == (4, 0)
+    monkeypatch.setattr(isolation, "Q_THETA_LIMIT", 0)
+    code, out, _ = verify(capsys, "remark", spec, "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and (report["harness_runs"], report["skipped_by_guard"]) == (0, 4)
 
 
 def test_remark_skips_both_types_past_the_oracle_dimension_guard(capsys, monkeypatch):

@@ -151,6 +151,10 @@ MUTANTS = [
      "if size <= best or", "if size <= best + 1 or", ORACLE_TESTS),
     ("verdict-key-drops-selection", ORACLE,
      "key = (unordered, frozenset(selection))", "key = (unordered,)", ORACLE_TESTS),
+    ("configs-filter-keeps-every-list", ORACLE,
+     "if realized(pairs)]", "if True]", ORACLE_TESTS),
+    ("configs-filter-drops-type-literals", ORACLE,
+     "(*p.items, *literals)", "literals", ORACLE_TESTS),
     ("clause-iii-skips-last-pair", GOODCONFIG,
      "for j in range(k):", "for j in range(k - 1):", GOODCONFIG_TESTS),
     ("extension-scan-ignores-theta", GOODCONFIG,
@@ -187,6 +191,8 @@ MUTANTS = [
     ("remark-reads-last-row", SUITES,
      "struct.trace(0, struct.base_members())", "struct.trace(struct.m - 1, struct.base_members())",
      SUITES_TESTS),
+    ("remark-reports-keyed-by-pairs", SUITES,
+     "key = (pairs, p)", "key = pairs", SUITES_TESTS),
     ("linear-order-not-strict", GENERATORS,
      'b"\\x01" * b + bytes(points - b)', 'b"\\x01" * (b + 1) + bytes(points - b - 1)',
      GENERATORS_TESTS),
