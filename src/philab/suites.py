@@ -1,10 +1,12 @@
 """Invariant suites shared by the CLI `verify` command and the acceptance
 tests.
 
-Each suite takes named structures and returns a JSON-ready report: the suite
-name, its counters, an `ok` flag and, on failure, counterexamples: each holds
-the instance's whole serialized structure, not yet minimized, plus the
-offending object.  Suites only ever compare computed values; expected
+Each suite is a per-instance check run by one driver, `_run`: the check adds
+to the suite's counters and yields one detail per failure, and the driver
+builds every report (the suite name, its counters, an `ok` flag and the
+counterexamples) and every counterexample (the instance, its whole
+serialized structure, not yet minimized, and the detail, which may name its
+own instance).  Suites only ever compare computed values; expected
 quantities come from the brute-force oracles.
 
 The bound suite enumerates configurations of the empty type: any
@@ -16,7 +18,7 @@ empty type casts the widest net for bound violations.
 from __future__ import annotations
 
 import json
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import InvariantError, PreconditionError, ResourceLimitError
 from .goodconfig import GoodConfiguration, build_maximal
@@ -31,29 +33,31 @@ from .structure import BipartiteStructure, PhiType, serialize_structure
 from .vc import cached_dimension
 
 Named = tuple[str, BipartiteStructure]
+Check = Callable[[str, BipartiteStructure, dict], Iterator[dict]]
 
 
-def _counterexample(name: str, struct: BipartiteStructure, detail: dict) -> dict:
-    return {"instance": name, "structure": serialize_structure(struct), **detail}
-
-
-def _report(suite: str, failures: list, **counters) -> dict:
+def _run(suite: str, structures: Iterable[Named], check: Check, **counters) -> dict:
+    """The report of `check` run on each named structure in turn; `counters`,
+    the report's fields before `ok`, hold the running totals."""
+    failures = []
+    for name, struct in structures:
+        for detail in check(name, struct, counters):
+            failures.append({"instance": name, "structure": serialize_structure(struct), **detail})
     return {"suite": suite, **counters, "ok": not failures, "counterexamples": failures}
 
 
 def bound_suite(structures: Iterable[Named]) -> dict:
     """No enumerated good configuration exceeds the independence dimension."""
-    checked = 0
-    failures = []
-    for name, struct in structures:
+
+    def check(name, struct, counters):
         dim = cached_dimension(struct)
         configs = oracle_all_good_configs(struct, PhiType(), min(3, dim + 1))
-        checked += len(configs)
+        counters["configurations_checked"] += len(configs)
         over = [c for c in configs if len(c) > dim]
         if over:
-            pairs = [list(p) for p in min(over)]
-            failures.append(_counterexample(name, struct, {"pairs": pairs, "id": dim}))
-    return _report("bound", failures, configurations_checked=checked)
+            yield {"pairs": [list(p) for p in min(over)], "id": dim}
+
+    return _run("bound", structures, check, configurations_checked=0)
 
 
 def shatter_suite(structures: Iterable[Named]) -> dict:
@@ -61,30 +65,24 @@ def shatter_suite(structures: Iterable[Named]) -> dict:
     subtype: the minimum certificate is the type itself.  Each distinct type
     over Y is checked once; a structure that is not fully shattered raises
     PreconditionError, since the claim says nothing about it."""
-    failures = []
-    types_checked = 0
-    for name, struct in structures:
+
+    def check(name, struct, counters):
         space = struct.type_space(range(struct.n))
         if len(space) != 1 << struct.n:
             raise PreconditionError(
                 f"{name}: the shatter suite needs a fully shattered structure")
         for p in space:
-            types_checked += 1
+            counters["types_checked"] += 1
             cert = find_isolating_subtype(struct, p)
             oracle_size = oracle_min_isolating(struct, p)
             if cert.size != len(p) or oracle_size != len(p):
-                failures.append(
-                    _counterexample(
-                        name,
-                        struct,
-                        {
-                            "type": [list(i) for i in p.items],
-                            "subject_size": cert.size,
-                            "oracle_size": oracle_size,
-                        },
-                    )
-                )
-    return _report("shatter", failures, types_checked=types_checked)
+                yield {
+                    "type": [list(i) for i in p.items],
+                    "subject_size": cert.size,
+                    "oracle_size": oracle_size,
+                }
+
+    return _run("shatter", structures, check, types_checked=0)
 
 
 def remark_suite(structures: Iterable[Named]) -> dict:
@@ -99,16 +97,14 @@ def remark_suite(structures: Iterable[Named]) -> dict:
     configuration and type, so on an empty base, where the two types are
     one, the base trace reuses the empty type's reports; each type still
     counts its runs, its skips and its counterexamples."""
-    failures = []
-    harness_runs = 0
-    skipped = 0
-    for name, struct in structures:
+
+    def check(name, struct, counters):
         try:
             arity = oracle_vc(struct)
             configs = oracle_all_good_configs(struct, PhiType(), min(2, arity + 1), arity)
         except ResourceLimitError:
-            skipped += 2
-            continue
+            counters["skipped_by_guard"] += 2
+            return
         base_trace = struct.trace(0, struct.base_members())
         # (pairs, type) -> its harness report, or None past the harness guard
         reports: dict = {}
@@ -127,27 +123,22 @@ def remark_suite(structures: Iterable[Named]) -> dict:
                         reports[key] = None
                 report = reports[key]
                 if report is None:
-                    skipped += 1
+                    counters["skipped_by_guard"] += 1
                     continue
-                harness_runs += 1
+                counters["harness_runs"] += 1
                 if not report.ok:
                     bad = [
                         {"tuple": list(c), "size": s}
                         for c, s in report.passing
                         if s > report.reference_size
                     ]
-                    failures.append(
-                        _counterexample(
-                            name,
-                            struct,
-                            {
-                                "pairs": [list(x) for x in pairs],
-                                "reference_size": report.reference_size,
-                                "offenders": bad,
-                            },
-                        )
-                    )
-    return _report("remark", failures, harness_runs=harness_runs, skipped_by_guard=skipped)
+                    yield {
+                        "pairs": [list(x) for x in pairs],
+                        "reference_size": report.reference_size,
+                        "offenders": bad,
+                    }
+
+    return _run("remark", structures, check, harness_runs=0, skipped_by_guard=0)
 
 
 def defining_suite(structures: Iterable[Named]) -> dict:
@@ -156,19 +147,18 @@ def defining_suite(structures: Iterable[Named]) -> dict:
     disagreement, which becomes a counterexample naming the element and the
     error; rows with one base trace share the formula, so it runs once per
     type over B, on the type's first realizer."""
-    failures = []
-    rows_checked = 0
-    for name, struct in structures:
+
+    def check(name, struct, counters):
         for p in struct.type_space(struct.base_members()):
             mask = struct.type_mask(p)
             a = (mask & -mask).bit_length() - 1
             try:
                 embed_trace(struct, a)
             except InvariantError as exc:
-                detail = {"element": a, "error": str(exc)}
-                failures.append(_counterexample(name, struct, detail))
-        rows_checked += struct.m
-    return _report("defining", failures, rows_checked=rows_checked)
+                yield {"element": a, "error": str(exc)}
+        counters["rows_checked"] += struct.m
+
+    return _run("defining", structures, check, rows_checked=0)
 
 
 def oracle_suite(structures: Iterable[Named]) -> dict:
@@ -177,29 +167,30 @@ def oracle_suite(structures: Iterable[Named]) -> dict:
     vs oracle enumeration of the empty type's configurations).  Every
     comparison is logged as one JSON line: operation, instance, oracle and
     subject values, and whether they agree."""
-    failures = []
-    log: list[str] = []
 
-    def record(op, instance, oracle, subject, struct, detail) -> bool:
-        agree = oracle == subject
-        line = {"operation": op, "instance": instance, "oracle": oracle,
-                "subject": subject, "agree": agree}
-        log.append(json.dumps(line, sort_keys=True))
-        if not agree:
-            detail = {"op": op, "subject": subject, "oracle": oracle, **detail}
-            failures.append(_counterexample(instance, struct, detail))
-        return agree
+    def check(name, struct, counters):
+        def record(op, instance, oracle, subject, **detail):
+            """Log one comparison; yield its disagreement, return whether
+            the values agree."""
+            agree = oracle == subject
+            line = {"operation": op, "instance": instance, "oracle": oracle,
+                    "subject": subject, "agree": agree}
+            counters["comparisons"] += 1
+            counters["log"].append(json.dumps(line, sort_keys=True))
+            if not agree:
+                yield {"instance": instance, "op": op, "subject": subject,
+                       "oracle": oracle, **detail}
+            return agree
 
-    for name, struct in structures:
         subject_id = cached_dimension(struct)
         oracle_id = oracle_vc(struct)
-        if not record("vc", name, oracle_id, subject_id, struct, {}):
-            continue
+        if not (yield from record("vc", name, oracle_id, subject_id)):
+            return
         for p in struct.type_space(struct.base_members()):
             digest = f"{name}#p={''.join(str(s) for _, s in p.items) or 'empty'}"
-            record("min_isolating", digest, oracle_min_isolating(struct, p),
-                   find_isolating_subtype(struct, p).size, struct,
-                   {"type": [list(i) for i in p.items]})
+            yield from record("min_isolating", digest, oracle_min_isolating(struct, p),
+                              find_isolating_subtype(struct, p).size,
+                              type=[list(i) for i in p.items])
         try:
             subject_max = build_maximal(struct, PhiType(), "exhaustive").size
             oracle_max = max(
@@ -209,33 +200,28 @@ def oracle_suite(structures: Iterable[Named]) -> dict:
                 )
             )
         except ResourceLimitError:
-            continue
-        record("max_config", name, oracle_max, subject_max, struct, {})
-    return _report("oracle", failures, comparisons=len(log), log=log)
+            return
+        yield from record("max_config", name, oracle_max, subject_max)
+
+    return _run("oracle", structures, check, comparisons=0, log=[])
 
 
 def budget_suite(structures: Iterable[Named]) -> dict:
     """Every pipeline run stays within the 2K <= 2*dimension budget."""
-    failures = []
-    runs = 0
-    for name, struct in structures:
+
+    def check(name, struct, counters):
         for p in struct.type_space(struct.base_members()):
-            runs += 1
+            counters["runs"] += 1
             result = isolated_extension(struct, p)
             if not result.budget_ok:
-                failures.append(
-                    _counterexample(
-                        name,
-                        struct,
-                        {
-                            "type": [list(i) for i in p.items],
-                            "added": result.added_params,
-                            "two_k": result.two_k,
-                            "two_id": result.two_id,
-                        },
-                    )
-                )
-    return _report("budget", failures, runs=runs)
+                yield {
+                    "type": [list(i) for i in p.items],
+                    "added": result.added_params,
+                    "two_k": result.two_k,
+                    "two_id": result.two_id,
+                }
+
+    return _run("budget", structures, check, runs=0)
 
 
 SUITES = {

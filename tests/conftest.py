@@ -6,7 +6,7 @@ import pytest
 import philab as pl
 from philab.cover import least_cover
 from philab.delta import ALL, DeltaFamily, _signature
-from philab import goodconfig, suites
+from philab import goodconfig
 from philab.goodconfig import GoodConfiguration, extend_type
 from philab.isolation import QHarnessReport
 from philab.vc import cached_dimension
@@ -442,10 +442,10 @@ def reference_remark_suite(structures):
                         "reference_size": report.reference_size,
                         "offenders": bad,
                     }
-                    failures.append(suites._counterexample(name, struct, detail))
-    return suites._report(
-        "remark", failures, harness_runs=harness_runs, skipped_by_guard=skipped
-    )
+                    structure = pl.serialize_structure(struct)
+                    failures.append({"instance": name, "structure": structure, **detail})
+    return {"suite": "remark", "harness_runs": harness_runs, "skipped_by_guard": skipped,
+            "ok": not failures, "counterexamples": failures}
 
 
 # -- the exhaustive configuration search over every permutation, kept as a

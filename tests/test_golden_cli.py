@@ -4,7 +4,10 @@ pinned by sha256.
 
 Each digest covers one command line over all specs: for every spec in SPECS
 order, the exit code and the stdout, so a change in any certificate,
-configuration, tie-break or harness count changes the digest.
+configuration, tie-break or harness count changes the digest.  The
+multi-instance digests each cover one `verify` command line over several
+instances, so they pin counters summed across instances, and the `shatter`
+report.
 """
 
 import hashlib
@@ -48,6 +51,42 @@ DIGESTS = {
 }
 
 
+#: One `verify` run over several instances: five random seeds of each family,
+#: or a fully shattered structure.
+MULTI_COMMANDS = {
+    **{f"verify --suite {suite} --seeds 0..4":
+       ["verify", "--suite", suite, "--gen", "random", "--seeds", "0..4"]
+       for suite in ("bound", "remark", "defining", "oracle", "budget")},
+    **{f"verify --suite shatter --gen shattered:{k}":
+       ["verify", "--suite", "shatter", "--gen", f"shattered:{k}"] for k in range(6)},
+}
+
+MULTI_DIGESTS = {
+    "verify --suite bound --seeds 0..4":
+        "980ac3d53af85012cc98d97f0a81122b1536cd942e065826caff160ba1cf99ed",
+    "verify --suite budget --seeds 0..4":
+        "a33c274e071f81385ecf35e4d8167ce83c39c6ca3c6f2053ea1408b77f9c787b",
+    "verify --suite defining --seeds 0..4":
+        "277be719e11a14b27ac6007779667f6cb77fd94cfd215ae1e5e2af34e2dde9b2",
+    "verify --suite oracle --seeds 0..4":
+        "d9e63a559d90218626854b20fcd27e271534c53cb73d7c711510a89a370be18a",
+    "verify --suite remark --seeds 0..4":
+        "efd5fa943c328c07124f3d6c93a75c62c723420c0465ebb98a4c3d9dca789666",
+    "verify --suite shatter --gen shattered:0":
+        "b7f4a6141b9f57edfc9d5e60ed8c8d8d3929eb0fcf5215e00a71c09dba6ab805",
+    "verify --suite shatter --gen shattered:1":
+        "d3d34c9d6175629d1eb0f2b28d16c118a285d0df46fb3ad01101c6a21136ce75",
+    "verify --suite shatter --gen shattered:2":
+        "6befff2a62a5d427a7d68e157cbb5268ec9c92ce35c3856bf2290148e7002054",
+    "verify --suite shatter --gen shattered:3":
+        "8239f2addcd87880d475f30fdbeb570cdaa6e59115009ecabe7653cfc3548854",
+    "verify --suite shatter --gen shattered:4":
+        "de4a9bed04eccd0a56efcfd9836fd69186632a19ab6a2a7239b2d755a87e01e7",
+    "verify --suite shatter --gen shattered:5":
+        "cea167b705d2923239aa007f1fea6fef583a812286afa902ae39eec2da8c8341",
+}
+
+
 def digest(capsys, argv: list[str]) -> str:
     h = hashlib.sha256()
     for spec in SPECS:
@@ -60,6 +99,13 @@ def digest(capsys, argv: list[str]) -> str:
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_golden_digest(capsys, name):
     assert digest(capsys, COMMANDS[name]) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_COMMANDS))
+def test_multi_instance_digest(capsys, name):
+    code = main([*MULTI_COMMANDS[name], "--format", "json"])
+    out = f"{code}\n{capsys.readouterr().out}"
+    assert hashlib.sha256(out.encode()).hexdigest() == MULTI_DIGESTS[name]
 
 
 def test_k_all_builds_no_full_table():

@@ -67,6 +67,7 @@ Q_TESTS = ("tests/test_isolation.py",
            PROPERTIES + "q_harness_matches_the_product_loop")
 COVER_TESTS = ("tests/test_cover.py",)
 SUITES_TESTS = ("tests/test_suites.py",
+                "tests/test_golden_cli.py::test_multi_instance_digest",
                 PROPERTIES + "defining_and_psi_match_references_over_distinct_rows")
 GENERATORS_TESTS = ("tests/test_generators.py",)
 CLI_FUZZ = "tests/test_cli_fuzz.py::test_"
@@ -193,6 +194,16 @@ MUTANTS = [
      SUITES_TESTS),
     ("remark-reports-keyed-by-pairs", SUITES,
      "key = (pairs, p)", "key = pairs", SUITES_TESTS),
+    # each instance's check starts from fresh counters, so only the last
+    # instance's counts reach the report
+    ("driver-counts-last-instance-only", SUITES,
+     "in check(name, struct, counters):",
+     "in check(name, struct, counters := {k: type(v)() for k, v in counters.items()}):",
+     SUITES_TESTS),
+    ("driver-names-the-loop-instance", SUITES,
+     "serialize_structure(struct), **detail}",
+     'serialize_structure(struct), **detail, "instance": name}',
+     SUITES_TESTS),
     ("linear-order-not-strict", GENERATORS,
      'b"\\x01" * b + bytes(points - b)', 'b"\\x01" * (b + 1) + bytes(points - b - 1)',
      GENERATORS_TESTS),
