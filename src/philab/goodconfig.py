@@ -24,7 +24,9 @@ enter increasing lists only.
 Both searches filter their candidates on clauses (i) and (ii) before they
 check one, so they enter the checker through a private entry that starts at
 clause (iii), under the same DEFAULT_CHECK_LIMIT guard;
-is_good_configuration checks all three clauses and ends in that entry.
+is_good_configuration checks all three clauses and ends in that entry.  The
+exhaustive search also drops, unchecked, each extension whose last two
+pairs fail clause (iii), since they form a sub-list of it.
 """
 
 from __future__ import annotations
@@ -99,10 +101,13 @@ def is_good_configuration(
     """Check the three clauses against the candidate's own base type; on
     failure report the first violated one.
 
-    Clause (iii) is scanned over all sign selections s and pair indices j;
-    distinct (s, j) combinations repeat domains, and the delta signatures
-    they compare are memoized per structure.  Past DEFAULT_CHECK_LIMIT
-    comparisons it raises ResourceLimitError before checking anything.
+    Clause (iii) is scanned over all sign selections s and pair indices j,
+    in product order.  The domain of (s, j) ignores s[j], and s with
+    s[j] = 0 comes before s with s[j] = 1, so only the first is compared:
+    half of the 2^k * k combinations, with the same verdict and the same
+    first failure.  The delta signatures compared are memoized per
+    structure.  Past DEFAULT_CHECK_LIMIT combinations it raises
+    ResourceLimitError before checking anything.
     """
     pairs = candidate.pairs
     if family is None:
@@ -147,6 +152,8 @@ def _check_clause_iii(
     base = struct.base_set
     for s in product((0, 1), repeat=k):
         for j in range(k):
+            if s[j]:
+                continue  # the same domain as s with s[j] = 0, checked before
             domain = tuple(
                 sorted(base | {pairs[i][s[i]] for i in range(k) if i != j})
             )
@@ -261,14 +268,21 @@ def build_maximal(
       - by sub-list closure, a pair q can extend a list L only if it
         extended L's parent, so each node checks only the later pairs that
         passed at its parent, and passes its own passing pairs after q on to
-        the child L + (q,).
+        the child L + (q,);
+      - for the same reason q extends a nonempty L only if the two-pair list
+        (last, q), last the final pair of L, passes clause (iii): last's
+        members are delta-equal over base_set + {q0} and over
+        base_set + {q1}, and q's over base_set + {last0} and
+        base_set + {last1}.  Each of these verdicts is decided once per
+        (pair, member) per call, when first read.
     Each list carries its realizer mask down, and a candidate whose clause
     (ii) mask, that mask AND its pair's literal masks, is empty is dropped
-    unchecked; so is every diagonal pair.  Every other candidate is built
-    from theta, so it has passed (i) and (ii) and is checked from clause
-    (iii) on.  is_good_configuration accepts every nonempty list returned,
-    and the empty list needs no check: p is consistent, and clauses (i) and
-    (iii) ask nothing of no pairs.
+    unchecked; so is every diagonal pair, and every candidate that fails
+    the two-pair screen.  Every other candidate is built from theta, so it
+    has passed (i) and (ii) and is checked from clause (iii) on.
+    is_good_configuration accepts every nonempty list returned, and the
+    empty list needs no check: p is consistent, and clauses (i) and (iii)
+    ask nothing of no pairs.
     At arity >= 1 the pairs of a good list hold distinct parameters from
     theta, so its size stays at most |theta| / 2 <= 6 and
     DEFAULT_CHECK_LIMIT, first passed at size 9, is never reached.
@@ -308,14 +322,31 @@ def build_maximal(
         for d1 in theta
     ]
 
+    base = struct.base_set
+    agreed: dict = {}  # (pair, member) -> delta-equal over base + {member}
+
+    def agree(pair: Pair, member: int) -> bool:
+        key = (pair, member)
+        verdict = agreed.get(key)
+        if verdict is None:
+            domain = tuple(sorted(base | {member}))
+            verdict = agreed[key] = delta_equal_over(struct, family, *pair, domain)
+        return verdict
+
     def descend(config: GoodConfiguration, mask: int, candidates: list) -> None:
         # mask: config's realizer mask; candidates: the pairs after config's
         # last one that extended its parent, each with its (ii) mask
         nonlocal best
+        last = config.pairs[-1] if config.pairs else None
         later = []
         for pair, pair_mask in candidates:
             below = mask & pair_mask
-            if below and _check_clause_iii(struct, family, config.pairs + (pair,)):
+            if not below:
+                continue
+            if last and not (agree(last, pair[0]) and agree(last, pair[1])
+                             and agree(pair, last[0]) and agree(pair, last[1])):
+                continue
+            if _check_clause_iii(struct, family, config.pairs + (pair,)):
                 later.append((pair, pair_mask, below))
         for i, (pair, _, below) in enumerate(later):
             cand = config.extended(pair)

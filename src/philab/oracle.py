@@ -19,16 +19,21 @@ differential acceptance suite.
 The good-configuration enumeration skips only lists that cannot pass: every
 sub-list of a good configuration, in any order, is good (each clause only
 weakens on fewer pairs; `oracle_all_good_configs` gives the proof), so a
-list is extended only by pairs that extended its parent list.  Only clause
-(ii) mentions the type, so a type's good lists are the empty type's good
-lists that it realizes together with their literals:
+list is extended only by pairs that extended its parent list, and only by
+pairs whose two-pair list with the list's last pair passes clause (iii).
+Clause (iii) compares columns by class: for each selection of pair
+members, theta is partitioned once per call by the patterns its columns
+realize over B plus the selection, and two columns pass exactly when they
+share a class.  Only clause (ii) mentions the type, so a type's good lists
+are the empty type's good lists that it realizes together with their
+literals:
 `oracle_configs_realized` filters the empty type's enumeration down to a
 type's, with the proof in its docstring.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from typing import Optional
 
 from .errors import ResourceLimitError, UnknownParameterError
@@ -53,11 +58,13 @@ def _check_parameters(struct: BipartiteStructure, params) -> None:
 
 def _row_sets(struct: BipartiteStructure, params) -> dict[int, tuple[frozenset, frozenset]]:
     """rows[b][sign]: the rows whose column b has that sign, for each b in
-    params (checked parameters)."""
+    params (checked parameters), read off the transposed matrix; an entry
+    is the int 0 or 1, so its truth is its sign."""
     every = frozenset(range(struct.m))
+    columns = tuple(zip(*struct.truth))
     out = {}
     for b in params:
-        ones = frozenset(a for a, row in enumerate(struct.truth) if row[b])
+        ones = frozenset(compress(range(struct.m), columns[b]))
         out[b] = (every - ones, ones)
     return out
 
@@ -173,18 +180,42 @@ def oracle_finitely_satisfiable(
     return True
 
 
-def _same_delta_type(
+def _classes(
     columns: tuple,
     arity: int,
-    c0: int,
-    c1: int,
+    theta: tuple[int, ...],
     domain: tuple[int, ...],
     memo: dict,
-) -> bool:
-    return all(
-        _realized(columns, c0, zs, memo) == _realized(columns, c1, zs, memo)
-        for zs in product(domain, repeat=arity)
-    )
+) -> dict[int, int]:
+    """labels[c] for each c in theta: c0 and c1 share a label exactly when
+    they realize the same (t, s) patterns on every arity-tuple over domain.
+    Theta is refined by each column's pattern set, tuple by tuple in
+    product order, and refining stops once every class is a singleton."""
+    settled: list = []  # classes of one column, which no tuple splits
+    pending = [theta]
+    for zs in product(domain, repeat=arity):
+        if not pending:
+            break
+        parts: dict = {}
+        for i, cls in enumerate(pending):
+            for c in cls:
+                parts.setdefault((i, _realized(columns, c, zs, memo)), []).append(c)
+        pending = []
+        for part in parts.values():
+            (pending if len(part) > 1 else settled).append(part)
+    return {c: label for label, cls in enumerate(settled + pending) for c in cls}
+
+
+def _clause_iii(pairs: tuple[tuple[int, int], ...], classes) -> bool:
+    """Clause (iii) of a pair list: for each j and each selection of the
+    other pairs' members, c_j^0 and c_j^1 share a class of
+    classes(frozenset(selection)), the labels over B + those members."""
+    for j, (c0, c1) in enumerate(pairs):
+        for selection in product(*pairs[:j], *pairs[j + 1:]):
+            labels = classes(frozenset(selection))
+            if labels[c0] != labels[c1]:
+                return False
+    return True
 
 
 def oracle_all_good_configs(
@@ -208,12 +239,16 @@ def oracle_all_good_configs(
     tuple over the smaller.  So the search extends a good list L only by a
     pair q for which the list L[:-1] + (q,), a sub-list of L + (q,), passed
     one level up; at the first level that means the pairs that pass alone.
+    The two-pair list (last, q), last the final pair of a nonempty L, is a
+    sub-list of L + (q,) too, so a q for which it fails is dropped before
+    the whole list is checked: last's members must share a class over
+    B + {q0} and over B + {q1}, and q's over B + {last0} and B + {last1}.
     Children are visited in theta-pair order, so the output is the
     lexicographic order of checking every list; the row-scan and naive
     generate-and-test references in the tests cross-check this.  Each list
-    carries its realizer set down, and each equality of an unordered pair
-    over a domain is decided once per call: c0 and c1 realize the same
-    patterns exactly when c1 and c0 do.
+    carries its realizer set down.  Clause (iii) reads one partition of
+    theta per selection of members, built once per call when first read:
+    c0 and c1 pass over B + the selection exactly when they share a class.
     """
     theta = tuple(sorted(struct.theta_set))
     if len(theta) > GOODCONFIG_THETA_LIMIT:
@@ -234,26 +269,19 @@ def oracle_all_good_configs(
     found: list[tuple[tuple[int, int], ...]] = [()]
     columns = _distinct_columns(struct)
     memo: dict = {}
-    # (unordered pair, selected members) -> clause-(iii) verdict over B +
-    # those members, which is symmetric in the pair; a diagonal pair never
-    # reaches it, so at most C(|theta|, 2) * (1 + |theta| + C(|theta|, 2))
-    # entries
-    equal: dict = {}
+    # selected members -> class labels over B + those members
+    partitions: dict = {}
 
-    def clause_iii(pairs: tuple[tuple[int, int], ...]) -> bool:
-        for j, pair in enumerate(pairs):
-            unordered = pair if pair[0] < pair[1] else pair[::-1]
-            for selection in product(*pairs[:j], *pairs[j + 1:]):
-                key = (unordered, frozenset(selection))
-                verdict = equal.get(key)
-                if verdict is None:
-                    domain = tuple(sorted(struct.base_set.union(selection)))
-                    verdict = equal[key] = _same_delta_type(
-                        columns, arity, *pair, domain, memo
-                    )
-                if not verdict:
-                    return False
-        return True
+    def classes(selection: frozenset) -> dict[int, int]:
+        labels = partitions.get(selection)
+        if labels is None:
+            domain = tuple(sorted(struct.base_set.union(selection)))
+            labels = partitions[selection] = _classes(columns, arity, theta, domain, memo)
+        return labels
+
+    def agree(pair: tuple[int, int], member: int) -> bool:
+        labels = classes(frozenset((member,)))
+        return labels[pair[0]] == labels[pair[1]]
 
     def descend(
         prefix: tuple[tuple[int, int], ...],
@@ -262,10 +290,16 @@ def oracle_all_good_configs(
     ) -> None:
         # candidates: the pairs that extended prefix's parent list; a sign
         # clash, within a pair or with an earlier literal, leaves no realizer
+        last = prefix[-1] if prefix else None
         passing = []
         for pair in candidates:
             below = realizers & rows[pair[0]][0] & rows[pair[1]][1]
-            if below and clause_iii(prefix + (pair,)):
+            if not below:
+                continue
+            if last and not (agree(last, pair[0]) and agree(last, pair[1])
+                             and agree(pair, last[0]) and agree(pair, last[1])):
+                continue
+            if _clause_iii(prefix + (pair,), classes):
                 passing.append((pair, below))
         extending = [pair for pair, _ in passing]
         for pair, below in passing:

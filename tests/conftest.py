@@ -67,6 +67,22 @@ def corpus():
     return build_corpus()
 
 
+#: every spec random:FAMILY:G:20:6, G in 0..99, whose base is empty: clause
+#: (iii) over the empty domain is vacuous, so every consistent pair passes
+#: alone and each search meets |passing|^2 two-pair candidates
+EMPTY_BASE_SPECS = (
+    "random:intervals:9:20:6", "random:intervals:30:20:6", "random:intervals:98:20:6",
+    "random:unions2:8:20:6", "random:unions2:19:20:6", "random:unions2:91:20:6",
+)
+
+#: the 50 instances of the benchmark's verify-corpus at seed 0 (generator
+#: seeds 0..24, both families) and the empty-base specs past them
+WIDE_DIFFERENTIAL_SPECS = tuple(dict.fromkeys([
+    *(f"random:{family}:{g}:20:6" for g in range(25) for family in ("intervals", "unions2")),
+    *EMPTY_BASE_SPECS,
+]))
+
+
 # -- entries the matrix check accepts that are not the ints 0 and 1 ---------
 
 
@@ -314,6 +330,19 @@ def reference_clauses_hold(s, pairs, p, arity, memo):
             if not reference_same_delta_type(s, arity, pairs[j][0], pairs[j][1], domain, memo):
                 return False
     return True
+
+
+def reference_clause_iii_witness(s, pairs, arity, memo):
+    """The first (j, signs) in the checker's scan order, signs before j,
+    whose two members differ over their domain; None when none does."""
+    k = len(pairs)
+    base = set(s.base_set)
+    for signs in product((0, 1), repeat=k):
+        for j in range(k):
+            domain = tuple(sorted(base | {pairs[i][signs[i]] for i in range(k) if i != j}))
+            if not reference_same_delta_type(s, arity, pairs[j][0], pairs[j][1], domain, memo):
+                return j, signs
+    return None
 
 
 def reference_oracle_all_good_configs(s, p, max_k, arity):

@@ -9,7 +9,13 @@ from philab.cli import parse_generator_spec
 from philab.delta import ALL, DeltaFamily
 from philab.goodconfig import GoodConfiguration, config_certificate
 
-from conftest import reference_build_maximal_exhaustive
+from conftest import (
+    EMPTY_BASE_SPECS,
+    WIDE_DIFFERENTIAL_SPECS,
+    reference_build_maximal_exhaustive,
+    reference_clause_iii_witness,
+    reference_clauses_hold,
+)
 
 
 def empty_config(p=pl.EMPTY_TYPE):
@@ -102,6 +108,25 @@ class TestChecker:
         monkeypatch.setattr(goodconfig, "DEFAULT_CHECK_LIMIT", 0)
         with pytest.raises(pl.ResourceLimitError, match="needs 1 comparisons"):
             pl.is_good_configuration(s1, empty_config())
+
+    def test_clause_iii_compares_each_domain_once(self, monkeypatch):
+        # s and s with s[j] flipped give pair j one domain, so a passing
+        # list of k pairs costs half the 2^k * k comparisons the guard counts
+        s = parse_generator_spec("random:unions2:19:20:6")
+        compared = []
+        real = goodconfig.delta_equal_over
+
+        def counting(struct, family, c0, c1, domain):
+            compared.append(domain)
+            return real(struct, family, c0, c1, domain)
+
+        monkeypatch.setattr(goodconfig, "delta_equal_over", counting)
+        for pairs in (((0, 1),), ((0, 1), (2, 3)), ((0, 1), (2, 3), (4, 5))):
+            assert pl.oracle_all_good_configs(s, pl.EMPTY_TYPE, 3, 0).count(pairs) == 1
+            compared.clear()
+            assert goodconfig._check_clause_iii(s, DeltaFamily(0), pairs)
+            k = len(pairs)
+            assert len(compared) == 2**k * k // 2 == len(set(compared))
 
     def test_clause_iii_entry_keeps_the_guard(self, s1, monkeypatch):
         # the searches' entry reads the same limit, before any comparison
@@ -347,18 +372,82 @@ class TestExhaustiveAgainstEveryPermutation:
         # the two-pair configurations of the default corpus: the increasing
         # search never checks a list that a permutation of it already decided
         s = pl.gen_random_bounded(19, 20, 6, pl.generators.UNIONS)
-        checked = []
-        real = goodconfig.is_good_configuration
-
-        def counting(struct, candidate, family=None):
-            checked.append(candidate.pairs)
-            return real(struct, candidate, family)
-
-        monkeypatch.setattr(goodconfig, "is_good_configuration", counting)
+        checked = record_clause_iii_checks(monkeypatch)
         config = pl.build_maximal(s, pl.EMPTY_TYPE, "exhaustive")
         assert config.size == 2
-        assert all(list(pairs) == sorted(set(pairs)) for pairs in checked)
+        assert checked and all(list(pairs) == sorted(set(pairs)) for pairs in checked)
         assert len(checked) == len(set(checked))
+
+
+def record_clause_iii_checks(monkeypatch) -> list:
+    """The pair lists the exhaustive search hands to the checker, in order."""
+    checked = []
+    real = goodconfig._check_clause_iii
+
+    def recording(struct, family, pairs):
+        checked.append(pairs)
+        return real(struct, family, pairs)
+
+    monkeypatch.setattr(goodconfig, "_check_clause_iii", recording)
+    return checked
+
+
+class TestExhaustiveWideDepthOne:
+    """The verify-corpus instances and every empty-base instance of the
+    20x6 random families, against the oracle's enumeration and row scans."""
+
+    def test_is_the_oracles_least_longest_list(self):
+        # the least of the longest lists the oracle enumerates, compared
+        # exactly; no longest list reaches max_k, so none is cut off
+        sizes = []
+        for spec in WIDE_DIFFERENTIAL_SPECS:
+            s = parse_generator_spec(spec)
+            dim = pl.oracle_vc(s)
+            for p in dict.fromkeys(_base_types(s)):
+                configs = pl.oracle_all_good_configs(s, p, min(3, dim + 1), dim)
+                longest = max(map(len, configs))
+                assert longest < min(3, dim + 1)
+                least = min(pairs for pairs in configs if len(pairs) == longest)
+                assert pl.build_maximal(s, p, "exhaustive").pairs == least, (spec, p)
+                sizes.append(longest)
+        assert sorted(set(sizes)) == [0, 1, 2]
+
+    def test_checks_whole_only_lists_whose_last_two_pairs_are_good(self, monkeypatch):
+        # the screen: a list reaches the checker only when its last two
+        # pairs, a sub-list of it, pass clause (iii) themselves
+        checked = record_clause_iii_checks(monkeypatch)
+        deep = 0
+        for spec in EMPTY_BASE_SPECS:
+            s = parse_generator_spec(spec)
+            dim = pl.oracle_vc(s)
+            checked.clear()
+            pl.build_maximal(s, pl.EMPTY_TYPE, "exhaustive")
+            memo: dict = {}
+            for pairs in checked:
+                if len(pairs) > 1:
+                    assert reference_clauses_hold(s, pairs[-2:], pl.EMPTY_TYPE, dim, memo)
+                    deep += 1
+        assert deep > 0
+
+    def test_witness_matches_row_scans(self):
+        # every two-pair list over theta with a realizer on an empty base,
+        # at arity ID: the first failing (j, signs) in scan order
+        verdicts = set()
+        for spec in EMPTY_BASE_SPECS:
+            s = parse_generator_spec(spec)
+            dim = pl.oracle_vc(s)
+            family = DeltaFamily(dim)
+            memo: dict = {}
+            theta = s.theta_members()
+            for pairs in product(product(theta, repeat=2), repeat=2):
+                check = pl.is_good_configuration(s, GoodConfiguration(pairs, pl.EMPTY_TYPE),
+                                                 family)
+                if check.clause == "ii":
+                    continue
+                expected = reference_clause_iii_witness(s, pairs, dim, memo)
+                assert check.witness == expected, (spec, pairs)
+                verdicts.add(expected and expected[0])
+        assert verdicts == {None, 0, 1}
 
 
 class TestBoundAndPrefixes:

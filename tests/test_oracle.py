@@ -11,6 +11,9 @@ from philab.cli import parse_generator_spec
 from philab.oracle import oracle_configs_realized, oracle_finitely_satisfiable
 
 from conftest import (
+    EMPTY_BASE_SPECS,
+    WIDE_DIFFERENTIAL_SPECS,
+    reference_clauses_hold,
     reference_oracle_all_good_configs,
     reference_oracle_all_good_configs_naive,
     reference_oracle_finitely_satisfiable,
@@ -148,6 +151,65 @@ class TestOracleGoodConfigs:
             pl.oracle_all_good_configs(wide, pl.EMPTY_TYPE, 2)
 
 
+class TestOracleWideDepthOne:
+    """The verify-corpus instances and every empty-base instance of the
+    20x6 random families, where each search meets hundreds of two-pair
+    candidates and nearly all fail clause (iii)."""
+
+    def test_empty_base_specs_are_all_of_them(self):
+        specs = [f"random:{family}:{g}:20:6"
+                 for family in ("intervals", "unions2") for g in range(100)]
+        empty = tuple(spec for spec in specs if not parse_generator_spec(spec).base_set)
+        assert empty == EMPTY_BASE_SPECS
+
+    def test_matches_row_scans(self):
+        # at max_k 1..3, for arity 0, 1, ID and ID + 1, for the empty type
+        # and each base trace; the reference at the largest max_k lists the
+        # shorter lists in the same preorder.  At arity 0 thousands of
+        # three-pair lists pass, and the row scans take about half a second
+        # an instance, so there max_k 3 is checked over an empty base only
+        widest = []
+        for spec in WIDE_DIFFERENTIAL_SPECS:
+            s = parse_generator_spec(spec)
+            dim = pl.oracle_vc(s)
+            types = list(dict.fromkeys([pl.EMPTY_TYPE, *s.type_space(s.base_members())]))
+            for arity in sorted({0, 1, dim, dim + 1}):
+                top = 2 if arity == 0 and s.base_set else 3
+                for p in types if arity else types[:2]:
+                    expected = reference_oracle_all_good_configs(s, p, top, arity)
+                    for max_k in range(1, top + 1):
+                        got = pl.oracle_all_good_configs(s, p, max_k, arity)
+                        assert got == [c for c in expected if len(c) <= max_k], (spec, p)
+                    if not s.base_set and arity == dim:
+                        widest.append(sum(len(c) == 1 for c in expected))
+        assert sorted(widest) == [18, 19, 21, 23, 25, 28]
+
+    def test_checks_whole_only_lists_whose_last_two_pairs_are_good(self, monkeypatch):
+        # the screen: a list reaches the full clause-(iii) check only when
+        # its last two pairs, a sub-list of it, pass clause (iii) themselves
+        checked = []
+        real = oracle._clause_iii
+
+        def recording(pairs, classes):
+            checked.append(pairs)
+            return real(pairs, classes)
+
+        monkeypatch.setattr(oracle, "_clause_iii", recording)
+        deep = 0
+        for spec in EMPTY_BASE_SPECS:
+            s = parse_generator_spec(spec)
+            for arity in (0, pl.oracle_vc(s)):
+                checked.clear()
+                configs = pl.oracle_all_good_configs(s, pl.EMPTY_TYPE, 3, arity)
+                memo: dict = {}
+                for pairs in checked:
+                    if len(pairs) > 1:
+                        assert reference_clauses_hold(s, pairs[-2:], pl.EMPTY_TYPE, arity, memo)
+                        deep += 1
+                assert set(configs) - {()} <= set(checked)
+        assert deep > 1000
+
+
 class TestOracleConfigsRealized:
     def test_filter_of_the_empty_types_list_is_the_types_own(self):
         # every base type of the 50 verify-corpus instances (both families,
@@ -212,10 +274,11 @@ class TestOracleRealizedPatterns:
         rows = ((0, 1, 0, 1), (0, 1, 1, 0), (0, 1, 1, 1))
         s = pl.BipartiteStructure(rows, frozenset({2}), frozenset(range(4)))
         expected = {(0, 1): False, (0, 2): False, (1, 2): False, (2, 3): True}
-        for (c0, c1), same in expected.items():
-            for domain in ((), (2,), (0, 3)):
-                memo: dict = {}
-                assert oracle._same_delta_type(self.columns(s), 0, c0, c1, domain, memo) is same
+        for domain in ((), (2,), (0, 3)):
+            labels = oracle._classes(self.columns(s), 0, (0, 1, 2, 3), domain, {})
+            assert sorted(labels) == [0, 1, 2, 3]
+            for (c0, c1), same in expected.items():
+                assert (labels[c0] == labels[c1]) is same
                 assert reference_same_delta_type(s, 0, c0, c1, domain, {}) is same
         assert oracle._realized(self.columns(s), 0, (), {}) == {(0, ())}
         assert oracle._realized(self.columns(s), 3, (), {}) == {(0, ()), (1, ())}

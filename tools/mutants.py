@@ -150,8 +150,13 @@ MUTANTS = [
      "1 << size > len(rows)", "1 << size >= len(rows)", ORACLE_TESTS),
     ("vc-skip-best-plus-one", ORACLE,
      "if size <= best or", "if size <= best + 1 or", ORACLE_TESTS),
-    ("verdict-key-drops-selection", ORACLE,
-     "key = (unordered, frozenset(selection))", "key = (unordered,)", ORACLE_TESTS),
+    ("classes-key-drops-selection", ORACLE,
+     "labels = partitions.get(selection)", "labels = partitions.get(frozenset())",
+     ORACLE_TESTS),
+    # weakened screens keep every output, and the checker decides each
+    # list they pass; the screen tests see the lists it is handed
+    ("oracle-screen-reads-last-side-only", ORACLE,
+     "and agree(pair, last[0]) and agree(pair, last[1])", "and True", ORACLE_TESTS),
     ("configs-filter-keeps-every-list", ORACLE,
      "if realized(pairs)]", "if True]", ORACLE_TESTS),
     ("configs-filter-drops-type-literals", ORACLE,
@@ -160,6 +165,11 @@ MUTANTS = [
      "for j in range(k):", "for j in range(k - 1):", GOODCONFIG_TESTS),
     ("extension-scan-ignores-theta", GOODCONFIG,
      "return None  # (i)", "pass  # (i)", GOODCONFIG_TESTS),
+    ("exhaustive-screen-reads-last-side-only", GOODCONFIG,
+     "and agree(pair, last[0]) and agree(pair, last[1])", "and True", GOODCONFIG_TESTS),
+    # the same verdicts, each failure reported at s[j] = 1
+    ("clause-iii-skips-sign-zero", GOODCONFIG,
+     "if s[j]:", "if not s[j]:", GOODCONFIG_TESTS),
     ("pack-bits-reversed", DELTA,
      "bytes(map(bool, masks))", "bytes(map(bool, masks[::-1]))", DELTA_TESTS),
     ("signature-memo-ignores-closed", DELTA,
