@@ -366,11 +366,12 @@ def config_certificate(
     checker's verdict per clause, None for the unchecked ones after a failure."""
     check = is_good_configuration(struct, config)
     failed = ("i", "ii", "iii", None).index(check.clause)
+    dimension = cached_dimension(struct)
     return {
         "pairs": [list(pair) for pair in config.pairs],
         "size": config.size,
-        "id": cached_dimension(struct),
-        "bound_ok": config.size <= cached_dimension(struct),
+        "id": dimension,
+        "bound_ok": config.size <= dimension,
         "checker": {
             "ok": check.ok,
             "clauses": dict(zip(("i", "ii", "iii"), (True,) * failed + (False, None, None))),

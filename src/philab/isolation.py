@@ -280,10 +280,11 @@ def embed_trace(
     pipeline.  The formula provably reproduces the element's truth row on
     the base set; the agreement is checked on every run.  The pipeline
     result rides along so callers see any saturation-deficit diagnostic."""
-    p = struct.trace(a, struct.base_members())
+    base = struct.base_members()
+    p = struct.trace(a, base)
     result = isolated_extension(struct, p, k_sat)
     formula = phi_defining_formula(struct, result.certificate)
-    for b in struct.base_members():
+    for b in base:
         if formula.holds(b) != struct.truth[a][b]:
             raise InvariantError("defining formula disagrees with the row on the base set")
     return formula, result

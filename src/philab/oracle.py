@@ -1,20 +1,21 @@
 """Independent brute-force reference implementations.
 
 Everything here re-derives its answers straight from the definitions by
-exhaustive enumeration over the truth matrix (never the structure's columns
-or masks), deliberately sharing no code with the subject modules.  Each
-question reads the matrix once per public call, and builds nothing it keeps
-on the structure: realizer sets are intersections of per-column row sets
-(not bitmasks), built for the columns the call reads; a subset is
-independent when the distinct rows, read as bitmasks over Y, project onto
-it in 2^size distinct sign patterns (not cell splitting); and a delta
-question about (c, zs) is one set of the (t, s) patterns the rows realize
-(not the delta module's tables or signatures), read by zipping the columns
-of the distinct rows, transposed once per public call.  A repeated row adds
-no pattern, so reading distinct rows only changes no answer.  Guards are
-hard errors, never silent truncation, and an unknown parameter is an error,
-never a negative index.  These back every derived expected value and the
-differential acceptance suite.
+exhaustive enumeration over the truth matrix (never the structure's masks
+or memo), deliberately sharing no code with the subject modules.  Each
+public call reads truth once, as its distinct rows, and builds nothing it
+keeps on the structure: realizer sets are intersections of per-column sets
+of distinct-row positions (not bitmasks), built for the columns the call
+reads; a subset is independent when the distinct rows, read as bitmasks
+over Y, project onto it in 2^size distinct sign patterns (not cell
+splitting); and a delta question about (c, zs) is one set of the (t, s)
+patterns the rows realize (not the delta module's tables or signatures),
+read by zipping the columns of the distinct rows.  A repeated row meets
+exactly the literals its first occurrence meets and adds no pattern, so
+every equality and emptiness test, and so every answer, is the same as
+over all rows.  Guards are hard errors, never silent truncation, and an
+unknown parameter is an error, never a negative index.  These back every
+derived expected value and the differential acceptance suite.
 
 The good-configuration enumeration skips only lists that cannot pass: every
 sub-list of a good configuration, in any order, is good (each clause only
@@ -34,6 +35,7 @@ type's, with the proof in its docstring.
 from __future__ import annotations
 
 from itertools import combinations, compress, product
+from operator import itemgetter
 from typing import Optional
 
 from .errors import ResourceLimitError, UnknownParameterError
@@ -56,36 +58,29 @@ def _check_parameters(struct: BipartiteStructure, params) -> None:
             raise UnknownParameterError(f"unknown parameter {b!r}")
 
 
-def _row_sets(struct: BipartiteStructure, params) -> dict[int, tuple[frozenset, frozenset]]:
-    """rows[b][sign]: the rows whose column b has that sign, for each b in
-    params (checked parameters), read off the transposed matrix; an entry
-    is the int 0 or 1, so its truth is its sign."""
-    every = frozenset(range(struct.m))
-    columns = tuple(zip(*struct.truth))
-    out = {}
-    for b in params:
-        ones = frozenset(compress(range(struct.m), columns[b]))
-        out[b] = (every - ones, ones)
-    return out
-
-
 def _distinct_rows(struct: BipartiteStructure) -> list[bytes]:
     """The matrix's distinct rows as bytes of 0s and 1s, in first-seen
-    order; a repeated row realizes no new pattern."""
+    order: the one read of struct.truth in each public call."""
     return list(dict.fromkeys(map(bytes, struct.truth)))
 
 
-def _distinct_columns(struct: BipartiteStructure) -> tuple:
-    """columns[b]: column b of the matrix's distinct rows."""
-    return tuple(zip(*_distinct_rows(struct)))
+def _row_sets(rows: list[bytes], params) -> tuple[frozenset, dict]:
+    """(every, sets): every is the set of positions in rows, the distinct
+    rows, and sets[b][sign] the positions whose entry b has that sign, for
+    each b in params (checked parameters); an entry is the int 0 or 1, so
+    its truth is its sign."""
+    every = frozenset(range(len(rows)))
+    sets = {}
+    for b in params:
+        ones = frozenset(compress(range(len(rows)), map(itemgetter(b), rows)))
+        sets[b] = (every - ones, ones)
+    return every, sets
 
 
-def _rows_satisfying(struct: BipartiteStructure, rows, literals) -> frozenset:
-    """The rows meeting every literal; every row when there is none."""
-    sets = [rows[b][sign] for b, sign in literals]
-    if not sets:
-        return frozenset(range(struct.m))
-    return sets[0].intersection(*sets[1:])
+def _rows_satisfying(every: frozenset, sets: dict, literals) -> frozenset:
+    """The positions in every meeting every literal; all of them when there
+    is none."""
+    return every.intersection(*[sets[b][sign] for b, sign in literals])
 
 
 def oracle_vc(struct: BipartiteStructure) -> int:
@@ -122,11 +117,11 @@ def oracle_min_isolating(struct: BipartiteStructure, p: PhiType) -> int:
             f"oracle_min_isolating guard: |dom| = {len(dom)} > {MIN_ISOLATING_DOM_LIMIT}"
         )
     _check_parameters(struct, dom)
-    rows = _row_sets(struct, dom)
-    target = _rows_satisfying(struct, rows, p.items)
+    every, sets = _row_sets(_distinct_rows(struct), dom)
+    target = _rows_satisfying(every, sets, p.items)
     for size in range(len(dom) + 1):
         for subset in combinations(p.items, size):
-            if _rows_satisfying(struct, rows, subset) == target:
+            if _rows_satisfying(every, sets, subset) == target:
                 return size
     raise AssertionError("p itself always has its own realizer set")
 
@@ -134,7 +129,7 @@ def oracle_min_isolating(struct: BipartiteStructure, p: PhiType) -> int:
 def _realized(columns: tuple, c: int, zs: tuple[int, ...], memo: dict) -> frozenset:
     """Every (t, s) for which some row has sign t at c and signs s at zs:
     the delta entries (zs, t, s) that hold of c, read by zipping the raw
-    columns (columns[b] is column b of the truth matrix)."""
+    columns (columns[b] is column b of the distinct rows)."""
     key = (c, zs)
     hit = memo.get(key)
     if hit is None:
@@ -168,7 +163,7 @@ def oracle_finitely_satisfiable(
     _check_parameters(struct, [z for (zs, _, _), _ in entries for z in zs])
     if not base:
         return False
-    columns = _distinct_columns(struct)
+    columns = tuple(zip(*_distinct_rows(struct)))
     memo: dict = {}
     for chunk in combinations(entries, min(k, len(entries))):
         if not any(
@@ -229,7 +224,7 @@ def oracle_all_good_configs(
     literals c_j^0 -> 0, c_j^1 -> 1 has a realizer; (iii) for each j and
     each selection s of the other pairs' members, c_j^0 and c_j^1 realize
     the same (t, s) patterns on every arity-tuple over B + {c_i^{s_i} : i != j},
-    where arity defaults to oracle_vc(struct).
+    where arity defaults to oracle_vc(struct), which reads truth once more.
 
     Every sub-list of a good list, in any order, is good: it draws from the
     same theta, its fewer literals keep every realizer of the full list,
@@ -246,9 +241,11 @@ def oracle_all_good_configs(
     Children are visited in theta-pair order, so the output is the
     lexicographic order of checking every list; the row-scan and naive
     generate-and-test references in the tests cross-check this.  Each list
-    carries its realizer set down.  Clause (iii) reads one partition of
-    theta per selection of members, built once per call when first read:
-    c0 and c1 pass over B + the selection exactly when they share a class.
+    carries its realizer set, of distinct-row positions, down; the row sets
+    and the pattern columns both come from one read of the distinct rows.
+    Clause (iii) reads one partition of theta per selection of members,
+    built once per call when first read: c0 and c1 pass over B + the
+    selection exactly when they share a class.
     """
     theta = tuple(sorted(struct.theta_set))
     if len(theta) > GOODCONFIG_THETA_LIMIT:
@@ -262,12 +259,13 @@ def oracle_all_good_configs(
     _check_parameters(struct, p.domain)
     if arity is None:
         arity = oracle_vc(struct)
-    rows = _row_sets(struct, set(theta).union(p.domain))
-    realizers = _rows_satisfying(struct, rows, p.items)
+    rows = _distinct_rows(struct)
+    every, sets = _row_sets(rows, set(theta).union(p.domain))
+    realizers = _rows_satisfying(every, sets, p.items)
     if not realizers:
         return []
     found: list[tuple[tuple[int, int], ...]] = [()]
-    columns = _distinct_columns(struct)
+    columns = tuple(zip(*rows))
     memo: dict = {}
     # selected members -> class labels over B + those members
     partitions: dict = {}
@@ -293,7 +291,7 @@ def oracle_all_good_configs(
         last = prefix[-1] if prefix else None
         passing = []
         for pair in candidates:
-            below = realizers & rows[pair[0]][0] & rows[pair[1]][1]
+            below = realizers & sets[pair[0]][0] & sets[pair[1]][1]
             if not below:
                 continue
             if last and not (agree(last, pair[0]) and agree(last, pair[1])
@@ -334,10 +332,10 @@ def oracle_configs_realized(
     _check_parameters(struct, p.domain)
     params = {c for pairs in configs for pair in pairs for c in pair}
     _check_parameters(struct, params)
-    rows = _row_sets(struct, params.union(p.domain))
+    every, sets = _row_sets(_distinct_rows(struct), params.union(p.domain))
 
     def realized(pairs: tuple[tuple[int, int], ...]) -> bool:
         literals = [(c, sign) for pair in pairs for c, sign in zip(pair, (0, 1))]
-        return bool(_rows_satisfying(struct, rows, (*p.items, *literals)))
+        return bool(_rows_satisfying(every, sets, (*p.items, *literals)))
 
     return [pairs for pairs in configs if realized(pairs)]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from operator import index
+from operator import index, itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -163,9 +163,9 @@ class BipartiteStructure:
         """The structure over m elements whose column b is columns[b]: a
         bytes-like object of m bytes, each 0 or 1, with truth[i][b] =
         columns[b][i].  It reads whole columns where the constructor reads
-        rows, keeps its own bytes of each column, so a later edit of a
-        caller's bytearray changes nothing, and ends in the constructor's
-        own checks of B and theta and its derivations."""
+        rows, derives truth and the masks from its own bytes of each column,
+        so a later edit of a caller's bytearray changes nothing, and ends in
+        the constructor's own checks of B and theta and its derivations."""
         if not isinstance(m, int):
             raise ValueError(f"m must be an int, got {m!r}")
         if m < 1:
@@ -191,11 +191,11 @@ class BipartiteStructure:
 
     def _finish(self, m: int, columns: tuple[bytes, ...]) -> None:
         """The step both constructors end in, given the m-byte checked 0/1
-        columns: B and theta are checked and frozen, and every form of the
-        matrix is derived and stored here alone: truth, the columns, their
-        masks, the full mask and n.  _columns[b][i] is truth[i][b] as a
-        byte, and bit i of _column_masks[b] is the same entry: a column
-        read from its last row up is the mask's numeral."""
+        columns: B and theta are checked and frozen, and the matrix's two
+        kept forms, the rows of truth and _column_masks, are derived here
+        alone, with the full mask and n.  Bit i of _column_masks[b] is
+        truth[i][b], so a column read from its last row up is the mask's
+        numeral; the byte columns themselves are not kept."""
         for name in ("theta_set", "base_set"):  # the one reader of raw members of B and theta
             params = getattr(self, name)
             if not (type(params) is frozenset and {int}.issuperset(map(type, params))):
@@ -215,7 +215,6 @@ class BipartiteStructure:
         # a bytes column yields its entries as the ints 0 and 1; with no
         # columns, zip would give no rows at all, not m empty ones
         object.__setattr__(self, "truth", tuple(zip(*columns)) if columns else ((),) * m)
-        object.__setattr__(self, "_columns", columns)
         object.__setattr__(
             self, "_column_masks",
             tuple([int(c[::-1].translate(_BITS_TO_TEXT), 2) for c in columns]),
@@ -302,8 +301,8 @@ class BipartiteStructure:
         matrix.  trace(a, D) is always consistent: a realizes it."""
         self.check_element(a)
         params = self._sorted_params(params)
-        columns = self._columns
-        return PhiType._checked(tuple([(b, columns[b][a]) for b in params]))
+        row = self.truth[a]
+        return PhiType._checked(tuple([(b, row[b]) for b in params]))
 
     def full_trace(self, a: int) -> PhiType:
         return self.trace(a, range(self.n))
@@ -345,28 +344,25 @@ class BipartiteStructure:
         table = self._memo.get("literal_columns")
         if table is None:
             table = self._memo["literal_columns"] = [None] * self.n
-        rows = self._distinct_rows()
-        out = []
+        out, rows = [], None
         for b in params:
             column = table[b]
             if column is None:
+                if rows is None:  # the distinct rows, read for the first column built
+                    rows = list(map(self.truth.__getitem__, self._distinct_rows()))
                 column = table[b] = tuple(
-                    map(((b, 0), (b, 1)).__getitem__, map(self._columns[b].__getitem__, rows))
-                )
+                    map(((b, 0), (b, 1)).__getitem__, map(itemgetter(b), rows)))
             out.append(column)
         return out
 
     def _distinct_rows(self) -> tuple[int, ...]:
         """The first index of each distinct row, in increasing order,
-        memoized.  Rows are keyed on bytes, row i being the slice [i::m]
-        of the columns joined end to end, which hashes faster than the
-        tuple rows of truth on wide matrices."""
+        memoized; rows are keyed on the tuple rows of truth."""
         rows = self._memo.get("distinct_rows")
         if rows is None:
-            m, flat = self.m, b"".join(self._columns)
-            firsts: dict[bytes, int] = {}
-            for i in range(m):
-                firsts.setdefault(flat[i::m], i)
+            firsts: dict[tuple[int, ...], int] = {}
+            for i, row in enumerate(self.truth):
+                firsts.setdefault(row, i)
             rows = self._memo["distinct_rows"] = tuple(firsts.values())
         return rows
 

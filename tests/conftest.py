@@ -639,8 +639,8 @@ def reference_parse_structure(text):
 
 
 def same_structure(s, ref):
-    """s equals ref, and so do the columns, masks, n and meta it derived."""
+    """s equals ref, and so do the masks, n and meta it derived."""
     return (s == ref and s.meta == ref.meta and s.n == ref.n
-            and s._columns == ref._columns and s._column_masks == ref._column_masks
+            and s._column_masks == ref._column_masks
             and s._full_mask == ref._full_mask
             and [type(v) for row in s.truth for v in row] == [int] * (s.m * s.n))

@@ -6,8 +6,9 @@ Each digest covers one command line over all specs: for every spec in SPECS
 order, the exit code and the stdout, so a change in any certificate,
 configuration, tie-break or harness count changes the digest.  The
 multi-instance digests each cover one `verify` command line over several
-instances, so they pin counters summed across instances, and the `shatter`
-report.
+instances, so they pin counters summed across instances, the `shatter`
+report, and the oracle on tall structures, where its distinct rows are far
+fewer than its rows.
 """
 
 import hashlib
@@ -52,11 +53,15 @@ DIGESTS = {
 
 
 #: One `verify` run over several instances: five random seeds of each family,
-#: or a fully shattered structure.
+#: ten tall 4096x10 structures, where many rows repeat, or a fully shattered
+#: structure.
 MULTI_COMMANDS = {
     **{f"verify --suite {suite} --seeds 0..4":
        ["verify", "--suite", suite, "--gen", "random", "--seeds", "0..4"]
        for suite in ("bound", "remark", "defining", "oracle", "budget")},
+    **{f"verify --suite {suite} --gen random:unions2:0:4096:10 --seeds 0..9":
+       ["verify", "--suite", suite, "--gen", "random:unions2:0:4096:10", "--seeds", "0..9"]
+       for suite in ("oracle", "remark", "bound")},
     **{f"verify --suite shatter --gen shattered:{k}":
        ["verify", "--suite", "shatter", "--gen", f"shattered:{k}"] for k in range(6)},
 }
@@ -72,6 +77,12 @@ MULTI_DIGESTS = {
         "d9e63a559d90218626854b20fcd27e271534c53cb73d7c711510a89a370be18a",
     "verify --suite remark --seeds 0..4":
         "efd5fa943c328c07124f3d6c93a75c62c723420c0465ebb98a4c3d9dca789666",
+    "verify --suite oracle --gen random:unions2:0:4096:10 --seeds 0..9":
+        "1eef4a52099355bbba771b9164694a1dd33ec60df5a5c421e522a03839bcb255",
+    "verify --suite remark --gen random:unions2:0:4096:10 --seeds 0..9":
+        "45e394fb780ce766a9877ce9ee882136ff431d0b3e78459e2174629abfaf3659",
+    "verify --suite bound --gen random:unions2:0:4096:10 --seeds 0..9":
+        "537cd1a5e98ecec4c3c4ace2acfd8368e15dc276a85113431d6e73e9abc56d08",
     "verify --suite shatter --gen shattered:0":
         "b7f4a6141b9f57edfc9d5e60ed8c8d8d3929eb0fcf5215e00a71c09dba6ab805",
     "verify --suite shatter --gen shattered:1":

@@ -1,5 +1,5 @@
 import ast
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -17,6 +17,7 @@ from conftest import (
     reference_oracle_all_good_configs,
     reference_oracle_all_good_configs_naive,
     reference_oracle_finitely_satisfiable,
+    reference_oracle_min_isolating,
     reference_oracle_vc,
     reference_oracle_vc_unpruned,
     reference_same_delta_type,
@@ -79,6 +80,22 @@ class TestOracleMinIsolating:
         p = wide.trace(7, range(15))
         with pytest.raises(pl.ResourceLimitError):
             pl.oracle_min_isolating(wide, p)
+
+    @pytest.mark.parametrize("rows", [
+        ((0, 1, 1), (0, 1, 1), (1, 0, 1), (0, 1, 1), (1, 0, 1)),
+        ((1, 0, 1, 1),) * 4,
+        *(tuple(row + (1,) for row in pl.gen_shattered(k).truth) * 2 for k in range(4)),
+    ], ids=["repeated", "constant", *(f"shattered:{k}-constant-column-rows-twice"
+                                      for k in range(4))])
+    def test_matches_row_scans(self, rows):
+        # realizer sets are over distinct rows, while the row scan counts
+        # every row: a type every row realizes, here one on constant
+        # columns, has the empty subtype's realizers only if both agree
+        s = pl.BipartiteStructure(rows, frozenset(), frozenset())
+        for size in range(s.n + 1):
+            for domain in combinations(range(s.n), size):
+                for p in s.type_space(domain):
+                    assert pl.oracle_min_isolating(s, p) == reference_oracle_min_isolating(s, p)
 
 
 class TestOracleGoodConfigs:
@@ -373,6 +390,40 @@ class TestOracleUnknownParameters:
         s = pl.gen_shattered(3)
         with pytest.raises(pl.UnknownParameterError, match="^unknown parameter -1$"):
             oracle_finitely_satisfiable(s, {((-1,), 1, (1,)): True}, [0], 1)
+
+
+class CountingRows(tuple):
+    """A truth matrix that counts the times it is iterated."""
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("name", ["oracle_vc", "oracle_min_isolating",
+                                  "oracle_finitely_satisfiable", "oracle_all_good_configs",
+                                  "oracle_configs_realized"])
+def test_each_public_call_reads_truth_once(name):
+    # oracle_all_good_configs is given its arity: without it, the nested
+    # oracle_vc call reads truth once more
+    s = pl.gen_random_bounded(1, 20, 6)
+    p = s.trace(0, s.base_members())
+    arity = pl.oracle_vc(s)
+    configs = pl.oracle_all_good_configs(s, pl.EMPTY_TYPE, 2, arity)
+    table = pl.delta_type(s, pl.DeltaFamily(1), 0, [1, 2]).table
+    call = {
+        "oracle_vc": lambda s: pl.oracle_vc(s),
+        "oracle_min_isolating": lambda s: pl.oracle_min_isolating(s, p),
+        "oracle_finitely_satisfiable": lambda s: oracle_finitely_satisfiable(s, table, [3, 4], 1),
+        "oracle_all_good_configs": lambda s: pl.oracle_all_good_configs(s, p, 2, arity),
+        "oracle_configs_realized": lambda s: oracle_configs_realized(s, p, configs),
+    }[name]
+    expected = call(s)
+    rows = CountingRows(s.truth)
+    rows.reads = 0
+    object.__setattr__(s, "truth", rows)
+    assert call(s) == expected
+    assert rows.reads == 1
 
 
 def test_oracle_imports_only_errors_and_structure():

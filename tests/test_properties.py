@@ -252,7 +252,7 @@ def test_matrix_check_matches_the_row_loop(truth):
         assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
         return
     s = pl.BipartiteStructure(truth, frozenset(), frozenset())
-    assert (s._columns, s._column_masks) == expected
+    assert (tuple(map(bytes, zip(*s.truth))), s._column_masks) == expected
 
 
 # -- type_space and trace against the public PhiType constructor ------------

@@ -237,7 +237,7 @@ class TestFromColumns:
             {1}, [0, 1], meta)
         assert same_structure(s, pl.BipartiteStructure(rows, frozenset({1}), {0, 1}, meta))
         assert s.truth == rows and s.meta is meta and s.m == 3 and s.n == 3
-        assert [type(c) for c in s._columns] == [bytes] * 3
+        assert not hasattr(s, "_columns")
 
     def test_unequal_column_lengths(self):
         with pytest.raises(ValueError, match="^column 1 has length 2, expected 3$"):
@@ -298,7 +298,7 @@ class TestFromColumns:
         s = pl.BipartiteStructure.from_columns(3, columns, {0}, {0, 1})
 
         def answers():
-            return (s.truth, s._columns, s._column_masks, s.type_space([0, 1]),
+            return (s.truth, s._column_masks, s.type_space([0, 1]),
                     s.trace(0, [0, 1]), oracle_vc(s), serialize_structure(s))
 
         before = answers()

@@ -132,9 +132,11 @@ MUTANTS = [
     ("phitype-truncates-sign", STRUCTURE,
      "index(sign)", "int(sign)", STRUCTURE_TESTS),
     ("distinct-rows-keep-last", STRUCTURE,
-     "firsts.setdefault(flat[i::m], i)", "firsts[flat[i::m]] = i", STRUCTURE_TESTS),
-    ("distinct-rows-read-across", STRUCTURE,
-     "flat[i::m]", "flat[i:i + m]", STRUCTURE_TESTS),
+     "firsts.setdefault(row, i)", "firsts[row] = i", STRUCTURE_TESTS),
+    ("literal-columns-read-column-0", STRUCTURE,
+     "map(itemgetter(b), rows)", "map(itemgetter(0), rows)", STRUCTURE_TESTS),
+    ("trace-reads-previous-row", STRUCTURE,
+     "row = self.truth[a]", "row = self.truth[a - 1]", STRUCTURE_TESTS),
     ("from-columns-skips-bit-check", STRUCTURE,
      ' or flat.translate(None, b"\\x00\\x01"):', ":", STRUCTURE_TESTS),
     ("from-columns-skips-length-check", STRUCTURE,
@@ -150,6 +152,13 @@ MUTANTS = [
      "1 << size > len(rows)", "1 << size >= len(rows)", ORACLE_TESTS),
     ("vc-skip-best-plus-one", ORACLE,
      "if size <= best or", "if size <= best + 1 or", ORACLE_TESTS),
+    # realizer sets are over distinct-row positions, so a universe of all
+    # m positions differs only for a type every row realizes, on a matrix
+    # with a repeated row
+    ("isolating-universe-counts-every-row", ORACLE,
+     "_row_sets(_distinct_rows(struct), dom)",
+     "_row_sets(_distinct_rows(struct), dom)\n    every = frozenset(range(struct.m))",
+     ORACLE_TESTS),
     ("classes-key-drops-selection", ORACLE,
      "labels = partitions.get(selection)", "labels = partitions.get(frozenset())",
      ORACLE_TESTS),
