@@ -18,7 +18,7 @@ print("(pair lists over theta, all three clauses checked):\n")
 for seed in (3, 11, 17):
     s = pl.gen_random_bounded(seed, 20, 6, pl.generators.INTERVALS)
     dim = pl.independence_dimension(s).id_value
-    configs = pl.oracle_all_good_configs(s, pl.EMPTY_TYPE, min(3, dim + 1))
+    configs = pl.oracle_all_good_configs(s, min(3, dim + 1), pl.oracle_vc(s))
     sizes = sorted({len(c) for c in configs})
     print(f"  seed {seed}: dimension {dim}, {len(configs)} configurations,"
           f" sizes {sizes} (bound holds: {max(sizes) <= dim})")
@@ -33,7 +33,7 @@ print("\nEvery sub-list of a good configuration, in any order, is good")
 print("(so the oracle extends a list only by pairs that extended its parent):")
 s = pl.gen_random_bounded(19, 20, 6, pl.generators.UNIONS)
 dim = pl.independence_dimension(s).id_value
-configs = pl.oracle_all_good_configs(s, pl.EMPTY_TYPE, min(3, dim + 1))
+configs = pl.oracle_all_good_configs(s, min(3, dim + 1), pl.oracle_vc(s))
 checked = 0
 for pairs in configs:
     for size in range(len(pairs) + 1):

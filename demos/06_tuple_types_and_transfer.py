@@ -24,7 +24,7 @@ s = pl.BipartiteStructure(rows, frozenset(), frozenset(range(6)))
 
 print("columns (duplicated intervals):", intervals)
 dim = pl.independence_dimension(s).id_value
-configs = pl.oracle_all_good_configs(s, pl.EMPTY_TYPE, min(2, dim + 1))
+configs = pl.oracle_all_good_configs(s, min(2, dim + 1), pl.oracle_vc(s))
 best = max(len(c) for c in configs)
 pairs = min(c for c in configs if len(c) == best)
 config = GoodConfiguration(pairs, pl.EMPTY_TYPE)
@@ -61,7 +61,7 @@ print(f"  twin {twin} ->", pl.check_q_realizer(s, q, twin))
 
 print("\ntuples outside theta fail the membership part:")
 shrunk = pl.BipartiteStructure(s.truth, frozenset(), frozenset(range(4)))
-cfgs = [c for c in pl.oracle_all_good_configs(shrunk, pl.EMPTY_TYPE, 1) if c]
+cfgs = [c for c in pl.oracle_all_good_configs(shrunk, 1, pl.oracle_vc(shrunk)) if c]
 cfg2 = GoodConfiguration(cfgs[0], pl.EMPTY_TYPE)
 q2 = pl.q_type(shrunk, cfg2)
 outside = (5,) * q2.component_count

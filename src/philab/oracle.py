@@ -25,18 +25,15 @@ pairs whose two-pair list with the list's last pair passes clause (iii).
 Clause (iii) compares columns by class: for each selection of pair
 members, theta is partitioned once per call by the patterns its columns
 realize over B plus the selection, and two columns pass exactly when they
-share a class.  Only clause (ii) mentions the type, so a type's good lists
-are the empty type's good lists that it realizes together with their
-literals:
-`oracle_configs_realized` filters the empty type's enumeration down to a
-type's, with the proof in its docstring.
+share a class.  The enumeration lists the empty type's good lists only; a
+type's lists come only from filtering those with `oracle_configs_realized`,
+whose docstring proves the filter exact.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, compress, product
 from operator import itemgetter
-from typing import Optional
 
 from .errors import ResourceLimitError, UnknownParameterError
 from .structure import BipartiteStructure, PhiType
@@ -215,16 +212,16 @@ def _clause_iii(pairs: tuple[tuple[int, int], ...], classes) -> bool:
 
 def oracle_all_good_configs(
     struct: BipartiteStructure,
-    p: PhiType,
     max_k: int,
-    arity: Optional[int] = None,
+    arity: int,
 ) -> list[tuple[tuple[int, int], ...]]:
-    """Every pair list of length <= max_k passing the three clauses, in
-    lexicographic order: (i) each pair lies in theta; (ii) p plus the
-    literals c_j^0 -> 0, c_j^1 -> 1 has a realizer; (iii) for each j and
-    each selection s of the other pairs' members, c_j^0 and c_j^1 realize
-    the same (t, s) patterns on every arity-tuple over B + {c_i^{s_i} : i != j},
-    where arity defaults to oracle_vc(struct), which reads truth once more.
+    """Every pair list of length <= max_k good for the empty type, in
+    lexicographic order: (i) each pair lies in theta; (ii) the literals
+    c_j^0 -> 0, c_j^1 -> 1 have a realizer; (iii) for each j and each
+    selection s of the other pairs' members, c_j^0 and c_j^1 realize the
+    same (t, s) patterns on every arity-tuple over B + {c_i^{s_i} : i != j},
+    at the given arity (the suites pass oracle_vc's dimension).  A type's
+    lists are these filtered by oracle_configs_realized.
 
     Every sub-list of a good list, in any order, is good: it draws from the
     same theta, its fewer literals keep every realizer of the full list,
@@ -241,11 +238,11 @@ def oracle_all_good_configs(
     Children are visited in theta-pair order, so the output is the
     lexicographic order of checking every list; the row-scan and naive
     generate-and-test references in the tests cross-check this.  Each list
-    carries its realizer set, of distinct-row positions, down; the row sets
-    and the pattern columns both come from one read of the distinct rows.
-    Clause (iii) reads one partition of theta per selection of members,
-    built once per call when first read: c0 and c1 pass over B + the
-    selection exactly when they share a class.
+    carries its realizer set, of distinct-row positions, down from every
+    distinct row; the row sets and the pattern columns both come from one
+    read of the distinct rows.  Clause (iii) reads one partition of theta
+    per selection of members, built once per call when first read: c0 and
+    c1 pass over B + the selection exactly when they share a class.
     """
     theta = tuple(sorted(struct.theta_set))
     if len(theta) > GOODCONFIG_THETA_LIMIT:
@@ -256,14 +253,8 @@ def oracle_all_good_configs(
         raise ResourceLimitError(
             f"oracle_all_good_configs guard: max_k = {max_k} > {GOODCONFIG_MAX_K_LIMIT}"
         )
-    _check_parameters(struct, p.domain)
-    if arity is None:
-        arity = oracle_vc(struct)
     rows = _distinct_rows(struct)
-    every, sets = _row_sets(rows, set(theta).union(p.domain))
-    realizers = _rows_satisfying(every, sets, p.items)
-    if not realizers:
-        return []
+    every, sets = _row_sets(rows, theta)
     found: list[tuple[tuple[int, int], ...]] = [()]
     columns = tuple(zip(*rows))
     memo: dict = {}
@@ -306,7 +297,7 @@ def oracle_all_good_configs(
                 descend(prefix + (pair,), below, extending)
 
     if max_k > 0:
-        descend((), realizers, [(c0, c1) for c0 in theta for c1 in theta])
+        descend((), every, [(c0, c1) for c0 in theta for c1 in theta])
     return found
 
 
@@ -316,18 +307,16 @@ def oracle_configs_realized(
     configs: list[tuple[tuple[int, int], ...]],
 ) -> list[tuple[tuple[int, int], ...]]:
     """The pair lists of configs, in their given order, for which p plus
-    the literals c_j^0 -> 0, c_j^1 -> 1 has a realizer: clause (ii) of
-    oracle_all_good_configs for p.
+    the literals c_j^0 -> 0, c_j^1 -> 1 has a realizer: clause (ii) for p.
 
-    On configs = oracle_all_good_configs(struct, PhiType(), max_k, arity)
-    this is oracle_all_good_configs(struct, p, max_k, arity), list for list
-    and in the same lexicographic order.  Clauses (i) and (iii) do not
-    mention the type.  Clause (ii) for p implies clause (ii) for the empty
-    type, since a realizer of p plus the literals realizes the literals.  So
-    a list good for p is good for the empty type, and the empty type's
-    enumeration, complete up to max_k, holds it; a list in that enumeration
-    is good for p exactly when it passes clause (ii) for p.  Filtering keeps
-    the order, and the two enumerations list their lists in one order.
+    On configs = oracle_all_good_configs(struct, max_k, arity) this is
+    every list of length <= max_k good for p at that arity, in
+    lexicographic order.  Clauses (i) and (iii) do not mention the type.
+    Clause (ii) for p implies clause (ii) for the empty type, since a
+    realizer of p plus the literals realizes the literals.  So a list good
+    for p is good for the empty type, and the empty type's enumeration,
+    complete up to max_k, holds it; a list in that enumeration is good for
+    p exactly when it passes clause (ii) for p.  Filtering keeps the order.
     """
     _check_parameters(struct, p.domain)
     params = {c for pairs in configs for pair in pairs for c in pair}

@@ -9,10 +9,9 @@ serialized structure, not yet minimized, and the detail, which may name its
 own instance).  Suites only ever compare computed values; expected
 quantities come from the brute-force oracles.
 
-The bound suite enumerates configurations of the empty type: any
-configuration good for some type is good for the empty type (its clause-(ii)
-literal set is a subset, the other clauses do not mention the type), so the
-empty type casts the widest net for bound violations.
+The bound suite enumerates configurations of the empty type, which hold
+every type's (`oracle.oracle_configs_realized` proves it), so it casts the
+widest net for bound violations.
 """
 
 from __future__ import annotations
@@ -47,11 +46,12 @@ def _run(suite: str, structures: Iterable[Named], check: Check, **counters) -> d
 
 
 def bound_suite(structures: Iterable[Named]) -> dict:
-    """No enumerated good configuration exceeds the independence dimension."""
+    """No enumerated good configuration exceeds the independence dimension.
+    The enumeration's arity is the oracle's dimension."""
 
     def check(name, struct, counters):
         dim = cached_dimension(struct)
-        configs = oracle_all_good_configs(struct, PhiType(), min(3, dim + 1))
+        configs = oracle_all_good_configs(struct, min(3, dim + 1), oracle_vc(struct))
         counters["configurations_checked"] += len(configs)
         over = [c for c in configs if len(c) > dim]
         if over:
@@ -101,7 +101,7 @@ def remark_suite(structures: Iterable[Named]) -> dict:
     def check(name, struct, counters):
         try:
             arity = oracle_vc(struct)
-            configs = oracle_all_good_configs(struct, PhiType(), min(2, arity + 1), arity)
+            configs = oracle_all_good_configs(struct, min(2, arity + 1), arity)
         except ResourceLimitError:
             counters["skipped_by_guard"] += 2
             return
@@ -195,9 +195,7 @@ def oracle_suite(structures: Iterable[Named]) -> dict:
             subject_max = build_maximal(struct, PhiType(), "exhaustive").size
             oracle_max = max(
                 len(c)
-                for c in oracle_all_good_configs(
-                    struct, PhiType(), min(3, oracle_id + 1), oracle_id
-                )
+                for c in oracle_all_good_configs(struct, min(3, oracle_id + 1), oracle_id)
             )
         except ResourceLimitError:
             return

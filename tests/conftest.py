@@ -9,6 +9,7 @@ from philab.delta import ALL, DeltaFamily, _signature
 from philab import goodconfig
 from philab.goodconfig import GoodConfiguration, extend_type
 from philab.isolation import QHarnessReport
+from philab.oracle import oracle_configs_realized
 from philab.vc import cached_dimension
 
 S1_TEXT = """# phi-structure v1
@@ -447,7 +448,8 @@ def reference_remark_suite(structures):
             continue
         for p in (pl.PhiType(), struct.trace(0, struct.base_members())):
             try:
-                configs = pl.oracle_all_good_configs(struct, p, min(2, arity + 1), arity)
+                configs = oracle_configs_realized(
+                    struct, p, pl.oracle_all_good_configs(struct, min(2, arity + 1), arity))
             except pl.ResourceLimitError:
                 skipped += 1
                 continue

@@ -8,6 +8,7 @@ from philab import goodconfig
 from philab.cli import parse_generator_spec
 from philab.delta import ALL, DeltaFamily
 from philab.goodconfig import GoodConfiguration, config_certificate
+from philab.oracle import oracle_configs_realized
 
 from conftest import (
     EMPTY_BASE_SPECS,
@@ -122,7 +123,7 @@ class TestChecker:
 
         monkeypatch.setattr(goodconfig, "delta_equal_over", counting)
         for pairs in (((0, 1),), ((0, 1), (2, 3)), ((0, 1), (2, 3), (4, 5))):
-            assert pl.oracle_all_good_configs(s, pl.EMPTY_TYPE, 3, 0).count(pairs) == 1
+            assert pl.oracle_all_good_configs(s, 3, 0).count(pairs) == 1
             compared.clear()
             assert goodconfig._check_clause_iii(s, DeltaFamily(0), pairs)
             k = len(pairs)
@@ -231,7 +232,7 @@ class TestBuildMaximal:
             subject = pl.build_maximal(s, pl.PhiType(), "exhaustive").size
             oracle = max(
                 len(c)
-                for c in pl.oracle_all_good_configs(s, pl.PhiType(), min(3, dim + 1))
+                for c in pl.oracle_all_good_configs(s, min(3, dim + 1), pl.oracle_vc(s))
             )
             assert subject == oracle
 
@@ -245,7 +246,8 @@ class TestBuildMaximal:
             for p in (pl.EMPTY_TYPE, *s.type_space(s.base_members())):
                 for k in (1, 2, 3):
                     config = pl.build_maximal(s, p, "greedy", k)
-                    good = pl.oracle_all_good_configs(s, p, max(config.size, 1))
+                    good = oracle_configs_realized(
+                        s, p, pl.oracle_all_good_configs(s, max(config.size, 1), pl.oracle_vc(s)))
                     assert config.pairs in good, (name, p, k)
                     checks += 1
                     steps += config.size > 0
@@ -404,7 +406,8 @@ class TestExhaustiveWideDepthOne:
             s = parse_generator_spec(spec)
             dim = pl.oracle_vc(s)
             for p in dict.fromkeys(_base_types(s)):
-                configs = pl.oracle_all_good_configs(s, p, min(3, dim + 1), dim)
+                configs = oracle_configs_realized(
+                    s, p, pl.oracle_all_good_configs(s, min(3, dim + 1), dim))
                 longest = max(map(len, configs))
                 assert longest < min(3, dim + 1)
                 least = min(pairs for pairs in configs if len(pairs) == longest)
@@ -456,7 +459,7 @@ class TestBoundAndPrefixes:
             if len(s.theta_set) > 10:
                 continue
             dim = pl.independence_dimension(s).id_value
-            for pairs in pl.oracle_all_good_configs(s, pl.PhiType(), min(3, dim + 1)):
+            for pairs in pl.oracle_all_good_configs(s, min(3, dim + 1), pl.oracle_vc(s)):
                 assert len(pairs) <= dim
 
     def test_prefix_closure(self, corpus):
@@ -464,7 +467,7 @@ class TestBoundAndPrefixes:
             if len(s.theta_set) > 10:
                 continue
             dim = pl.independence_dimension(s).id_value
-            for pairs in pl.oracle_all_good_configs(s, pl.PhiType(), min(3, dim + 1)):
+            for pairs in pl.oracle_all_good_configs(s, min(3, dim + 1), pl.oracle_vc(s)):
                 for cut in range(len(pairs)):
                     prefix = GoodConfiguration(pairs[:cut], pl.EMPTY_TYPE)
                     assert pl.is_good_configuration(s, prefix)

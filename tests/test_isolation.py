@@ -1,3 +1,4 @@
+import json
 import operator
 from itertools import combinations, product
 from types import SimpleNamespace
@@ -6,9 +7,10 @@ import pytest
 
 import philab as pl
 from philab import cover, delta, isolation
-from philab.cli import parse_generator_spec
+from philab.cli import main, parse_generator_spec
 from philab.goodconfig import GoodConfiguration, extend_type
 from philab.isolation import SATURATION_DEFICIT, q_harness
+from philab.oracle import oracle_configs_realized
 
 from conftest import reference_q_harness
 
@@ -322,7 +324,8 @@ class TestEmbedTrace:
 class TestQType:
     def _maximal_config(self, struct, p):
         dim = pl.independence_dimension(struct).id_value
-        configs = pl.oracle_all_good_configs(struct, p, min(2, dim + 1))
+        configs = oracle_configs_realized(
+            struct, p, pl.oracle_all_good_configs(struct, min(2, dim + 1), pl.oracle_vc(struct)))
         best = max(len(c) for c in configs)
         pairs = min(c for c in configs if len(c) == best)
         return GoodConfiguration(pairs, p)
@@ -484,7 +487,8 @@ class TestQType:
                 s = parse_generator_spec(f"random:{family}:{g}:20:6")
                 arity = pl.oracle_vc(s)
                 for p in (pl.EMPTY_TYPE, s.trace(0, s.base_members())):
-                    configs = pl.oracle_all_good_configs(s, p, min(2, arity + 1), arity)
+                    configs = oracle_configs_realized(
+                        s, p, pl.oracle_all_good_configs(s, min(2, arity + 1), arity))
                     best = max(len(c) for c in configs)
                     for pairs in configs:
                         if len(pairs) == best:
@@ -546,3 +550,78 @@ class TestQType:
         with pytest.raises(pl.ResourceLimitError,
                            match=r"^harness guard: \|theta\| = 2 > 1$"):
             q_harness(s1, small)
+
+
+def _theta_y(rows: str, base) -> pl.BipartiteStructure:
+    """The structure with these 0/1 rows, base `base` and theta = Y."""
+    truth = tuple(tuple(map(int, row)) for row in rows.split())
+    return pl.BipartiteStructure(truth, frozenset(base), frozenset(range(len(truth[0]))))
+
+
+class TestRemarkFailures:
+    """Two matrices on which q_harness(...).ok is false today: a realizer of
+    a maximal configuration's q-type needs a larger certificate than the
+    generating tuple, though every size equals oracle_min_isolating.  They
+    are pinned as they behave, at the remark suite's arity and length, so
+    that settling what the check claims changes these pins by name."""
+
+    EMPTY_BASE = _theta_y("111100 100010 100001 001111 010101 100011 101110 "
+                          "100101 111100 101110 000110 010011 101111", ())
+    BASE_1_2 = _theta_y("10100 01111 01001 11110 11100 11110 10101 00100 "
+                        "11000 00110 01010", (1, 2))
+
+    def harness(self, s, configs):
+        """For each base type, in type-space order, its failing maximal
+        lists as (index among the maximal, pairs, reference size, the
+        larger realizers and sizes); and the number of realizers, each
+        checked against oracle_min_isolating."""
+        failures, realizers = [], 0
+        for p in s.type_space(s.base_members()):
+            good = oracle_configs_realized(s, p, configs)
+            best = max(map(len, good))
+            failing = []
+            for i, pairs in enumerate(c for c in good if len(c) == best):
+                report = q_harness(s, GoodConfiguration(pairs, p))
+                for tup, size in report.passing:
+                    extended = extend_type(p, zip(tup[::2], tup[1::2]))
+                    assert size == pl.oracle_min_isolating(s, extended)
+                    realizers += 1
+                if not report.ok:
+                    larger = [(t, n) for t, n in report.passing if n > report.reference_size]
+                    failing.append((i, pairs, report.reference_size, larger))
+            failures.append(failing)
+        return failures, realizers
+
+    def test_empty_base_fails_on_four_of_176_lists(self):
+        s = self.EMPTY_BASE
+        assert pl.oracle_vc(s) == 2
+        configs = pl.oracle_all_good_configs(s, 2, 2)
+        assert (len(configs), sum(len(c) == 2 for c in configs)) == (206, 176)
+        assert self.harness(s, configs) == ([[
+            (18, ((0, 4), (2, 3)), 3, [((0, 5, 2, 3), 4)]),
+            (82, ((2, 3), (0, 4)), 3, [((2, 3, 0, 5), 4)]),
+            (87, ((2, 3), (4, 0)), 3, [((2, 3, 0, 5), 4)]),
+            (120, ((4, 0), (2, 3)), 3, [((0, 5, 2, 3), 4)]),
+        ]], 828)
+
+    def test_base_fails_for_its_second_type_only(self):
+        s = self.BASE_1_2
+        assert pl.oracle_vc(s) == 2
+        configs = pl.oracle_all_good_configs(s, 2, 2)
+        assert len(configs) == 7
+        assert s.type_space(s.base_members())[1] == pl.PhiType({1: 1, 2: 1})
+        assert self.harness(s, configs) == ([[], [
+            (0, ((0, 3),), 3, [((4, 3), 4)]),
+            (2, ((3, 0),), 3, [((4, 3), 4)]),
+        ], []], 46)
+
+    @pytest.mark.parametrize("name", ["EMPTY_BASE", "BASE_1_2"])
+    def test_verify_remark_passes(self, name, tmp_path, capsys):
+        # the suite runs two lists of two types, and reaches no failing one
+        path = tmp_path / "s.phi"
+        path.write_text(pl.serialize_structure(getattr(self, name)))
+        code = main(["verify", "--suite", "remark", "-i", str(path), "--format", "json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "suite": "remark", "harness_runs": 4, "skipped_by_guard": 0,
+            "ok": True, "counterexamples": []}

@@ -100,13 +100,13 @@ class TestOracleMinIsolating:
 
 class TestOracleGoodConfigs:
     def test_contains_empty(self, s1):
-        assert () in pl.oracle_all_good_configs(s1, pl.EMPTY_TYPE, 2)
+        assert () in pl.oracle_all_good_configs(s1, 2, pl.oracle_vc(s1))
 
     def test_outputs_pass_subject_checker(self, corpus):
         for _, s in corpus[:8]:
             if len(s.theta_set) > 10:
                 continue
-            for pairs in pl.oracle_all_good_configs(s, pl.EMPTY_TYPE, 2):
+            for pairs in pl.oracle_all_good_configs(s, 2, pl.oracle_vc(s)):
                 assert pl.is_good_configuration(
                     s, GoodConfiguration(pairs, pl.EMPTY_TYPE)
                 )
@@ -118,12 +118,12 @@ class TestOracleGoodConfigs:
             dim = pl.oracle_vc(s) if s.n <= 10 else None
             if dim is None:
                 continue
-            configs = pl.oracle_all_good_configs(s, pl.EMPTY_TYPE, min(3, dim + 1))
+            configs = pl.oracle_all_good_configs(s, min(3, dim + 1), dim)
             assert max(len(c) for c in configs) <= dim
 
     def test_lexicographic_order(self):
         s = pl.gen_random_bounded(11, 12, 4, pl.generators.INTERVALS)
-        configs = pl.oracle_all_good_configs(s, pl.EMPTY_TYPE, 2)
+        configs = pl.oracle_all_good_configs(s, 2, pl.oracle_vc(s))
         assert configs == sorted(configs)
 
     def test_pruned_equals_naive(self):
@@ -134,7 +134,7 @@ class TestOracleGoodConfigs:
             shrunk = pl.BipartiteStructure(
                 s.truth, s.base_set & {0, 1}, frozenset(range(4))
             )
-            fast = pl.oracle_all_good_configs(shrunk, pl.EMPTY_TYPE, 2)
+            fast = pl.oracle_all_good_configs(shrunk, 2, pl.oracle_vc(shrunk))
             slow = reference_oracle_all_good_configs_naive(shrunk, pl.EMPTY_TYPE, 2)
             assert fast == slow
 
@@ -143,29 +143,30 @@ class TestOracleGoodConfigs:
         # the only structures of the default corpus with two-pair configurations
         s = pl.gen_random_bounded(seed, 20, 6, pl.generators.UNIONS)
         arity = pl.oracle_vc(s)
-        empty = pl.oracle_all_good_configs(s, pl.EMPTY_TYPE, 3)
+        empty = pl.oracle_all_good_configs(s, 3, arity)
         assert max(len(c) for c in empty) == 2
         assert empty == reference_oracle_all_good_configs(s, pl.EMPTY_TYPE, 3, arity)
         p = s.type_space(s.base_members())[0]
-        assert pl.oracle_all_good_configs(s, p, 3) == reference_oracle_all_good_configs(
+        assert oracle_configs_realized(s, p, empty) == reference_oracle_all_good_configs(
             s, p, 3, arity
         )
 
     @pytest.mark.parametrize("max_k", [-1, 0])
     def test_no_pairs_below_length_one(self, s1, max_k):
-        assert pl.oracle_all_good_configs(s1, pl.EMPTY_TYPE, max_k) == [()]
+        assert pl.oracle_all_good_configs(s1, max_k, pl.oracle_vc(s1)) == [()]
 
     @pytest.mark.parametrize("max_k", [0, 2])
     def test_unrealized_type_has_none(self, s2, max_k):
         # on the chain, column 0 true forces column 1 true
-        assert pl.oracle_all_good_configs(s2, pl.PhiType({0: 1, 1: 0}), max_k) == []
+        configs = pl.oracle_all_good_configs(s2, max_k, pl.oracle_vc(s2))
+        assert oracle_configs_realized(s2, pl.PhiType({0: 1, 1: 0}), configs) == []
 
     def test_guards(self, s1):
         with pytest.raises(pl.ResourceLimitError):
-            pl.oracle_all_good_configs(s1, pl.EMPTY_TYPE, 4)
+            pl.oracle_all_good_configs(s1, 4, 1)
         wide = pl.gen_linear_order(11, [0])
         with pytest.raises(pl.ResourceLimitError):
-            pl.oracle_all_good_configs(wide, pl.EMPTY_TYPE, 2)
+            pl.oracle_all_good_configs(wide, 2, 1)
 
 
 class TestOracleWideDepthOne:
@@ -195,7 +196,8 @@ class TestOracleWideDepthOne:
                 for p in types if arity else types[:2]:
                     expected = reference_oracle_all_good_configs(s, p, top, arity)
                     for max_k in range(1, top + 1):
-                        got = pl.oracle_all_good_configs(s, p, max_k, arity)
+                        got = oracle_configs_realized(
+                            s, p, pl.oracle_all_good_configs(s, max_k, arity))
                         assert got == [c for c in expected if len(c) <= max_k], (spec, p)
                     if not s.base_set and arity == dim:
                         widest.append(sum(len(c) == 1 for c in expected))
@@ -217,7 +219,7 @@ class TestOracleWideDepthOne:
             s = parse_generator_spec(spec)
             for arity in (0, pl.oracle_vc(s)):
                 checked.clear()
-                configs = pl.oracle_all_good_configs(s, pl.EMPTY_TYPE, 3, arity)
+                configs = pl.oracle_all_good_configs(s, 3, arity)
                 memo: dict = {}
                 for pairs in checked:
                     if len(pairs) > 1:
@@ -231,17 +233,16 @@ class TestOracleConfigsRealized:
     def test_filter_of_the_empty_types_list_is_the_types_own(self):
         # every base type of the 50 verify-corpus instances (both families,
         # generator seeds 0..24): the empty type's list filtered on p's
-        # realizers is p's own enumeration and its row-scan reference
+        # realizers is p's row-scan reference
         checked, kept = 0, set()
         for g in range(25):
             for family in ("intervals", "unions2"):
                 s = parse_generator_spec(f"random:{family}:{g}:20:6")
                 arity = pl.oracle_vc(s)
                 for max_k in (1, 2, 3):
-                    empty = pl.oracle_all_good_configs(s, pl.EMPTY_TYPE, max_k, arity)
+                    empty = pl.oracle_all_good_configs(s, max_k, arity)
                     for p in s.type_space(s.base_members()):
                         got = oracle_configs_realized(s, p, empty)
-                        assert got == pl.oracle_all_good_configs(s, p, max_k, arity)
                         assert got == reference_oracle_all_good_configs(s, p, max_k, arity)
                         checked += 1
                         kept.add(len(got) < len(empty))
@@ -250,7 +251,7 @@ class TestOracleConfigsRealized:
     @pytest.mark.parametrize("max_k", [0, 2])
     def test_unrealized_type_keeps_no_list(self, s2, max_k):
         # on the chain, column 0 true forces column 1 true
-        empty = pl.oracle_all_good_configs(s2, pl.EMPTY_TYPE, max_k)
+        empty = pl.oracle_all_good_configs(s2, max_k, pl.oracle_vc(s2))
         assert empty and oracle_configs_realized(s2, pl.PhiType({0: 1, 1: 0}), empty) == []
 
     def test_no_lists_keeps_none(self, s1):
@@ -336,7 +337,7 @@ class TestOracleRealizedPatterns:
         sizes = set()
         for p in (pl.EMPTY_TYPE, pl.PhiType({0: 0}), pl.PhiType({0: 1})):
             for arity in range(3):
-                configs = pl.oracle_all_good_configs(s, p, 3, arity)
+                configs = oracle_configs_realized(s, p, pl.oracle_all_good_configs(s, 3, arity))
                 assert configs == reference_oracle_all_good_configs(plain, p, 3, arity)
                 sizes.update(map(len, configs))
         assert sizes == {0, 1, 2, 3}
@@ -366,14 +367,15 @@ class TestOracleUnknownParameters:
     def test_good_configs(self, b):
         s = pl.gen_shattered(3)
         with pytest.raises(pl.UnknownParameterError, match=f"^unknown parameter {b}$"):
-            pl.oracle_all_good_configs(s, pl.PhiType({b: 0}), 1)
+            oracle_configs_realized(
+                s, pl.PhiType({b: 0}), pl.oracle_all_good_configs(s, 1, pl.oracle_vc(s)))
         with pytest.raises(pl.UnknownParameterError, match=f"^unknown parameter {b}$"):
             reference_oracle_all_good_configs_naive(s, pl.PhiType({b: 0}), 1)
 
     @pytest.mark.parametrize("b", [-1, 3, 5])
     def test_configs_realized(self, b):
         s = pl.gen_shattered(3)
-        configs = pl.oracle_all_good_configs(s, pl.EMPTY_TYPE, 1)
+        configs = pl.oracle_all_good_configs(s, 1, pl.oracle_vc(s))
         with pytest.raises(pl.UnknownParameterError, match=f"^unknown parameter {b}$"):
             oracle_configs_realized(s, pl.PhiType({b: 0}), configs)
         with pytest.raises(pl.UnknownParameterError, match=f"^unknown parameter {b}$"):
@@ -404,18 +406,16 @@ class CountingRows(tuple):
                                   "oracle_finitely_satisfiable", "oracle_all_good_configs",
                                   "oracle_configs_realized"])
 def test_each_public_call_reads_truth_once(name):
-    # oracle_all_good_configs is given its arity: without it, the nested
-    # oracle_vc call reads truth once more
     s = pl.gen_random_bounded(1, 20, 6)
     p = s.trace(0, s.base_members())
     arity = pl.oracle_vc(s)
-    configs = pl.oracle_all_good_configs(s, pl.EMPTY_TYPE, 2, arity)
+    configs = pl.oracle_all_good_configs(s, 2, arity)
     table = pl.delta_type(s, pl.DeltaFamily(1), 0, [1, 2]).table
     call = {
         "oracle_vc": lambda s: pl.oracle_vc(s),
         "oracle_min_isolating": lambda s: pl.oracle_min_isolating(s, p),
         "oracle_finitely_satisfiable": lambda s: oracle_finitely_satisfiable(s, table, [3, 4], 1),
-        "oracle_all_good_configs": lambda s: pl.oracle_all_good_configs(s, p, 2, arity),
+        "oracle_all_good_configs": lambda s: pl.oracle_all_good_configs(s, 2, arity),
         "oracle_configs_realized": lambda s: oracle_configs_realized(s, p, configs),
     }[name]
     expected = call(s)

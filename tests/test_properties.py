@@ -18,6 +18,7 @@ from philab.goodconfig import GoodConfiguration, _check_clause_iii, extend_type
 from philab.isolation import q_harness
 from philab.oracle import (
     oracle_all_good_configs,
+    oracle_configs_realized,
     oracle_finitely_satisfiable,
     oracle_min_isolating,
     oracle_vc,
@@ -832,7 +833,7 @@ def test_arity_zero_still_steps(s1):
 @settings(max_examples=30, deadline=None)
 def test_bound_and_prefix_closure(s):
     dim = pl.independence_dimension(s).id_value
-    configs = pl.oracle_all_good_configs(s, pl.EMPTY_TYPE, min(2, dim + 1))
+    configs = pl.oracle_all_good_configs(s, min(2, dim + 1), pl.oracle_vc(s))
     for pairs in configs:
         assert len(pairs) <= dim
         for cut in range(len(pairs)):
@@ -959,7 +960,7 @@ def test_oracle_good_configs_match_row_scans(s, data):
     p = data.draw(oracle_types(s))
     for arity in range(4):
         expected = reference_oracle_all_good_configs(s, p, 3, arity)
-        assert oracle_all_good_configs(s, p, 3, arity) == expected
+        assert oracle_configs_realized(s, p, oracle_all_good_configs(s, 3, arity)) == expected
 
 
 @given(oracle_structures, st.integers(0, 3), st.data())
@@ -968,7 +969,7 @@ def test_oracle_good_configs_closed_under_sub_lists(s, arity, data):
     # the premise the enumeration prunes by: every sub-list of a good
     # configuration, with one position dropped or reordered, is good too
     p = data.draw(oracle_types(s))
-    configs = oracle_all_good_configs(s, p, 3, arity)
+    configs = oracle_configs_realized(s, p, oracle_all_good_configs(s, 3, arity))
     found = set(configs)
     memo: dict = {}
     for pairs in configs:
@@ -1009,7 +1010,7 @@ def test_oracle_keeps_nothing_on_the_structure(s, data):
     before = set(vars(s))
     oracle_vc(s)
     oracle_min_isolating(s, p)
-    oracle_all_good_configs(s, p, 2)
+    oracle_configs_realized(s, p, oracle_all_good_configs(s, 2, oracle_vc(s)))
     oracle_finitely_satisfiable(s, table, range(s.n), 1)
     assert set(vars(s)) == before
 

@@ -400,7 +400,7 @@ class TestCoreOps:
 
         def answers():
             return (s.truth, s.type_space([0, 1]), s.trace(0, [0, 1]), oracle_vc(s),
-                    oracle_all_good_configs(s, pl.EMPTY_TYPE, 1), serialize_structure(s))
+                    oracle_all_good_configs(s, 1, oracle_vc(s)), serialize_structure(s))
 
         before = answers()
         rows[0][0] = 1
@@ -535,8 +535,8 @@ class TestOddEntries:
 
     def test_oracle_all_good_configs(self, odd, make):
         s = make(odd())
-        configs = oracle_all_good_configs(s, pl.EMPTY_TYPE, 2)
-        assert configs == oracle_all_good_configs(make(1), pl.EMPTY_TYPE, 2)
+        configs = oracle_all_good_configs(s, 2, oracle_vc(s))
+        assert configs == oracle_all_good_configs(make(1), 2, oracle_vc(make(1)))
         if s.n == 3:
             # merged rows lose a pattern and let ((1, 0), (1, 0)) through
             assert configs == [(), ((0, 2),), ((1, 0),), ((1, 2),)]

@@ -164,9 +164,9 @@ def test_remark_tries_the_empty_type_and_the_first_base_type(monkeypatch):
     real_enumeration, real_harness = suites.oracle_all_good_configs, suites.q_harness
     enumerated, harnessed = [], []
 
-    def enumeration(struct, p, max_k, arity):
-        enumerated.append((p, max_k, arity))
-        return real_enumeration(struct, p, max_k, arity)
+    def enumeration(struct, max_k, arity):
+        enumerated.append((max_k, arity))
+        return real_enumeration(struct, max_k, arity)
 
     def harness(struct, config):
         harnessed.append((config.pairs, config.base_type))
@@ -180,13 +180,14 @@ def test_remark_tries_the_empty_type_and_the_first_base_type(monkeypatch):
         dim = pl.independence_dimension(struct).id_value
         expected = []
         for p in (pl.PhiType(), first):
-            configs = real_enumeration(struct, p, min(2, dim + 1), dim)
+            configs = oracle.oracle_configs_realized(
+                struct, p, real_enumeration(struct, min(2, dim + 1), dim))
             best = max(map(len, configs))
             expected += [(c, p) for c in configs if len(c) == best][:2]
         enumerated.clear()
         harnessed.clear()
         assert suites.remark_suite([("s", struct)])["ok"]
-        assert enumerated == [(pl.PhiType(), min(2, dim + 1), dim)]
+        assert enumerated == [(min(2, dim + 1), dim)]
         assert harnessed == list(dict.fromkeys(expected))
         assert {p for _, p in harnessed} == {pl.PhiType(), first}
 

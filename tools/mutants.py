@@ -170,6 +170,9 @@ MUTANTS = [
      "if realized(pairs)]", "if True]", ORACLE_TESTS),
     ("configs-filter-drops-type-literals", ORACLE,
      "(*p.items, *literals)", "literals", ORACLE_TESTS),
+    # every type-level oracle test reads its lists through the filter
+    ("configs-filter-swaps-signs", ORACLE,
+     "zip(pair, (0, 1))", "zip(pair, (1, 0))", ORACLE_TESTS),
     ("clause-iii-skips-last-pair", GOODCONFIG,
      "for j in range(k):", "for j in range(k - 1):", GOODCONFIG_TESTS),
     ("extension-scan-ignores-theta", GOODCONFIG,
